@@ -63,9 +63,9 @@ byz:
 alloc:
 	$(GO) run ./cmd/abd-bench -exp alloc -seed 1 -json BENCH_alloc.json
 
-# Regenerate BENCH_fastpath.json: the confirmed-watermark fast-path read
-# comparison (cmd/abd-bench -exp fastpath: two-phase vs skip-unanimous vs
-# fast-path under a paced writer) at full duration on the canonical seed.
+# Regenerate BENCH_fastpath.json: the one-round fast-path read comparison
+# (cmd/abd-bench -exp fastpath: two-phase vs fast-path under a paced
+# writer) at full duration on the canonical seed.
 fastpath:
 	$(GO) run ./cmd/abd-bench -exp fastpath -seed 1 -json BENCH_fastpath.json
 

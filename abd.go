@@ -93,22 +93,22 @@ type ClientOption = core.ClientOption
 func WithSingleWriter() ClientOption { return core.WithSingleWriter() }
 
 // ReadMode is the client's read-path consistency profile: which of the
-// read optimizations (confirmed-tag fast path, unanimous write-back skip,
-// coalescing, write-back itself) are active. See core.ReadMode for the
+// read optimizations (one-round fast path, coalescing, write-back itself)
+// are active. See core.ReadMode for the
 // per-knob contracts and core.DefaultReadMode for the defaults.
 type ReadMode = core.ReadMode
 
-// DefaultReadMode returns the out-of-the-box read profile: watermark fast
-// path on, coalescing on, write-backs on, unanimous skip off.
+// DefaultReadMode returns the out-of-the-box read profile: fast path,
+// coalescing and write-backs all on.
 func DefaultReadMode() ReadMode { return core.DefaultReadMode() }
 
 // WithReadMode sets the whole read profile at once; invalid combinations
 // (e.g. a fast path without write-backs) are rejected by NewClient.
 func WithReadMode(m ReadMode) ClientOption { return core.WithReadMode(m) }
 
-// WithFastRead enables the confirmed-tag watermark fast path explicitly
-// (it is on by default): reads complete in one round trip when the newest
-// observed tag is already known quorum-durable.
+// WithFastRead enables the one-round fast path explicitly (it is on by
+// default): a read skips its write-back when the query replies prove the
+// newest pair is already stored at a write quorum.
 func WithFastRead() ClientOption { return core.WithFastRead() }
 
 // WithoutFastRead disables the fast path, restoring the paper's

@@ -78,7 +78,7 @@ func BenchmarkT1MessageComplexity(b *testing.B) {
 }
 
 // BenchmarkT2Rounds measures operation latency under a fixed network delay
-// (expected: read ≈ 2× SWMR write).
+// (expected: two-phase read ≈ 2× SWMR write, fast-path read ≈ 1×).
 func BenchmarkT2Rounds(b *testing.B) {
 	const oneWay = 200 * time.Microsecond
 	variants := []struct {
@@ -87,9 +87,9 @@ func BenchmarkT2Rounds(b *testing.B) {
 		opts   []core.ClientOption
 	}{
 		{"swmr-write", false, []core.ClientOption{core.WithSingleWriter()}},
-		{"read", true, nil},
+		{"read", true, []core.ClientOption{core.WithoutFastRead()}},
 		{"mwmr-write", false, nil},
-		{"read-skip-unanimous", true, []core.ClientOption{core.WithSkipUnanimousWriteBack()}},
+		{"read-fast", true, nil},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -167,7 +167,7 @@ func BenchmarkF3Throughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		cli := cluster.Client(core.WithSkipUnanimousWriteBack())
+		cli := cluster.Client()
 		j := 0
 		for pb.Next() {
 			var err error

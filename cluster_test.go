@@ -247,10 +247,17 @@ func TestClusterLatencyMergesClients(t *testing.T) {
 		t.Fatalf("merged counts: writes=%d reads=%d, want %d each",
 			lat.Write.Count, lat.Read.Count, ops)
 	}
-	// Each op runs two phases (MW write: query+update; read: query+write-back).
+	// A MW write runs two phases (query+update); a read runs its query plus
+	// a write-back iff the repliers did not already hold the pair at a write
+	// quorum — every read of the written register is one or the other.
+	m := cluster.Metrics()
+	if m.ReadRounds != m.Reads+m.WriteBacks || m.FastPathReads+m.WriteBacks != m.Reads {
+		t.Fatalf("read accounting: reads=%d rounds=%d fast=%d write-backs=%d",
+			m.Reads, m.ReadRounds, m.FastPathReads, m.WriteBacks)
+	}
 	phases := lat.PhaseQuery.Count + lat.PhaseUpdate.Count
-	if phases != 4*ops {
-		t.Fatalf("merged phase count %d, want %d", phases, 4*ops)
+	if want := 3*ops + m.WriteBacks; phases != want {
+		t.Fatalf("merged phase count %d, want %d", phases, want)
 	}
 	if lat.Write.Quantile(0.99) <= 0 || lat.Read.Quantile(0.99) <= 0 {
 		t.Fatalf("zero quantiles: %+v", lat)

@@ -7,7 +7,7 @@
 //	abd-cli -peers "..." read greeting
 //	abd-cli -peers "..." bench -ops 1000 -readpct 50
 //
-// Flags -single-writer and -skip-unanimous select the protocol variants.
+// Flag -single-writer selects the SWMR protocol variant.
 package main
 
 import (
@@ -31,11 +31,10 @@ func main() {
 
 func run() int {
 	var (
-		peersFlag     = flag.String("peers", "", "replica addresses: id=host:port,...")
-		id            = flag.Int("id", 100, "this client's node id (distinct from replicas)")
-		timeout       = flag.Duration("timeout", 5*time.Second, "per-operation deadline")
-		singleWriter  = flag.Bool("single-writer", false, "use the SWMR fast path (you must be the only writer)")
-		skipUnanimous = flag.Bool("skip-unanimous", false, "skip read write-backs when the quorum is unanimous")
+		peersFlag    = flag.String("peers", "", "replica addresses: id=host:port,...")
+		id           = flag.Int("id", 100, "this client's node id (distinct from replicas)")
+		timeout      = flag.Duration("timeout", 5*time.Second, "per-operation deadline")
+		singleWriter = flag.Bool("single-writer", false, "use the SWMR fast path (you must be the only writer)")
 	)
 	flag.Parse()
 	args := flag.Args()
@@ -58,9 +57,6 @@ func run() int {
 	var copts []core.ClientOption
 	if *singleWriter {
 		copts = append(copts, core.WithSingleWriter())
-	}
-	if *skipUnanimous {
-		copts = append(copts, core.WithSkipUnanimousWriteBack())
 	}
 	cli, err := core.NewClient(types.NodeID(*id), ep, order, copts...)
 	if err != nil {

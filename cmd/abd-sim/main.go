@@ -77,7 +77,7 @@ func run() int {
 		minDelay = flag.Duration("min-delay", 0, "min one-way message delay")
 		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "max one-way message delay")
 		faults   = flag.String("faults", "", "fault script (see internal/failure)")
-		mode     = flag.String("mode", "atomic", "protocol variant: atomic | skip-unanimous | regular")
+		mode     = flag.String("mode", "atomic", "protocol variant: atomic | regular")
 		check    = flag.Bool("check", false, "run the linearizability checker on the history")
 		out      = flag.String("out", "", "write the history as JSON lines to this file")
 		opT      = flag.Duration("op-timeout", 2*time.Second, "per-operation deadline")
@@ -111,8 +111,6 @@ func run() int {
 	var copts []core.ClientOption
 	switch *mode {
 	case "atomic":
-	case "skip-unanimous":
-		copts = append(copts, core.WithSkipUnanimousWriteBack())
 	case "regular":
 		copts = append(copts, core.WithUnsafeNoWriteBack())
 	default:

@@ -115,7 +115,7 @@ func ExampleWithQuorumSystem() {
 // Per-client protocol options compose with cluster defaults.
 func ExampleWithClientDefaults() {
 	cluster, err := abd.NewCluster(3, abd.WithSeed(1),
-		abd.WithClientDefaults(core.WithSkipUnanimousWriteBack()))
+		abd.WithClientDefaults(core.WithoutFastRead()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -133,6 +133,6 @@ func ExampleWithClientDefaults() {
 		log.Fatal(err)
 	}
 	m := r.Metrics()
-	fmt.Printf("reads=%d write-backs skipped=%d\n", m.Reads, m.WriteBacksSkipped)
-	// Output: reads=1 write-backs skipped=1
+	fmt.Printf("reads=%d write-backs=%d\n", m.Reads, m.WriteBacks)
+	// Output: reads=1 write-backs=1
 }

@@ -93,7 +93,7 @@ func (b *ByzantineReplica) loop() {
 				reply.Tag = Tag{Valid: true, TS: timestamp.TS{Seq: 1 << 40, Writer: b.id}}
 				reply.Val = []byte("byzantine-fabrication")
 				// Also claim the fabrication is quorum-confirmed: the strongest
-				// attack on the watermark fast path, which must hold the claim
+				// attack on the fast path's watermark, which must hold the claim
 				// to the f+1 bar rather than trust it.
 				reply.Conf = reply.Tag
 			case ByzEquivocate:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -35,24 +36,22 @@ type Client struct {
 	ord      order
 
 	// Mode flags; see options.go. The read-mode knobs (fastRead,
-	// skipUnanimous, noWriteBack, coalesceReads) are one cross-validated
-	// option set — see ReadMode; the *Set companions record which knobs the
-	// caller set explicitly, so NewClient can tell an invalid combination
-	// (rejected) from a silently-disabled default.
-	singleWriter     bool
-	skipUnanimous    bool
-	skipUnanimousSet bool
-	noWriteBack      bool
-	fastRead         bool
-	fastReadSet      bool
-	bounded          bool
-	boundedDom    timestamp.Cyclic
-	readFanout    int
-	writeFanout   int
-	rrNext        atomic.Uint64 // round-robin cursor for partial fanout
-	maskF         int           // Byzantine replicas tolerated (masking quorums)
-	byzantine     bool          // WithByzantine: full validation incl. confirm rounds
-	byzF          int           // WithByzantine's f (0 = plain crash-fault client)
+	// noWriteBack, coalesceReads) are one cross-validated option set — see
+	// ReadMode; fastReadSet records that the caller set the knob explicitly,
+	// so NewClient can tell an invalid combination (rejected) from a
+	// silently-disabled default.
+	singleWriter bool
+	noWriteBack  bool
+	fastRead     bool
+	fastReadSet  bool
+	bounded      bool
+	boundedDom   timestamp.Cyclic
+	readFanout   int
+	writeFanout  int
+	rrNext       atomic.Uint64 // round-robin cursor for partial fanout
+	maskF        int           // Byzantine replicas tolerated (masking quorums)
+	byzantine    bool          // WithByzantine: full validation incl. confirm rounds
+	byzF         int           // WithByzantine's f (0 = plain crash-fault client)
 
 	// Retransmission policy; see options.go. The default is adaptive: the
 	// interval tracks the client's own observed phase latencies.
@@ -70,8 +69,9 @@ type Client struct {
 
 	// Confirmed-watermark state (WithFastRead; DESIGN.md §10): per register,
 	// the highest tag this client knows to be stored at a full write quorum
-	// — advanced by its own quorum-acked updates and by watermarks gossiped
-	// back on query replies, piggybacked on every outgoing query and write.
+	// — advanced by its own quorum-acked updates, by query rounds whose
+	// holders cover a write quorum, and by watermarks gossiped back on query
+	// replies; piggybacked on every outgoing query and write.
 	confMu    sync.Mutex
 	confirmed map[string]Tag
 
@@ -171,21 +171,11 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 		return nil, fmt.Errorf("core: bounded labels require the single-writer mode")
 	}
 	// Cross-validate the read-mode option set (see ReadMode). An explicitly
-	// requested skip is rejected when it cannot mean anything; the same knob
-	// left at its default is silently turned off instead.
+	// requested fast path is rejected when it cannot mean anything; the same
+	// knob left at its default is silently turned off instead.
 	if c.noWriteBack {
 		if c.fastReadSet && c.fastRead {
-			return nil, fmt.Errorf("core: WithFastRead cannot combine with WithUnsafeNoWriteBack: the fast path skips the write-back only when the watermark proves it redundant, the unsafe mode skips it unconditionally")
-		}
-		if c.skipUnanimousSet && c.skipUnanimous {
-			return nil, fmt.Errorf("core: WithSkipUnanimousWriteBack cannot combine with WithUnsafeNoWriteBack: there is no write-back left to skip")
-		}
-		c.fastRead = false
-		c.skipUnanimous = false
-	}
-	if c.bounded {
-		if c.fastReadSet && c.fastRead {
-			return nil, fmt.Errorf("core: WithFastRead cannot combine with bounded labels: cyclic labels admit no sound watermark order")
+			return nil, fmt.Errorf("core: WithFastRead cannot combine with WithUnsafeNoWriteBack: the fast path skips the write-back only when the replies prove it redundant, the unsafe mode skips it unconditionally")
 		}
 		c.fastRead = false
 	}
@@ -221,14 +211,13 @@ func (c *Client) ByzantineF() int {
 }
 
 // ReadMode reports the client's effective read mode after NewClient's
-// cross-validation — e.g. FastRead reads false on a bounded-label client
-// even though the default is on.
+// cross-validation — e.g. FastRead reads false on a WithUnsafeNoWriteBack
+// client even though the default is on.
 func (c *Client) ReadMode() ReadMode {
 	return ReadMode{
-		FastRead:      c.fastRead,
-		SkipUnanimous: c.skipUnanimous,
-		Coalesce:      c.coalesceReads,
-		WriteBack:     !c.noWriteBack,
+		FastRead:  c.fastRead,
+		Coalesce:  c.coalesceReads,
+		WriteBack: !c.noWriteBack,
 	}
 }
 
@@ -241,11 +230,13 @@ func (c *Client) confirmedTag(reg string) Tag {
 }
 
 // noteConfirmed records that tag is stored at a full write quorum —
-// witnessed directly (this client collected a write quorum of acks for it)
-// or vouched by the gossip rules in watermark. No-op with the fast path
-// off: the map is then never consulted.
+// witnessed directly (this client collected a write quorum of acks or of
+// holder replies for it) or vouched by the gossip rules in watermark. No-op
+// with the fast path off (the map is then never consulted) and under
+// bounded labels, whose cyclic order admits no sound watermark: those
+// clients gossip nothing and hit the fast path on holder evidence alone.
 func (c *Client) noteConfirmed(reg string, tag Tag) {
-	if !c.fastRead || !tag.Valid {
+	if !c.fastRead || c.bounded || !tag.Valid {
 		return
 	}
 	c.confMu.Lock()
@@ -672,10 +663,10 @@ func (c *Client) aheadOf(replies []message, tag Tag) bool {
 
 // queryValidated runs the query phase that starts reads and multi-writer
 // writes and returns the (tag, value) pair the operation should adopt,
-// plus the replies of the phase round that produced it (for the fast-path
-// watermark check and the unanimous write-back optimization) and how many
-// quorum rounds it paid (1 plus any masking retries and confirm rounds —
-// the read path's ReadRounds accounting).
+// plus the replies of the phase round that produced it (the fast path's
+// evidence, see atWriteQuorum) and how many quorum rounds it paid (1 plus
+// any masking retries and confirm rounds — the read path's ReadRounds
+// accounting).
 //
 // Plain mode (maskF == 0) is the paper's rule: one phase, newest pair
 // wins. Masking mode (WithMaskingFaults / WithByzantine(f>0)) only trusts
@@ -773,69 +764,62 @@ func (c *Client) read(ctx context.Context, reg string, ot opTrace) (types.Value,
 		return nil, fmt.Errorf("read %q: %w", reg, err)
 	}
 	c.metrics.reads.Add(1)
-	// recordRounds files the completed read's round-trip count; like the
-	// latency histograms it records only on success.
-	recordRounds := func() {
-		c.metrics.readRounds.Add(int64(rounds))
-		c.lat.readRounds.Record(time.Duration(rounds))
-	}
-	if !best.Valid {
+	switch {
+	case !best.Valid:
 		// Initial state everywhere: nothing to propagate.
-		recordRounds()
-		return nil, nil
-	}
-
-	if c.noWriteBack {
+		val = nil
+	case c.noWriteBack:
 		c.metrics.writeBacksSkipped.Add(1)
-		recordRounds()
-		return val, nil
-	}
-	if c.fastRead {
-		// Fast path (DESIGN.md §10): when the newest observed tag is at or
-		// below a confirmed watermark, the pair is already stored at a full
-		// write quorum, so the write-back would be a no-op — the read
-		// completes in the one round already paid. This runs only after
-		// queryValidated, so in Byzantine mode best is the f+1-vouched pair
-		// and the watermark itself is held to the f+1-claim bar: a lying
-		// replica can cost hits, never skip validation.
-		if wm := c.watermark(reg, replies); wm.Valid {
-			if cmp, err := c.ord.compare(best, wm); err == nil && cmp <= 0 {
-				c.metrics.fastPathReads.Add(1)
-				c.metrics.writeBacksSkipped.Add(1)
-				recordRounds()
-				return val, nil
-			}
+	case c.fastRead && c.atWriteQuorum(reg, best, val, replies):
+		// Fast path (DESIGN.md §10): the write-back would be a no-op, so the
+		// read completes in the one round already paid.
+		c.metrics.fastPathReads.Add(1)
+		c.metrics.writeBacksSkipped.Add(1)
+	default:
+		wb := message{Kind: KindWrite, Reg: reg, Tag: best, Val: val, Conf: c.gossip(reg)}
+		if _, err := c.phase(ctx, wb, c.qs.ContainsWriteQuorum, ot, "write-back"); err != nil {
+			return nil, fmt.Errorf("read %q write-back: %w", reg, err)
 		}
+		// The write-back collected a write quorum of acks for best: it is now
+		// confirmed, and the next query's piggyback will tell the replicas.
+		c.noteConfirmed(reg, best)
+		c.metrics.writeBacks.Add(1)
+		rounds++
 	}
-	if c.skipUnanimous && unanimous(replies, best) {
-		// Every member of a full read quorum already stores the pair, so
-		// any later read quorum intersects it and will see a tag >= best:
-		// the write-back would be a no-op. (Safe optimization.)
-		c.metrics.writeBacksSkipped.Add(1)
-		recordRounds()
-		return val, nil
-	}
-
-	wb := message{Kind: KindWrite, Reg: reg, Tag: best, Val: val, Conf: c.gossip(reg)}
-	if _, err := c.phase(ctx, wb, c.qs.ContainsWriteQuorum, ot, "write-back"); err != nil {
-		return nil, fmt.Errorf("read %q write-back: %w", reg, err)
-	}
-	// The write-back collected a write quorum of acks for best: it is now
-	// confirmed, and the next query's piggyback will tell the replicas.
-	c.noteConfirmed(reg, best)
-	c.metrics.writeBacks.Add(1)
-	rounds++
-	recordRounds()
+	// Like the latency histograms, the round count records only on success.
+	c.metrics.readRounds.Add(int64(rounds))
+	c.lat.readRounds.Record(time.Duration(rounds))
 	return val, nil
 }
 
-func unanimous(replies []message, tag Tag) bool {
+// atWriteQuorum reports whether the query round already paid proves the
+// pair (best, val) is stored at a full write quorum — the one fact the
+// read's write-back exists to establish (DESIGN.md §10). Two kinds of
+// evidence for it: the holders (repliers reporting exactly the pair)
+// contain a write quorum, or best is at or below the confirmed watermark.
+// It runs only after queryValidated, so in masking mode best is the
+// f+1-vouched pair, a holder must echo its value too, and the watermark is
+// held to the f+1-claim bar. A liar adds at most itself to the holders: a
+// masking write quorum of them meets every later quorum in >= 2f+1
+// replicas, >= f+1 of them honest holders — lying costs hits, never mints
+// one.
+func (c *Client) atWriteQuorum(reg string, best Tag, val types.Value, replies []message) bool {
+	var holders quorum.Set
 	for _, m := range replies {
-		if m.Tag != tag {
-			return false
+		if m.Tag == best && bytes.Equal(m.Val, val) {
+			holders = holders.Add(c.index[m.fromReplica])
 		}
 	}
-	return true
+	if c.qs.ContainsWriteQuorum(holders) {
+		c.noteConfirmed(reg, best)
+		return true
+	}
+	wm := c.watermark(reg, replies)
+	if !wm.Valid {
+		return false
+	}
+	cmp, err := c.ord.compare(best, wm)
+	return err == nil && cmp <= 0
 }
 
 // Write performs the atomic write. In multi-writer mode (the default) it

@@ -10,10 +10,24 @@ import (
 	"repro/internal/netsim"
 )
 
-// TestFastPathSkipsWriteBack: after one slow read confirms (and gossips)
-// the newest tag, subsequent quiescent reads complete in one round — no
-// write-back — and the counters account for every hop: FastPathReads,
-// WriteBacksSkipped, and ReadRounds (2 for the slow read, 1 per fast one).
+// checkReadAccounting pins the crash-mode read identities on a client whose
+// reads all led their own round and hit a written register: every read pays
+// the query round plus a write-back iff it ran one, and every read either
+// hit the fast path or wrote back.
+func checkReadAccounting(t *testing.T, m MetricsSnapshot) {
+	t.Helper()
+	if m.ReadRounds != m.Reads+m.WriteBacks {
+		t.Errorf("ReadRounds = %d, want reads %d + write-backs %d", m.ReadRounds, m.Reads, m.WriteBacks)
+	}
+	if m.FastPathReads+m.WriteBacks != m.Reads {
+		t.Errorf("fast %d + write-backs %d != reads %d", m.FastPathReads, m.WriteBacks, m.Reads)
+	}
+}
+
+// TestFastPathSkipsWriteBack: once a write has landed, quiescent reads
+// complete in one round — no write-back, from the very first read of a
+// fresh client, because the repliers themselves hold the pair at a write
+// quorum — and the counters account for every hop.
 func TestFastPathSkipsWriteBack(t *testing.T) {
 	c := newTestCluster(t, 5, netsim.Config{Seed: 71})
 	w := c.client(WithSingleWriter())
@@ -21,74 +35,117 @@ func TestFastPathSkipsWriteBack(t *testing.T) {
 	ctx := shortCtx(t)
 
 	mustWrite(t, ctx, w, "x", "v1")
-	time.Sleep(10 * time.Millisecond) // let update acks land everywhere
+	waitStored(t, c, "x", "v1")
 
-	// First read from a fresh client: the replicas may not know the tag is
-	// confirmed yet (the writer's gossip only rides its *next* message), so
-	// this read is allowed to pay the write-back. It confirms the tag.
-	if got := mustRead(t, ctx, r, "x"); got != "v1" {
-		t.Fatalf("first read %q", got)
-	}
-
-	const fastReads = 5
-	for i := 0; i < fastReads; i++ {
+	const reads = 6
+	for i := 0; i < reads; i++ {
 		if got := mustRead(t, ctx, r, "x"); got != "v1" {
 			t.Fatalf("read %d: %q", i, got)
 		}
 	}
 	m := r.Metrics()
-	if m.FastPathReads < fastReads {
-		t.Errorf("FastPathReads = %d, want >= %d", m.FastPathReads, fastReads)
+	if m.FastPathReads != reads || m.WriteBacksSkipped != reads || m.WriteBacks != 0 {
+		t.Errorf("fast=%d skipped=%d write-backs=%d, want %d/%d/0",
+			m.FastPathReads, m.WriteBacksSkipped, m.WriteBacks, reads, reads)
 	}
-	if m.WriteBacksSkipped < fastReads {
-		t.Errorf("WriteBacksSkipped = %d, want >= %d", m.WriteBacksSkipped, fastReads)
-	}
-	// Every fast read paid exactly one round; the reads histogram agrees.
-	wantRounds := 2*(m.Reads-m.FastPathReads) + m.FastPathReads
-	if m.ReadRounds != wantRounds {
-		t.Errorf("ReadRounds = %d, want %d (%d reads, %d fast)",
-			m.ReadRounds, wantRounds, m.Reads, m.FastPathReads)
-	}
+	checkReadAccounting(t, m)
 	if got := r.Latency().ReadRounds.Count; got != m.Reads {
 		t.Errorf("ReadRounds histogram count = %d, want %d", got, m.Reads)
 	}
 }
 
-// TestFastPathStaleWatermarkForcesSlowPath: when the replicas' confirmed
-// watermark lags the stored tag (a fresh write nobody has read back yet),
-// the fast path must NOT fire — the read pays the write-back, which is what
-// makes it atomic — and only the next read, now above a caught-up
-// watermark, goes fast.
-func TestFastPathStaleWatermarkForcesSlowPath(t *testing.T) {
+// TestFastPathAlternatingClientsOneRound pins the miss pattern the holder
+// evidence fixes: two clients take turns writing and reading one register.
+// A watermark confirmation reaches replicas only on the confirming client's
+// next message, so the reader that did not write used to pay two rounds
+// every time; with holder evidence every quiescent read is one round.
+func TestFastPathAlternatingClientsOneRound(t *testing.T) {
+	c := newTestCluster(t, 3, netsim.Config{Seed: 76})
+	a, b := c.client(), c.client()
+	ctx := shortCtx(t)
+
+	writer, reader := a, b
+	for i := 0; i < 10; i++ {
+		val := fmt.Sprintf("v%d", i)
+		mustWrite(t, ctx, writer, "x", val)
+		waitStored(t, c, "x", val)
+		if got := mustRead(t, ctx, reader, "x"); got != val {
+			t.Fatalf("round %d: read %q, want %q", i, got, val)
+		}
+		writer, reader = reader, writer
+	}
+	for _, cli := range []*Client{a, b} {
+		m := cli.Metrics()
+		if m.Reads != 5 || m.ReadRounds != m.Reads || m.WriteBacks != 0 {
+			t.Errorf("client %v: reads=%d rounds=%d write-backs=%d, want 5 one-round reads",
+				cli.ID(), m.Reads, m.ReadRounds, m.WriteBacks)
+		}
+		checkReadAccounting(t, m)
+	}
+}
+
+// TestFastPathNoEvidenceForcesSlowPath: when the repliers holding the
+// newest pair fall short of a write quorum AND the confirmed watermark lags
+// it, the fast path must NOT fire — the read pays the write-back, which is
+// what makes it atomic — and only the next read, with that write-back as
+// its evidence, goes fast.
+func TestFastPathNoEvidenceForcesSlowPath(t *testing.T) {
 	c := newTestCluster(t, 5, netsim.Config{Seed: 72})
 	w := c.client()
 	r := c.client()
 	ctx := shortCtx(t)
 
-	// Two writes: the second write's query gossips the FIRST write's
-	// confirmation, so after it the replicas hold tag2 but conf=tag1 — a
-	// genuinely stale watermark, one tag behind the stored state.
+	// Both writes land at the bare majority {0,1,2}. The second write's query
+	// gossips the FIRST write's confirmation, so those replicas end up with
+	// tag2 but conf=tag1 — a watermark one tag behind the stored state.
+	c.net.BlockLink(w.ID(), 3)
+	c.net.BlockLink(w.ID(), 4)
 	mustWrite(t, ctx, w, "x", "v1")
 	mustWrite(t, ctx, w, "x", "v2")
-	time.Sleep(10 * time.Millisecond)
+	// The reader never hears replica 0, so every read quorum it assembles
+	// holds at most two of the three holders.
+	c.net.BlockLink(0, r.ID())
 
 	if got := mustRead(t, ctx, r, "x"); got != "v2" {
 		t.Fatalf("read %q, want v2", got)
 	}
 	m := r.Metrics()
-	if m.FastPathReads != 0 {
-		t.Fatalf("fast path fired against a stale watermark (FastPathReads=%d)", m.FastPathReads)
-	}
-	if m.WriteBacks != 1 {
-		t.Fatalf("slow read ran %d write-backs, want 1", m.WriteBacks)
+	if m.FastPathReads != 0 || m.WriteBacks != 1 {
+		t.Fatalf("read without evidence: fast=%d write-backs=%d, want 0/1", m.FastPathReads, m.WriteBacks)
 	}
 
-	// That write-back confirmed tag2 and the next query gossips it: now fast.
 	if got := mustRead(t, ctx, r, "x"); got != "v2" {
 		t.Fatalf("second read %q, want v2", got)
 	}
-	if m := r.Metrics(); m.FastPathReads != 1 {
+	m = r.Metrics()
+	if m.FastPathReads != 1 {
 		t.Errorf("second read did not take the fast path: %+v", m)
+	}
+	checkReadAccounting(t, m)
+}
+
+// TestFastPathBoundedLabels: holder evidence is tag equality, which cyclic
+// labels support, so bounded-label clients get one-round reads too — while
+// their watermark stays off (cyclic order admits no sound "at or below").
+func TestFastPathBoundedLabels(t *testing.T) {
+	c := newTestCluster(t, 3, netsim.Config{Seed: 77}, WithReplicaBoundedWindow(16))
+	w := c.client(WithBoundedLabels(16))
+	r := c.client(WithBoundedLabels(16))
+	ctx := shortCtx(t)
+
+	mustWrite(t, ctx, w, "x", "v")
+	waitStored(t, c, "x", "v")
+	if got := mustRead(t, ctx, r, "x"); got != "v" {
+		t.Fatalf("read %q", got)
+	}
+	if m := r.Metrics(); m.FastPathReads != 1 || m.WriteBacks != 0 {
+		t.Errorf("bounded quiescent read: fast=%d write-backs=%d, want 1/0", m.FastPathReads, m.WriteBacks)
+	}
+	if wm := r.confirmedTag("x"); wm.Valid {
+		t.Errorf("bounded client kept a watermark: %+v", wm)
+	}
+	if conf := c.replicas[0].Confirmed("x"); conf.Valid {
+		t.Errorf("bounded clients gossiped a watermark: %+v", conf)
 	}
 }
 
@@ -249,34 +306,33 @@ func TestReadModeValidation(t *testing.T) {
 		return err
 	}
 
-	// Rejected combinations: explicit fast path or unanimity skip without a
-	// write-back to skip, and fast path under bounded labels.
+	// The one rejected combination: an explicit fast path without a
+	// write-back to skip.
 	for name, opts := range map[string][]ClientOption{
 		"FastRead+NoWriteBack":       {WithFastRead(), WithUnsafeNoWriteBack()},
-		"SkipUnanimous+NoWriteBack":  {WithSkipUnanimousWriteBack(), WithUnsafeNoWriteBack()},
-		"FastRead+Bounded":           {WithFastRead(), WithBoundedLabels(16)},
 		"ReadMode fast no-writeback": {WithReadMode(ReadMode{FastRead: true, Coalesce: true})},
-		"ReadMode skip no-writeback": {WithReadMode(ReadMode{SkipUnanimous: true})},
 	} {
 		if err := newCli(opts...); err == nil {
 			t.Errorf("%s: NewClient accepted an invalid combination", name)
 		}
 	}
 
-	// Silent adjustments: the *default* fast path yields to modes that
-	// preclude it, without an error, and ReadMode reports the effective set.
+	// Silent adjustment: the *default* fast path yields to the mode that
+	// precludes it, without an error, and ReadMode reports the effective set.
 	cli := c.client(WithUnsafeNoWriteBack())
 	if m := cli.ReadMode(); m.FastRead || m.WriteBack {
 		t.Errorf("no-write-back mode reports %+v, want fast path and write-back off", m)
 	}
-	cli = c.client(WithBoundedLabels(16))
-	if m := cli.ReadMode(); m.FastRead {
-		t.Errorf("bounded mode reports %+v, want fast path off", m)
+	// Bounded labels keep the fast path (holder evidence; explicit or default).
+	for _, opts := range [][]ClientOption{{WithBoundedLabels(16)}, {WithFastRead(), WithBoundedLabels(16)}} {
+		if m := c.client(opts...).ReadMode(); m != DefaultReadMode() {
+			t.Errorf("bounded mode reports %+v, want the default %+v", m, DefaultReadMode())
+		}
 	}
 
 	// WithReadMode installs the whole profile.
-	cli = c.client(WithReadMode(ReadMode{WriteBack: true, SkipUnanimous: true}))
-	want := ReadMode{FastRead: false, SkipUnanimous: true, Coalesce: false, WriteBack: true}
+	cli = c.client(WithReadMode(ReadMode{WriteBack: true}))
+	want := ReadMode{FastRead: false, Coalesce: false, WriteBack: true}
 	if m := cli.ReadMode(); m != want {
 		t.Errorf("WithReadMode effective %+v, want %+v", m, want)
 	}

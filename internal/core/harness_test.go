@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/quorum"
 	"repro/internal/types"
 )
 
@@ -83,4 +84,32 @@ func mustRead(t *testing.T, ctx context.Context, c *Client, reg string) string {
 		t.Fatalf("read %q: %v", reg, err)
 	}
 	return string(v)
+}
+
+// install stores (tag, val) under reg at replica i directly, bypassing the
+// protocol: the soundness tests need exact control over who holds a pair.
+func (c *testCluster) install(i int, reg string, tag Tag, val string) {
+	r := c.replicas[i]
+	r.mu.Lock()
+	r.regs[reg] = regEntry{tag: tag, val: types.Value(val)}
+	r.mu.Unlock()
+}
+
+// holding returns the set of replicas that store val under reg.
+func (c *testCluster) holding(reg, val string) quorum.Set {
+	var s quorum.Set
+	for i, r := range c.replicas {
+		if _, v := r.State(reg); string(v) == val {
+			s = s.Add(i)
+		}
+	}
+	return s
+}
+
+// waitStored blocks until every replica of c stores val under reg — the
+// quiescent state the one-round tests start from (a write returns at a
+// write quorum; the stragglers adopt a moment later).
+func waitStored(t *testing.T, c *testCluster, reg, val string) {
+	t.Helper()
+	waitFor(t, func() bool { return c.holding(reg, val).Count() == len(c.replicas) })
 }

@@ -40,8 +40,9 @@ type MetricsSnapshot struct {
 	// MsgsSent counts request messages sent by this client (T1 counts
 	// replies too, via the network's stats).
 	MsgsSent int64
-	// WriteBacks and WriteBacksSkipped split reads by whether the second
-	// phase ran (F5's ablation of the unanimous-read optimization).
+	// WriteBacks and WriteBacksSkipped split reads of a written register by
+	// whether the second phase ran (skipped = fast-path hits, plus every
+	// read under WithUnsafeNoWriteBack).
 	WriteBacks, WriteBacksSkipped int64
 	// OrderViolations counts bounded-label comparisons that fell outside
 	// the sound window (T4).
@@ -72,9 +73,10 @@ type MetricsSnapshot struct {
 	// the followers only — each shared round's leader shows up in the
 	// ordinary Phases/MsgsSent numbers.
 	CoalescedReads, AbsorbedWrites int64
-	// FastPathReads counts reads completed in one round because the newest
-	// observed tag was at or below the quorum's confirmed watermark (the
-	// WithFastRead path; DESIGN.md §10). ReadRounds sums the quorum rounds
+	// FastPathReads counts reads completed in one round because the query
+	// replies proved the newest pair already at a write quorum — by the
+	// repliers holding it or by the confirmed watermark (the WithFastRead
+	// path; DESIGN.md §10). ReadRounds sums the quorum rounds
 	// every completed read paid (query, masking/confirm retries, write-back)
 	// — ReadRounds/Reads is the mean round trips per read, the number the
 	// fast path exists to push toward 1.

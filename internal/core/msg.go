@@ -13,8 +13,9 @@
 // The package supports the single-writer protocol (local sequence numbers,
 // one round trip per write), the multi-writer extension (a query phase
 // before each write, (seq, writer) lexicographic timestamps), generalized
-// quorum systems, the unanimous-read optimization (skip the write-back when
-// a read quorum is unanimous), an intentionally unsafe no-write-back mode
+// quorum systems, one-round fast-path reads (skip the write-back when the
+// query replies prove the pair is already at a write quorum; DESIGN.md
+// §10), an intentionally unsafe no-write-back mode
 // used to demonstrate non-atomicity (experiment T3), and a bounded-label
 // mode (experiment T4).
 package core

@@ -33,53 +33,48 @@ func WithSingleWriter() ClientOption {
 // NewClient cross-validates the combination — see WithReadMode for the
 // rules. The zero value is NOT the default; use DefaultReadMode.
 type ReadMode struct {
-	// FastRead completes a read in one round when the newest observed tag
-	// is at or below a confirmed watermark (known quorum-durable), skipping
-	// the write-back it proves redundant. Atomicity is preserved — DESIGN.md
-	// §10 has the invariant. On by default; inapplicable (and silently off)
-	// in bounded-label mode, whose cyclic order admits no watermark.
+	// FastRead completes a read in the one round already paid whenever the
+	// query replies prove the newest pair is stored at a full write quorum —
+	// the repliers holding it contain one, or its tag is at or below a
+	// confirmed watermark — skipping the write-back that proof makes
+	// redundant. Atomicity is preserved for every quorum system — DESIGN.md
+	// §10 has the invariant. On by default; off is the paper's
+	// always-two-phase read.
 	FastRead bool
-	// SkipUnanimous skips the write-back when a read quorum was unanimous
-	// (the seeded F5 optimization — quiescent reads only; the watermark
-	// fast path subsumes it under contention). Off by default.
-	SkipUnanimous bool
 	// Coalesce lets concurrent reads of one register share a quorum round
 	// (see coalesce.go). On by default.
 	Coalesce bool
 	// WriteBack false disables the read's second phase unconditionally,
 	// forfeiting atomicity for regularity — WithUnsafeNoWriteBack's
 	// demonstration mode. On (true) by default; combining false with an
-	// explicit FastRead or SkipUnanimous is rejected at NewClient.
+	// explicit FastRead is rejected at NewClient.
 	WriteBack bool
 }
 
-// DefaultReadMode is the mode a plain NewClient runs: watermark fast path
-// and read coalescing on, unanimity skip off, write-back on.
+// DefaultReadMode is the mode a plain NewClient runs: fast path, read
+// coalescing and write-back all on.
 func DefaultReadMode() ReadMode {
 	return ReadMode{FastRead: true, Coalesce: true, WriteBack: true}
 }
 
 // WithReadMode installs a complete read mode in one option, replacing the
-// defaults wholesale (every field counts as explicitly set). Invalid
-// combinations are rejected by NewClient rather than silently adjusted:
-// FastRead or SkipUnanimous together with WriteBack false, and FastRead
-// with bounded labels. The single-knob options below are the incremental
-// spelling of the same set.
+// defaults wholesale (every field counts as explicitly set). The one
+// invalid combination — FastRead together with WriteBack false — is
+// rejected by NewClient rather than silently adjusted. The single-knob
+// options below are the incremental spelling of the same set.
 func WithReadMode(m ReadMode) ClientOption {
 	return func(c *Client) {
 		c.fastRead = m.FastRead
 		c.fastReadSet = true
-		c.skipUnanimous = m.SkipUnanimous
-		c.skipUnanimousSet = true
 		c.coalesceReads = m.Coalesce
 		c.noWriteBack = !m.WriteBack
 	}
 }
 
-// WithFastRead explicitly enables the confirmed-watermark fast path (it is
-// already the default; the explicit form exists so the intent survives next
-// to options that would otherwise disable it, and is rejected when it
-// cannot hold — see WithReadMode).
+// WithFastRead explicitly enables the one-round fast path (it is already
+// the default; the explicit form exists so the intent survives next to
+// options that would otherwise disable it, and is rejected when it cannot
+// hold — see WithReadMode).
 func WithFastRead() ClientOption {
 	return func(c *Client) {
 		c.fastRead = true
@@ -87,24 +82,13 @@ func WithFastRead() ClientOption {
 	}
 }
 
-// WithoutFastRead disables the confirmed-watermark fast path: every read
-// pays the write-back unless another skip applies. The seeded two-phase
-// protocol, used by ablations and the message-complexity experiments.
+// WithoutFastRead disables the fast path: every read of a written register
+// pays the write-back. The paper's two-phase protocol, used by ablations
+// and the message-complexity experiments.
 func WithoutFastRead() ClientOption {
 	return func(c *Client) {
 		c.fastRead = false
 		c.fastReadSet = true
-	}
-}
-
-// WithSkipUnanimousWriteBack enables the safe read optimization: when every
-// member of the read quorum returned the same timestamp, the pair is
-// already stored at a full read quorum, so the write-back phase is skipped.
-// Contended reads still pay both phases. (Experiment F5's ablation.)
-func WithSkipUnanimousWriteBack() ClientOption {
-	return func(c *Client) {
-		c.skipUnanimous = true
-		c.skipUnanimousSet = true
 	}
 }
 
@@ -113,8 +97,7 @@ func WithSkipUnanimousWriteBack() ClientOption {
 // observe a new value and then an older one ("new/old inversion").
 // This mode exists solely so experiment T3 can demonstrate why the paper's
 // write-back is necessary. Never use it for real workloads. It also turns
-// the (default) fast path off: rejecting redundant write-backs needs no
-// watermark when every write-back is rejected wholesale.
+// the (default) fast path off: there is no write-back left for it to skip.
 func WithUnsafeNoWriteBack() ClientOption {
 	return func(c *Client) { c.noWriteBack = true }
 }

@@ -299,16 +299,12 @@ func (p *persister) recordCount() int {
 	return p.n
 }
 
-// compact rewrites the log to one record per register. Called with the
-// replica's current state while the replica lock is held.
-func (p *persister) compact(state map[string]regEntry) error {
+// compact rewrites the log to recs, one record per register — a snapshot
+// of the replica's store taken with commits excluded (Replica.compactLocked).
+func (p *persister) compact(recs []record) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	recs := make([]record, 0, len(state))
-	for reg, e := range state {
-		recs = append(recs, record{reg: reg, tag: e.tag, val: e.val})
-	}
 	if err := writeLogV2(p.path, recs); err != nil {
 		return err
 	}

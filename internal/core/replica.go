@@ -207,15 +207,32 @@ func (r *Replica) Stop() {
 func (r *Replica) CompactLog() error {
 	r.commitMu.Lock()
 	defer r.commitMu.Unlock()
+	return r.compactLocked()
+}
+
+// compactLocked rewrites the log from a snapshot of the store. The caller
+// holds commitMu, which is what keeps the snapshot complete (no batch can
+// sit between its WAL append and its install); the state mutex is held for
+// the snapshot only, so queries keep flowing while the rewrite and its
+// fsync run.
+func (r *Replica) compactLocked() error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.persist == nil {
+	persist := r.persist
+	if persist == nil {
+		r.mu.Unlock()
 		return nil
 	}
-	return r.persist.compact(r.regs)
+	recs := make([]record, 0, len(r.regs))
+	for reg, e := range r.regs {
+		recs = append(recs, record{reg: reg, tag: e.tag, val: e.val})
+	}
+	r.mu.Unlock()
+	return persist.compact(recs)
 }
 
 func (r *Replica) closePersist() {
+	r.commitMu.Lock() // never close the log under a running compaction
+	defer r.commitMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.persist != nil {
@@ -433,11 +450,10 @@ func (r *Replica) commitBatch(batch []inboundWrite) {
 		for reg, e := range staged {
 			r.regs[reg] = e
 		}
-		compact := persist != nil && persist.recordCount() >= persistCompactThreshold
-		if compact {
-			_ = persist.compact(r.regs)
-		}
 		r.mu.Unlock()
+		if persist != nil && persist.recordCount() >= persistCompactThreshold {
+			_ = r.compactLocked()
+		}
 	}
 	r.commitMu.Unlock()
 

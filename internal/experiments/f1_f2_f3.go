@@ -213,14 +213,14 @@ func tryOps(count int, fn func(ctx context.Context) error) (string, string) {
 
 // F3Throughput drives concurrent closed-loop clients at varying read
 // fractions and reports operations per second. Shape: ABD throughput rises
-// with the read fraction once the unanimous-read optimization kicks in, and
+// with the read fraction as one-round fast-path reads take over, and
 // the central server beats ABD on raw ops/s while offering no fault
 // tolerance.
 func F3Throughput(o Options) (*Table, error) {
 	tbl := &Table{
 		ID:      "F3",
 		Title:   "throughput vs read fraction (n=5, 8 closed-loop clients)",
-		Claim:   "quorum replication trades throughput for availability; read-dominated mixes benefit from the unanimous-read optimization",
+		Claim:   "quorum replication trades throughput for availability; read-dominated mixes benefit from one-round fast-path reads",
 		Headers: []string{"read %", "system", "ops/s"},
 	}
 	duration := 1500 * time.Millisecond
@@ -237,7 +237,7 @@ func F3Throughput(o Options) (*Table, error) {
 		{"abd", func() (func() (regClient, error), func(), error) {
 			c := newSimCluster(n, netsim.Config{Seed: o.seed(), MinDelay: 100 * time.Microsecond, MaxDelay: 200 * time.Microsecond})
 			mk := func() (regClient, error) {
-				return c.client(core.WithSkipUnanimousWriteBack())
+				return c.client()
 			}
 			return mk, c.close, nil
 		}},

@@ -13,22 +13,19 @@ import (
 	"repro/internal/types"
 )
 
-// FPFastPath measures what the confirmed-watermark fast path (DESIGN.md
-// §10) buys on the read path, against the paper's two-phase read and
-// against the unanimity skip it subsumes. The same workload runs three
-// times on a 5-node cluster with random per-message delays and a little
-// loss (so replicas genuinely lag each other between retransmissions): a
-// single writer keeps dirtying two hot registers for the whole run while
-// eight reader clients — four pinned to each register — read in a closed
-// loop. Passes:
+// FPFastPath measures what one-round fast-path reads (DESIGN.md §10) buy
+// against the paper's two-phase read. The same workload runs twice on a
+// 5-node cluster with random per-message delays and a little loss (so
+// replicas genuinely lag each other between retransmissions): a single
+// writer keeps dirtying two hot registers for the whole run while eight
+// reader clients — four pinned to each register — read in a closed loop.
+// Passes:
 //
 //   - two-phase: the paper's read, write-back always (WithoutFastRead);
-//   - skip-unanimous: skip the write-back when the read quorum's replies
-//     are tag-unanimous — great in a uniform lossless network, but one
-//     lagging quorum member (loss, delay skew) forces the second round;
-//   - fast-path: the default mode — the first read after a write pays the
-//     write-back and confirms the tag, every later read of that tag rides
-//     the piggybacked watermark in one round, laggards and all.
+//   - fast-path: the default mode — a read skips the write-back whenever
+//     its query replies prove the newest pair is already at a write quorum:
+//     the repliers holding it contain one, or (a laggard inside the read
+//     quorum) the piggybacked confirmed watermark covers its tag.
 //
 // Reported per pass: completed reads, reads/sec, p50/p99 read latency,
 // fast-path hits, and write-backs skipped. The report's speedup is the
@@ -37,8 +34,8 @@ import (
 func FPFastPath(o Options) (*Table, error) {
 	tbl := &Table{
 		ID:      "FP",
-		Title:   "confirmed-watermark fast-path reads under write contention",
-		Claim:   "a confirmed watermark makes repeat reads one round trip (vs 2) without losing atomicity, and keeps doing it when quorum members lag",
+		Title:   "one-round fast-path reads under write contention",
+		Claim:   "reply evidence (holders or the confirmed watermark covering a write quorum) makes reads one round trip (vs 2) without losing atomicity, and keeps doing it when quorum members lag",
 		Headers: []string{"mode", "reads", "reads/sec", "p50", "p99", "fast hits", "hit rate", "wb skipped"},
 	}
 
@@ -60,7 +57,6 @@ func FPFastPath(o Options) (*Table, error) {
 		opts []core.ClientOption
 	}{
 		{"two-phase", []core.ClientOption{core.WithoutFastRead()}},
-		{"skip-unanimous", []core.ClientOption{core.WithoutFastRead(), core.WithSkipUnanimousWriteBack()}},
 		{"fast-path", nil},
 	}
 	for _, p := range passes {
@@ -81,13 +77,13 @@ func FPFastPath(o Options) (*Table, error) {
 		)
 	}
 
-	base, fast := report.Passes[0], report.Passes[2]
+	base, fast := report.Passes[0], report.Passes[1]
 	report.Speedup = base.P50US / fast.P50US
 	report.FastHitRate = fast.FastHitRate
 	tbl.Notes = append(tbl.Notes,
 		fmt.Sprintf("fast-path p50 speedup: %.2fx over the two-phase read at a %.0f%% hit rate (%d writes landed during the fast pass)",
 			report.Speedup, 100*report.FastHitRate, fast.Writes),
-		"one writer streams writes the whole run: every tag change costs one slow read, then the watermark carries the rest",
+		"one writer streams writes the whole run: a read racing an in-flight write pays the write-back, every read after the write lands goes in one round",
 	)
 
 	if err := writeBenchJSON(o, tbl, report); err != nil {
@@ -128,8 +124,8 @@ func runFastpathPass(o Options, opts []core.ClientOption, nodes, readers, nregs 
 	// Delays make round trips the cost that matters: a two-phase read pays
 	// two of them, a fast read one. The few percent of loss keeps replicas
 	// honestly out of sync between retransmissions, which is what splits
-	// the watermark fast path from the unanimity skip: a laggard inside the
-	// read quorum breaks tag-unanimity but not quorum confirmation.
+	// the two kinds of fast-path evidence: a laggard inside the read quorum
+	// can leave the holders short of a write quorum, but not the watermark.
 	net := netsim.New(netsim.Config{
 		Seed:     o.seed(),
 		MinDelay: 200 * time.Microsecond,
@@ -164,12 +160,11 @@ func runFastpathPass(o Options, opts []core.ClientOption, nodes, readers, nregs 
 	// The contention source: one single-writer client writing round-robin
 	// over the hot registers for the whole pass, paced a few milliseconds
 	// apart. The pacing matters: a writer in a zero-gap loop replaces the
-	// tag every round trip, so every read lands on a watermark that can't
-	// have caught up yet and the fast path never gets a window — which
-	// measures saturation, not contention. A paced stream still dirties
-	// each register ~100 times a second; each tag change costs the fast
-	// pass one slow read before the watermark carries the rest of the
-	// window.
+	// tag every round trip, so every read races an in-flight write and the
+	// fast path never gets a window — which measures saturation, not
+	// contention. A paced stream still dirties each register ~100 times a
+	// second; only the reads that overlap a write's update phase pay the
+	// write-back.
 	const writePace = 5 * time.Millisecond
 	w, err := core.NewClient(types.NodeID(20000), net.Node(types.NodeID(20000)), ids, core.WithSingleWriter())
 	if err != nil {
@@ -213,9 +208,8 @@ func runFastpathPass(o Options, opts []core.ClientOption, nodes, readers, nregs 
 		go func(r int) {
 			defer wg.Done()
 			cli := cls[r]
-			// Pinned, not round-robin: re-reading the register you just
-			// confirmed is exactly the access pattern the watermark serves
-			// (and the one hot keys see in practice).
+			// Pinned, not round-robin: re-reading one hot register is the
+			// access pattern hot keys see in practice.
 			reg := regs[r%len(regs)]
 			for !stop.Load() {
 				start := time.Now()

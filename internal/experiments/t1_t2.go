@@ -61,12 +61,13 @@ func settle() { time.Sleep(20 * time.Millisecond) }
 // single-writer write = 2n (n updates + n acks, one round trip),
 // read = 4n (query round trip + write-back round trip),
 // multi-writer write = 4n (query + update round trips),
-// unanimous-read optimization = 2n in the quiescent case.
+// fast-path read = 2n in the quiescent case (the repliers already hold the
+// pair at a write quorum, so the write-back is skipped).
 func T1MessageComplexity(o Options) (*Table, error) {
 	tbl := &Table{
 		ID:      "T1",
 		Title:   "message complexity per operation",
-		Claim:   "SWMR write: 2n msgs (1 round trip); read: 4n (2 RTs); MWMR write: 4n; unanimous-read opt: 2n",
+		Claim:   "SWMR write: 2n msgs (1 round trip); read: 4n (2 RTs); MWMR write: 4n; fast-path read: 2n",
 		Headers: []string{"n", "operation", "msgs/op", "expected", "ok"},
 	}
 	ops := o.scale(200, 30)
@@ -90,7 +91,7 @@ func T1MessageComplexity(o Options) (*Table, error) {
 			{"SWMR write", 2 * n, []core.ClientOption{core.WithSingleWriter()}, write, false},
 			{"read", 4 * n, []core.ClientOption{core.WithoutFastRead()}, read, true},
 			{"MWMR write", 4 * n, nil, write, false},
-			{"read (skip-unanimous)", 2 * n, []core.ClientOption{core.WithoutFastRead(), core.WithSkipUnanimousWriteBack()}, read, true},
+			{"read (fast path)", 2 * n, nil, read, true},
 		}
 		for _, v := range variants {
 			c := newSimCluster(n, netsim.Config{Seed: o.seed()})
@@ -139,24 +140,24 @@ func T1MessageComplexity(o Options) (*Table, error) {
 	}
 	tbl.Notes = append(tbl.Notes,
 		"counts include replies/acks; delays are zero so every phase touches all n replicas exactly once",
-		"read variants disable the watermark fast path (measured separately by FP) to expose the paper's two-phase cost")
+		"the plain read disables the fast path (WithoutFastRead) to expose the paper's two-phase cost; FP measures the fast path under contention")
 	return tbl, nil
 }
 
 // T2Rounds measures operation latency on a fixed-delay network and infers
 // round trips, checking the paper's round complexity: writes 1 round trip
-// (single-writer), reads 2, multi-writer writes 2; the unanimous-read
-// optimization brings quiescent reads back to 1.
+// (single-writer), reads 2, multi-writer writes 2; the fast path brings
+// quiescent reads back to 1.
 func T2Rounds(o Options) (*Table, error) {
 	const oneWay = 500 * time.Microsecond
 	tbl := &Table{
 		ID:      "T2",
 		Title:   "round (latency) complexity",
-		Claim:   "SWMR write: 1 round trip; read: 2; MWMR write: 2; unanimous read: 1",
+		Claim:   "SWMR write: 1 round trip; read: 2; MWMR write: 2; fast-path read: 1",
 		Headers: []string{"operation", "mean", "p99", "RTTs (vs SWMR write)", "expected RTTs"},
 		Notes: []string{
 			fmt.Sprintf("one-way delay fixed at %v; RTTs normalized to the measured SWMR write (1 RT by construction), which also absorbs the simulator's timer overhead", oneWay),
-			"read variants disable the watermark fast path (measured separately by FP) to expose the paper's round complexity",
+			"the plain read disables the fast path (WithoutFastRead) to expose the paper's round complexity; FP measures the fast path under contention",
 		},
 	}
 	ops := o.scale(100, 20)
@@ -172,7 +173,7 @@ func T2Rounds(o Options) (*Table, error) {
 		{"SWMR write", 1, []core.ClientOption{core.WithSingleWriter()}, false},
 		{"read", 2, []core.ClientOption{core.WithoutFastRead()}, true},
 		{"MWMR write", 2, nil, false},
-		{"read (skip-unanimous)", 1, []core.ClientOption{core.WithoutFastRead(), core.WithSkipUnanimousWriteBack()}, true},
+		{"read (fast path)", 1, nil, true},
 	}
 	var baseline time.Duration // measured SWMR write = 1 round trip
 	for _, v := range variants {

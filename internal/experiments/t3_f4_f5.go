@@ -35,8 +35,8 @@ func T3Linearizability(o Options) (*Table, error) {
 		deterministicInversion bool
 	}
 	variants := []variant{
-		{"abd (write-back)", nil, true, false},
-		{"abd + skip-unanimous", []core.ClientOption{core.WithSkipUnanimousWriteBack()}, true, false},
+		{"abd (fast-path reads)", nil, true, false},
+		{"abd two-phase (write-back always)", []core.ClientOption{core.WithoutFastRead()}, true, false},
 		{"regular (no write-back)", []core.ClientOption{core.WithUnsafeNoWriteBack()}, false, true},
 	}
 	for _, v := range variants {

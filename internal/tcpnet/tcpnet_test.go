@@ -324,7 +324,14 @@ func TestSendCoalescing(t *testing.T) {
 	if max := bs.Max; max < 2 {
 		t.Errorf("max batch size %d, want >= 2", max)
 	}
-	if fl := client.FlushLatency(); fl.Count != n {
+	// The sender records a batch's flush latencies only after its conn.Write
+	// returns, by which time the receiver may already have drained all n
+	// payloads: wait (bounded) for the last batch's bookkeeping.
+	fl := client.FlushLatency()
+	for deadline := time.Now().Add(5 * time.Second); fl.Count < n && time.Now().Before(deadline); fl = client.FlushLatency() {
+		time.Sleep(time.Millisecond)
+	}
+	if fl.Count != n {
 		t.Errorf("flush-latency histogram count %d, want %d", fl.Count, n)
 	}
 	if rs := server.Stats(); rs.FramesRecv != n {

@@ -41,7 +41,7 @@ func TestClusterWithDropsAndRetransmit(t *testing.T) {
 func TestClusterClientOptionsOverrideDefaults(t *testing.T) {
 	cluster, err := NewCluster(3,
 		WithSeed(101),
-		WithClientDefaults(core.WithSkipUnanimousWriteBack()),
+		WithClientDefaults(core.WithoutFastRead()),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -55,15 +55,23 @@ func TestClusterClientOptionsOverrideDefaults(t *testing.T) {
 	}
 	time.Sleep(10 * time.Millisecond)
 
-	// Default client inherits skip-unanimous: quiescent reads are 1 phase.
-	r := cluster.Client()
-	for i := 0; i < 5; i++ {
-		if _, err := r.Read(ctx, "x"); err != nil {
-			t.Fatal(err)
+	read5 := func(r *Client) core.MetricsSnapshot {
+		t.Helper()
+		for i := 0; i < 5; i++ {
+			if _, err := r.Read(ctx, "x"); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return r.Metrics()
 	}
-	if m := r.Metrics(); m.WriteBacksSkipped == 0 {
+	// A default client inherits the two-phase read: every read writes back.
+	if m := read5(cluster.Client()); m.WriteBacks != 5 || m.FastPathReads != 0 {
 		t.Fatalf("cluster default not applied: %+v", m)
+	}
+	// A per-client option overrides the cluster default: quiescent reads are
+	// one round again.
+	if m := read5(cluster.Client(core.WithFastRead())); m.FastPathReads != 5 || m.WriteBacks != 0 {
+		t.Fatalf("client option did not override the cluster default: %+v", m)
 	}
 }
 
