@@ -5,7 +5,7 @@ GO ?= go
 # Every command binary `make bin` produces under ./bin.
 CMDS = abd-sim abd-node abd-cli abd-check abd-bench abd-trace abd-top abd-prof
 
-.PHONY: all build bin test race vet check smoke bench throughput shards byz alloc fastpath eval clean
+.PHONY: all build bin test race vet fmt check smoke e2e-smoke bench throughput shards byz alloc fastpath eval clean
 
 all: check
 
@@ -27,7 +27,13 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: build vet test race
+# Fails, naming them, if any file is not gofmt-clean (bench/ included: it is
+# a module of its own, but the same tree).
+fmt:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+
+check: build fmt vet test race
 
 # Tier-2 smoke: one seeded nemesis pass on a real TCP cluster (chaos faults,
 # crash+restart, linearizability check), its spans dumped as JSONL and fed
@@ -37,6 +43,15 @@ SMOKE_SPANS ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/abd-smoke-spans.jsonl
 smoke:
 	$(GO) run ./cmd/abd-sim -nemesis -seed 7 -trace-out $(SMOKE_SPANS)
 	$(GO) run ./cmd/abd-trace -min-stitch 0.95 $(SMOKE_SPANS)
+
+# Tier-2 end-to-end smoke: the repository benchmark's own unit tests, then
+# its smoke run — real abd-node processes with a WAL, driven over tcpnet at
+# an open-loop rate on all four workloads (crash-mixed SIGKILLs and restarts
+# a replica), each checked for 0 failed operations and a linearizable audit
+# history. ~1 min; the numbers it prints are NOT comparable with anything.
+e2e-smoke:
+	cd bench && $(GO) test ./...
+	$(GO) run -C bench . -quick
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

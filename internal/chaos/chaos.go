@@ -511,7 +511,10 @@ type Endpoint struct {
 	net   *Net
 }
 
-var _ transport.Endpoint = (*Endpoint)(nil)
+var (
+	_ transport.Endpoint   = (*Endpoint)(nil)
+	_ transport.Dispatcher = (*Endpoint)(nil)
+)
 
 // ID returns the wrapped endpoint's node identifier.
 func (e *Endpoint) ID() types.NodeID { return e.inner.ID() }
@@ -520,6 +523,16 @@ func (e *Endpoint) ID() types.NodeID { return e.inner.ID() }
 // messages are untouched: every link is injected exactly once, on the
 // sender's side.
 func (e *Endpoint) Recv() <-chan transport.Message { return e.inner.Recv() }
+
+// Dispatch forwards the handler to the wrapped endpoint when that is a
+// transport.Dispatcher, so a protocol layer under chaos runs on the same
+// receive path as in production; over any other substrate it does nothing
+// and messages keep arriving on Recv.
+func (e *Endpoint) Dispatch(h func(transport.Message)) {
+	if d, ok := e.inner.(transport.Dispatcher); ok {
+		d.Dispatch(h)
+	}
+}
 
 // Close closes the wrapped endpoint. Messages still held for delayed
 // delivery are sent anyway and surface as loss at the closed endpoint.

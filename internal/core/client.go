@@ -59,6 +59,8 @@ type Client struct {
 	retransmit time.Duration // fixed interval (retransmitFixed only)
 	adaptFloor time.Duration
 	adaptCeil  time.Duration
+	// The adaptive interval last derived per phase kind (retransmitInterval).
+	rtQuery, rtUpdate adaptiveInterval
 
 	// Single-writer state: the last sequence number (unbounded) or label
 	// (bounded) issued, per register.
@@ -293,6 +295,9 @@ func (c *Client) start() {
 	if !c.started.CompareAndSwap(false, true) {
 		return
 	}
+	if d, ok := c.ep.(transport.Dispatcher); ok {
+		d.Dispatch(c.dispatch)
+	}
 	go c.demux()
 }
 
@@ -307,31 +312,47 @@ func (c *Client) Close() {
 	<-c.done
 }
 
-// demux routes replies to the in-flight operation that is waiting for them.
+// demux dispatches what the endpoint delivers on its Recv channel —
+// everything on a substrate without transport.Dispatcher, otherwise only
+// what arrived before the handler was installed — and marks the client done
+// when the channel closes, which is after the endpoint's last dispatch call.
 func (c *Client) demux() {
 	defer close(c.done)
 	for raw := range c.ep.Recv() {
-		m, err := decodeMessage(raw.Payload)
-		if err != nil {
-			c.metrics.badMsgs.Add(1)
-			continue
-		}
-		if m.Kind != KindReadReply && m.Kind != KindWriteAck {
-			c.metrics.badMsgs.Add(1)
-			continue
-		}
-		c.pendMu.Lock()
-		inbox, ok := c.pending[m.Op]
-		c.pendMu.Unlock()
-		if !ok {
-			// A straggler reply for a finished operation; the protocol
-			// discards these by design.
-			c.metrics.stragglers.Add(1)
-			continue
-		}
-		m.fromReplica = raw.From
-		inbox.put(m)
+		c.dispatch(raw)
 	}
+}
+
+// dispatch routes one reply to the in-flight operation that is waiting for
+// it, on the caller's goroutine. Safe for concurrent calls.
+func (c *Client) dispatch(raw transport.Message) {
+	m, err := decodeMessage(raw.Payload)
+	if err != nil {
+		c.metrics.badMsgs.Add(1)
+		return
+	}
+	if m.Kind != KindReadReply && m.Kind != KindWriteAck {
+		c.metrics.badMsgs.Add(1)
+		return
+	}
+	c.pendMu.Lock()
+	inbox, ok := c.pending[m.Op]
+	c.pendMu.Unlock()
+	if !ok {
+		// A straggler reply for a finished operation; the protocol
+		// discards these by design.
+		c.metrics.stragglers.Add(1)
+		return
+	}
+	m.fromReplica = raw.From
+	inbox.put(m)
+}
+
+// adaptiveInterval caches one phase kind's derived retransmission interval
+// together with the completed-phase count it was derived at.
+type adaptiveInterval struct {
+	interval atomic.Int64 // nanoseconds
+	at       atomic.Int64
 }
 
 // opInbox buffers one in-flight operation's replies without bounds, so
@@ -501,7 +522,9 @@ func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) b
 // second when a message is lost. Until enough phases have completed to
 // trust the histogram, the floor is used: a spurious retransmission is
 // harmless (all protocol messages are idempotent), a late one costs
-// liveness.
+// liveness. The derivation walks the whole histogram, so it is redone only
+// every adaptiveRefreshEvery completed phases (or once their number has
+// doubled); in between a phase pays three atomic loads.
 func (c *Client) retransmitInterval(kind Kind) time.Duration {
 	switch c.rtPolicy {
 	case retransmitOff:
@@ -509,22 +532,28 @@ func (c *Client) retransmitInterval(kind Kind) time.Duration {
 	case retransmitFixed:
 		return c.retransmit
 	}
-	var snap obs.HistSnapshot
+	hist, cache := &c.lat.phaseUpdate, &c.rtUpdate
 	if kind == KindReadQuery {
-		snap = c.lat.phaseQuery.Snapshot()
-	} else {
-		snap = c.lat.phaseUpdate.Snapshot()
+		hist, cache = &c.lat.phaseQuery, &c.rtQuery
 	}
-	if snap.Count < adaptiveMinSamples {
+	n := hist.Count()
+	if n < adaptiveMinSamples {
 		return c.adaptFloor
 	}
-	d := 3 * snap.Quantile(0.99)
+	if at := cache.at.Load(); at > 0 && n-at < adaptiveRefreshEvery && n < 2*at {
+		return time.Duration(cache.interval.Load())
+	}
+	d := 3 * hist.Quantile(0.99)
 	if d < c.adaptFloor {
 		d = c.adaptFloor
 	}
 	if d > c.adaptCeil {
 		d = c.adaptCeil
 	}
+	// interval before at: a concurrent reader that sees the new count also
+	// sees an interval at least that fresh.
+	cache.interval.Store(int64(d))
+	cache.at.Store(n)
 	return d
 }
 

@@ -33,7 +33,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		{Kind: KindReadQuery, Op: 3, Reg: "r",
 			Conf: Tag{Valid: true, TS: timestamp.TS{Seq: 6, Writer: 1}}},
 		{Kind: KindReadReply, Op: 44, Reg: "x",
-			Tag:  Tag{Valid: true, TS: timestamp.TS{Seq: 9, Writer: 2}}, Val: []byte("v9"),
+			Tag: Tag{Valid: true, TS: timestamp.TS{Seq: 9, Writer: 2}}, Val: []byte("v9"),
 			Conf: Tag{Valid: true, TS: timestamp.TS{Seq: 8, Writer: 2}}},
 		{Kind: KindWrite, Op: 11, Reg: "y", Val: []byte("z"), Trace: 3, Span: 4,
 			Conf: Tag{Valid: true, Bounded: true, Label: 5}},
@@ -131,7 +131,7 @@ func TestDecodeConfFormatPayload(t *testing.T) {
 		t.Fatalf("conf-format payload decoded wrong: kind %v conf %+v", m.Kind, m.Conf)
 	}
 	if got := (message{Kind: KindReadReply, Op: 42, Reg: "r",
-		Tag:  Tag{Valid: true, TS: timestamp.TS{Seq: 7, Writer: 3}}, Val: []byte("v"),
+		Tag: Tag{Valid: true, TS: timestamp.TS{Seq: 7, Writer: 3}}, Val: []byte("v"),
 		Conf: want}).encode(); !bytes.Equal(got, golden) {
 		t.Fatalf("watermark encode diverged from the pinned format:\n got %x\nwant %x", got, golden)
 	}

@@ -149,6 +149,10 @@ const (
 	// adaptiveMinSamples is how many completed phases the latency
 	// histogram needs before its p99 is trusted over the floor.
 	adaptiveMinSamples = 8
+
+	// adaptiveRefreshEvery is how many further completed phases may pass
+	// before the adaptive interval is derived afresh.
+	adaptiveRefreshEvery = 64
 )
 
 // WithRetransmit makes a phase rebroadcast its request to replicas that

@@ -32,15 +32,16 @@ type regEntry struct {
 // stored pair; on an update, adopt the incoming pair if its timestamp is
 // newer, and acknowledge either way.
 //
-// Internally the replica is a two-stage pipeline: an accept loop decodes
-// inbound requests and answers read queries immediately (they only take the
-// state mutex for a map lookup), while updates flow through a bounded batch
-// channel into a group-commit loop that drains up to batchMax pending
-// writes, appends all their WAL records, fsyncs once, installs the adopted
-// state, and acks the whole batch. A slow fsync therefore stalls writers,
-// never readers, and under write load the fsync cost amortizes across the
-// batch. With batchMax == 1 the pipeline degenerates to the classic
-// one-fsync-per-write behaviour.
+// Internally the replica is a two-stage pipeline: dispatch decodes an
+// inbound request and answers a read query immediately (it only takes the
+// state mutex for a map lookup) — on the goroutine that received the
+// message, which over tcpnet is the connection's reader, one per client —
+// while updates flow through a bounded batch channel into a group-commit
+// loop that drains up to batchMax pending writes, appends all their WAL
+// records, fsyncs once, installs the adopted state, and acks the whole
+// batch. A slow fsync therefore stalls writers, never readers, and under
+// write load the fsync cost amortizes across the batch. With batchMax == 1
+// the pipeline degenerates to the classic one-fsync-per-write behaviour.
 type Replica struct {
 	id  types.NodeID
 	ep  transport.Endpoint
@@ -119,8 +120,8 @@ func WithReplicaTracer(t obs.Tracer) ReplicaOption {
 // WithReplicaBatch sets the group-commit limit: up to k pending writes
 // share one WAL append + fsync and are acked together. k == 1 restores the
 // classic one-fsync-per-write path (useful as a baseline); k < 1 is
-// ignored. The limit also sizes the bounded batch channel between the
-// accept loop and the commit loop.
+// ignored. The limit also sizes the bounded batch channel between dispatch
+// and the commit loop.
 func WithReplicaBatch(k int) ReplicaOption {
 	return func(r *Replica) {
 		if k >= 1 {
@@ -160,8 +161,8 @@ func NewReplica(id types.NodeID, ep transport.Endpoint, opts ...ReplicaOption) *
 		opt(r)
 	}
 	// The channel holds a few batches' worth of writes: deep enough that an
-	// in-progress fsync rarely blocks the accept loop, bounded so a stalled
-	// disk backpressures writers instead of buffering without limit.
+	// in-progress fsync rarely blocks dispatch, bounded so a stalled disk
+	// backpressures writers instead of buffering without limit.
 	depth := 4 * r.batchMax
 	if depth < 256 {
 		depth = 256
@@ -173,13 +174,17 @@ func NewReplica(id types.NodeID, ep transport.Endpoint, opts ...ReplicaOption) *
 // ID returns the replica's node identifier.
 func (r *Replica) ID() types.NodeID { return r.id }
 
-// Start launches the accept and group-commit loops. It is a no-op if
-// already started.
+// Start launches the receive and group-commit loops and, on an endpoint
+// that can (transport.Dispatcher), has messages dispatched on the goroutine
+// that received them. It is a no-op if already started.
 func (r *Replica) Start() {
 	if !r.started.CompareAndSwap(false, true) {
 		return
 	}
-	go r.acceptLoop()
+	if d, ok := r.ep.(transport.Dispatcher); ok {
+		d.Dispatch(r.dispatch)
+	}
+	go r.recvLoop()
 	go r.commitLoop()
 }
 
@@ -241,29 +246,41 @@ func (r *Replica) closePersist() {
 	}
 }
 
-// acceptLoop decodes inbound requests, serves read queries inline (they
-// only need a map lookup under the state mutex), and feeds updates into the
-// bounded batch channel. When the channel is full — the disk cannot keep up
-// — the accept loop blocks, backpressuring the transport rather than
-// buffering writes without limit.
-func (r *Replica) acceptLoop() {
+// recvLoop dispatches what the endpoint delivers on its Recv channel:
+// everything on a substrate without transport.Dispatcher, otherwise only
+// what arrived before the handler was installed. Either way the channel's
+// close is the shutdown signal, and it comes after the endpoint's last
+// dispatch call has returned — so closing writeCh here can never race a
+// send in dispatch.
+func (r *Replica) recvLoop() {
 	defer close(r.writeCh)
 	for raw := range r.ep.Recv() {
-		m, err := decodeMessage(raw.Payload)
-		if err != nil {
-			r.badMsgs.Add(1)
-			continue
-		}
-		switch m.Kind {
-		case KindReadQuery:
-			r.handleQuery(raw.From, m)
-		case KindWrite:
-			r.writeCh <- inboundWrite{from: raw.From, m: m}
-		default:
-			// Replies addressed to a client that happens to share our node
-			// id are not ours to handle; drop them.
-			r.badMsgs.Add(1)
-		}
+		r.dispatch(raw)
+	}
+}
+
+// dispatch handles one inbound message on the caller's goroutine: it
+// decodes the request, serves a read query inline (a map lookup under the
+// state mutex, then the reply), and feeds an update into the bounded batch
+// channel. It is safe for concurrent calls. When the channel is full — the
+// disk cannot keep up — dispatch blocks, backpressuring the connection the
+// update came in on rather than buffering writes without limit; queries on
+// other connections keep being answered.
+func (r *Replica) dispatch(raw transport.Message) {
+	m, err := decodeMessage(raw.Payload)
+	if err != nil {
+		r.badMsgs.Add(1)
+		return
+	}
+	switch m.Kind {
+	case KindReadQuery:
+		r.handleQuery(raw.From, m)
+	case KindWrite:
+		r.writeCh <- inboundWrite{from: raw.From, m: m}
+	default:
+		// Replies addressed to a client that happens to share our node
+		// id are not ours to handle; drop them.
+		r.badMsgs.Add(1)
 	}
 }
 

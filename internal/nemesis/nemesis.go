@@ -352,6 +352,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				c.Close()
 				return nil, fmt.Errorf("nemesis: client %v: %w", id, err)
 			}
+			if err := requireDispatch(ep, "client", id); err != nil {
+				cli.Close()
+				c.Close()
+				return nil, err
+			}
 			c.clients = append(c.clients, cli)
 			c.clientEPs = append(c.clientEPs, ep)
 			groupClis[g] = cli
@@ -366,6 +371,18 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	return c, nil
+}
+
+// requireDispatch fails unless the protocol layer started over ep (through
+// its chaos wrapper) took the production receive path, handling messages on
+// the connection readers. Every nemesis verdict is about that path; if the
+// wrapper stopped forwarding transport.Dispatcher the suites would quietly
+// test the Recv-loop fallback instead.
+func requireDispatch(ep *tcpnet.Endpoint, role string, id types.NodeID) error {
+	if !ep.Dispatching() {
+		return fmt.Errorf("nemesis: %s %v is not in dispatch mode", role, id)
+	}
+	return nil
 }
 
 // startReplica boots (or reboots) replica id on its pinned address from
@@ -399,6 +416,10 @@ func (c *Cluster) startReplica(id types.NodeID) error {
 		return fmt.Errorf("nemesis: replica %v: %w", id, err)
 	}
 	rep.Start()
+	if err := requireDispatch(ep, "replica", id); err != nil {
+		rep.Stop()
+		return err
+	}
 
 	c.mu.Lock()
 	c.addrs[id] = ep.Addr() // pin the concrete port for future restarts
@@ -1017,7 +1038,7 @@ type Result struct {
 	// suppressed — the injected-adversary side of the ledger whose
 	// client-side counterpart is Client.ByzRejects/ByzConfirms. All zero
 	// outside Byzantine mode.
-	Byzantine  int
+	Byzantine   int
 	Lies, Muted int64
 	// Spans is every span collected during the run — client operations and
 	// phases, transport hops, replica handlers and fsyncs — and

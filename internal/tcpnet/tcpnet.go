@@ -16,15 +16,37 @@
 // operation failures — the protocol's quorum logic already tolerates loss
 // of a minority of its messages.
 //
-// Throughput: Send enqueues onto a bounded per-peer queue drained by one
-// flusher goroutine per peer, which coalesces everything pending into a
-// single buffered write (up to MaxBatch payloads or ~1 MiB per flush).
-// Under load, syscalls and frame headers amortize across the batch; idle,
-// every payload still flushes immediately unless FlushDelay adds a small
-// accumulation window. A full queue applies backpressure: Send blocks up
-// to the write timeout, then counts the payload as loss (QueueDrops).
+// The message path runs to completion on the goroutine that already holds
+// the message, in both directions; queues and their goroutines are the
+// fallback for when that goroutine would have to wait.
 //
-// Self-healing: every flush write carries a deadline (WriteTimeout), so a
+// Inbound: each connection has one reader goroutine. Once a handler is
+// installed (Dispatch, transport.Dispatcher) the reader calls it for every
+// payload it parses — read, decode, handle, reply, back to read, with no
+// hand-off — so handlers run concurrently, one per connection. Without a
+// handler, payloads go to the mailbox behind Recv, as do any that arrived
+// before the handler was installed.
+//
+// Outbound: each peer has one writer role, held by whoever is writing to
+// its connection. Send takes it and writes its one payload itself when the
+// peer is idle: a live cached connection, nothing queued or in flight
+// ahead of it, nobody writing, and no FlushDelay. Otherwise Send enqueues
+// onto the bounded per-peer queue and the peer's flusher goroutine, which
+// takes the same role per batch, coalesces everything pending into a
+// single buffered write (up to MaxBatch payloads or ~1 MiB per flush). So
+// an idle peer costs no goroutine hand-off, and batching engages exactly
+// when senders contend: under load, syscalls and frame headers amortize
+// across the batch. Dialing, backoff, breaker probes and FlushDelay
+// lingering never leave the flusher. Three rules hold on both routes: a
+// payload is never written ahead of one enqueued before it for the same
+// peer; a frame is never torn (a partial frame is completed or the
+// connection dropped); and a caller never parks on the socket — the inline
+// attempt is a single non-blocking write, and whatever it could not push
+// is handed to the flusher, which finishes it under WriteTimeout before
+// anything else goes out. A full queue applies backpressure: Send blocks
+// up to the write timeout, then counts the payload as loss (QueueDrops).
+//
+// Self-healing: every flusher write carries a deadline (WriteTimeout), so a
 // stalled peer with a full TCP buffer can never wedge the flusher; failed
 // peers are redialed with exponential backoff plus jitter instead of
 // dial-per-send hammering; and each peer sits behind a circuit breaker
@@ -35,6 +57,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -42,6 +65,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -53,6 +77,10 @@ import (
 // maxFrameSize bounds a single frame (16 MiB), protecting against corrupt
 // length prefixes.
 const maxFrameSize = 16 << 20
+
+// readBufSize is each connection reader's buffer: one read(2) takes in as
+// many frames as have arrived, up to this many bytes.
+const readBufSize = 64 << 10
 
 // flushByteBudget caps the payload bytes coalesced into one flush, keeping
 // batch frames far below maxFrameSize and bounding flusher memory. A single
@@ -126,13 +154,48 @@ type sendReq struct {
 	emit    func(errStr string)
 }
 
+// rawConn is a TCP connection together with its descriptor handle, fetched
+// once when the connection is made: SyscallConn allocates, and an inline
+// write (tryWrite) would otherwise pay that on every send.
+type rawConn struct {
+	net.Conn
+	raw syscall.RawConn
+}
+
+func withRaw(c net.Conn) net.Conn {
+	raw, _ := c.(*net.TCPConn).SyscallConn() // fails only on an invalid conn; ours was just dialed or accepted as "tcp"
+	return &rawConn{Conn: c, raw: raw}
+}
+
+// carry is the unwritten tail of a frame whose inline write came up short:
+// frame (*buf)[off:] of req still has to go out on conn, ahead of anything
+// else for the peer.
+type carry struct {
+	conn net.Conn
+	buf  *[]byte // from framePool
+	off  int
+	req  sendReq
+}
+
 // peerState is the per-peer send queue plus connection cache and
 // failure-handling state. conn and the breaker fields are guarded by the
-// endpoint mutex; the queue is drained by exactly one flusher goroutine,
-// which is the only writer on the connection.
+// endpoint mutex. wmu is the peer's writer role: whoever holds it — an
+// inline Send or the peer's one flusher goroutine — is the only writer on
+// the connection.
 type peerState struct {
 	id    types.NodeID
 	queue chan sendReq
+
+	wmu sync.Mutex
+	// pending counts payloads accepted by Send that the flusher has yet to
+	// write (queued, in its batch, or carried). While it is nonzero no Send
+	// may write inline, which is what keeps per-peer FIFO.
+	pending atomic.Int32
+	// carried, guarded by wmu, is set by an inline Send that could not push
+	// its whole frame; kick (capacity 1: "carried may be set") wakes the
+	// flusher to finish it.
+	carried *carry
+	kick    chan struct{}
 
 	conn    net.Conn
 	fails   int
@@ -149,6 +212,14 @@ type Endpoint struct {
 
 	mu    sync.Mutex
 	peers map[types.NodeID]*peerState
+	// conns holds every connection with a running reader — cached by a peer
+	// record or accepted and not yet claimed by one — for Close to close. A
+	// reader that starts after Close closes its connection itself.
+	conns map[net.Conn]struct{}
+
+	// handler, once set by Dispatch, receives inbound payloads on the
+	// connection readers instead of the mailbox.
+	handler atomic.Pointer[func(transport.Message)]
 
 	closed  atomic.Bool
 	closeCh chan struct{}
@@ -176,8 +247,8 @@ type Endpoint struct {
 	flushLatency obs.Histogram // per payload, enqueue → write completed
 }
 
-// framePool recycles flush encode buffers; each flusher holds one only for
-// the duration of a write.
+// framePool recycles flush encode buffers; a writer holds one only for the
+// duration of a write (a carried frame keeps its until the flusher is done).
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // Stats is a snapshot of an endpoint's transport counters.
@@ -263,7 +334,10 @@ func (e *Endpoint) BatchSizes() obs.HistSnapshot { return e.batchSizes.Snapshot(
 // latency, the cost of the coalescing queue.
 func (e *Endpoint) FlushLatency() obs.HistSnapshot { return e.flushLatency.Snapshot() }
 
-var _ transport.Endpoint = (*Endpoint)(nil)
+var (
+	_ transport.Endpoint   = (*Endpoint)(nil)
+	_ transport.Dispatcher = (*Endpoint)(nil)
+)
 
 // Listen creates the endpoint and, if ListenAddr is set, starts accepting.
 func Listen(cfg Config) (*Endpoint, error) {
@@ -301,6 +375,7 @@ func Listen(cfg Config) (*Endpoint, error) {
 		cfg:     cfg,
 		mbox:    transport.NewMailbox(),
 		peers:   make(map[types.NodeID]*peerState),
+		conns:   make(map[net.Conn]struct{}),
 		closeCh: make(chan struct{}),
 	}
 	if cfg.ListenAddr != "" {
@@ -328,15 +403,28 @@ func (e *Endpoint) Addr() string {
 	return e.ln.Addr().String()
 }
 
-// Recv returns the incoming message channel.
+// Recv returns the incoming message channel: every payload when no handler
+// is installed, and with one only those that arrived before Dispatch. It is
+// closed by Close once every connection reader — and so every handler call
+// — has returned.
 func (e *Endpoint) Recv() <-chan transport.Message { return e.mbox.Out() }
+
+// Dispatch installs h as the endpoint's message handler
+// (transport.Dispatcher): from now on each connection's reader goroutine
+// calls h for every payload it parses, so h runs concurrently on as many
+// goroutines as there are connections, and a slow h back-pressures its own
+// connection only.
+func (e *Endpoint) Dispatch(h func(transport.Message)) { e.handler.Store(&h) }
+
+// Dispatching reports whether a handler is installed.
+func (e *Endpoint) Dispatching() bool { return e.handler.Load() != nil }
 
 // peerLocked returns the peer's state record, creating it (and starting its
 // flusher) if needed. Caller holds e.mu with the endpoint not closed.
 func (e *Endpoint) peerLocked(id types.NodeID) *peerState {
 	ps, ok := e.peers[id]
 	if !ok {
-		ps = &peerState{id: id, queue: make(chan sendReq, e.cfg.SendQueueLen)}
+		ps = &peerState{id: id, queue: make(chan sendReq, e.cfg.SendQueueLen), kick: make(chan struct{}, 1)}
 		e.peers[id] = ps
 		e.wg.Add(1)
 		go e.flushLoop(ps)
@@ -383,12 +471,14 @@ func (e *Endpoint) noteSuccessLocked(ps *peerState) {
 	ps.nextTry = time.Time{}
 }
 
-// Send queues a message for the given node; the peer's flusher dials (if
-// necessary), coalesces, and writes. Transport failures are treated as
-// message loss, matching the asynchronous model where the sender cannot
-// distinguish a slow channel from a lost message. Send returns an error
-// only for local conditions: a closed endpoint or a destination that is
-// neither connected nor in the peer table. A full queue blocks Send up to
+// Send delivers a message to the given node's connection: written by the
+// caller itself when the peer is idle (see the package comment), otherwise
+// queued for the peer's flusher, which dials (if necessary), coalesces, and
+// writes. Transport failures are treated as message loss, matching the
+// asynchronous model where the sender cannot distinguish a slow channel
+// from a lost message. Send returns an error only for local conditions: a
+// closed endpoint or a destination that is neither connected nor in the
+// peer table. Send never waits for the socket; a full queue blocks it up to
 // the write timeout (backpressure) before reading as loss.
 func (e *Endpoint) Send(to types.NodeID, payload []byte) error {
 	if e.closed.Load() {
@@ -405,9 +495,21 @@ func (e *Endpoint) Send(to types.NodeID, payload []byte) error {
 		return fmt.Errorf("%w: %v not connected and not in peer table", types.ErrUnknownNode, to)
 	}
 	ps = e.peerLocked(to)
+	conn := ps.conn
+	// pending is checked before the role is tried: a payload queued before
+	// this call began is counted by now, and stays counted until written.
+	inline := conn != nil && e.cfg.FlushDelay == 0 && ps.pending.Load() == 0 && ps.wmu.TryLock()
+	if !inline {
+		ps.pending.Add(1)
+	}
 	e.mu.Unlock()
 
 	req := sendReq{payload: payload, at: time.Now(), emit: e.beginSendSpan(to, payload)}
+	if inline {
+		e.flushBatch(ps, []sendReq{req}, conn)
+		ps.wmu.Unlock()
+		return nil
+	}
 	select {
 	case ps.queue <- req:
 		return nil
@@ -424,6 +526,7 @@ func (e *Endpoint) Send(to types.NodeID, payload []byte) error {
 	case ps.queue <- req:
 		return nil
 	case <-t.C:
+		ps.pending.Add(-1)
 		e.queueDrops.Add(1)
 		req.emit("lost: send queue full")
 		return nil
@@ -456,9 +559,11 @@ func (e *Endpoint) beginSendSpan(to types.NodeID, payload []byte) func(errStr st
 
 // flushLoop is a peer's flusher: it blocks for the first pending payload,
 // optionally lingers FlushDelay to let a batch accumulate, then drains
-// whatever else is queued (up to MaxBatch payloads / the byte budget) and
-// writes it all in one frame. It exits when the endpoint closes; payloads
-// still queued at that point are dropped, which reads as loss.
+// whatever else is queued (up to MaxBatch payloads / the byte budget),
+// takes the peer's writer role and writes it all in one frame — after
+// finishing the frame an inline Send left half-written, if there is one. It
+// exits when the endpoint closes; payloads still queued at that point are
+// dropped, which reads as loss.
 func (e *Endpoint) flushLoop(ps *peerState) {
 	defer e.wg.Done()
 	var batch []sendReq
@@ -467,6 +572,7 @@ func (e *Endpoint) flushLoop(ps *peerState) {
 		select {
 		case r := <-ps.queue:
 			batch = append(batch, r)
+		case <-ps.kick:
 		case <-e.closeCh:
 			return
 		}
@@ -500,30 +606,43 @@ func (e *Endpoint) flushLoop(ps *peerState) {
 				break drain
 			}
 		}
-		e.flushBatch(ps, batch)
+		done := len(batch)
+		ps.wmu.Lock()
+		if c := ps.carried; c != nil {
+			ps.carried = nil
+			e.writeFrame(ps, c.conn, c.buf, c.off, []sendReq{c.req}, false)
+			done++
+		}
+		if len(batch) > 0 {
+			e.flushBatch(ps, batch, nil)
+		}
+		ps.wmu.Unlock()
+		ps.pending.Add(int32(-done))
 	}
 }
 
 // flushBatch writes one coalesced batch to the peer: a lone payload goes
 // out in the classic single-envelope frame, several go out as one wire
-// batch frame. Connection establishment, breaker gating, and failure
-// accounting all happen here, on the flusher goroutine.
-func (e *Endpoint) flushBatch(ps *peerState, batch []sendReq) {
-	lose := func(msg string) {
-		for _, r := range batch {
-			r.emit(msg)
-		}
-	}
-	conn, err := e.connFor(ps, int64(len(batch)))
-	if err != nil {
-		lose(err.Error())
-		return
-	}
+// batch frame. The caller holds the peer's writer role. The flusher passes
+// a nil inline connection: connection establishment and breaker gating
+// happen here, on its goroutine. An inline Send passes the live connection
+// it found, and its write never waits (writeFrame).
+func (e *Endpoint) flushBatch(ps *peerState, batch []sendReq, inline net.Conn) {
+	conn := inline
 	if conn == nil {
-		// Dial failed or suppressed: counts as loss, the peer may come
-		// back later.
-		lose("lost: peer unreachable or suppressed")
-		return
+		var err error
+		if conn, err = e.connFor(ps, int64(len(batch))); err != nil || conn == nil {
+			// Closed, or the dial failed or was suppressed: counts as
+			// loss, the peer may come back later.
+			msg := "lost: peer unreachable or suppressed"
+			if err != nil {
+				msg = err.Error()
+			}
+			for _, r := range batch {
+				r.emit(msg)
+			}
+			return
+		}
 	}
 
 	bufp := framePool.Get().(*[]byte)
@@ -540,16 +659,47 @@ func (e *Endpoint) flushBatch(ps *peerState, batch []sendReq) {
 	}
 	binary.BigEndian.PutUint32(buf[0:4], uint32(len(buf)-4))
 	binary.BigEndian.PutUint32(buf[4:8], uint32(e.cfg.ID))
+	*bufp = buf
 	e.framesSent.Add(int64(len(batch)))
 	e.bytesSent.Add(int64(len(buf)))
 	e.flushes.Add(1)
 	e.batchSizes.Record(time.Duration(len(batch)))
+	e.writeFrame(ps, conn, bufp, 0, batch, inline != nil)
+}
 
-	if e.cfg.WriteTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
+// writeFrame pushes (*bufp)[off:], the rest of the frame carrying batch, to
+// conn and settles the outcome: failure accounting and a dropped connection
+// on error, flush latencies and spans on success. The caller holds the
+// peer's writer role. The flusher writes under the WriteTimeout deadline,
+// and clears it afterwards so that an expired one never fails a later
+// inline write. An inline caller makes one write(2) that cannot wait; what
+// the socket did not take becomes the peer's carried frame, which the
+// flusher finishes first.
+func (e *Endpoint) writeFrame(ps *peerState, conn net.Conn, bufp *[]byte, off int, batch []sendReq, inline bool) {
+	rest := (*bufp)[off:]
+	var werr error
+	if inline {
+		var n int
+		n, werr = tryWrite(conn, rest)
+		if werr == nil && n < len(rest) {
+			ps.carried = &carry{conn: conn, buf: bufp, off: off + n, req: batch[0]}
+			ps.pending.Add(1)
+			select {
+			case ps.kick <- struct{}{}:
+			default:
+			}
+			return
+		}
+	} else {
+		if e.cfg.WriteTimeout > 0 {
+			_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
+		}
+		_, werr = conn.Write(rest)
+		if werr == nil && e.cfg.WriteTimeout > 0 {
+			_ = conn.SetWriteDeadline(time.Time{})
+		}
 	}
-	_, werr := conn.Write(buf)
-	*bufp = buf[:0]
+	*bufp = (*bufp)[:0]
 	framePool.Put(bufp)
 
 	e.mu.Lock()
@@ -565,7 +715,9 @@ func (e *Endpoint) flushBatch(ps *peerState, batch []sendReq) {
 	}
 	e.mu.Unlock()
 	if werr != nil {
-		lose("lost: " + werr.Error())
+		for _, r := range batch {
+			r.emit("lost: " + werr.Error())
+		}
 		return
 	}
 	now := time.Now()
@@ -605,7 +757,7 @@ func (e *Endpoint) connFor(ps *peerState, n int64) (net.Conn, error) {
 	}
 	e.mu.Unlock()
 
-	c, err := net.DialTimeout("tcp", addr, e.cfg.DialTimeout)
+	tc, err := net.DialTimeout("tcp", addr, e.cfg.DialTimeout)
 	if err != nil {
 		e.dialFailures.Add(1)
 		e.mu.Lock()
@@ -614,6 +766,7 @@ func (e *Endpoint) connFor(ps *peerState, n int64) (net.Conn, error) {
 		return nil, nil // loss
 	}
 	e.dials.Add(1)
+	c := withRaw(tc)
 	e.mu.Lock()
 	if e.closed.Load() {
 		e.mu.Unlock()
@@ -657,12 +810,6 @@ func (e *Endpoint) ResetPeer(id types.NodeID) bool {
 	return true
 }
 
-func (e *Endpoint) dropConn(id types.NodeID, conn net.Conn) {
-	e.mu.Lock()
-	e.dropConnLocked(id, conn)
-	e.mu.Unlock()
-}
-
 // dropConnLocked discards the peer's cached connection if it is still the
 // given one. Caller holds e.mu.
 func (e *Endpoint) dropConnLocked(id types.NodeID, conn net.Conn) {
@@ -681,28 +828,41 @@ func (e *Endpoint) acceptLoop() {
 		}
 		e.accepts.Add(1)
 		e.wg.Add(1)
-		go e.readLoop(conn, -1)
+		go e.readLoop(withRaw(conn), -1)
 	}
 }
 
 // readLoop parses frames from conn. peerHint is the node we dialed, or -1
 // for accepted connections, where the sender id comes from the first frame.
 // Each frame is split into its member payloads (one for classic frames),
-// every member delivered to the mailbox individually.
+// every member delivered individually: to the handler, on this goroutine,
+// if one is installed, otherwise to the mailbox.
 func (e *Endpoint) readLoop(conn net.Conn, peerHint types.NodeID) {
 	defer e.wg.Done()
+	e.mu.Lock()
+	if e.closed.Load() {
+		e.mu.Unlock()
+		_ = conn.Close()
+		return
+	}
+	e.conns[conn] = struct{}{}
+	e.mu.Unlock()
 	registered := peerHint
 	defer func() {
+		e.mu.Lock()
+		delete(e.conns, conn)
 		if registered >= 0 {
-			e.dropConn(registered, conn)
+			e.dropConnLocked(registered, conn)
 		} else {
 			_ = conn.Close()
 		}
+		e.mu.Unlock()
 	}()
 
+	br := bufio.NewReaderSize(conn, readBufSize)
 	var header [8]byte
 	for {
-		if _, err := io.ReadFull(conn, header[:]); err != nil {
+		if _, err := io.ReadFull(br, header[:]); err != nil {
 			return
 		}
 		length := binary.BigEndian.Uint32(header[0:4])
@@ -711,7 +871,7 @@ func (e *Endpoint) readLoop(conn net.Conn, peerHint types.NodeID) {
 			return // corrupt stream
 		}
 		payload := make([]byte, length-4)
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}
 		members, err := wire.SplitBatch(payload)
@@ -735,27 +895,31 @@ func (e *Endpoint) readLoop(conn net.Conn, peerHint types.NodeID) {
 			e.mu.Unlock()
 		}
 		for _, m := range members {
-			var rstart time.Time
-			var rtrace, rparent uint64
-			traced := false
+			// The net-recv span ends before the payload is delivered, so a
+			// handler running on this goroutine is never counted as network.
 			if e.cfg.Tracer != nil {
-				if rtrace, rparent, traced = wire.PeekTrace(m); traced {
-					rstart = time.Now()
+				if rtrace, rparent, traced := wire.PeekTrace(m); traced {
+					rstart := time.Now()
+					e.cfg.Tracer.Emit(obs.Span{
+						Trace: rtrace, ID: obs.NextID(), Parent: rparent,
+						Kind: "net-recv", Node: int64(e.cfg.ID), Peer: int64(from),
+						Start: rstart, Dur: time.Since(rstart),
+					})
 				}
 			}
-			e.mbox.Put(transport.Message{From: from, To: e.cfg.ID, Payload: m})
-			if traced {
-				e.cfg.Tracer.Emit(obs.Span{
-					Trace: rtrace, ID: obs.NextID(), Parent: rparent,
-					Kind: "net-recv", Node: int64(e.cfg.ID), Peer: int64(from),
-					Start: rstart, Dur: time.Since(rstart),
-				})
+			msg := transport.Message{From: from, To: e.cfg.ID, Payload: m}
+			if h := e.handler.Load(); h != nil {
+				(*h)(msg)
+			} else {
+				e.mbox.Put(msg)
 			}
 		}
 	}
 }
 
-// Close shuts the endpoint down: listener, flushers, connections, mailbox.
+// Close shuts the endpoint down: listener, flushers, connections, and — once
+// every connection reader has returned from its last handler call — the
+// mailbox behind Recv.
 func (e *Endpoint) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
@@ -765,11 +929,8 @@ func (e *Endpoint) Close() error {
 		_ = e.ln.Close()
 	}
 	e.mu.Lock()
-	for _, ps := range e.peers {
-		if ps.conn != nil {
-			_ = ps.conn.Close()
-			ps.conn = nil
-		}
+	for conn := range e.conns {
+		_ = conn.Close()
 	}
 	e.mu.Unlock()
 	e.wg.Wait()

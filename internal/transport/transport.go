@@ -19,7 +19,8 @@ type Message struct {
 // Endpoint is one processor's attachment to the network. Send is
 // asynchronous and never blocks on the receiver (the model's channels are
 // reliable but arbitrarily slow). Recv yields incoming messages in delivery
-// order until the endpoint is closed, after which the channel is closed.
+// order until the endpoint is closed, after which the channel is closed. An
+// endpoint that is also a Dispatcher can deliver them without the channel.
 type Endpoint interface {
 	// ID returns the node this endpoint belongs to.
 	ID() types.NodeID
@@ -32,4 +33,20 @@ type Endpoint interface {
 	Recv() <-chan Message
 	// Close detaches the endpoint. Safe to call more than once.
 	Close() error
+}
+
+// Dispatcher is implemented by endpoints that can hand each incoming
+// message to a handler on the goroutine that received it, sparing the
+// hand-off through Recv (tcpnet; chaos forwards to the endpoint it wraps).
+// It is optional: the protocol layer installs its handler when the endpoint
+// is a Dispatcher and ranges over Recv either way.
+type Dispatcher interface {
+	// Dispatch installs h. From then on the endpoint calls h for incoming
+	// messages, possibly from several goroutines at once, instead of
+	// queueing them for Recv; messages that arrived earlier, and all
+	// messages of an endpoint that cannot dispatch after all, still come
+	// out of Recv, so the caller keeps reading it. The endpoint closes the
+	// Recv channel only after the last call of h has returned, which makes
+	// that close the one shutdown signal for both routes.
+	Dispatch(h func(Message))
 }
