@@ -24,8 +24,13 @@ test:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/netsim/... ./internal/tcpnet/... ./internal/chaos/... ./internal/nemesis/... ./internal/wire/... ./internal/shard/... ./internal/health/... ./internal/experiments/... ./internal/quorum/... ./internal/failure/... ./internal/prof/...
 
+# Nothing here ever runs the non-Linux twins of the two build-tagged files
+# (core/datasync_other.go, tcpnet/trywrite_other.go); cross-building at
+# least compiles them.
 vet:
 	$(GO) vet ./...
+	GOOS=darwin $(GO) build ./...
+	GOOS=windows $(GO) build ./...
 
 # Fails, naming them, if any file is not gofmt-clean (bench/ included: it is
 # a module of its own, but the same tree).

@@ -51,16 +51,16 @@ func FuzzDecodeMessage(f *testing.F) {
 }
 
 func FuzzDecodeRecord(f *testing.F) {
-	f.Add(encodeRecordBody(record{reg: "x", tag: Tag{Valid: true}, val: []byte("v")}))
+	f.Add(encodeRecordBody(nil, record{reg: "x", tag: Tag{Valid: true}, val: []byte("v")}))
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rec, err := decodeRecord(body)
+		rec, _, err := decodeRecord(body)
 		if err != nil {
 			return
 		}
-		re, err := decodeRecord(encodeRecordBody(rec))
+		re, _, err := decodeRecord(encodeRecordBody(nil, rec))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

@@ -1,13 +1,15 @@
 package core
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,23 +28,54 @@ import (
 //
 // Recovery preserves safety because the log holds exactly the state the
 // replica acknowledged: rejoining with it is indistinguishable (to the
-// protocol) from the replica having been merely slow. Records are fsynced
-// before the acknowledgement is sent, so an acked update is never lost.
+// protocol) from the replica having been merely slow. Records are synced
+// to disk before the acknowledgement is sent, so an acked update is never lost.
 //
 // Log format (v2): an 8-byte magic header, then records framed as
-// [4-byte BE body length][4-byte BE IEEE CRC32 of body][body]. The
-// checksum separates the two failure modes a replay can meet: a record cut
-// short by the file's end is a torn tail (crash mid-append) and is safely
-// truncated, while a full-length record whose checksum fails is bit-rot —
-// acknowledged state can no longer be trusted, so the open fails with
-// ErrLogCorrupt instead of silently rejoining with wrong data. v1 logs
-// (no magic, no checksums) are detected and atomically rewritten as v2 on
-// open.
+// [4-byte BE body length][4-byte BE IEEE CRC32 of body][body], then — while
+// the log is open or after a crash, never after a graceful close — a tail
+// of zero bytes. The tail is there so that a commit changes no filesystem
+// metadata: the persister keeps its own append offset, writes each batch
+// with one positional write into bytes it has already zero-filled, and
+// makes it durable with a data-integrity sync (datasync), which unlike an
+// append's fsync does not have to commit the filesystem journal. The batch
+// that crosses the tail's end carries the next stretch of zeros in the same
+// write, so only that commit moves the file size.
+//
+// Replay therefore ends at the first all-zero header (no record has an
+// empty body), and the checksum separates three outcomes: a record cut
+// short by the file's end is a torn tail (crash mid-append); a full-length
+// record whose checksum fails is a torn tail too iff one of its
+// sector-aligned pieces is all zero — every write lands on zeros and a
+// sector reaches the disk whole or not at all, so that is what a write that
+// never finished looks like; any other mismatch is bit-rot — acknowledged
+// state can no longer be trusted, so the open fails with ErrLogCorrupt
+// instead of silently rejoining with wrong data. So does a frame that only
+// looks torn because its length field, which the checksum does not cover,
+// is damaged (lengthDamaged). A torn tail is truncated away. v1 logs (no magic, no checksums) are detected and atomically
+// rewritten as v2 on open.
 
 // persistMagic identifies a v2 log. Its first byte (0xAB) can never start
 // a v1 record: v1 began with a 4-byte big-endian length below 64 MiB, so
 // its first byte was always small.
 const persistMagic = "\xABDWAL2\x00\x00"
+
+const (
+	persistCompactThreshold = 4096
+
+	// The zero tail grows by persistGrowMin the first time, then by twice
+	// as much each time up to persistGrowMax: a short-lived log (a test, a
+	// benchmark set-up of 64 small registers) never writes more than 64 KiB
+	// of zeros, a busy one extends — the one commit in hundreds that pays
+	// for a journal commit — once per MiB.
+	persistGrowMin = 64 << 10
+	persistGrowMax = 1 << 20
+
+	// sectorSize is the unit a disk writes atomically, the granularity of
+	// the torn-write rule. 512 is the smallest in use; on a 4 KiB-sector
+	// device every 4 KiB tear is also a run of 512-byte ones.
+	sectorSize = 512
+)
 
 // ErrLogCorrupt reports a persistence log whose body bytes contradict a
 // record checksum — bit-rot or truncation-in-the-middle, as opposed to the
@@ -57,10 +90,14 @@ type persister struct {
 	sync  bool
 	delay time.Duration // extra stall per fsync (WithFsyncDelay)
 	n     int           // records since last compaction
-	syncs atomic.Int64  // fsyncs issued (appends + batch appends)
-}
+	syncs atomic.Int64  // syncs issued, one per batch append
 
-const persistCompactThreshold = 4096
+	off    int64  // end of the last record: where the next batch goes
+	zeroed int64  // end of the file: [off, zeroed) is the zero tail
+	grow   int64  // how many zeros the next extension adds
+	buf    []byte // batch encoding scratch, reused across appends
+	failed error  // sticky: the write or sync error that ended appending
+}
 
 // record is one logged adoption.
 type record struct {
@@ -69,30 +106,32 @@ type record struct {
 	val types.Value
 }
 
-// encodeRecordBody serializes a record's payload (the checksummed part).
-func encodeRecordBody(r record) []byte {
-	body := wire.AppendString(nil, r.reg)
-	body = wire.AppendBool(body, r.tag.Valid)
-	body = wire.AppendInt(body, r.tag.TS.Seq)
-	body = wire.AppendInt(body, int64(r.tag.TS.Writer))
-	body = wire.AppendBool(body, r.tag.Bounded)
-	body = wire.AppendInt(body, r.tag.Label)
-	body = wire.AppendBytes(body, r.val)
-	return body
+// encodeRecordBody appends a record's payload (the checksummed part) to b.
+func encodeRecordBody(b []byte, r record) []byte {
+	b = wire.AppendString(b, r.reg)
+	b = wire.AppendBool(b, r.tag.Valid)
+	b = wire.AppendInt(b, r.tag.TS.Seq)
+	b = wire.AppendInt(b, int64(r.tag.TS.Writer))
+	b = wire.AppendBool(b, r.tag.Bounded)
+	b = wire.AppendInt(b, r.tag.Label)
+	return wire.AppendBytes(b, r.val)
 }
 
-// encodeRecord frames a record for the v2 log: length, CRC32, body.
-func encodeRecord(r record) []byte {
-	body := encodeRecordBody(r)
-	out := make([]byte, 8, 8+len(body))
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(body))
-	return append(out, body...)
+// encodeRecord appends a record framed for the v2 log — length, CRC32,
+// body — to b, encoding the body in place.
+func encodeRecord(b []byte, r record) []byte {
+	start := len(b)
+	b = encodeRecordBody(append(b, 0, 0, 0, 0, 0, 0, 0, 0), r)
+	body := b[start+8:]
+	binary.BigEndian.PutUint32(b[start:], uint32(len(body)))
+	binary.BigEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(body))
+	return b
 }
 
-func decodeRecord(body []byte) (record, error) {
-	r := wire.NewReader(body)
-	var rec record
+// decodeRecord decodes the record body at the front of b and reports how
+// many bytes it took.
+func decodeRecord(b []byte) (rec record, n int, err error) {
+	r := wire.NewReader(b)
 	rec.reg = r.String()
 	rec.tag.Valid = r.Bool()
 	rec.tag.TS.Seq = r.Int()
@@ -101,16 +140,49 @@ func decodeRecord(body []byte) (record, error) {
 	rec.tag.Label = r.Int()
 	rec.val = r.Bytes()
 	if err := r.Err(); err != nil {
-		return record{}, err
+		return record{}, 0, err
 	}
-	return rec, nil
+	return rec, len(b) - r.Len(), nil
+}
+
+// lengthDamaged reports whether b, the bytes behind a frame header carrying
+// checksum crc, begin with a whole record body of that checksum. A frame
+// that failed with such a body in it — cut short by the file's end, or its
+// checksum wrong over the length it claims — failed because its length
+// field, which the checksum does not cover, is damaged: not a torn write.
+func lengthDamaged(b []byte, crc uint32) bool {
+	_, n, err := decodeRecord(b)
+	return err == nil && crc32.ChecksumIEEE(b[:n]) == crc
+}
+
+// tornOverZeros reports whether frame — a framed record read from file
+// offset off — has a sector-aligned piece that is all zero: the mark of a
+// write over the zero tail of which some sectors never reached the disk.
+func tornOverZeros(off int64, frame []byte) bool {
+	for len(frame) > 0 {
+		n := min(len(frame), sectorSize-int(off%sectorSize))
+		if allZero(frame[:n]) {
+			return true
+		}
+		frame, off = frame[n:], off+int64(n)
+	}
+	return false
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // loadLog reads every intact record from the log at path. It reports the
 // detected version (0 for a missing or empty file), and cleanLen — the
-// byte offset after the last intact record, i.e. where a torn tail begins
-// (cleanLen == file size when the log is whole). A v2 checksum mismatch
-// on a fully present record returns ErrLogCorrupt.
+// byte offset after the last intact record, i.e. where a zero or torn tail
+// begins (cleanLen == file size when the log is whole). A v2 checksum
+// mismatch that is not a torn write returns ErrLogCorrupt.
 func loadLog(path string) (recs []record, version int, cleanLen int64, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -120,52 +192,58 @@ func loadLog(path string) (recs []record, version int, cleanLen int64, err error
 		return nil, 0, 0, fmt.Errorf("core: open persistence log: %w", err)
 	}
 	defer f.Close()
+	br := bufio.NewReaderSize(f, 64<<10)
 
-	var magic [8]byte
-	_, err = io.ReadFull(f, magic[:])
+	header := make([]byte, 8) // v2: length + crc
+	magic, _ := br.Peek(len(persistMagic))
 	switch {
-	case errors.Is(err, io.EOF):
+	case len(magic) == 0:
 		return nil, 0, 0, nil
-	case err == nil && bytes.Equal(magic[:], []byte(persistMagic)):
-		version = 2
-		cleanLen = 8
+	case string(magic) == persistMagic:
+		version, cleanLen = 2, int64(len(magic))
+		br.Discard(len(magic)) // just peeked: cannot fail
 	default:
-		// No magic: a v1 log. Rewind and parse with the legacy framing.
+		// No magic: a v1 log, parsed from the start with the legacy framing.
 		version = 1
-		cleanLen = 0
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, 0, 0, fmt.Errorf("core: persistence seek: %w", err)
-		}
+		header = header[:4] // v1: length only
 	}
 
-	headerLen := 8 // v2: length + crc
-	if version == 1 {
-		headerLen = 4 // v1: length only
-	}
-	header := make([]byte, headerLen)
+	var frame []byte // one framed record, reused: decodeRecord copies out of it
 	for {
-		if _, err := io.ReadFull(f, header); err != nil {
+		if _, err := io.ReadFull(br, header); err != nil {
 			break // EOF or torn header
+		}
+		if version == 2 && allZero(header) {
+			break // the zero tail
 		}
 		bodyLen := binary.BigEndian.Uint32(header[:4])
 		if bodyLen > 64<<20 {
 			if version == 2 {
-				// A full v2 header with an insane length is not a tear
-				// (appends are sequential): the log is damaged.
+				// Not a tear: a write that lost sectors over zeros can
+				// only shrink a length. The log is damaged.
 				return nil, version, cleanLen, ErrLogCorrupt
 			}
 			break // v1: stop at the anomaly as before
 		}
-		body := make([]byte, bodyLen)
-		if _, err := io.ReadFull(f, body); err != nil {
-			break // torn tail: the record never finished hitting the disk
-		}
+		frame = append(append(frame[:0], header...), make([]byte, bodyLen)...)
+		body := frame[len(header):]
+		n, err := io.ReadFull(br, body)
 		if version == 2 {
-			if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(header[4:8]) {
+			crc := binary.BigEndian.Uint32(header[4:8])
+			if err != nil || crc32.ChecksumIEEE(body) != crc {
+				// Not an intact record. It is a torn tail — the record
+				// never finished hitting the disk — if the file's end cut
+				// it short or a sector of it is still zero, and the log
+				// is damaged otherwise.
+				if (err != nil || tornOverZeros(cleanLen, frame)) && !lengthDamaged(body[:n], crc) {
+					break
+				}
 				return nil, version, cleanLen, ErrLogCorrupt
 			}
+		} else if err != nil {
+			break // v1 torn tail
 		}
-		rec, err := decodeRecord(body)
+		rec, _, err := decodeRecord(body)
 		if err != nil {
 			if version == 2 {
 				// The checksum passed but the body does not decode: the
@@ -175,119 +253,148 @@ func loadLog(path string) (recs []record, version int, cleanLen int64, err error
 			break
 		}
 		recs = append(recs, rec)
-		cleanLen += int64(headerLen) + int64(bodyLen)
+		cleanLen += int64(len(frame))
 	}
 	return recs, version, cleanLen, nil
 }
 
-// writeLogV2 atomically replaces the log at path with a fresh v2 log
-// holding recs, via tmp-file + rename.
-func writeLogV2(path string, recs []record) error {
+// writeLog writes a fresh v2 log holding recs and tail zero bytes to a
+// temporary file, fsyncs it and renames it over path. It returns the new
+// log's descriptor, still open, and the offset its records end at. On
+// error the log at path, if any, is as it was. The rename is durable once
+// the caller has synced the directory (syncDir).
+func writeLog(path string, recs []record, tail int64) (*os.File, int64, error) {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
-		return fmt.Errorf("core: persistence rewrite: %w", err)
+		return nil, 0, fmt.Errorf("core: persistence rewrite: %w", err)
 	}
-	if _, err := f.Write([]byte(persistMagic)); err != nil {
+	fail := func(what string, err error) (*os.File, int64, error) {
 		f.Close()
-		return fmt.Errorf("core: persistence rewrite magic: %w", err)
+		os.Remove(tmp)
+		return nil, 0, fmt.Errorf("core: persistence rewrite %s: %w", what, err)
 	}
+	w := bufio.NewWriterSize(f, 64<<10)
+	off, _ := w.WriteString(persistMagic)
+	var frame []byte
 	for _, rec := range recs {
-		if _, err := f.Write(encodeRecord(rec)); err != nil {
-			f.Close()
-			return fmt.Errorf("core: persistence rewrite record: %w", err)
-		}
+		frame = encodeRecord(frame[:0], rec)
+		n, _ := w.Write(frame) // a bufio.Writer's error is sticky: Flush reports it
+		off += n
+	}
+	w.Write(make([]byte, tail))
+	if err := w.Flush(); err != nil {
+		return fail("write", err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("core: persistence rewrite sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("core: persistence rewrite close: %w", err)
+		return fail("sync", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("core: persistence rewrite rename: %w", err)
+		return fail("rename", err)
+	}
+	return f, int64(off), nil
+}
+
+// syncDir fsyncs the directory holding path, which is what makes a rename
+// in it survive a power loss: without it the name can come back pointing at
+// the file it pointed at before. Windows cannot sync a directory handle and
+// persists a rename's metadata itself.
+func syncDir(path string) error {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("core: persistence sync directory: %w", err)
 	}
 	return nil
 }
 
 // openPersister opens (or creates) the log at path, normalizing it to the
 // v2 format, and returns the replayed records: a new or empty file gets
-// the magic header; a v1 log is rewritten in place as v2; a v2 log with a
-// torn tail is truncated back to its last intact record so later appends
-// land on a clean boundary. Mid-log corruption surfaces as ErrLogCorrupt.
+// the magic header; a v1 log is rewritten in place as v2; a v2 log is cut
+// back to its last intact record — dropping the zero tail and whatever a
+// crash tore — so later appends land on a clean boundary. Mid-log
+// corruption surfaces as ErrLogCorrupt. Nothing is zero-filled here: the
+// first append does that.
 func openPersister(path string, syncEach bool) (*persister, []record, error) {
 	recs, version, cleanLen, err := loadLog(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	if version != 2 {
+	var f *os.File
+	if version == 2 {
+		if f, err = os.OpenFile(path, os.O_RDWR, 0o644); err != nil {
+			return nil, nil, fmt.Errorf("core: open persistence log: %w", err)
+		}
+		if err = f.Truncate(cleanLen); err != nil {
+			err = fmt.Errorf("core: persistence truncate torn tail: %w", err)
+		}
+	} else {
 		// New, empty, or v1: (re)write as v2.
-		if err := writeLogV2(path, recs); err != nil {
+		if f, cleanLen, err = writeLog(path, recs, 0); err != nil {
 			return nil, nil, err
 		}
+		err = syncDir(path)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: open persistence log: %w", err)
+		f.Close()
+		return nil, nil, err
 	}
-	if version == 2 {
-		if st, err := f.Stat(); err == nil && st.Size() > cleanLen {
-			if err := f.Truncate(cleanLen); err != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("core: persistence truncate torn tail: %w", err)
-			}
-		}
-	}
-	return &persister{f: f, path: path, sync: syncEach, n: len(recs)}, recs, nil
-}
-
-// appendRecord logs one adoption, fsyncing if configured.
-func (p *persister) appendRecord(rec record) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, err := p.f.Write(encodeRecord(rec)); err != nil {
-		return fmt.Errorf("core: persistence append: %w", err)
-	}
-	if p.sync {
-		if err := p.f.Sync(); err != nil {
-			return fmt.Errorf("core: persistence sync: %w", err)
-		}
-		p.syncs.Add(1)
-		if p.delay > 0 {
-			time.Sleep(p.delay)
-		}
-	}
-	p.n++
-	return nil
+	p := &persister{f: f, path: path, sync: syncEach, n: len(recs),
+		off: cleanLen, zeroed: cleanLen, grow: persistGrowMin}
+	return p, recs, nil
 }
 
 // appendBatch logs a group of adoptions with a single write and a single
-// fsync. This is the group-commit amortization: every record in recs is
+// sync. This is the group-commit amortization: every record in recs is
 // durable once appendBatch returns, at the disk cost of one flush no
-// matter how many records rode along.
+// matter how many records rode along. A log that has failed a write or a
+// sync stays failed: what the file holds past off is unknown from then on,
+// and a sync that succeeds after one that failed proves nothing about the
+// pages in between. The next open sorts it out by replay.
 func (p *persister) appendBatch(recs []record) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var buf []byte
-	for _, rec := range recs {
-		buf = append(buf, encodeRecord(rec)...)
+	if p.failed != nil {
+		return p.failed
 	}
-	if _, err := p.f.Write(buf); err != nil {
-		return fmt.Errorf("core: persistence batch append: %w", err)
+	buf := p.buf[:0]
+	for _, rec := range recs {
+		buf = encodeRecord(buf, rec)
+	}
+	p.buf = buf
+	end := p.off + int64(len(buf))
+	zeroed, grow := p.zeroed, p.grow
+	if end > zeroed {
+		// The batch crosses the end of the zero tail: it carries the next
+		// stretch of zeros in the same write.
+		buf = make([]byte, len(buf)+int(grow))
+		copy(buf, p.buf)
+		zeroed, grow = end+grow, min(2*grow, persistGrowMax)
+	}
+	if _, err := p.f.WriteAt(buf, p.off); err != nil {
+		p.failed = fmt.Errorf("core: persistence batch append: %w", err)
+		return p.failed
 	}
 	if p.sync {
-		if err := p.f.Sync(); err != nil {
-			return fmt.Errorf("core: persistence sync: %w", err)
+		if err := datasync(p.f); err != nil {
+			p.failed = fmt.Errorf("core: persistence sync: %w", err)
+			return p.failed
 		}
 		p.syncs.Add(1)
 		if p.delay > 0 {
 			time.Sleep(p.delay)
 		}
 	}
+	p.off, p.zeroed, p.grow = end, zeroed, grow
 	p.n += len(recs)
 	return nil
 }
@@ -301,28 +408,40 @@ func (p *persister) recordCount() int {
 
 // compact rewrites the log to recs, one record per register — a snapshot
 // of the replica's store taken with commits excluded (Replica.compactLocked).
+// The rewrite keeps as long a zero tail as the old log had left, so it never
+// grows the file and the next commit still lands on zeros. If the rewrite
+// fails, the old log stays in use, untouched.
 func (p *persister) compact(recs []record) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	if err := writeLogV2(p.path, recs); err != nil {
+	tail := p.zeroed - p.off
+	f, off, err := writeLog(p.path, recs, tail)
+	if err != nil {
 		return err
 	}
-	old := p.f
-	f, err := os.OpenFile(p.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("core: persistence reopen: %w", err)
+	// The name leads to the new log now, so that is the one to append to:
+	// through the descriptor it was written with, not a second open that
+	// could fail and leave commits going to a file no name reaches.
+	_ = p.f.Close() // all of it that matters is in the new log
+	p.f, p.off, p.zeroed, p.n = f, off, off+tail, 0
+	if err := syncDir(p.path); err != nil {
+		p.failed = err // which log a power loss would bring back is unknown
+		return err
 	}
-	p.f = f
-	_ = old.Close()
-	p.n = 0
 	return nil
 }
 
+// close truncates the zero tail away — a cleanly closed log ends at its
+// last record — and closes the log.
 func (p *persister) close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.f.Close()
+	err := p.f.Truncate(p.off)
+	if cerr := p.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // NewPersistentReplica creates a replica whose adopted state survives

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -87,10 +88,10 @@ func TestPersistentReplicaToleratesTornTail(t *testing.T) {
 	full1.tag.TS.Seq = 1
 	full2 := record{reg: "x", tag: Tag{Valid: true}, val: []byte("v2")}
 	full2.tag.TS.Seq = 2
-	if err := p.appendRecord(full1); err != nil {
+	if err := p.appendBatch([]record{full1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.appendRecord(full2); err != nil {
+	if err := p.appendBatch([]record{full2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.close(); err != nil {
@@ -130,7 +131,7 @@ func TestPersistDetectsCorruption(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		rec := record{reg: "x", tag: Tag{Valid: true}, val: []byte(fmt.Sprintf("v%d", i))}
 		rec.tag.TS.Seq = int64(i)
-		if err := p.appendRecord(rec); err != nil {
+		if err := p.appendBatch([]record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +174,7 @@ func TestPersistUpgradesV1Log(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		rec := record{reg: "x", tag: Tag{Valid: true}, val: []byte(fmt.Sprintf("v%d", i))}
 		rec.tag.TS.Seq = int64(i)
-		body := encodeRecordBody(rec)
+		body := encodeRecordBody(nil, rec)
 		var hdr [4]byte
 		binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 		raw = append(raw, hdr[:]...)
@@ -228,7 +229,7 @@ func TestPersistTruncatesTornTailBeforeAppend(t *testing.T) {
 	}
 	rec := record{reg: "x", tag: Tag{Valid: true}, val: []byte("v1")}
 	rec.tag.TS.Seq = 1
-	if err := p.appendRecord(rec); err != nil {
+	if err := p.appendBatch([]record{rec}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.close(); err != nil {
@@ -252,7 +253,7 @@ func TestPersistTruncatesTornTailBeforeAppend(t *testing.T) {
 	}
 	rec2 := record{reg: "x", tag: Tag{Valid: true}, val: []byte("v2")}
 	rec2.tag.TS.Seq = 2
-	if err := p2.appendRecord(rec2); err != nil {
+	if err := p2.appendBatch([]record{rec2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p2.close(); err != nil {
@@ -354,7 +355,7 @@ func TestCompactLogShrinksOnDemand(t *testing.T) {
 	for i := 1; i <= 50; i++ {
 		rec := record{reg: "x", tag: Tag{Valid: true}, val: []byte(fmt.Sprintf("v%d", i))}
 		rec.tag.TS.Seq = int64(i)
-		if err := r.persist.appendRecord(rec); err != nil {
+		if err := r.persist.appendBatch([]record{rec}); err != nil {
 			t.Fatal(err)
 		}
 		r.regs["x"] = regEntry{tag: rec.tag, val: rec.val}
@@ -433,13 +434,13 @@ func TestPersistRecordRoundTrip(t *testing.T) {
 	rec.tag.TS.Seq = 9
 	rec.tag.TS.Writer = 3
 
-	enc := encodeRecord(rec)
-	got, err := decodeRecord(enc[8:])
+	enc := encodeRecord(nil, rec)
+	got, n, err := decodeRecord(enc[8:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.reg != rec.reg || got.tag != rec.tag || string(got.val) != string(rec.val) {
-		t.Fatalf("round trip: %+v vs %+v", got, rec)
+	if got.reg != rec.reg || got.tag != rec.tag || string(got.val) != string(rec.val) || n != len(enc)-8 {
+		t.Fatalf("round trip: %+v (%d bytes) vs %+v (%d)", got, n, rec, len(enc)-8)
 	}
 }
 
@@ -454,7 +455,7 @@ func TestPersistCompaction(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		rec := record{reg: "x", tag: Tag{Valid: true}, val: []byte(fmt.Sprintf("v%d", i))}
 		rec.tag.TS.Seq = int64(i)
-		if err := p.appendRecord(rec); err != nil {
+		if err := p.appendBatch([]record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -567,5 +568,366 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never held")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPersistCommitsDoNotMoveFileSize pins what makes a commit cheap: after
+// the first append has zero-filled ahead, appends overwrite zeros and leave
+// the file's size — filesystem metadata, journalled on every change — alone,
+// and a graceful close cuts the zeros off again.
+func TestPersistCommitsDoNotMoveFileSize(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "size.wal")
+	p, _, err := openPersister(logPath, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		t.Helper()
+		st, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	if got := size(); got != int64(len(persistMagic)) {
+		t.Fatalf("fresh log is %d bytes: nothing may be zero-filled at open", got)
+	}
+	want := []byte(persistMagic)
+	var sizes []int64
+	for seq := int64(1); seq <= 20; seq++ {
+		if err := p.appendBatch([]record{xrec(seq)}); err != nil {
+			t.Fatal(err)
+		}
+		want = encodeRecord(want, xrec(seq))
+		sizes = append(sizes, size())
+	}
+	if first := sizes[0]; first < persistGrowMin || first != sizes[len(sizes)-1] {
+		t.Fatalf("file sizes after each append: %v, want one constant size past %d", sizes, persistGrowMin)
+	}
+	if err := p.close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("closed log is %d bytes, want exactly magic + 20 framed records (%d)", len(got), len(want))
+	}
+}
+
+// TestPersistZeroTailGrowsGeometrically: a batch that crosses the end of
+// the zero tail extends it in its own write, by twice as much each time up
+// to the cap, and everything replays across the extensions.
+func TestPersistZeroTailGrowsGeometrically(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "grow.wal")
+	p, _, err := openPersister(logPath, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte{0x5A}, 100<<10)
+	var grows []int64
+	for i := 1; len(grows) < 6; i++ {
+		before := p.zeroed
+		rec := record{reg: "x", tag: Tag{Valid: true, TS: tsOf(int64(i))}, val: val}
+		if err := p.appendBatch([]record{rec}); err != nil {
+			t.Fatal(err)
+		}
+		if p.zeroed != before {
+			grows = append(grows, p.zeroed-p.off)
+		}
+		if st, err := os.Stat(logPath); err != nil || st.Size() != p.zeroed {
+			t.Fatalf("append %d: file is %d bytes (%v), persister thinks %d", i, st.Size(), err, p.zeroed)
+		}
+	}
+	want := []int64{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 1 << 20}
+	if fmt.Sprint(grows) != fmt.Sprint(want) {
+		t.Fatalf("zero tail after each extension: %v, want %v", grows, want)
+	}
+	n := p.recordCount()
+	if err := p.close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := openPersister(logPath, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != n || !bytes.Equal(recs[n-1].val, val) {
+		t.Fatalf("replayed %d records, want %d", len(recs), n)
+	}
+}
+
+// TestPersistCrashPoints enumerates what a crash can leave of a group
+// commit that was written but not yet synced. The batch lands on zeros and
+// the disk persists whole sectors in any order, so the candidates are: the
+// file ending at any byte boundary of the batch, any one sector still zero,
+// and the sectors arriving first-to-last or last-to-first.
+// From every one of them the log must open, replay every record of every
+// synced batch, replay of the unsynced batch only records that arrived
+// whole and only in order, and take and replay an append after the repair.
+// The other direction: damage inside a synced batch is never a tear — any
+// byte of it, flipped, must fail the open with ErrLogCorrupt.
+func TestPersistCrashPoints(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "crash.wal")
+	seq := int64(0)
+	mkBatch := func(valLens ...int) []record {
+		var batch []record
+		for _, n := range valLens {
+			seq++
+			// No zero byte in a value, and none that the flip below turns
+			// into one: the torn-write rule keys on all-zero pieces.
+			val := bytes.Repeat([]byte{byte(0x10 + seq)}, n)
+			batch = append(batch, record{reg: fmt.Sprintf("reg-%d", seq), tag: Tag{Valid: true, TS: tsOf(seq)}, val: val})
+		}
+		return batch
+	}
+	syncedBatches := [][]record{mkBatch(40, 300), mkBatch(700), mkBatch(90, 90, 200)}
+	final := mkBatch(450, 30, 500, 200) // ~1.3 KB: touches four sectors
+
+	// Build the log through the persister, and the same bytes by hand to
+	// know where every record lies.
+	p, _, err := openPersister(logPath, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := []byte(persistMagic)
+	var synced []record
+	var syncedFrames [][2]int // byte range of every synced record
+	for _, batch := range syncedBatches {
+		if err := p.appendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range batch {
+			start := len(base)
+			base = encodeRecord(base, rec)
+			if tornOverZeros(int64(start), base[start:]) {
+				t.Fatalf("test log: intact record %q has an all-zero sector piece", rec.reg)
+			}
+			syncedFrames = append(syncedFrames, [2]int{start, len(base)})
+			synced = append(synced, rec)
+		}
+	}
+	if err := p.appendBatch(final); err != nil {
+		t.Fatal(err)
+	}
+	off := len(base)
+	var finalBytes []byte
+	var finalEnds []int // end of each final record within finalBytes
+	for _, rec := range final {
+		finalBytes = encodeRecord(finalBytes, rec)
+		finalEnds = append(finalEnds, len(finalBytes))
+	}
+	onDisk, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := append(append([]byte{}, base...), finalBytes...)
+	if !bytes.HasPrefix(onDisk, whole) || !allZero(onDisk[len(whole):]) || len(onDisk) == len(whole) {
+		t.Fatalf("open log is not magic + records + a zero tail (%d bytes, %d of records)", len(onDisk), len(whole))
+	}
+	if err := p.close(); err != nil {
+		t.Fatal(err)
+	}
+	firstSector, lastSector := off/sectorSize, (off+len(finalBytes)-1)/sectorSize
+	if lastSector-firstSector < 2 {
+		t.Fatalf("final batch spans sectors %d..%d, want more than two", firstSector, lastSector)
+	}
+	zeroPad := make([]byte, 2*sectorSize)
+	// The images go through one descriptor: truncating the file to nothing
+	// and writing it afresh a few thousand times is what takes a second.
+	imgFile, err := os.OpenFile(logPath, os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer imgFile.Close()
+	writeImage := func(img []byte) {
+		t.Helper()
+		if _, err := imgFile.WriteAt(img, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := imgFile.Truncate(int64(len(img))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// survives: the log left by a crash in which only the bytes of the
+	// final batch selected by arrived reached the disk, over zeros.
+	survives := func(name string, arrived func(i int) bool, fileEnd int, pad []byte) {
+		t.Helper()
+		img := append([]byte{}, base...)
+		intact := 0 // leading final records with every byte on disk as written
+		for i, b := range finalBytes[:fileEnd] {
+			if !arrived(i) {
+				b = 0
+			}
+			img = append(img, b)
+		}
+		for intact < len(final) && finalEnds[intact] <= fileEnd && bytes.Equal(img[off:off+finalEnds[intact]], finalBytes[:finalEnds[intact]]) {
+			intact++
+		}
+		writeImage(append(img, pad...))
+		p, recs, err := openPersister(logPath, false)
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
+		}
+		want := append(append([]record{}, synced...), final[:intact]...)
+		if err := sameRecords(recs, want); err != nil {
+			t.Fatalf("%s: replay (%d synced + %d of the final batch expected): %v", name, len(synced), intact, err)
+		}
+		marker := record{reg: "after-repair", tag: Tag{Valid: true, TS: tsOf(1000)}, val: []byte("m")}
+		if err := p.appendBatch([]record{marker}); err != nil {
+			t.Fatalf("%s: append after repair: %v", name, err)
+		}
+		if err := p.close(); err != nil {
+			t.Fatal(err)
+		}
+		p, recs, err = openPersister(logPath, false)
+		if err != nil {
+			t.Fatalf("%s: reopen after repair: %v", name, err)
+		}
+		if err := sameRecords(recs, append(want, marker)); err != nil {
+			t.Fatalf("%s: replay after repair: %v", name, err)
+		}
+		if err := p.close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sectorOf := func(i int) int { return (off + i) / sectorSize }
+
+	for cut := 0; cut <= len(finalBytes); cut++ {
+		survives(fmt.Sprintf("file ends %d bytes into the batch", cut),
+			func(int) bool { return true }, cut, nil)
+	}
+	for s := firstSector; s <= lastSector+1; s++ {
+		survives(fmt.Sprintf("sector %d still zero", s),
+			func(i int) bool { return sectorOf(i) != s }, len(finalBytes), zeroPad)
+		survives(fmt.Sprintf("sectors before %d arrived, the rest still zero", s),
+			func(i int) bool { return sectorOf(i) < s }, len(finalBytes), zeroPad)
+		survives(fmt.Sprintf("sectors from %d on arrived, the ones before still zero", s),
+			func(i int) bool { return sectorOf(i) >= s }, len(finalBytes), zeroPad)
+	}
+
+	// Bit-rot in acknowledged state, with the crash residue of the worst
+	// case behind it (a final batch that arrived whole, then zeros).
+	img := append(append([]byte{}, whole...), zeroPad...)
+	for _, span := range syncedFrames {
+		for i := span[0]; i < span[1]; i++ {
+			img[i] ^= 0x80
+			writeImage(img)
+			if _, _, err := openPersister(logPath, false); !errors.Is(err, ErrLogCorrupt) {
+				t.Fatalf("byte %d of a synced batch flipped: open = %v, want ErrLogCorrupt", i, err)
+			}
+			img[i] ^= 0x80
+		}
+	}
+}
+
+// xrec is the record of register "x" taking value "v<seq>" at sequence seq.
+func xrec(seq int64) record {
+	return record{reg: "x", tag: Tag{Valid: true, TS: tsOf(seq)}, val: []byte(fmt.Sprintf("v%d", seq))}
+}
+
+func sameRecords(got, want []record) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].reg != want[i].reg || got[i].tag != want[i].tag || !bytes.Equal(got[i].val, want[i].val) {
+			return fmt.Errorf("record %d is %q@%d, want %q@%d", i, got[i].reg, got[i].tag.TS.Seq, want[i].reg, want[i].tag.TS.Seq)
+		}
+	}
+	return nil
+}
+
+// TestCompactFailureKeepsOldLog: a compaction that cannot write its new log
+// leaves the old one in use and untouched — appends keep landing where the
+// name points — and one that succeeds appends to the very file it renamed
+// into place, through the descriptor it wrote it with.
+func TestCompactFailureKeepsOldLog(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "compact-fail.wal")
+	p, _, err := openPersister(logPath, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.appendBatch([]record{xrec(1), xrec(2)}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A directory squatting on the temporary name fails the rewrite.
+	if err := os.Mkdir(logPath+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.compact([]record{xrec(2)}); err == nil {
+		t.Fatal("compaction over an unwritable temporary file reported success")
+	}
+	if p.recordCount() != 2 {
+		t.Fatalf("failed compaction reset the record count to %d", p.recordCount())
+	}
+	if err := p.appendBatch([]record{xrec(3)}); err != nil {
+		t.Fatal(err)
+	}
+	if recs, _, _, err := loadLog(logPath); err != nil || sameRecords(recs, []record{xrec(1), xrec(2), xrec(3)}) != nil {
+		t.Fatalf("after a failed compaction the log at the path holds %d records (%v), want all 3", len(recs), err)
+	}
+
+	if err := os.Remove(logPath + ".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.compact([]record{xrec(3)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.appendBatch([]record{xrec(4)}); err != nil {
+		t.Fatal(err)
+	}
+	if recs, _, _, err := loadLog(logPath); err != nil || sameRecords(recs, []record{xrec(3), xrec(4)}) != nil {
+		t.Fatalf("after compaction the log at the path holds %d records (%v), want the snapshot and the append", len(recs), err)
+	}
+	if _, err := os.Stat(logPath + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temporary file left behind: %v", err)
+	}
+	if err := p.close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPersistAppendFailureIsSticky: once a write (or sync) has failed, what
+// lies past the append offset is unknown, so the log refuses every later
+// append — the replica goes silent, as after a crash — instead of writing a
+// shorter batch over the remains; the next open replays what was synced.
+func TestPersistAppendFailureIsSticky(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "sticky.wal")
+	p, _, err := openPersister(logPath, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.appendBatch([]record{xrec(1)}); err != nil {
+		t.Fatal(err)
+	}
+	good := p.f
+	readOnly, err := os.Open(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.f = readOnly // the disk fails: writes bounce
+	if err := p.appendBatch([]record{xrec(2)}); err == nil {
+		t.Fatal("append through a read-only descriptor reported success")
+	}
+	p.f = good // the disk is back
+	readOnly.Close()
+	if err := p.appendBatch([]record{xrec(3)}); err == nil {
+		t.Fatal("append after a failed append reported success")
+	}
+	if p.recordCount() != 1 {
+		t.Fatalf("recordCount = %d after two failed appends, want 1", p.recordCount())
+	}
+	if err := p.close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := openPersister(logPath, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRecords(recs, []record{xrec(1)}); err != nil {
+		t.Fatalf("replay after failed appends: %v", err)
 	}
 }

@@ -469,6 +469,8 @@ func (r *Replica) commitBatch(batch []inboundWrite) {
 		}
 		r.mu.Unlock()
 		if persist != nil && persist.recordCount() >= persistCompactThreshold {
+			// A compaction that fails leaves the old log in use, and the
+			// count past the threshold: the next commit tries again.
 			_ = r.compactLocked()
 		}
 	}

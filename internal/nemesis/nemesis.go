@@ -114,6 +114,10 @@ type Config struct {
 	// overlaps every fault episode instead of finishing before the first
 	// one fires. Negative disables pacing.
 	OpInterval time.Duration
+	// FsyncDelay makes every WAL sync cost this much more wall-clock time
+	// (core.WithFsyncDelay): a device slower than this box's page cache,
+	// for runs whose point is what happens while a commit is in flight.
+	FsyncDelay time.Duration
 	// Schedule overrides the generated fault schedule when non-nil.
 	Schedule failure.Schedule
 	// Windows and Window shape the generated schedule: Windows fault
@@ -410,7 +414,7 @@ func (c *Cluster) startReplica(id types.NodeID) error {
 
 	wal := filepath.Join(c.dir, fmt.Sprintf("replica-%d.wal", id))
 	rep, err := core.NewPersistentReplica(id, c.chaos.Wrap(ep), wal,
-		core.WithReplicaTracer(c.nodeTracer(id)))
+		core.WithReplicaTracer(c.nodeTracer(id)), core.WithFsyncDelay(c.cfg.FsyncDelay))
 	if err != nil {
 		_ = ep.Close()
 		return fmt.Errorf("nemesis: replica %v: %w", id, err)

@@ -224,7 +224,9 @@ func TestNemesisLinearizable(t *testing.T) {
 // while its group-commit queue is full, restarts it, then crashes TWO
 // OTHER replicas — from that point a quorum of 3 (out of 5) must include
 // the restarted process, so the run only stays live if replica 1 rejoined
-// from its WAL. The workload runs with almost no think time so commits
+// from its WAL. The workload runs with almost no think time against disks
+// that take 2 ms to sync — on the page cache a commit is over in a few
+// hundred microseconds, before a second write can join it — so commits
 // really batch (asserted via the merged batch-size histogram), which means
 // the crash lands mid-batch with positive probability: the unacked tail of
 // a torn batch may vanish, but every acked write must survive — the
@@ -247,6 +249,7 @@ func TestGroupCommitCrashMidBatchLinearizable(t *testing.T) {
 		N: 5, Writers: 3, Readers: 2, OpsPerClient: 60, Registers: 2,
 		Seed:       77,
 		OpInterval: 4 * time.Millisecond, // dense load: keep the commit queues full
+		FsyncDelay: 2 * time.Millisecond,
 		Schedule:   sched,
 	})
 	if err != nil {
