@@ -92,28 +92,21 @@ type ClientOption = core.ClientOption
 // Cluster.Writer: cluster.Client(abd.WithSingleWriter()).
 func WithSingleWriter() ClientOption { return core.WithSingleWriter() }
 
-// ReadMode is the client's read-path consistency profile: which of the
-// read optimizations (one-round fast path, coalescing, write-back itself)
-// are active. See core.ReadMode for the
-// per-knob contracts and core.DefaultReadMode for the defaults.
+// ReadMode is the client's read rule; see core.ReadMode.
 type ReadMode = core.ReadMode
 
-// DefaultReadMode returns the out-of-the-box read profile: fast path,
-// coalescing and write-backs all on.
-func DefaultReadMode() ReadMode { return core.DefaultReadMode() }
+// The read modes. ReadAtomic, the zero value, is the default: a read skips
+// its write-back when the query replies prove the newest pair is already
+// stored at a write quorum. ReadTwoPhase is the paper's unconditional
+// two-phase read; ReadRegular never writes back and is not atomic.
+const (
+	ReadAtomic   = core.ReadAtomic
+	ReadTwoPhase = core.ReadTwoPhase
+	ReadRegular  = core.ReadRegular
+)
 
-// WithReadMode sets the whole read profile at once; invalid combinations
-// (e.g. a fast path without write-backs) are rejected by NewClient.
+// WithReadMode selects the read mode.
 func WithReadMode(m ReadMode) ClientOption { return core.WithReadMode(m) }
-
-// WithFastRead enables the one-round fast path explicitly (it is on by
-// default): a read skips its write-back when the query replies prove the
-// newest pair is already stored at a write quorum.
-func WithFastRead() ClientOption { return core.WithFastRead() }
-
-// WithoutFastRead disables the fast path, restoring the paper's
-// unconditional two-phase read.
-func WithoutFastRead() ClientOption { return core.WithoutFastRead() }
 
 // WithByzantine hardens the client's reads against up to f replicas that
 // lie — fabricating timestamps, serving stale state, equivocating, or

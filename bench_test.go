@@ -87,7 +87,7 @@ func BenchmarkT2Rounds(b *testing.B) {
 		opts   []core.ClientOption
 	}{
 		{"swmr-write", false, []core.ClientOption{core.WithSingleWriter()}},
-		{"read", true, []core.ClientOption{core.WithoutFastRead()}},
+		{"read", true, []core.ClientOption{core.WithReadMode(core.ReadTwoPhase)}},
 		{"mwmr-write", false, nil},
 		{"read-fast", true, nil},
 	}

@@ -52,6 +52,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/history"
@@ -59,6 +60,7 @@ import (
 	"repro/internal/nemesis"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -112,7 +114,7 @@ func run() int {
 	switch *mode {
 	case "atomic":
 	case "regular":
-		copts = append(copts, core.WithUnsafeNoWriteBack())
+		copts = append(copts, core.WithReadMode(core.ReadRegular))
 	default:
 		fmt.Fprintf(os.Stderr, "abd-sim: unknown mode %q\n", *mode)
 		return 2
@@ -135,20 +137,23 @@ func run() int {
 
 	net := netsim.New(netsim.Config{Seed: *seed, MinDelay: *minDelay, MaxDelay: *maxDelay})
 	defer net.Close()
+	cn := chaos.New(*seed)
 	ids := make([]types.NodeID, *n)
 	for i := 0; i < *n; i++ {
 		ids[i] = types.NodeID(i)
-		// The last -byz replicas are the lying minority: they fabricate an
-		// enormous max-tag on every read query — the strongest attack on a
-		// max-timestamp read protocol.
+		var ep transport.Endpoint = net.Node(ids[i])
+		// The last -byz replicas are the lying minority: their replies are
+		// rewritten on the wire (core.Liar) to fabricate an enormous max-tag
+		// on every read query — the strongest attack on a max-timestamp read
+		// protocol.
 		if *n-i <= *byz {
-			liar := core.NewByzantineReplica(ids[i], net.Node(ids[i]), core.ByzFabricate, *seed)
-			liar.Start()
-			defer liar.Stop()
+			liar := core.NewLiar(ids[i], *seed)
+			liar.SetMode(core.ByzFabricate)
+			cn.SetInterceptor(ids[i], liar.Intercept)
+			ep = cn.Wrap(ep)
 			fmt.Printf("abd-sim: replica %d is Byzantine (fabricate)\n", i)
-			continue
 		}
-		r := core.NewReplica(ids[i], net.Node(ids[i]))
+		r := core.NewReplica(ids[i], ep)
 		r.Start()
 		defer r.Stop()
 	}

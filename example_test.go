@@ -8,7 +8,6 @@ import (
 	"time"
 
 	abd "repro"
-	"repro/internal/core"
 	"repro/internal/quorum"
 )
 
@@ -115,7 +114,7 @@ func ExampleWithQuorumSystem() {
 // Per-client protocol options compose with cluster defaults.
 func ExampleWithClientDefaults() {
 	cluster, err := abd.NewCluster(3, abd.WithSeed(1),
-		abd.WithClientDefaults(core.WithoutFastRead()))
+		abd.WithClientDefaults(abd.WithReadMode(abd.ReadTwoPhase)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,8 +18,10 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -63,25 +65,23 @@ func runReads(mode core.ByzMode, opts ...core.ClientOption) (int, error) {
 	net := netsim.New(netsim.Config{Seed: 33})
 	defer net.Close()
 
-	const n = 5
+	// Replica 2 is an honest replica whose outbound replies pass through a
+	// core.Liar: the lie is well-formed protocol, rewritten on the wire.
+	const n, liarID = 5, types.NodeID(2)
+	liar := core.NewLiar(liarID, 1)
+	liar.SetMode(mode)
+	cn := chaos.New(1)
+	cn.SetInterceptor(liarID, liar.Intercept)
 	ids := make([]types.NodeID, n)
-	var stops []func()
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-	for i := 0; i < n; i++ {
+	for i := range ids {
 		ids[i] = types.NodeID(i)
-		if i == 2 {
-			liar := core.NewByzantineReplica(ids[i], net.Node(ids[i]), mode, 1)
-			liar.Start()
-			stops = append(stops, liar.Stop)
-			continue
+		var ep transport.Endpoint = net.Node(ids[i])
+		if ids[i] == liarID {
+			ep = cn.Wrap(ep)
 		}
-		r := core.NewReplica(ids[i], net.Node(ids[i]))
+		r := core.NewReplica(ids[i], ep)
 		r.Start()
-		stops = append(stops, r.Stop)
+		defer r.Stop()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -97,6 +97,13 @@ func runReads(mode core.ByzMode, opts ...core.ClientOption) (int, error) {
 		return 0, err
 	}
 	defer r.Close()
+	if r.ByzantineF() == 0 && mode != core.ByzSilent {
+		// Plain majorities are 3 of 5: cut the reader off from two honest
+		// replicas and the liar is in every read quorum it can assemble (a
+		// silent liar is in none, and the reader would stall).
+		net.BlockLink(r.ID(), 3)
+		net.BlockLink(r.ID(), 4)
+	}
 
 	corrupted := 0
 	for i := 0; i < readsPerRun; i++ {

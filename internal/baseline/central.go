@@ -8,7 +8,7 @@
 //     read-one quorum system and fanout 1: reads are cheap, writes block
 //     the moment a single replica crashes (experiment F2).
 //   - The "regular" register — ABD without the read write-back — is a core
-//     option (core.WithUnsafeNoWriteBack), not a separate system.
+//     read mode (core.ReadRegular), not a separate system.
 package baseline
 
 import (

@@ -21,6 +21,6 @@ func NewROWAClient(id types.NodeID, ep transport.Endpoint, replicas []types.Node
 		core.WithQuorum(quorum.NewReadOneWriteAll(len(replicas))),
 		core.WithSingleWriter(),
 		core.WithReadFanout(1),
-		core.WithUnsafeNoWriteBack(),
+		core.WithReadMode(core.ReadRegular),
 	)
 }

@@ -37,7 +37,7 @@ func TestWriteBackPreventsNewOldInversion(t *testing.T) {
 			w := c.client(WithSingleWriter())
 			var ropts []ClientOption
 			if !withWriteBack {
-				ropts = append(ropts, WithUnsafeNoWriteBack())
+				ropts = append(ropts, WithReadMode(ReadRegular))
 			}
 			ra := c.client(ropts...)
 			rb := c.client(ropts...)

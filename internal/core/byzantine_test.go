@@ -6,111 +6,68 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/netsim"
 	"repro/internal/quorum"
 	"repro/internal/timestamp"
 	"repro/internal/types"
 )
 
-// byzCluster wires n-1 honest replicas plus one Byzantine replica at the
-// given index.
+// byzCluster is a testCluster whose replica at liarIdx lies: an honest
+// Replica whose outbound replies go through a Liar installed as a chaos
+// interceptor, the same adversary the nemesis harness runs over TCP.
 type byzCluster struct {
-	t       *testing.T
-	net     *netsim.Net
-	honest  []*Replica
-	liar    *ByzantineReplica
-	ids     []types.NodeID
-	clients []*Client
-	nextCli types.NodeID
+	*testCluster
+	liar *Liar
 }
 
 func newByzCluster(t *testing.T, n, liarIdx int, mode ByzMode) *byzCluster {
 	t.Helper()
-	c := &byzCluster{t: t, net: netsim.New(netsim.Config{Seed: 60}), nextCli: 1000}
+	c := &testCluster{t: t, net: netsim.New(netsim.Config{Seed: 60}), nextCli: 1000}
+	liarID := types.NodeID(liarIdx)
+	liar := NewLiar(liarID, 1)
+	liar.SetMode(mode)
+	cn := chaos.New(1)
+	cn.SetInterceptor(liarID, liar.Intercept)
 	for i := 0; i < n; i++ {
 		id := types.NodeID(i)
-		c.ids = append(c.ids, id)
-		if i == liarIdx {
-			c.liar = NewByzantineReplica(id, c.net.Node(id), mode, 1)
-			c.liar.Start()
-			continue
+		ep := c.net.Node(id)
+		if id == liarID {
+			ep = cn.Wrap(ep)
 		}
-		r := NewReplica(id, c.net.Node(id))
+		r := NewReplica(id, ep)
 		r.Start()
-		c.honest = append(c.honest, r)
+		c.replicas = append(c.replicas, r)
+		c.ids = append(c.ids, id)
 	}
-	t.Cleanup(func() {
-		for _, cl := range c.clients {
-			cl.Close()
-		}
-		for _, r := range c.honest {
-			r.Stop()
-		}
-		c.liar.Stop()
-		c.net.Close()
-	})
-	return c
+	t.Cleanup(c.close)
+	return &byzCluster{testCluster: c, liar: liar}
 }
 
-func (c *byzCluster) client(opts ...ClientOption) *Client {
-	c.t.Helper()
-	id := c.nextCli
-	c.nextCli++
-	cl, err := NewClient(id, c.net.Node(id), c.ids, opts...)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	c.clients = append(c.clients, cl)
-	return cl
-}
-
-func maskingOpts(n, f int) []ClientOption {
-	return []ClientOption{
-		WithQuorum(quorum.NewMasking(n, f)),
-		WithMaskingFaults(f),
+// isolate blocks cli's links to the given honest replicas, so that every
+// quorum cli can assemble contains the liar's reply: otherwise whether a
+// read sees the lie at all is a race the liar, whose replies take the
+// detour through the rewrite, may lose.
+func (c *byzCluster) isolate(cli *Client, honest ...types.NodeID) {
+	for _, id := range honest {
+		c.net.BlockLink(cli.ID(), id)
 	}
 }
 
 func TestFabricatingReplicaCorruptsPlainMajorityReads(t *testing.T) {
 	// The attack the masking extension exists for: with plain majorities, a
 	// single fabricating replica wins every read that includes it, because
-	// its timestamp is enormous.
+	// its timestamp is enormous. The reader reaches only {0, 1, 2}, so every
+	// majority it assembles includes the liar (replica 0).
 	c := newByzCluster(t, 5, 0, ByzFabricate)
 	w := c.client(WithSingleWriter())
 	r := c.client()
+	c.isolate(r, 3, 4)
 	ctx := shortCtx(t)
 
 	mustWrite(t, ctx, w, "x", "genuine")
-	corrupted := false
-	for i := 0; i < 10; i++ {
-		if got := mustRead(t, ctx, r, "x"); got == "byzantine-fabrication" {
-			corrupted = true
-			break
-		}
-	}
-	if !corrupted {
-		t.Fatal("the liar never corrupted a plain-majority read; attack setup is broken")
-	}
-}
-
-func TestMaskingQuorumsDefeatFabrication(t *testing.T) {
-	for _, mode := range []ByzMode{ByzFabricate, ByzStale, ByzSilent, ByzEquivocate} {
-		mode := mode
-		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
-			const n, f = 5, 1
-			c := newByzCluster(t, n, 2, mode)
-			w := c.client(append(maskingOpts(n, f), WithSingleWriter())...)
-			r := c.client(maskingOpts(n, f)...)
-			ctx := shortCtx(t)
-
-			for i := 0; i < 10; i++ {
-				want := fmt.Sprintf("genuine-%d", i)
-				mustWrite(t, ctx, w, "x", want)
-				if got := mustRead(t, ctx, r, "x"); got != want {
-					t.Fatalf("iteration %d: read %q, want %q", i, got, want)
-				}
-			}
-		})
+	if got := mustRead(t, ctx, r, "x"); got != "byzantine-fabrication" {
+		t.Fatalf("plain-majority read with the liar in its quorum returned %q; attack setup is broken", got)
 	}
 }
 
@@ -118,9 +75,8 @@ func TestMaskingToleratesLiarPlusNothingElse(t *testing.T) {
 	// n=5, f=1 masking quorums have size 4: the system needs every honest
 	// replica when the liar goes silent, and stalls if one more crashes —
 	// the documented n >= 4f+1 resilience budget.
-	const n, f = 5, 1
-	c := newByzCluster(t, n, 0, ByzSilent)
-	cli := c.client(append(maskingOpts(n, f), WithSingleWriter())...)
+	c := newByzCluster(t, 5, 0, ByzSilent)
+	cli := c.client(WithByzantine(1), WithSingleWriter())
 	ctx := shortCtx(t)
 
 	mustWrite(t, ctx, cli, "x", "works-with-4-honest")
@@ -130,14 +86,13 @@ func TestMaskingToleratesLiarPlusNothingElse(t *testing.T) {
 }
 
 func TestMaskingMultiWriterUnderAttack(t *testing.T) {
-	const n, f = 5, 1
-	c := newByzCluster(t, n, 4, ByzEquivocate)
+	c := newByzCluster(t, 5, 4, ByzEquivocate)
 	ctx := shortCtx(t)
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 3)
 	for i := 0; i < 3; i++ {
-		cli := c.client(maskingOpts(n, f)...)
+		cli := c.client(WithByzantine(1))
 		wg.Add(1)
 		go func(i int, cli *Client) {
 			defer wg.Done()
@@ -208,8 +163,8 @@ func TestWithByzantineOptionValidation(t *testing.T) {
 	}
 	// The write-back is what repairs honest laggards; disabling it under
 	// Byzantine validation would be silently unsound, so it is rejected.
-	if _, err := NewClient(1004, net.Node(1004), mkIDs(5), WithByzantine(1), WithUnsafeNoWriteBack()); err == nil {
-		t.Fatal("WithByzantine + WithUnsafeNoWriteBack accepted")
+	if _, err := NewClient(1004, net.Node(1004), mkIDs(5), WithByzantine(1), WithReadMode(ReadRegular)); err == nil {
+		t.Fatal("WithByzantine(1) + ReadRegular accepted")
 	}
 }
 
@@ -224,6 +179,10 @@ func TestWithByzantineDefeatsAllModes(t *testing.T) {
 			c := newByzCluster(t, 5, 2, mode)
 			w := c.client(WithByzantine(1), WithSingleWriter())
 			r := c.client(WithByzantine(1))
+			loud := mode == ByzFabricate || mode == ByzEquivocate
+			if loud {
+				c.isolate(r, 4)
+			}
 			ctx := shortCtx(t)
 
 			for i := 0; i < 10; i++ {
@@ -233,7 +192,7 @@ func TestWithByzantineDefeatsAllModes(t *testing.T) {
 					t.Fatalf("iteration %d: read %q, want %q", i, got, want)
 				}
 			}
-			if mode == ByzFabricate || mode == ByzEquivocate {
+			if loud {
 				m := r.Metrics()
 				if m.ByzRejects == 0 {
 					t.Fatal("loud lies in every read quorum, but ByzRejects = 0")
@@ -371,6 +330,7 @@ func TestWithByzantineEquivocateUnderReadCoalescing(t *testing.T) {
 	c := newByzCluster(t, 5, 2, ByzEquivocate)
 	w := c.client(WithByzantine(1), WithSingleWriter())
 	r := c.client(WithByzantine(1)) // coalescing is on by default
+	c.isolate(r, 4)
 	ctx := shortCtx(t)
 
 	mustWrite(t, ctx, w, "x", "honest")

@@ -35,23 +35,15 @@ type Client struct {
 	qs       quorum.System
 	ord      order
 
-	// Mode flags; see options.go. The read-mode knobs (fastRead,
-	// noWriteBack, coalesceReads) are one cross-validated option set — see
-	// ReadMode; fastReadSet records that the caller set the knob explicitly,
-	// so NewClient can tell an invalid combination (rejected) from a
-	// silently-disabled default.
+	// Mode flags; see options.go.
 	singleWriter bool
-	noWriteBack  bool
-	fastRead     bool
-	fastReadSet  bool
+	readMode     ReadMode
 	bounded      bool
 	boundedDom   timestamp.Cyclic
 	readFanout   int
 	writeFanout  int
 	rrNext       atomic.Uint64 // round-robin cursor for partial fanout
-	maskF        int           // Byzantine replicas tolerated (masking quorums)
-	byzantine    bool          // WithByzantine: full validation incl. confirm rounds
-	byzF         int           // WithByzantine's f (0 = plain crash-fault client)
+	f            int           // Byzantine replicas tolerated (WithByzantine; 0 = crash faults only)
 
 	// Retransmission policy; see options.go. The default is adaptive: the
 	// interval tracks the client's own observed phase latencies.
@@ -69,7 +61,7 @@ type Client struct {
 	swLabel map[string]int64
 	swWrote map[string]bool // whether swLabel holds a real label yet
 
-	// Confirmed-watermark state (WithFastRead; DESIGN.md §10): per register,
+	// Confirmed-watermark state (ReadAtomic; DESIGN.md §10): per register,
 	// the highest tag this client knows to be stored at a full write quorum
 	// — advanced by its own quorum-acked updates, by query rounds whose
 	// holders cover a write quorum, and by watermarks gossiped back on query
@@ -130,7 +122,6 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 
 		confirmed: make(map[string]Tag),
 
-		fastRead:      true,
 		coalesceReads: true,
 		absorbWrites:  true,
 		rdRounds:      make(map[string]*opRound),
@@ -149,21 +140,21 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 	for _, opt := range opts {
 		opt(c)
 	}
-	if c.byzantine {
-		if c.byzF < 0 {
-			return nil, fmt.Errorf("core: WithByzantine(%d): f must be >= 0", c.byzF)
+	if c.readMode < ReadAtomic || c.readMode > ReadRegular {
+		return nil, fmt.Errorf("core: unknown read mode %d", c.readMode)
+	}
+	if c.f < 0 {
+		return nil, fmt.Errorf("core: WithByzantine(%d): f must be >= 0", c.f)
+	}
+	if c.f > 0 {
+		if c.readMode == ReadRegular {
+			return nil, fmt.Errorf("core: WithByzantine cannot combine with ReadRegular: the write-back is what repairs honest laggards")
 		}
-		if c.noWriteBack {
-			return nil, fmt.Errorf("core: WithByzantine cannot combine with WithUnsafeNoWriteBack: the write-back is what repairs honest laggards")
+		m := quorum.NewMasking(len(c.replicas), c.f)
+		if err := m.Validate(); err != nil {
+			return nil, fmt.Errorf("core: WithByzantine(%d): %w", c.f, err)
 		}
-		if c.byzF > 0 {
-			m := quorum.NewMasking(len(c.replicas), c.byzF)
-			if err := m.Validate(); err != nil {
-				return nil, fmt.Errorf("core: WithByzantine(%d): %w", c.byzF, err)
-			}
-			c.qs = m
-			c.maskF = c.byzF
-		}
+		c.qs = m
 	}
 	if c.qs.Size() != len(c.replicas) {
 		return nil, fmt.Errorf("core: quorum system sized for %d replicas, group has %d",
@@ -171,15 +162,6 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 	}
 	if c.bounded && !c.singleWriter {
 		return nil, fmt.Errorf("core: bounded labels require the single-writer mode")
-	}
-	// Cross-validate the read-mode option set (see ReadMode). An explicitly
-	// requested fast path is rejected when it cannot mean anything; the same
-	// knob left at its default is silently turned off instead.
-	if c.noWriteBack {
-		if c.fastReadSet && c.fastRead {
-			return nil, fmt.Errorf("core: WithFastRead cannot combine with WithUnsafeNoWriteBack: the fast path skips the write-back only when the replies prove it redundant, the unsafe mode skips it unconditionally")
-		}
-		c.fastRead = false
 	}
 	c.start()
 	return c, nil
@@ -205,23 +187,10 @@ func (c *Client) HotKeyTotal() int64 { return c.hot.Total() }
 
 // ByzantineF returns the number of lying replicas the client's read
 // validation tolerates (WithByzantine), 0 when validation is off.
-func (c *Client) ByzantineF() int {
-	if !c.byzantine {
-		return 0
-	}
-	return c.byzF
-}
+func (c *Client) ByzantineF() int { return c.f }
 
-// ReadMode reports the client's effective read mode after NewClient's
-// cross-validation — e.g. FastRead reads false on a WithUnsafeNoWriteBack
-// client even though the default is on.
-func (c *Client) ReadMode() ReadMode {
-	return ReadMode{
-		FastRead:  c.fastRead,
-		Coalesce:  c.coalesceReads,
-		WriteBack: !c.noWriteBack,
-	}
-}
+// ReadMode reports the client's read mode (WithReadMode).
+func (c *Client) ReadMode() ReadMode { return c.readMode }
 
 // confirmedTag returns the client's own confirmed watermark for reg (zero
 // until something has been confirmed).
@@ -234,11 +203,11 @@ func (c *Client) confirmedTag(reg string) Tag {
 // noteConfirmed records that tag is stored at a full write quorum —
 // witnessed directly (this client collected a write quorum of acks or of
 // holder replies for it) or vouched by the gossip rules in watermark. No-op
-// with the fast path off (the map is then never consulted) and under
-// bounded labels, whose cyclic order admits no sound watermark: those
-// clients gossip nothing and hit the fast path on holder evidence alone.
+// outside ReadAtomic (the map is then never consulted) and under bounded
+// labels, whose cyclic order admits no sound watermark: those clients
+// gossip nothing and hit the fast path on holder evidence alone.
 func (c *Client) noteConfirmed(reg string, tag Tag) {
-	if !c.fastRead || c.bounded || !tag.Valid {
+	if c.readMode != ReadAtomic || c.bounded || !tag.Valid {
 		return
 	}
 	c.confMu.Lock()
@@ -250,9 +219,9 @@ func (c *Client) noteConfirmed(reg string, tag Tag) {
 
 // gossip returns the watermark to piggyback on an outgoing query or write:
 // the client's own confirmed tag, or zero (encoding in the pre-watermark
-// wire format) when the fast path is off.
+// wire format) outside ReadAtomic.
 func (c *Client) gossip(reg string) Tag {
-	if !c.fastRead {
+	if c.readMode != ReadAtomic {
 		return Tag{}
 	}
 	return c.confirmedTag(reg)
@@ -260,15 +229,15 @@ func (c *Client) gossip(reg string) Tag {
 
 // watermark folds the query replies' confirmed-watermark claims into the
 // client's own watermark for reg and returns the result. In crash mode
-// every replica is honest, so the maximum claim is trusted. In masking mode
-// (WithByzantine / WithMaskingFaults) up to maskF repliers lie, so only the
-// (maskF+1)-th largest claim is trusted: at least one of the maskF+1
-// replicas claiming that much is honest, and an honest claim is true. A
-// lying replica can therefore suppress fast-path hits but never mint a
-// watermark above what some honest replica confirmed.
+// every replica is honest, so the maximum claim is trusted. Under
+// WithByzantine(f) up to f repliers lie, so only the (f+1)-th largest claim
+// is trusted: at least one of the f+1 replicas claiming that much is
+// honest, and an honest claim is true. A lying replica can therefore
+// suppress fast-path hits but never mint a watermark above what some honest
+// replica confirmed.
 func (c *Client) watermark(reg string, replies []message) Tag {
 	var wm Tag
-	if c.maskF == 0 {
+	if c.f == 0 {
 		for _, m := range replies {
 			adoptConf(c.ord, &wm, m.Conf)
 		}
@@ -279,12 +248,12 @@ func (c *Client) watermark(reg string, replies []message) Tag {
 				confs = append(confs, m.Conf)
 			}
 		}
-		if len(confs) > c.maskF {
+		if len(confs) > c.f {
 			sort.Slice(confs, func(i, j int) bool {
 				cmp, err := c.ord.compare(confs[i], confs[j])
 				return err == nil && cmp > 0
 			})
-			wm = confs[c.maskF]
+			wm = confs[c.f]
 		}
 	}
 	c.noteConfirmed(reg, wm)
@@ -647,31 +616,30 @@ func (c *Client) newest(replies []message) (Tag, types.Value, error) {
 }
 
 // vouch partitions replies by (tag, value) pair: accepted holds one
-// representative per pair reported identically by at least maskF+1 distinct
-// replicas, unsupported one per pair below that bar. At most maskF replicas
+// representative per pair reported identically by at least f+1 distinct
+// replicas, unsupported one per pair below that bar. At most f replicas
 // are Byzantine, so every accepted pair was reported by a correct replica
 // and is a genuine protocol value; an unsupported pair may be an honest
 // in-flight write seen at few replicas — or a lie.
 func (c *Client) vouch(replies []message) (accepted, unsupported []message) {
-	type groupEntry struct {
-		count int
-		rep   message
-	}
-	groups := make(map[string]*groupEntry, len(replies))
+	reps := make([]message, 0, len(replies))
+	counts := make([]int, 0, len(replies))
 	for _, m := range replies {
-		key := fmt.Sprintf("%v|%d|%d|%v|%d|%s",
-			m.Tag.Valid, m.Tag.TS.Seq, m.Tag.TS.Writer, m.Tag.Bounded, m.Tag.Label, m.Val)
-		if g, exists := groups[key]; exists {
-			g.count++
-		} else {
-			groups[key] = &groupEntry{count: 1, rep: m}
+		i := 0
+		for i < len(reps) && (reps[i].Tag != m.Tag || !bytes.Equal(reps[i].Val, m.Val)) {
+			i++
 		}
+		if i == len(reps) {
+			reps = append(reps, m)
+			counts = append(counts, 0)
+		}
+		counts[i]++
 	}
-	for _, g := range groups {
-		if g.count >= c.maskF+1 {
-			accepted = append(accepted, g.rep)
+	for i, m := range reps {
+		if counts[i] > c.f {
+			accepted = append(accepted, m)
 		} else {
-			unsupported = append(unsupported, g.rep)
+			unsupported = append(unsupported, m)
 		}
 	}
 	return accepted, unsupported
@@ -697,18 +665,16 @@ func (c *Client) aheadOf(replies []message, tag Tag) bool {
 // any masking retries and confirm rounds — the read path's ReadRounds
 // accounting).
 //
-// Plain mode (maskF == 0) is the paper's rule: one phase, newest pair
-// wins. Masking mode (WithMaskingFaults / WithByzantine(f>0)) only trusts
-// pairs reported identically by >= maskF+1 replicas and re-queries while
-// write concurrency splits the vote below that bar. The full Byzantine
-// mode adds the echo/confirm step: when some replica reports a pair NEWER
-// than every vouched-for pair but without f+1 support, the client cannot
-// tell an honest in-flight write from a fabricated max-tag, so it
-// re-queries once more (the confirm round, metric byzConfirms). An honest
-// write's pair gains f+1 support in the fresh round — its update phase
-// reached more correct replicas meanwhile — or is superseded by an even
-// newer vouched pair; either way the fresh round's vouched max catches up
-// and nothing is suspected. A fabrication can never gain honest support:
+// Plain mode (f == 0) is the paper's rule: one phase, newest pair wins.
+// WithByzantine(f > 0) only trusts pairs reported identically by >= f+1
+// replicas and re-queries while write concurrency splits the vote below
+// that bar. When some replica reports a pair NEWER than every vouched-for
+// pair but without f+1 support, the client cannot tell an honest in-flight
+// write from a fabricated max-tag, so it re-queries once more (the confirm
+// round, metric byzConfirms). An honest write's pair gains f+1 support in
+// the fresh round — its update phase reached more correct replicas
+// meanwhile — or is superseded by an even newer vouched pair; either way
+// the fresh round's vouched max catches up and nothing is suspected. A fabrication can never gain honest support:
 // if the confirm round still shows an unsupported tag ahead of everything
 // vouched, the client discards it as a suspected lie (metric byzRejects)
 // and adopts the newest vouched pair. Exactly one confirm round runs per
@@ -726,7 +692,7 @@ func (c *Client) queryValidated(ctx context.Context, reg string, ot opTrace) (Ta
 		if err != nil {
 			return Tag{}, nil, nil, rounds, err
 		}
-		if c.maskF == 0 {
+		if c.f == 0 {
 			best, val, err := c.newest(replies)
 			if err != nil {
 				return Tag{}, nil, nil, rounds, err
@@ -745,10 +711,9 @@ func (c *Client) queryValidated(ctx context.Context, reg string, ot opTrace) (Ta
 			return Tag{}, nil, nil, rounds, err
 		}
 		switch {
-		case !c.byzantine || !c.aheadOf(unsupported, best):
-			// Legacy masking mode trusts the vouched max outright; in the
-			// full Byzantine mode this is the quiet case — nothing claims to
-			// be ahead of the validated state.
+		case !c.aheadOf(unsupported, best):
+			// The quiet case: nothing claims to be ahead of the validated
+			// state.
 		case !confirming:
 			confirming = true
 			c.metrics.byzConfirms.Add(1)
@@ -797,9 +762,9 @@ func (c *Client) read(ctx context.Context, reg string, ot opTrace) (types.Value,
 	case !best.Valid:
 		// Initial state everywhere: nothing to propagate.
 		val = nil
-	case c.noWriteBack:
+	case c.readMode == ReadRegular:
 		c.metrics.writeBacksSkipped.Add(1)
-	case c.fastRead && c.atWriteQuorum(reg, best, val, replies):
+	case c.readMode == ReadAtomic && c.atWriteQuorum(reg, best, val, replies):
 		// Fast path (DESIGN.md §10): the write-back would be a no-op, so the
 		// read completes in the one round already paid.
 		c.metrics.fastPathReads.Add(1)
@@ -826,7 +791,7 @@ func (c *Client) read(ctx context.Context, reg string, ot opTrace) (types.Value,
 // read's write-back exists to establish (DESIGN.md §10). Two kinds of
 // evidence for it: the holders (repliers reporting exactly the pair)
 // contain a write quorum, or best is at or below the confirmed watermark.
-// It runs only after queryValidated, so in masking mode best is the
+// It runs only after queryValidated, so under WithByzantine best is the
 // f+1-vouched pair, a holder must echo its value too, and the watermark is
 // held to the f+1-claim bar. A liar adds at most itself to the holders: a
 // masking write quorum of them meets every later quorum in >= 2f+1

@@ -98,7 +98,7 @@ func TestROWAViaFanoutAndQuorum(t *testing.T) {
 		WithQuorum(quorum.NewReadOneWriteAll(4)),
 		WithSingleWriter(),
 		WithReadFanout(1),
-		WithUnsafeNoWriteBack(),
+		WithReadMode(ReadRegular),
 	)
 	ctx := shortCtx(t)
 	mustWrite(t, ctx, cli, "x", "v")

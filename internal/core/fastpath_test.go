@@ -238,7 +238,7 @@ func TestFastPathWithCoalescing(t *testing.T) {
 func TestFastPathByzantineLyingWatermark(t *testing.T) {
 	const n, f = 5, 1
 	c := newByzCluster(t, n, 2, ByzFabricate)
-	w := c.client(append(maskingOpts(n, f), WithSingleWriter())...)
+	w := c.client(WithByzantine(f), WithSingleWriter())
 	r := c.client(WithByzantine(f))
 	ctx := shortCtx(t)
 
@@ -264,7 +264,7 @@ func TestFastPathMaskingWatermarkBar(t *testing.T) {
 	r := c.client(WithByzantine(f))
 	ctx := shortCtx(t)
 
-	w := c.client(append(maskingOpts(n, f), WithSingleWriter())...)
+	w := c.client(WithByzantine(f), WithSingleWriter())
 	mustWrite(t, ctx, w, "x", "honest")
 	// Prime: slow read confirms the honest tag.
 	if got := mustRead(t, ctx, r, "x"); got != "honest" {
@@ -286,54 +286,47 @@ func TestFastPathMaskingWatermarkBar(t *testing.T) {
 	}
 }
 
-// TestReadModeValidation pins the consolidated option surface: the
-// defaults, the reporting accessor, and every rejected combination.
+// TestReadModeValidation is one table over the three read modes: the zero
+// value is ReadAtomic, ReadMode() reports what WithReadMode set, and each
+// mode's round accounting holds on a written register.
 func TestReadModeValidation(t *testing.T) {
 	c := newTestCluster(t, 3, netsim.Config{Seed: 75})
-
-	// Defaults.
-	if got, want := c.client().ReadMode(), DefaultReadMode(); got != want {
-		t.Errorf("default ReadMode %+v, want %+v", got, want)
+	var zero ReadMode
+	if got := c.client().ReadMode(); got != ReadAtomic || zero != ReadAtomic {
+		t.Errorf("default ReadMode %d, want the zero value ReadAtomic", got)
 	}
+	w := c.client(WithSingleWriter())
+	ctx := shortCtx(t)
+	mustWrite(t, ctx, w, "x", "v")
+	waitStored(t, c, "x", "v")
 
-	newCli := func(opts ...ClientOption) error {
-		id := c.nextCli
-		c.nextCli++
-		cli, err := NewClient(id, c.net.Node(id), c.ids, opts...)
-		if err == nil {
-			cli.Close()
-		}
-		return err
-	}
-
-	// The one rejected combination: an explicit fast path without a
-	// write-back to skip.
-	for name, opts := range map[string][]ClientOption{
-		"FastRead+NoWriteBack":       {WithFastRead(), WithUnsafeNoWriteBack()},
-		"ReadMode fast no-writeback": {WithReadMode(ReadMode{FastRead: true, Coalesce: true})},
+	for _, tc := range []struct {
+		name  string
+		mode  ReadMode
+		check func(m MetricsSnapshot) bool
+	}{
+		{"atomic", ReadAtomic, func(m MetricsSnapshot) bool { return m.FastPathReads+m.WriteBacks == m.Reads }},
+		{"two-phase", ReadTwoPhase, func(m MetricsSnapshot) bool { return m.FastPathReads == 0 && m.WriteBacks == m.Reads }},
+		{"regular", ReadRegular, func(m MetricsSnapshot) bool { return m.WriteBacks == 0 }},
 	} {
-		if err := newCli(opts...); err == nil {
-			t.Errorf("%s: NewClient accepted an invalid combination", name)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			r := c.client(WithReadMode(tc.mode))
+			if got := r.ReadMode(); got != tc.mode {
+				t.Fatalf("ReadMode() = %d, want %d", got, tc.mode)
+			}
+			for i := 0; i < 5; i++ {
+				if got := mustRead(t, ctx, r, "x"); got != "v" {
+					t.Fatalf("read %d: %q", i, got)
+				}
+			}
+			if m := r.Metrics(); m.Reads != 5 || !tc.check(m) {
+				t.Errorf("round accounting broken: reads=%d fast=%d write-backs=%d",
+					m.Reads, m.FastPathReads, m.WriteBacks)
+			}
+		})
 	}
 
-	// Silent adjustment: the *default* fast path yields to the mode that
-	// precludes it, without an error, and ReadMode reports the effective set.
-	cli := c.client(WithUnsafeNoWriteBack())
-	if m := cli.ReadMode(); m.FastRead || m.WriteBack {
-		t.Errorf("no-write-back mode reports %+v, want fast path and write-back off", m)
-	}
-	// Bounded labels keep the fast path (holder evidence; explicit or default).
-	for _, opts := range [][]ClientOption{{WithBoundedLabels(16)}, {WithFastRead(), WithBoundedLabels(16)}} {
-		if m := c.client(opts...).ReadMode(); m != DefaultReadMode() {
-			t.Errorf("bounded mode reports %+v, want the default %+v", m, DefaultReadMode())
-		}
-	}
-
-	// WithReadMode installs the whole profile.
-	cli = c.client(WithReadMode(ReadMode{WriteBack: true}))
-	want := ReadMode{FastRead: false, Coalesce: false, WriteBack: true}
-	if m := cli.ReadMode(); m != want {
-		t.Errorf("WithReadMode effective %+v, want %+v", m, want)
+	if _, err := NewClient(c.nextCli, c.net.Node(c.nextCli), c.ids, WithReadMode(ReadRegular+1)); err == nil {
+		t.Error("NewClient accepted an unknown read mode")
 	}
 }

@@ -9,8 +9,28 @@ import (
 	"repro/internal/types"
 )
 
+// ByzMode selects a Liar's lying strategy.
+type ByzMode int
+
+// Lying strategies.
+const (
+	// ByzFabricate answers every query with a fabricated value carrying an
+	// enormous timestamp — the strongest attack on a max-timestamp read.
+	ByzFabricate ByzMode = iota + 1
+	// ByzStale answers every query with the initial (never written) state
+	// and acks writes.
+	ByzStale
+	// ByzSilent never answers anything: indistinguishable from a crash.
+	ByzSilent
+	// ByzEquivocate fabricates a *different* value per query, so no two
+	// clients (or phases) see the same lie.
+	ByzEquivocate
+)
+
 // Liar turns an honest replica's outbound traffic into a Byzantine
-// replica's, from the network's point of view. It is the protocol-level
+// replica's, from the network's point of view. It is the one adversary the
+// repository has — tests, experiments and abd-sim run it over netsim, the
+// nemesis harness over TCP — and the protocol-level
 // analogue of chaos byte corruption: instead of flipping bits (which the
 // CRC trailer catches), it decodes each reply the replica sends, rewrites
 // it according to the active ByzMode — fabricated max-tags, stale state,

@@ -42,7 +42,7 @@ type MetricsSnapshot struct {
 	MsgsSent int64
 	// WriteBacks and WriteBacksSkipped split reads of a written register by
 	// whether the second phase ran (skipped = fast-path hits, plus every
-	// read under WithUnsafeNoWriteBack).
+	// read under ReadRegular).
 	WriteBacks, WriteBacksSkipped int64
 	// OrderViolations counts bounded-label comparisons that fell outside
 	// the sound window (T4).
@@ -75,7 +75,7 @@ type MetricsSnapshot struct {
 	CoalescedReads, AbsorbedWrites int64
 	// FastPathReads counts reads completed in one round because the query
 	// replies proved the newest pair already at a write quorum — by the
-	// repliers holding it or by the confirmed watermark (the WithFastRead
+	// repliers holding it or by the confirmed watermark (the ReadAtomic
 	// path; DESIGN.md §10). ReadRounds sums the quorum rounds
 	// every completed read paid (query, masking/confirm retries, write-back)
 	// — ReadRounds/Reads is the mean round trips per read, the number the

@@ -21,7 +21,7 @@ func TestLatencyHistogramsRecord(t *testing.T) {
 	// The counts below pin the paper's two-phase read; the watermark fast
 	// path would legitimately skip the write-backs (fastpath_test.go covers
 	// its accounting).
-	cli := c.client(WithoutFastRead())
+	cli := c.client(WithReadMode(ReadTwoPhase))
 	ctx := shortCtx(t)
 
 	const writes, reads = 4, 6
@@ -74,7 +74,7 @@ func TestTracerSpans(t *testing.T) {
 	c := newTestCluster(t, 3, netsim.Config{Seed: 22})
 	// Two-phase read pinned: the span-tree shape below includes the
 	// write-back the fast path would skip.
-	cli := c.client(WithTracer(ring), WithoutFastRead())
+	cli := c.client(WithTracer(ring), WithReadMode(ReadTwoPhase))
 	ctx := shortCtx(t)
 
 	mustWrite(t, ctx, cli, "x", "v")

@@ -28,78 +28,32 @@ func WithSingleWriter() ClientOption {
 	return func(c *Client) { c.singleWriter = true }
 }
 
-// ReadMode is the client's consolidated read/consistency option set: every
-// knob that decides how a Read turns its quorum round(s) into a result.
-// NewClient cross-validates the combination — see WithReadMode for the
-// rules. The zero value is NOT the default; use DefaultReadMode.
-type ReadMode struct {
-	// FastRead completes a read in the one round already paid whenever the
+// ReadMode decides how a Read turns its quorum round(s) into a result. The
+// zero value, ReadAtomic, is the default.
+type ReadMode int
+
+const (
+	// ReadAtomic completes a read in the one round already paid whenever the
 	// query replies prove the newest pair is stored at a full write quorum —
 	// the repliers holding it contain one, or its tag is at or below a
-	// confirmed watermark — skipping the write-back that proof makes
-	// redundant. Atomicity is preserved for every quorum system — DESIGN.md
-	// §10 has the invariant. On by default; off is the paper's
-	// always-two-phase read.
-	FastRead bool
-	// Coalesce lets concurrent reads of one register share a quorum round
-	// (see coalesce.go). On by default.
-	Coalesce bool
-	// WriteBack false disables the read's second phase unconditionally,
-	// forfeiting atomicity for regularity — WithUnsafeNoWriteBack's
-	// demonstration mode. On (true) by default; combining false with an
-	// explicit FastRead is rejected at NewClient.
-	WriteBack bool
-}
+	// confirmed watermark — and writes back otherwise. Atomic for every
+	// quorum system; DESIGN.md §10 has the invariant.
+	ReadAtomic ReadMode = iota
+	// ReadTwoPhase is the paper's read: every read of a written register
+	// pays the write-back. Used by ablations and the message-complexity
+	// experiments.
+	ReadTwoPhase
+	// ReadRegular never writes back. The result is a regular register, not
+	// an atomic one: concurrent reads can observe a new value and then an
+	// older one ("new/old inversion"). It exists so experiment T3 can
+	// demonstrate why the paper's write-back is necessary, and as the ROWA
+	// baseline's read. Never use it for real workloads.
+	ReadRegular
+)
 
-// DefaultReadMode is the mode a plain NewClient runs: fast path, read
-// coalescing and write-back all on.
-func DefaultReadMode() ReadMode {
-	return ReadMode{FastRead: true, Coalesce: true, WriteBack: true}
-}
-
-// WithReadMode installs a complete read mode in one option, replacing the
-// defaults wholesale (every field counts as explicitly set). The one
-// invalid combination — FastRead together with WriteBack false — is
-// rejected by NewClient rather than silently adjusted. The single-knob
-// options below are the incremental spelling of the same set.
+// WithReadMode selects the read mode (default ReadAtomic).
 func WithReadMode(m ReadMode) ClientOption {
-	return func(c *Client) {
-		c.fastRead = m.FastRead
-		c.fastReadSet = true
-		c.coalesceReads = m.Coalesce
-		c.noWriteBack = !m.WriteBack
-	}
-}
-
-// WithFastRead explicitly enables the one-round fast path (it is already
-// the default; the explicit form exists so the intent survives next to
-// options that would otherwise disable it, and is rejected when it cannot
-// hold — see WithReadMode).
-func WithFastRead() ClientOption {
-	return func(c *Client) {
-		c.fastRead = true
-		c.fastReadSet = true
-	}
-}
-
-// WithoutFastRead disables the fast path: every read of a written register
-// pays the write-back. The paper's two-phase protocol, used by ablations
-// and the message-complexity experiments.
-func WithoutFastRead() ClientOption {
-	return func(c *Client) {
-		c.fastRead = false
-		c.fastReadSet = true
-	}
-}
-
-// WithUnsafeNoWriteBack disables the read's write-back phase entirely. The
-// result is a regular register, not an atomic one: concurrent reads can
-// observe a new value and then an older one ("new/old inversion").
-// This mode exists solely so experiment T3 can demonstrate why the paper's
-// write-back is necessary. Never use it for real workloads. It also turns
-// the (default) fast path off: there is no write-back left for it to skip.
-func WithUnsafeNoWriteBack() ClientOption {
-	return func(c *Client) { c.noWriteBack = true }
+	return func(c *Client) { c.readMode = m }
 }
 
 // WithReadFanout limits how many replicas a read-side query phase contacts
@@ -219,34 +173,23 @@ func WithoutWriteAbsorption() ClientOption {
 	return func(c *Client) { c.absorbWrites = false }
 }
 
-// WithMaskingFaults hardens the client against up to f Byzantine replicas,
-// following the masking-quorum generalization of the paper (Malkhi &
-// Reiter). Use together with WithQuorum(quorum.NewMasking(n, f)) — quorums
-// then intersect in >= 2f+1 replicas — and the client only trusts a
-// (timestamp, value) pair reported identically by at least f+1 replicas,
-// which at most-f liars can never fabricate.
-//
-// Semantics: reads and multi-writer timestamp queries retry their phase
-// until some pair has f+1 support. In quiescent periods the latest write
-// always does (f+1 correct replicas of any quorum intersection hold it);
-// under heavy write concurrency a phase may observe support split across
-// in-flight values and retry — the construction is obstruction-free rather
-// than wait-free, the standard trade-off for this Byzantine extension.
-func WithMaskingFaults(f int) ClientOption {
-	return func(c *Client) { c.maskF = f }
-}
-
 // WithByzantine makes Byzantine tolerance a first-class protocol mode:
 // the client survives up to f replicas that lie — fabricating tags,
 // serving stale state, equivocating per client, or staying silent — not
-// just f that crash. It is the one-option spelling of the masking-quorum
-// construction: the client switches to quorum.NewMasking(n, f) sizes
+// just f that crash. It is the masking-quorum construction (Malkhi &
+// Reiter): the client switches to quorum.NewMasking(n, f) sizes
 // (overriding any WithQuorum), so read and write phases wait for enough
 // acks that any two quorums intersect in >= 2f+1 replicas, and it adopts a
 // (timestamp, value) pair only when >= f+1 replicas reported the identical
 // pair — an echo f liars can never forge. The read's write-back then
 // repairs honest laggards with the validated pair only (fabricated tags
-// never propagate).
+// never propagate), so ReadRegular is rejected.
+//
+// Reads and multi-writer timestamp queries retry their phase until some
+// pair has f+1 support (MetricsSnapshot.MaskRetries). In quiescent periods
+// the latest write always does; under heavy write concurrency support can
+// split across in-flight values — the construction is obstruction-free
+// rather than wait-free, the standard trade-off for this extension.
 //
 // When a query observes a pair newer than anything f+1-supported, the
 // client cannot tell an honest in-flight write from a fabricated max-tag;
@@ -261,10 +204,7 @@ func WithMaskingFaults(f int) ClientOption {
 // the stronger bound — see DESIGN.md). f = 0 is the plain crash-fault
 // client unchanged: majority quorums, no validation, no cost.
 func WithByzantine(f int) ClientOption {
-	return func(c *Client) {
-		c.byzantine = true
-		c.byzF = f
-	}
+	return func(c *Client) { c.f = f }
 }
 
 // WithTracer attaches a span tracer to the client. Every Read and Write

@@ -102,20 +102,3 @@ func TestAccessors(t *testing.T) {
 		t.Fatalf("replica stats empty: %+v", st)
 	}
 }
-
-func TestByzantineReplicaAccessors(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 29})
-	defer net.Close()
-	liar := NewByzantineReplica(7, net.Node(7), ByzSilent, 1)
-	if liar.ID() != 7 {
-		t.Fatalf("liar ID %v", liar.ID())
-	}
-	liar.Start()
-	liar.Start() // idempotent
-	liar.Stop()
-	liar.Stop() // idempotent
-
-	// Stop before Start on a fresh one.
-	liar2 := NewByzantineReplica(8, net.Node(8), ByzSilent, 1)
-	liar2.Stop()
-}

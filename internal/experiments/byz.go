@@ -7,11 +7,13 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/lincheck"
 	"repro/internal/netsim"
 	"repro/internal/quorum"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -144,10 +146,42 @@ type byzPass struct {
 	Linearizable bool  `json:"linearizable"`
 }
 
-// runByzPass runs one BY pass: n replicas (replica 2 a fabricating
-// ByzantineReplica when attack), 1 writer + 2 readers hammering one
-// register concurrently with a recorded history, then a linearizability
-// check over what the clients observed.
+// byzLiar is the replica the Byzantine experiments turn into a liar.
+const byzLiar types.NodeID = 2
+
+// startByzReplicas starts n honest replicas on net. With mode != 0 replica
+// byzLiar lies in that mode: its outbound replies pass through a core.Liar
+// installed as a chaos interceptor, the adversary the nemesis harness runs
+// over TCP. It returns the replica ids and a function stopping them.
+func startByzReplicas(net *netsim.Net, n int, mode core.ByzMode, seed int64) ([]types.NodeID, func()) {
+	cn := chaos.New(seed)
+	if mode != 0 {
+		liar := core.NewLiar(byzLiar, seed)
+		liar.SetMode(mode)
+		cn.SetInterceptor(byzLiar, liar.Intercept)
+	}
+	ids := make([]types.NodeID, n)
+	reps := make([]*core.Replica, n)
+	for i := range ids {
+		ids[i] = types.NodeID(i)
+		var ep transport.Endpoint = net.Node(ids[i])
+		if mode != 0 && ids[i] == byzLiar {
+			ep = cn.Wrap(ep)
+		}
+		reps[i] = core.NewReplica(ids[i], ep)
+		reps[i].Start()
+	}
+	return ids, func() {
+		for _, r := range reps {
+			r.Stop()
+		}
+	}
+}
+
+// runByzPass runs one BY pass: n replicas (replica 2 fabricating when
+// attack), 1 writer + 2 readers hammering one register concurrently with a
+// recorded history, then a linearizability check over what the clients
+// observed.
 func runByzPass(o Options, name string, f int, attack bool, n, ops int) (byzPass, error) {
 	pass := byzPass{Name: name, F: f, Attack: attack, QuorumSize: n/2 + 1}
 	if f > 0 {
@@ -156,26 +190,12 @@ func runByzPass(o Options, name string, f int, attack bool, n, ops int) (byzPass
 
 	net := netsim.New(netsim.Config{Seed: o.seed()})
 	defer net.Close()
-	var ids []types.NodeID
-	var reps []interface{ Stop() }
-	for i := 0; i < n; i++ {
-		id := types.NodeID(i)
-		ids = append(ids, id)
-		if attack && i == 2 {
-			liar := core.NewByzantineReplica(id, net.Node(id), core.ByzFabricate, o.seed())
-			liar.Start()
-			reps = append(reps, liar)
-			continue
-		}
-		r := core.NewReplica(id, net.Node(id))
-		r.Start()
-		reps = append(reps, r)
+	var mode core.ByzMode
+	if attack {
+		mode = core.ByzFabricate
 	}
-	defer func() {
-		for _, r := range reps {
-			r.Stop()
-		}
-	}()
+	ids, stop := startByzReplicas(net, n, mode, o.seed())
+	defer stop()
 
 	copts := []core.ClientOption{core.WithByzantine(f)}
 	clients := make([]*core.Client, 3)

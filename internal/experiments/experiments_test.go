@@ -236,8 +236,8 @@ func TestT6MaskingBlocksCorruption(t *testing.T) {
 		if strings.HasPrefix(proto, "masking") && corrupted != "0" {
 			t.Errorf("%s under masking: %s corrupted reads", attack, corrupted)
 		}
-		if attack == "fabricate-high-ts" && proto == "majority" && corrupted == "0" {
-			t.Errorf("fabrication against plain majority corrupted nothing; attack broken")
+		if (attack == "fabricate-high-ts" || attack == "equivocate") && proto == "majority" && corrupted == "0" {
+			t.Errorf("%s against plain majority corrupted nothing; attack broken", attack)
 		}
 	}
 }
@@ -573,7 +573,7 @@ func TestFPFastPath(t *testing.T) {
 		}
 	}
 	if base.FastPathReads != 0 {
-		t.Fatalf("fast path fired with WithoutFastRead: %d", base.FastPathReads)
+		t.Fatalf("fast path fired with ReadTwoPhase: %d", base.FastPathReads)
 	}
 	if fast.FastPathReads == 0 {
 		t.Fatal("fast-path pass took no fast reads")

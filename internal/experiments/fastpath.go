@@ -21,7 +21,7 @@ import (
 // reader clients — four pinned to each register — read in a closed loop.
 // Passes:
 //
-//   - two-phase: the paper's read, write-back always (WithoutFastRead);
+//   - two-phase: the paper's read, write-back always (ReadTwoPhase);
 //   - fast-path: the default mode — a read skips the write-back whenever
 //     its query replies prove the newest pair is already at a write quorum:
 //     the repliers holding it contain one, or (a laggard inside the read
@@ -56,7 +56,7 @@ func FPFastPath(o Options) (*Table, error) {
 		name string
 		opts []core.ClientOption
 	}{
-		{"two-phase", []core.ClientOption{core.WithoutFastRead()}},
+		{"two-phase", []core.ClientOption{core.WithReadMode(core.ReadTwoPhase)}},
 		{"fast-path", nil},
 	}
 	for _, p := range passes {

@@ -89,7 +89,7 @@ func T1MessageComplexity(o Options) (*Table, error) {
 		}
 		variants := []variant{
 			{"SWMR write", 2 * n, []core.ClientOption{core.WithSingleWriter()}, write, false},
-			{"read", 4 * n, []core.ClientOption{core.WithoutFastRead()}, read, true},
+			{"read", 4 * n, []core.ClientOption{core.WithReadMode(core.ReadTwoPhase)}, read, true},
 			{"MWMR write", 4 * n, nil, write, false},
 			{"read (fast path)", 2 * n, nil, read, true},
 		}
@@ -140,7 +140,7 @@ func T1MessageComplexity(o Options) (*Table, error) {
 	}
 	tbl.Notes = append(tbl.Notes,
 		"counts include replies/acks; delays are zero so every phase touches all n replicas exactly once",
-		"the plain read disables the fast path (WithoutFastRead) to expose the paper's two-phase cost; FP measures the fast path under contention")
+		"the plain read disables the fast path (ReadTwoPhase) to expose the paper's two-phase cost; FP measures the fast path under contention")
 	return tbl, nil
 }
 
@@ -157,7 +157,7 @@ func T2Rounds(o Options) (*Table, error) {
 		Headers: []string{"operation", "mean", "p99", "RTTs (vs SWMR write)", "expected RTTs"},
 		Notes: []string{
 			fmt.Sprintf("one-way delay fixed at %v; RTTs normalized to the measured SWMR write (1 RT by construction), which also absorbs the simulator's timer overhead", oneWay),
-			"the plain read disables the fast path (WithoutFastRead) to expose the paper's round complexity; FP measures the fast path under contention",
+			"the plain read disables the fast path (ReadTwoPhase) to expose the paper's round complexity; FP measures the fast path under contention",
 		},
 	}
 	ops := o.scale(100, 20)
@@ -171,7 +171,7 @@ func T2Rounds(o Options) (*Table, error) {
 	}
 	variants := []variant{
 		{"SWMR write", 1, []core.ClientOption{core.WithSingleWriter()}, false},
-		{"read", 2, []core.ClientOption{core.WithoutFastRead()}, true},
+		{"read", 2, []core.ClientOption{core.WithReadMode(core.ReadTwoPhase)}, true},
 		{"MWMR write", 2, nil, false},
 		{"read (fast path)", 1, nil, true},
 	}

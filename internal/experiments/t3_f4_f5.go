@@ -36,8 +36,8 @@ func T3Linearizability(o Options) (*Table, error) {
 	}
 	variants := []variant{
 		{"abd (fast-path reads)", nil, true, false},
-		{"abd two-phase (write-back always)", []core.ClientOption{core.WithoutFastRead()}, true, false},
-		{"regular (no write-back)", []core.ClientOption{core.WithUnsafeNoWriteBack()}, false, true},
+		{"abd two-phase (write-back always)", []core.ClientOption{core.WithReadMode(core.ReadTwoPhase)}, true, false},
+		{"regular (no write-back)", []core.ClientOption{core.WithReadMode(core.ReadRegular)}, false, true},
 	}
 	for _, v := range variants {
 		pass, fail := 0, 0

@@ -8,14 +8,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/quorum"
-	"repro/internal/types"
 )
 
 // T6Byzantine evaluates the masking-quorum extension (the Byzantine
 // generalization of the paper's majorities, after Malkhi & Reiter): under a
 // single actively lying replica, plain majority reads get corrupted, while
-// masking quorums with f+1-vouched reads return only genuine values, at the
-// cost of larger quorums (4 of 5 instead of 3 of 5).
+// WithByzantine(1) clients — masking quorums and f+1-vouched reads — return
+// only genuine values, at the cost of larger quorums (4 of 5 instead of 3
+// of 5).
 func T6Byzantine(o Options) (*Table, error) {
 	tbl := &Table{
 		ID:      "T6",
@@ -41,10 +41,7 @@ func T6Byzantine(o Options) (*Table, error) {
 		opts  []core.ClientOption
 	}{
 		{"majority", n/2 + 1, nil},
-		{"masking(f=1)", quorum.NewMasking(n, f).QuorumSize(), []core.ClientOption{
-			core.WithQuorum(quorum.NewMasking(n, f)),
-			core.WithMaskingFaults(f),
-		}},
+		{"masking(f=1)", quorum.NewMasking(n, f).QuorumSize(), []core.ClientOption{core.WithByzantine(f)}},
 	}
 
 	for _, atk := range attacks {
@@ -59,7 +56,8 @@ func T6Byzantine(o Options) (*Table, error) {
 	}
 	tbl.Notes = append(tbl.Notes,
 		"corrupted = reads returning a value no writer ever wrote (or a stale value after a newer completed write)",
-		"masking requires n >= 4f+1; reads retry until a pair has f+1 identical reports, so at most f liars can never forge one")
+		"masking(f=1) = WithByzantine(1): requires n >= 4f+1; reads retry until a pair has f+1 identical reports, so at most f liars can never forge one",
+		"majority rows cut the reader off from two honest replicas, so every read quorum contains the liar (a silent liar is in none, so there the reader keeps its links)")
 	return tbl, nil
 }
 
@@ -68,27 +66,8 @@ func T6Byzantine(o Options) (*Table, error) {
 func runByzantineTrial(o Options, mode core.ByzMode, opts []core.ClientOption, reads int) (int, error) {
 	net := netsim.New(netsim.Config{Seed: o.seed()})
 	defer net.Close()
-	const n = 5
-	var ids []types.NodeID
-	var honest []*core.Replica
-	for i := 0; i < n; i++ {
-		id := types.NodeID(i)
-		ids = append(ids, id)
-		if i == 2 {
-			liar := core.NewByzantineReplica(id, net.Node(id), mode, o.seed())
-			liar.Start()
-			defer liar.Stop()
-			continue
-		}
-		r := core.NewReplica(id, net.Node(id))
-		r.Start()
-		honest = append(honest, r)
-	}
-	defer func() {
-		for _, r := range honest {
-			r.Stop()
-		}
-	}()
+	ids, stop := startByzReplicas(net, 5, mode, o.seed())
+	defer stop()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -103,6 +82,13 @@ func runByzantineTrial(o Options, mode core.ByzMode, opts []core.ClientOption, r
 		return 0, err
 	}
 	defer r.Close()
+	if r.ByzantineF() == 0 && mode != core.ByzSilent {
+		// Plain majorities are 3 of 5: a reader that reaches only the liar
+		// and two honest replicas has the liar in every quorum, so whether
+		// the attack lands does not depend on the liar winning a race.
+		net.BlockLink(r.ID(), 3)
+		net.BlockLink(r.ID(), 4)
+	}
 
 	corrupted := 0
 	for i := 0; i < reads; i++ {

@@ -95,8 +95,9 @@ type Net struct {
 	bytesByKind map[byte]int64
 	delay       *obs.Histogram // per-epoch; swapped out by ResetStats
 
-	closed bool
-	wg     sync.WaitGroup
+	closed   bool
+	inflight int        // scheduled deliveries not yet completed or discarded
+	idle     *sync.Cond // on mu; broadcast when inflight drops to zero
 }
 
 type link struct{ from, to types.NodeID }
@@ -110,7 +111,7 @@ func New(cfg Config) *Net {
 	if cfg.MaxDelay < cfg.MinDelay {
 		cfg.MaxDelay = cfg.MinDelay
 	}
-	return &Net{
+	n := &Net{
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(seed)),
 		nodes:       make(map[types.NodeID]*endpoint),
@@ -122,6 +123,8 @@ func New(cfg Config) *Net {
 		bytesByKind: make(map[byte]int64),
 		delay:       new(obs.Histogram),
 	}
+	n.idle = sync.NewCond(&n.mu)
+	return n
 }
 
 // Node attaches (or returns the existing) endpoint for id.
@@ -271,7 +274,21 @@ func (n *Net) ResetStats() {
 // delivery timer fires. Teardown paths call it between stopping the senders
 // and closing the receivers, so no delayed delivery races an endpoint's
 // close (the "send on closed endpoint" noise under -race).
-func (n *Net) Drain() { n.wg.Wait() }
+func (n *Net) Drain() {
+	n.mu.Lock()
+	n.waitIdleLocked()
+	n.mu.Unlock()
+}
+
+// waitIdleLocked blocks until no delivery is in flight; caller holds n.mu.
+// A count under the mutex rather than a WaitGroup, because replicas still
+// running keep scheduling deliveries (WaitGroup forbids an Add from zero
+// concurrent with Wait).
+func (n *Net) waitIdleLocked() {
+	for n.inflight > 0 {
+		n.idle.Wait()
+	}
+}
 
 // Close shuts down the network and all endpoints, waiting for in-flight
 // deliveries to finish or be discarded.
@@ -286,9 +303,9 @@ func (n *Net) Close() {
 	for _, ep := range n.nodes {
 		eps = append(eps, ep)
 	}
+	n.waitIdleLocked()
 	n.mu.Unlock()
 
-	n.wg.Wait()
 	for _, ep := range eps {
 		ep.Close()
 	}
@@ -374,7 +391,7 @@ func (n *Net) send(from, to types.NodeID, payload []byte) error {
 	// ResetStats record into this (old) histogram and are not counted in
 	// the new epoch's counters.
 	epoch, delayHist := n.epoch, n.delay
-	n.wg.Add(copies * len(members))
+	n.inflight += copies * len(members)
 	n.mu.Unlock()
 
 	sentAt := time.Now()
@@ -411,7 +428,13 @@ func (n *Net) send(from, to types.NodeID, payload []byte) error {
 }
 
 func (n *Net) deliver(dst *endpoint, to types.NodeID, msg transport.Message, epoch uint64, delayHist *obs.Histogram, sentAt time.Time, emit func(string)) {
-	defer n.wg.Done()
+	defer func() {
+		n.mu.Lock()
+		if n.inflight--; n.inflight == 0 {
+			n.idle.Broadcast()
+		}
+		n.mu.Unlock()
+	}()
 	n.mu.Lock()
 	if n.closed || n.crashed[to] {
 		if epoch == n.epoch {

@@ -256,9 +256,19 @@ func TestStoreRejectsBadConfig(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Fatal("New(nil) succeeded")
 	}
-	st, _ := newTestStore(t, 2, 1)
+	st, net := newTestStore(t, 2, 1)
 	if _, err := New(st.Clients(), WithShards(3)); err == nil {
 		t.Fatal("WithShards mismatch not rejected")
+	}
+	// One store, one read rule: a group client in another read mode is
+	// rejected.
+	two, err := core.NewClient(20000, net.Node(20000), []types.NodeID{1}, core.WithReadMode(core.ReadTwoPhase))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer two.Close()
+	if _, err := New([]*core.Client{st.Group(0), two}); err == nil {
+		t.Fatal("mixed read modes not rejected")
 	}
 }
 

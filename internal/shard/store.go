@@ -99,12 +99,11 @@ func New(groups []*core.Client, opts ...Option) (*Store, error) {
 	}
 	// One store, one read contract: a register's consistency behavior must
 	// not depend on which group the ring hashes it to, so every group client
-	// must run the same effective read mode (fast path, unanimous skip,
-	// coalescing, write-back).
+	// must run the same read mode.
 	mode := groups[0].ReadMode()
 	for i, cli := range groups[1:] {
 		if m := cli.ReadMode(); m != mode {
-			return nil, fmt.Errorf("shard: group %d read mode %+v differs from group 0's %+v", i+1, m, mode)
+			return nil, fmt.Errorf("shard: group %d read mode %d differs from group 0's %d", i+1, m, mode)
 		}
 	}
 	ring, err := NewRing(len(groups), o.VirtualNodes, o.Hash)
@@ -117,7 +116,7 @@ func New(groups []*core.Client, opts ...Option) (*Store, error) {
 // Shards returns the number of replica groups behind the store.
 func (s *Store) Shards() int { return len(s.groups) }
 
-// ReadMode returns the effective read mode shared by every group client
+// ReadMode returns the read mode shared by every group client
 // (New rejects mixed-mode group sets, so one answer covers the store).
 func (s *Store) ReadMode() core.ReadMode { return s.groups[0].ReadMode() }
 

@@ -41,7 +41,7 @@ func TestClusterWithDropsAndRetransmit(t *testing.T) {
 func TestClusterClientOptionsOverrideDefaults(t *testing.T) {
 	cluster, err := NewCluster(3,
 		WithSeed(101),
-		WithClientDefaults(core.WithoutFastRead()),
+		WithClientDefaults(WithReadMode(ReadTwoPhase)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestClusterClientOptionsOverrideDefaults(t *testing.T) {
 	}
 	// A per-client option overrides the cluster default: quiescent reads are
 	// one round again.
-	if m := read5(cluster.Client(core.WithFastRead())); m.FastPathReads != 5 || m.WriteBacks != 0 {
+	if m := read5(cluster.Client(WithReadMode(ReadAtomic))); m.FastPathReads != 5 || m.WriteBacks != 0 {
 		t.Fatalf("client option did not override the cluster default: %+v", m)
 	}
 }
