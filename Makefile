@@ -5,7 +5,7 @@ GO ?= go
 # Every command binary `make bin` produces under ./bin.
 CMDS = abd-sim abd-node abd-cli abd-check abd-bench abd-trace abd-top abd-prof
 
-.PHONY: all build bin test race vet fmt check smoke e2e-smoke bench throughput shards byz alloc fastpath eval clean
+.PHONY: all build bin test race vet fmt check smoke e2e-smoke bench eval clean
 
 all: check
 
@@ -60,34 +60,6 @@ e2e-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Regenerate BENCH_throughput.json: the batching-pipeline on/off comparison
-# (cmd/abd-bench -exp throughput) at full duration on the canonical seed.
-throughput:
-	$(GO) run ./cmd/abd-bench -exp throughput -seed 1 -json BENCH_throughput.json
-
-# Regenerate BENCH_shards.json: aggregate throughput at 1/2/3 replica groups
-# behind one sharded store (cmd/abd-bench -exp shards) at full duration.
-shards:
-	$(GO) run ./cmd/abd-bench -exp shards -seed 1 -json BENCH_shards.json
-
-# Regenerate BENCH_byz.json: the Byzantine validation cost sheet and
-# verdicts (cmd/abd-bench -exp byz: f=0 vs f=1, honest and under attack).
-byz:
-	$(GO) run ./cmd/abd-bench -exp byz -seed 1 -json BENCH_byz.json
-
-# Regenerate BENCH_alloc.json: per-phase allocation attribution plus the
-# TP-workload GC picture (cmd/abd-bench -exp alloc). The phase rows use
-# fixed op counts, so a -quick CI run is comparable to this full baseline
-# via `abd-prof bench-diff`.
-alloc:
-	$(GO) run ./cmd/abd-bench -exp alloc -seed 1 -json BENCH_alloc.json
-
-# Regenerate BENCH_fastpath.json: the one-round fast-path read comparison
-# (cmd/abd-bench -exp fastpath: two-phase vs fast-path under a paced
-# writer) at full duration on the canonical seed.
-fastpath:
-	$(GO) run ./cmd/abd-bench -exp fastpath -seed 1 -json BENCH_fastpath.json
 
 # Regenerate every evaluation table (EXPERIMENTS.md appendix).
 eval:

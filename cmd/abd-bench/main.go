@@ -1,23 +1,14 @@
 // Command abd-bench regenerates the evaluation's tables and figures
 // (DESIGN.md §3) and prints them as aligned text, suitable for pasting into
-// EXPERIMENTS.md. The L1 experiment prints p50/p95/p99/max latency per
-// operation kind from the internal/obs histograms; -trace-out additionally
-// dumps its operation and phase spans as JSONL for offline analysis.
+// EXPERIMENTS.md.
 //
 // Usage:
 //
-//	abd-bench [-exp all|<id>[,<id>...]] [-quick] [-seed N] [-trace-out spans.jsonl]
+//	abd-bench [-exp all|<id>[,<id>...]] [-quick] [-seed N]
 //
-// The experiment menu (ids and aliases accepted by -exp, shown by -help) is
-// generated from the experiments registry, so a newly registered experiment
-// appears here without touching this command.
-//
-// TP (alias "throughput"), SH (alias "shards"), BY (alias "byz"), and AL
-// (alias "alloc") also write a machine-readable report with -json; run
-// those one at a time when -json is set, since each overwrites the file
-// (see `make throughput`, `make shards`, `make byz`, `make alloc`). Every
-// such report carries a shared envelope (schema id, Go toolchain, seed)
-// that `abd-prof bench-diff` keys its regression gate on.
+// The experiment menu (ids accepted by -exp, shown by -help) is generated
+// from the experiments registry, so a newly registered experiment appears
+// here without touching this command.
 package main
 
 import (
@@ -36,24 +27,13 @@ func main() {
 
 func run() int {
 	var (
-		exp      = flag.String("exp", "all", "experiment id ("+experiments.Menu()+") or 'all'")
-		quick    = flag.Bool("quick", false, "smaller sweeps and op counts")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		traceOut = flag.String("trace-out", "", "write the traced experiments' spans as JSONL to this file")
-		jsonOut  = flag.String("json", "", "write the machine-readable report (TP, SH, BY, AL experiments) to this file")
+		exp   = flag.String("exp", "all", "experiment id ("+experiments.Menu()+") or 'all'")
+		quick = flag.Bool("quick", false, "smaller sweeps and op counts")
+		seed  = flag.Int64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
 
-	opts := experiments.Options{Quick: *quick, Seed: *seed, JSONOut: *jsonOut}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "abd-bench: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		opts.TraceWriter = f
-	}
+	opts := experiments.Options{Quick: *quick, Seed: *seed}
 
 	var runners []experiments.Runner
 	if strings.EqualFold(*exp, "all") {

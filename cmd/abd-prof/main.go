@@ -1,4 +1,4 @@
-// Command abd-prof is the performance-observability analyzer. Four
+// Command abd-prof is the performance-observability analyzer. Three
 // subcommands:
 //
 //	abd-prof capture -addrs host:port[,host:port...] [-out dir] \
@@ -17,15 +17,7 @@
 //	  rate, GC pauses, scheduling latency, flight-recorder counters) as a
 //	  table, scraped from /metrics.
 //
-//	abd-prof bench-diff [-tolerance 0.1] old.json new.json
-//	  Compare two BENCH JSON reports benchstat-style and exit 1 if a gated
-//	  metric regressed beyond the tolerance. Per-op allocation metrics gate
-//	  whenever both reports come from the same Go toolchain; throughput and
-//	  latency metrics additionally require an identical workload
-//	  configuration (a -quick run vs a full baseline only gates per-op
-//	  allocations). This is the CI perf-regression gate.
-//
-// Exit codes: 0 success, 1 failure or regression, 2 usage error.
+// Exit codes: 0 success, 1 failure, 2 usage error.
 package main
 
 import (
@@ -58,8 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runDiff(args[1:], stdout, stderr)
 	case "attr":
 		return runAttr(args[1:], stdout, stderr)
-	case "bench-diff":
-		return runBenchDiffCmd(args[1:], stdout, stderr)
 	case "-h", "-help", "--help", "help":
 		usage(stdout)
 		return 0
@@ -75,7 +65,6 @@ func usage(w io.Writer) {
   abd-prof capture -addrs host:port[,...] [-out dir] [-profiles heap,goroutine,allocs] [-seconds 5]
   abd-prof diff [-type inuse_space] [-top 15] old.pprof new.pprof
   abd-prof attr -addr host:port
-  abd-prof bench-diff [-tolerance 0.1] old.json new.json
 `)
 }
 
@@ -246,53 +235,4 @@ func attrRows(metrics string) [][2]string {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
 	return rows
-}
-
-// ---- bench-diff ----
-
-func runBenchDiffCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("bench-diff", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	tolerance := fs.Float64("tolerance", 0.1, "relative worsening allowed on gated metrics before failing")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "abd-prof bench-diff: want exactly two JSON files")
-		return 2
-	}
-	d, err := runBenchDiff(fs.Arg(0), fs.Arg(1), *tolerance)
-	if err != nil {
-		fmt.Fprintf(stderr, "abd-prof bench-diff: %v\n", err)
-		return 1
-	}
-
-	if len(d.crossConfig) > 0 {
-		fmt.Fprintf(stdout, "config mismatch on %s: throughput/latency metrics informational, per-op allocation metrics still gated\n",
-			strings.Join(d.crossConfig, ", "))
-	}
-	if d.goSkew {
-		fmt.Fprintln(stdout, "go toolchain mismatch: per-op allocation metrics demoted to informational (compiler-dependent)")
-	}
-	fmt.Fprintf(stdout, "%-48s %14s %14s %9s  %s\n", "metric", "old", "new", "delta", "gate")
-	for _, r := range d.rows {
-		verdict := ""
-		if r.Gated {
-			verdict = "ok"
-		}
-		if r.Regress {
-			verdict = "REGRESSION"
-		}
-		fmt.Fprintf(stdout, "%-48s %14.4g %14.4g %+8.1f%%  %s\n",
-			r.Path, r.Old, r.New, r.deltaPct(), verdict)
-	}
-	if regs := d.regressions(); len(regs) > 0 {
-		fmt.Fprintf(stderr, "abd-prof bench-diff: %d metric(s) regressed beyond %.0f%%:\n", len(regs), *tolerance*100)
-		for _, r := range regs {
-			fmt.Fprintf(stderr, "  %s: %.4g -> %.4g (%+.1f%%)\n", r.Path, r.Old, r.New, r.deltaPct())
-		}
-		return 1
-	}
-	fmt.Fprintf(stdout, "no gated regressions (tolerance %.0f%%)\n", *tolerance*100)
-	return 0
 }

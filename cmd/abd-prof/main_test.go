@@ -161,122 +161,6 @@ func TestAttrCommand(t *testing.T) {
 	}
 }
 
-// benchReport is a miniature throughput-shaped report for gate tests.
-func benchReport(opsPerSec, speedup, allocsPerOp float64, durationMS int, goVersion string) string {
-	return fmt.Sprintf(`{
-  "schema": "abd-bench/throughput/v1",
-  "go": %q,
-  "seed": 1,
-  "nodes": 5,
-  "duration_ms": %d,
-  "passes": [
-    {"name": "off", "ops_per_sec": 1000, "p50_us": 100, "allocs_per_op": 50},
-    {"name": "on", "ops_per_sec": %g, "p50_us": 80, "allocs_per_op": %g}
-  ],
-  "speedup": %g
-}`, goVersion, durationMS, opsPerSec, allocsPerOp, speedup)
-}
-
-func writeReport(t *testing.T, name, content string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestBenchDiffSelfIsClean(t *testing.T) {
-	base := writeReport(t, "base.json", benchReport(2000, 2.0, 100, 2000, "go1.24.0"))
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"bench-diff", base, base}, &stdout, &stderr); code != 0 {
-		t.Fatalf("self-diff exit %d: %s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "no gated regressions") {
-		t.Fatalf("self-diff output: %s", stdout.String())
-	}
-}
-
-// TestBenchDiffCatchesRegression is the acceptance case: a synthetic 20%
-// ops/sec drop (with matching speedup drop) must fail the default 10% gate.
-func TestBenchDiffCatchesRegression(t *testing.T) {
-	base := writeReport(t, "base.json", benchReport(2000, 2.0, 100, 2000, "go1.24.0"))
-	bad := writeReport(t, "bad.json", benchReport(1600, 1.6, 100, 2000, "go1.24.0"))
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"bench-diff", base, bad}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("20%% regression exit %d, want 1; stdout: %s", code, stdout.String())
-	}
-	for _, metric := range []string{"ops_per_sec", "speedup"} {
-		if !strings.Contains(stderr.String(), metric) {
-			t.Errorf("regression summary missing %s: %s", metric, stderr.String())
-		}
-	}
-
-	// The same drop within a generous tolerance passes.
-	code = run([]string{"bench-diff", "-tolerance", "0.25", base, bad}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("20%% drop under 25%% tolerance exit %d", code)
-	}
-
-	// An improvement never fails, at any tolerance.
-	good := writeReport(t, "good.json", benchReport(3000, 3.0, 80, 2000, "go1.24.0"))
-	code = run([]string{"bench-diff", "-tolerance", "0.01", base, good}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("improvement exit %d, want 0", code)
-	}
-}
-
-// TestBenchDiffCrossConfig: a -quick run (different duration_ms) demotes
-// throughput metrics to informational, but per-op allocation metrics still
-// gate — that is the CI quick-vs-baseline contract.
-func TestBenchDiffCrossConfig(t *testing.T) {
-	base := writeReport(t, "base.json", benchReport(2000, 2.0, 100, 2000, "go1.24.0"))
-
-	// Throughput collapsed but it is a shorter run: informational only.
-	quick := writeReport(t, "quick.json", benchReport(500, 1.2, 100, 400, "go1.24.0"))
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"bench-diff", base, quick}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("cross-config throughput drop exit %d, want 0; stderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "config mismatch") {
-		t.Fatalf("no config-mismatch note: %s", stdout.String())
-	}
-
-	// But an allocation regression fails even cross-config.
-	leaky := writeReport(t, "leaky.json", benchReport(500, 1.2, 150, 400, "go1.24.0"))
-	code = run([]string{"bench-diff", base, leaky}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("cross-config allocs/op regression exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "allocs_per_op") {
-		t.Fatalf("regression summary missing allocs_per_op: %s", stderr.String())
-	}
-
-	// A Go toolchain skew demotes even the allocation gate.
-	otherGo := writeReport(t, "othergo.json", benchReport(500, 1.2, 150, 400, "go1.23.0"))
-	code = run([]string{"bench-diff", base, otherGo}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("cross-toolchain diff exit %d, want 0; stderr: %s", code, stderr.String())
-	}
-}
-
-// TestBenchDiffCommittedBaselines: every committed BENCH file self-diffs
-// clean — the gate never cries wolf on an unchanged tree.
-func TestBenchDiffCommittedBaselines(t *testing.T) {
-	matches, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
-	if err != nil || len(matches) == 0 {
-		t.Skipf("no committed BENCH files: %v", err)
-	}
-	for _, path := range matches {
-		var stdout, stderr bytes.Buffer
-		if code := run([]string{"bench-diff", path, path}, &stdout, &stderr); code != 0 {
-			t.Errorf("%s self-diff exit %d: %s", path, code, stderr.String())
-		}
-	}
-}
-
 func TestUsageErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(nil, &stdout, &stderr); code != 2 {
@@ -285,8 +169,8 @@ func TestUsageErrors(t *testing.T) {
 	if code := run([]string{"bogus"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("unknown subcommand exit %d, want 2", code)
 	}
-	if code := run([]string{"bench-diff", "only-one.json"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("bench-diff one arg exit %d, want 2", code)
+	if code := run([]string{"diff", "only-one.pprof"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("diff one arg exit %d, want 2", code)
 	}
 	if code := run([]string{"capture"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("capture without -addrs exit %d, want 2", code)

@@ -137,7 +137,7 @@ func TestStalledDiskDoesNotBlockOtherConnections(t *testing.T) {
 	// One batch sits in the stalled commit, the channel fills behind it, and
 	// the next update blocks the writer connection's reader.
 	writer := tcpClientEndpoint(t, 101, ep.Addr())
-	flood := cap(r.writeCh) + r.batchMax + 8
+	flood := cap(r.writeCh) + batchMax + 8
 	for i := 1; i <= flood; i++ {
 		m := message{Kind: KindWrite, Op: uint64(i), Reg: "w", Val: []byte("flood"),
 			Tag: Tag{Valid: true, TS: timestamp.TS{Seq: int64(i), Writer: 101}}}

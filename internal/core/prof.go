@@ -5,10 +5,10 @@ import (
 	"repro/internal/types"
 )
 
-// Measurement hooks for the allocation-attribution experiment
-// (internal/experiments AL, BENCH_alloc.json). The wire codec lives on the
-// unexported message type; these helpers expose exactly the two codec paths
-// the experiment attributes — sealing a request and opening a payload —
+// Measurement hooks for the repository benchmark's layer probes
+// (bench/probes.go: wire.seal_* and wire.open_*). The wire codec lives on
+// the unexported message type; these helpers expose exactly the two codec
+// paths the probes time — sealing a request and opening a payload —
 // without widening the protocol API.
 
 // EncodeWriteRequest builds the on-wire payload of one KindWrite request
@@ -24,12 +24,6 @@ func EncodeWriteRequest(op uint64, reg string, seq int64, writer types.NodeID, v
 		Val:  val,
 	}
 	return m.encode()
-}
-
-// EncodeReadQuery builds the on-wire payload of one KindReadQuery request,
-// byte-identical to what a read's query phase sends.
-func EncodeReadQuery(op uint64, reg string) []byte {
-	return message{Kind: KindReadQuery, Op: op, Reg: reg}.encode()
 }
 
 // DecodeKind runs the full receive-side codec path — CRC envelope open plus

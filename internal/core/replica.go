@@ -40,8 +40,7 @@ type regEntry struct {
 // loop that drains up to batchMax pending writes, appends all their WAL
 // records, fsyncs once, installs the adopted state, and acks the whole
 // batch. A slow fsync therefore stalls writers, never readers, and under
-// write load the fsync cost amortizes across the batch. With batchMax == 1
-// the pipeline degenerates to the classic one-fsync-per-write behaviour.
+// write load the fsync cost amortizes across the batch.
 type Replica struct {
 	id  types.NodeID
 	ep  transport.Endpoint
@@ -60,7 +59,6 @@ type Replica struct {
 	// (crash-recovery extension; see NewPersistentReplica).
 	persist *persister
 
-	batchMax   int
 	fsyncDelay time.Duration // extra wall-clock cost per WAL fsync (WithFsyncDelay)
 	writeCh    chan inboundWrite
 
@@ -88,9 +86,9 @@ type inboundWrite struct {
 	m    message
 }
 
-// defaultReplicaBatch is the group-commit drain limit: how many pending
-// writes one WAL append + fsync may cover.
-const defaultReplicaBatch = 64
+// batchMax is the group-commit drain limit: how many pending writes one
+// WAL append + fsync may cover.
+const batchMax = 64
 
 // ReplicaOption configures a replica.
 type ReplicaOption func(*Replica)
@@ -117,19 +115,6 @@ func WithReplicaTracer(t obs.Tracer) ReplicaOption {
 	return func(r *Replica) { r.tracer = t }
 }
 
-// WithReplicaBatch sets the group-commit limit: up to k pending writes
-// share one WAL append + fsync and are acked together. k == 1 restores the
-// classic one-fsync-per-write path (useful as a baseline); k < 1 is
-// ignored. The limit also sizes the bounded batch channel between dispatch
-// and the commit loop.
-func WithReplicaBatch(k int) ReplicaOption {
-	return func(r *Replica) {
-		if k >= 1 {
-			r.batchMax = k
-		}
-	}
-}
-
 // WithFsyncDelay makes every WAL fsync additionally cost d of wall-clock
 // time, stalling the commit loop exactly as a real device sync would.
 // Benchmarks run their WALs on tmpfs, where fsync is nearly free and the
@@ -149,13 +134,12 @@ func WithFsyncDelay(d time.Duration) ReplicaOption {
 // of the endpoint: Stop closes it.
 func NewReplica(id types.NodeID, ep transport.Endpoint, opts ...ReplicaOption) *Replica {
 	r := &Replica{
-		id:       id,
-		ep:       ep,
-		ord:      unboundedOrder{},
-		regs:     make(map[string]regEntry),
-		done:     make(chan struct{}),
-		batchMax: defaultReplicaBatch,
-		hot:      health.NewTopK(0),
+		id:   id,
+		ep:   ep,
+		ord:  unboundedOrder{},
+		regs: make(map[string]regEntry),
+		done: make(chan struct{}),
+		hot:  health.NewTopK(0),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -163,11 +147,7 @@ func NewReplica(id types.NodeID, ep transport.Endpoint, opts ...ReplicaOption) *
 	// The channel holds a few batches' worth of writes: deep enough that an
 	// in-progress fsync rarely blocks dispatch, bounded so a stalled disk
 	// backpressures writers instead of buffering without limit.
-	depth := 4 * r.batchMax
-	if depth < 256 {
-		depth = 256
-	}
-	r.writeCh = make(chan inboundWrite, depth)
+	r.writeCh = make(chan inboundWrite, 4*batchMax)
 	return r
 }
 
@@ -291,11 +271,11 @@ func (r *Replica) dispatch(raw transport.Message) {
 // never strands an accepted update.
 func (r *Replica) commitLoop() {
 	defer close(r.done)
-	batch := make([]inboundWrite, 0, r.batchMax)
+	batch := make([]inboundWrite, 0, batchMax)
 	for w := range r.writeCh {
 		batch = append(batch[:0], w)
 	drain:
-		for len(batch) < r.batchMax {
+		for len(batch) < batchMax {
 			select {
 			case w2, ok := <-r.writeCh:
 				if !ok {

@@ -97,14 +97,6 @@ func TestEncodeDecodeProfHelpers(t *testing.T) {
 	if kind != KindWrite {
 		t.Fatalf("kind = %v, want KindWrite", kind)
 	}
-	q := EncodeReadQuery(8, "reg")
-	kind, err = DecodeKind(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != KindReadQuery {
-		t.Fatalf("kind = %v, want KindReadQuery", kind)
-	}
 	// A flipped byte must fail the CRC open.
 	payload[len(payload)-5] ^= 0xff
 	if _, err := DecodeKind(payload); err == nil {

@@ -24,14 +24,6 @@ type Options struct {
 	Quick bool
 	// Seed feeds every simulation in the run.
 	Seed int64
-	// TraceWriter, when non-nil, receives the JSONL span stream from the
-	// experiments that trace their workload (L1). The caller owns the
-	// writer; experiments only flush.
-	TraceWriter io.Writer
-	// JSONOut, when non-empty, is where experiments that produce a
-	// machine-readable report (TP, SH) write it. Run such experiments one
-	// at a time with JSONOut set: each overwrites the file.
-	JSONOut string
 }
 
 func (o Options) seed() int64 {
@@ -117,42 +109,34 @@ func pad(s string, w int) string {
 
 // Runner is one experiment entry point.
 type Runner struct {
-	ID    string
-	Name  string
-	Alias string // optional long id accepted by Find (e.g. "throughput")
-	Run   func(Options) (*Table, error)
+	ID   string
+	Name string
+	Run  func(Options) (*Table, error)
 }
 
 // All lists every experiment in DESIGN.md order.
 func All() []Runner {
 	return []Runner{
-		{"T1", "message complexity per operation", "", T1MessageComplexity},
-		{"T2", "round (latency) complexity", "", T2Rounds},
-		{"F1", "latency vs cluster size", "", F1LatencyVsN},
-		{"F2", "crash tolerance vs baselines", "", F2CrashTolerance},
-		{"F3", "throughput vs read fraction", "", F3Throughput},
-		{"T3", "linearizability of recorded histories", "", T3Linearizability},
-		{"F4", "liveness boundary at lost majority", "", F4PartitionBoundary},
-		{"F5", "quorum system availability and load", "", F5QuorumAvailability},
-		{"T4", "bounded vs unbounded timestamps", "", T4BoundedLabels},
-		{"T5", "multi-writer extension", "", T5MultiWriter},
-		{"F6", "shared-memory algorithms over the emulation", "", F6Applications},
-		{"T6", "Byzantine replicas vs masking quorums (extension)", "", T6Byzantine},
-		{"F7", "ablations: phase fanout and retransmission", "", F7Ablations},
-		{"L1", "latency profile per operation kind (obs histograms)", "", L1LatencyProfile},
-		{"TP", "write-path throughput: batching pipeline on vs off", "throughput", TPThroughput},
-		{"SH", "aggregate throughput vs shard (replica group) count", "shards", SHShards},
-		{"HK", "hot-key top-k sketch vs exact counts under zipfian load", "hotkeys", HKHotKeys},
-		{"BY", "Byzantine validation cost: f=0 vs f=1, honest and under attack", "byz", BYByzantineCost},
-		{"AL", "allocation attribution per protocol phase", "alloc", ALAlloc},
-		{"FP", "one-round fast-path reads: confirmed watermark on vs off", "fastpath", FPFastPath},
+		{"T1", "message complexity per operation", T1MessageComplexity},
+		{"T2", "round (latency) complexity", T2Rounds},
+		{"F1", "latency vs cluster size", F1LatencyVsN},
+		{"F2", "crash tolerance vs baselines", F2CrashTolerance},
+		{"F3", "throughput vs read fraction", F3Throughput},
+		{"T3", "linearizability of recorded histories", T3Linearizability},
+		{"F4", "liveness boundary at lost majority", F4PartitionBoundary},
+		{"F5", "quorum system availability and load", F5QuorumAvailability},
+		{"T4", "bounded vs unbounded timestamps", T4BoundedLabels},
+		{"T5", "multi-writer extension", T5MultiWriter},
+		{"F6", "shared-memory algorithms over the emulation", F6Applications},
+		{"T6", "Byzantine replicas vs masking quorums (extension)", T6Byzantine},
+		{"F7", "ablations: phase fanout and retransmission", F7Ablations},
 	}
 }
 
-// Find returns the runner with the given ID or alias (case-insensitive).
+// Find returns the runner with the given ID (case-insensitive).
 func Find(id string) (Runner, bool) {
 	for _, r := range All() {
-		if strings.EqualFold(r.ID, id) || (r.Alias != "" && strings.EqualFold(r.Alias, id)) {
+		if strings.EqualFold(r.ID, id) {
 			return r, true
 		}
 	}
@@ -161,16 +145,11 @@ func Find(id string) (Runner, bool) {
 
 // Menu returns the id menu for command-line help, generated from the
 // registry so a new experiment shows up in abd-bench's usage and -exp
-// validation the moment it is registered: each entry is the ID, joined
-// with its alias when one exists ("TP/throughput").
+// validation the moment it is registered.
 func Menu() string {
 	parts := make([]string, 0, len(All()))
 	for _, r := range All() {
-		if r.Alias != "" {
-			parts = append(parts, r.ID+"/"+r.Alias)
-		} else {
-			parts = append(parts, r.ID)
-		}
+		parts = append(parts, r.ID)
 	}
 	return strings.Join(parts, ", ")
 }

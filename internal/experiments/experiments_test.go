@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,13 +29,82 @@ func runExp(t *testing.T, fn func(Options) (*Table, error)) *Table {
 	return tbl
 }
 
-func TestT1ExactMessageCounts(t *testing.T) {
-	tbl := runExp(t, T1MessageComplexity)
-	for _, row := range tbl.Rows {
-		if row[4] != "yes" {
-			t.Errorf("T1 row %v: measured %s, expected %s", row[:2], row[2], row[3])
+// TestPinnedPaperCells pins the EXPERIMENTS.md cells that are exact by
+// construction at quick scale, so the recorded tables are checked rather
+// than transcribed: T1's message counts per n (2n/4n/4n/2n), F4's ok/blocked
+// boundary per (n, side), F5's minimum quorum sizes, T5's two phases per
+// multi-writer write, and T6's corrupted-read counts (a fabricating or
+// equivocating liar corrupts every plain-majority read; WithByzantine(1)
+// lets none through under any mode). Timing columns are not pinned.
+func TestPinnedPaperCells(t *testing.T) {
+	t1 := map[string]string{}
+	for _, n := range []int{3, 5, 7, 9} {
+		for op, k := range map[string]int{"SWMR write": 2, "read": 4, "MWMR write": 4, "read (fast path)": 2} {
+			t1[fmt.Sprintf("%d/%s", n, op)] = fmt.Sprintf("%d.0", k*n)
 		}
 	}
+	f4 := map[string]string{}
+	for _, n := range []int{4, 5} {
+		for side := 0; side <= n; side++ {
+			verdict := "blocked blocked"
+			if side > n/2 {
+				verdict = "ok ok"
+			}
+			f4[fmt.Sprintf("%d/%d", n, side)] = verdict
+		}
+	}
+	reads := strconv.Itoa(quick().scale(60, 15))
+	t6 := map[string]string{
+		"fabricate-high-ts/majority": reads,
+		"equivocate/majority":        reads,
+	}
+	for _, atk := range []string{"fabricate-high-ts", "report-stale", "equivocate", "silent"} {
+		t6[atk+"/masking(f=1)"] = "0"
+	}
+
+	cases := []struct {
+		id   string
+		run  func(Options) (*Table, error)
+		key  []int // columns naming a row, joined by "/"
+		cols []int // pinned columns, joined by " "
+		want map[string]string
+	}{
+		{"T1", T1MessageComplexity, []int{0, 1}, []int{2}, t1},
+		{"F4", F4PartitionBoundary, []int{0, 1}, []int{3, 4}, f4},
+		{"F5", F5QuorumAvailability, []int{0}, []int{6}, map[string]string{
+			"majority(n=9)": "5/5", "grid(3x3)": "3/5",
+			"majority(n=16)": "9/9", "grid(4x4)": "4/7",
+			"majority(n=25)": "13/13", "grid(5x5)": "5/9",
+			"rowa(n=9)": "1/9",
+		}},
+		{"T5", T5MultiWriter, []int{0}, []int{2}, map[string]string{
+			"1": "2.0", "2": "2.0", "4": "2.0", "8": "2.0",
+		}},
+		{"T6", T6Byzantine, []int{0, 1}, []int{3}, t6},
+	}
+	for _, tc := range cases {
+		t.Run(tc.id, func(t *testing.T) {
+			tbl := runExp(t, tc.run)
+			got := map[string]string{}
+			for _, row := range tbl.Rows {
+				got[pick(row, tc.key, "/")] = pick(row, tc.cols, " ")
+			}
+			for key, want := range tc.want {
+				if got[key] != want {
+					t.Errorf("%s %s: got %q, want %q", tc.id, key, got[key], want)
+				}
+			}
+		})
+	}
+}
+
+// pick joins the given columns of row with sep.
+func pick(row []string, cols []int, sep string) string {
+	cells := make([]string, len(cols))
+	for i, c := range cols {
+		cells[i] = row[c]
+	}
+	return strings.Join(cells, sep)
 }
 
 func TestT2RoundShapes(t *testing.T) {
@@ -129,42 +196,18 @@ func TestT3Verdicts(t *testing.T) {
 	}
 }
 
-func TestF4MajorityBoundaryIsTight(t *testing.T) {
-	tbl := runExp(t, F4PartitionBoundary)
-	for _, row := range tbl.Rows {
-		n, _ := strconv.Atoi(row[0])
-		side, _ := strconv.Atoi(row[1])
-		writes := row[3]
-		if side > n/2 && writes != "ok" {
-			t.Errorf("n=%d side=%d: majority side should be live, writes=%s", n, side, writes)
-		}
-		if side <= n/2 && writes != "blocked" {
-			t.Errorf("n=%d side=%d: minority side should block, writes=%s", n, side, writes)
-		}
-	}
-}
-
 func TestF5GridTradeoff(t *testing.T) {
 	tbl := runExp(t, F5QuorumAvailability)
-	// Find majority(9) and grid(3x3): the grid must have smaller write
-	// quorums but lower availability at p=0.3.
+	// The grid's smaller quorums (pinned in TestPinnedPaperCells) cost it
+	// availability: at p=0.3 grid(3x3) must trail majority(9).
 	var majAvail, gridAvail float64
-	var majQ, gridQ string
 	for _, row := range tbl.Rows {
 		switch row[0] {
 		case "majority(n=9)":
 			majAvail, _ = strconv.ParseFloat(row[4], 64)
-			majQ = row[6]
 		case "grid(3x3)":
 			gridAvail, _ = strconv.ParseFloat(row[4], 64)
-			gridQ = row[6]
 		}
-	}
-	if majQ != "5/5" {
-		t.Errorf("majority(9) min quorums %s", majQ)
-	}
-	if gridQ != "3/5" {
-		t.Errorf("grid(3x3) min quorums %s", gridQ)
 	}
 	if gridAvail >= majAvail {
 		t.Errorf("grid availability %.3f should trail majority %.3f at p=0.3", gridAvail, majAvail)
@@ -196,10 +239,6 @@ func TestT5AllLinearizable(t *testing.T) {
 		if row[4] != "linearizable" {
 			t.Errorf("k=%s writers: history %s", row[0], row[4])
 		}
-		phases, _ := strconv.ParseFloat(row[2], 64)
-		if phases < 1.9 || phases > 2.1 {
-			t.Errorf("k=%s writers: %.1f phases/write, want 2", row[0], phases)
-		}
 	}
 }
 
@@ -225,19 +264,6 @@ func TestF3Runs(t *testing.T) {
 		ops, err := strconv.ParseFloat(row[2], 64)
 		if err != nil || ops <= 0 {
 			t.Errorf("row %v: bad ops/s", row)
-		}
-	}
-}
-
-func TestT6MaskingBlocksCorruption(t *testing.T) {
-	tbl := runExp(t, T6Byzantine)
-	for _, row := range tbl.Rows {
-		attack, proto, corrupted := row[0], row[1], row[3]
-		if strings.HasPrefix(proto, "masking") && corrupted != "0" {
-			t.Errorf("%s under masking: %s corrupted reads", attack, corrupted)
-		}
-		if (attack == "fabricate-high-ts" || attack == "equivocate") && proto == "majority" && corrupted == "0" {
-			t.Errorf("%s against plain majority corrupted nothing; attack broken", attack)
 		}
 	}
 }
@@ -276,321 +302,15 @@ func TestF7AblationShapes(t *testing.T) {
 	}
 }
 
-func TestL1LatencyShapes(t *testing.T) {
-	var trace bytes.Buffer
-	opts := quick()
-	opts.TraceWriter = &trace
-	tbl, err := L1LatencyProfile(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p50 := make(map[string]float64)
-	for _, row := range tbl.Rows {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(row[2], "µs"), 64)
-		if err != nil {
-			t.Fatalf("bad p50 cell %q", row[2])
-		}
-		p50[row[0]] = v
-	}
-	mw, sw := p50["write (MW)"], p50["write (SW)"]
-	if mw == 0 || sw == 0 {
-		t.Fatalf("missing rows: %v", p50)
-	}
-	// Two phases vs one: MW write p50 should be roughly twice SW write p50.
-	if mw < 1.4*sw {
-		t.Errorf("MW write p50 %.0fµs not ~2x SW write p50 %.0fµs", mw, sw)
-	}
-	if trace.Len() == 0 {
-		t.Error("TraceWriter received no spans")
-	}
-	for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
-		if !strings.HasPrefix(line, "{") || !strings.HasSuffix(line, "}") {
-			t.Fatalf("trace line is not a JSON object: %q", line)
-		}
-	}
-}
-
 func TestFindAndAll(t *testing.T) {
-	if len(All()) != 20 {
-		t.Fatalf("expected 20 experiments, got %d", len(All()))
+	if len(All()) != 13 {
+		t.Fatalf("expected 13 experiments, got %d", len(All()))
 	}
 	if _, ok := Find("t1"); !ok {
 		t.Fatal("Find case-insensitive lookup failed")
 	}
-	if r, ok := Find("throughput"); !ok || r.ID != "TP" {
-		t.Fatalf("Find by alias: %v %v", r.ID, ok)
-	}
-	if r, ok := Find("shards"); !ok || r.ID != "SH" {
-		t.Fatalf("Find by alias: %v %v", r.ID, ok)
-	}
-	if r, ok := Find("hotkeys"); !ok || r.ID != "HK" {
-		t.Fatalf("Find by alias: %v %v", r.ID, ok)
-	}
-	if r, ok := Find("byz"); !ok || r.ID != "BY" {
-		t.Fatalf("Find by alias: %v %v", r.ID, ok)
-	}
-	if r, ok := Find("alloc"); !ok || r.ID != "AL" {
-		t.Fatalf("Find by alias: %v %v", r.ID, ok)
-	}
-	if r, ok := Find("fastpath"); !ok || r.ID != "FP" {
-		t.Fatalf("Find by alias: %v %v", r.ID, ok)
-	}
 	if _, ok := Find("T9"); ok {
 		t.Fatal("Find accepted unknown id")
-	}
-}
-
-// TestTPThroughput runs the pipeline experiment at CI scale and checks the
-// report invariants: both passes complete ops, the disabled pass really has
-// the pipeline off (batch size pinned to 1, nothing coalesced), the enabled
-// pass batches and coalesces, and group commit keeps fsyncs-per-acked-write
-// below one.
-func TestTPThroughput(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "tp.json")
-	tbl, err := TPThroughput(Options{Quick: true, Seed: 1, JSONOut: out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("want 2 rows, got %d", len(tbl.Rows))
-	}
-	buf, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Passes []struct {
-			Name           string  `json:"name"`
-			Ops            int64   `json:"ops"`
-			FsyncsPerWrite float64 `json:"fsyncs_per_write"`
-			BatchMax       int64   `json:"batch_max"`
-			CoalescedReads int64   `json:"coalesced_reads"`
-			AbsorbedWrites int64   `json:"absorbed_writes"`
-		} `json:"passes"`
-		Speedup float64 `json:"speedup"`
-	}
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Passes) != 2 {
-		t.Fatalf("want 2 passes, got %d", len(rep.Passes))
-	}
-	off, on := rep.Passes[0], rep.Passes[1]
-	if off.Name != "off" || on.Name != "on" {
-		t.Fatalf("pass order: %q %q", off.Name, on.Name)
-	}
-	if off.Ops == 0 || on.Ops == 0 {
-		t.Fatalf("empty pass: off=%d on=%d", off.Ops, on.Ops)
-	}
-	if off.BatchMax != 1 || off.CoalescedReads != 0 || off.AbsorbedWrites != 0 {
-		t.Fatalf("pipeline-off pass used the pipeline: %+v", off)
-	}
-	if on.BatchMax < 2 {
-		t.Fatalf("pipeline-on pass never batched: max %d", on.BatchMax)
-	}
-	if on.AbsorbedWrites == 0 {
-		t.Fatal("pipeline-on pass absorbed no writes")
-	}
-	if on.FsyncsPerWrite >= 1 {
-		t.Fatalf("fsyncs per acked write %.2f, want < 1", on.FsyncsPerWrite)
-	}
-	if rep.Speedup <= 0 {
-		t.Fatalf("speedup %.2f", rep.Speedup)
-	}
-}
-
-// TestSHShards runs the sharding sweep at CI scale and checks the report
-// invariants: one pass per group count in order, every pass completes ops,
-// the per-group split is present and balanced (no group starved), and
-// aggregate ops/sec never decreases as groups are added. The ~linear
-// scaling magnitude is asserted on the committed full run (BENCH_shards.json
-// and the CI jq checks), not here — quick mode is too short to pin a ratio.
-func TestSHShards(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "sh.json")
-	tbl, err := SHShards(Options{Quick: true, Seed: 1, JSONOut: out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("want 3 rows, got %d", len(tbl.Rows))
-	}
-	buf, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Passes []struct {
-			Shards    int     `json:"shards"`
-			Ops       int64   `json:"ops"`
-			OpsPerSec float64 `json:"ops_per_sec"`
-			GroupOps  []int64 `json:"group_ops"`
-		} `json:"passes"`
-		Scaling3x float64 `json:"scaling_3x"`
-	}
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Passes) != 3 {
-		t.Fatalf("want 3 passes, got %d", len(rep.Passes))
-	}
-	prev := 0.0
-	for i, p := range rep.Passes {
-		if p.Shards != i+1 {
-			t.Fatalf("pass %d has shards=%d", i, p.Shards)
-		}
-		if p.Ops == 0 {
-			t.Fatalf("pass %d completed no ops", i)
-		}
-		if len(p.GroupOps) != p.Shards {
-			t.Fatalf("pass %d: %d group splits for %d shards", i, len(p.GroupOps), p.Shards)
-		}
-		var min, max int64 = p.GroupOps[0], p.GroupOps[0]
-		for _, n := range p.GroupOps {
-			if n < min {
-				min = n
-			}
-			if n > max {
-				max = n
-			}
-		}
-		if min == 0 || max > 2*min {
-			t.Fatalf("pass %d group split unbalanced: %v", i, p.GroupOps)
-		}
-		// Monotone up to 25% jitter between adjacent passes: quick passes
-		// are 500ms and adjacent shard counts differ by little at that
-		// budget. The robust scaling signal is the 3-vs-1 ratio below; the
-		// real near-linear bar lives on the committed full run. Both are
-		// skipped under the race detector, whose instrumentation makes the
-		// CPU (not the modeled fsync cost) the bottleneck and can invert
-		// quick-mode scaling entirely.
-		if !raceEnabled && p.OpsPerSec < 0.75*prev {
-			t.Fatalf("aggregate ops/sec fell when adding a group: %.0f after %.0f", p.OpsPerSec, prev)
-		}
-		prev = p.OpsPerSec
-	}
-	if !raceEnabled && rep.Scaling3x < 1.2 {
-		t.Fatalf("3-group scaling %.2f, want >= 1.2", rep.Scaling3x)
-	}
-}
-
-// TestBYByzantineCost runs the Byzantine validation experiment at CI scale
-// and checks its verdicts rather than its (runner-noisy) latency ratios:
-// three passes, every history linearizable, no corrupted reads anywhere,
-// zero false suspicions in the honest passes, and a nonzero suspected-liar
-// counter (with covering confirm rounds) exactly in the attack pass.
-func TestBYByzantineCost(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "byz.json")
-	tbl, err := BYByzantineCost(Options{Quick: true, Seed: 1, JSONOut: out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("want 3 rows, got %d", len(tbl.Rows))
-	}
-	buf, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep byzReport
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Passes) != 3 {
-		t.Fatalf("want 3 passes, got %d", len(rep.Passes))
-	}
-	f0, f1, atk := rep.Passes[0], rep.Passes[1], rep.Passes[2]
-	if f0.Name != "f0-honest" || f1.Name != "f1-honest" || atk.Name != "f1-attack" {
-		t.Fatalf("pass order: %q %q %q", f0.Name, f1.Name, atk.Name)
-	}
-	for _, p := range rep.Passes {
-		if p.Ops == 0 {
-			t.Fatalf("pass %s ran no ops", p.Name)
-		}
-		if !p.Linearizable {
-			t.Fatalf("pass %s history not linearizable", p.Name)
-		}
-		if p.Corrupted != 0 {
-			t.Fatalf("pass %s returned %d corrupted reads", p.Name, p.Corrupted)
-		}
-	}
-	if f0.QuorumSize != 3 || f1.QuorumSize != 4 {
-		t.Fatalf("quorum sizes %d/%d, want 3 (majority) and 4 (masking)", f0.QuorumSize, f1.QuorumSize)
-	}
-	if f0.ByzRejects != 0 || f1.ByzRejects != 0 {
-		t.Fatalf("honest passes suspected liars: f0=%d f1=%d", f0.ByzRejects, f1.ByzRejects)
-	}
-	if f0.ByzConfirms != 0 {
-		t.Fatalf("f=0 pass ran %d confirm rounds with validation off", f0.ByzConfirms)
-	}
-	if atk.ByzRejects == 0 {
-		t.Fatal("attack pass rejected no lies")
-	}
-	if atk.ByzConfirms < atk.ByzRejects {
-		t.Fatalf("confirms %d < rejects %d: a reject without its confirm round", atk.ByzConfirms, atk.ByzRejects)
-	}
-}
-
-// TestFPFastPath runs the fast-path experiment at CI scale and checks the
-// report invariants: two passes in order, every pass completes reads
-// under live write contention, the two-phase pass takes no fast reads,
-// the fast-path pass gets hits and skips write-backs, and its p50 does not
-// exceed the two-phase p50. The >= 1.5x speedup and >= 50% hit-rate bars
-// are pinned on the committed full run (BENCH_fastpath.json and the CI jq
-// checks), not here — quick mode is too short for stable ratios.
-func TestFPFastPath(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "fp.json")
-	tbl, err := FPFastPath(Options{Quick: true, Seed: 1, JSONOut: out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("want 2 rows, got %d", len(tbl.Rows))
-	}
-	buf, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep fastpathReport
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != schemaFastpath {
-		t.Fatalf("schema %q", rep.Schema)
-	}
-	if len(rep.Passes) != 2 {
-		t.Fatalf("want 2 passes, got %d", len(rep.Passes))
-	}
-	base, fast := rep.Passes[0], rep.Passes[1]
-	if base.Name != "two-phase" || fast.Name != "fast-path" {
-		t.Fatalf("pass order: %q %q", base.Name, fast.Name)
-	}
-	for _, p := range rep.Passes {
-		if p.Reads == 0 {
-			t.Fatalf("pass %s completed no reads", p.Name)
-		}
-		if p.Writes == 0 {
-			t.Fatalf("pass %s had no write contention", p.Name)
-		}
-	}
-	if base.FastPathReads != 0 {
-		t.Fatalf("fast path fired with ReadTwoPhase: %d", base.FastPathReads)
-	}
-	if fast.FastPathReads == 0 {
-		t.Fatal("fast-path pass took no fast reads")
-	}
-	if fast.WriteBacksSkipped == 0 {
-		t.Fatal("fast-path pass skipped no write-backs")
-	}
-	// Fast reads pay 1 round, slow ones 2+: the identity holds per client,
-	// so it holds on the sum.
-	if fast.ReadRounds >= 2*fast.Reads {
-		t.Fatalf("fast pass ReadRounds %d not below 2x reads %d", fast.ReadRounds, fast.Reads)
-	}
-	if rep.Speedup <= 0 || rep.FastHitRate <= 0 {
-		t.Fatalf("speedup %.2f, hit rate %.2f", rep.Speedup, rep.FastHitRate)
-	}
-	if !raceEnabled && fast.P50US > base.P50US {
-		t.Fatalf("fast-path p50 %.0fus above two-phase p50 %.0fus", fast.P50US, base.P50US)
 	}
 }
 

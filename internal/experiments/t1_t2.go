@@ -140,7 +140,7 @@ func T1MessageComplexity(o Options) (*Table, error) {
 	}
 	tbl.Notes = append(tbl.Notes,
 		"counts include replies/acks; delays are zero so every phase touches all n replicas exactly once",
-		"the plain read disables the fast path (ReadTwoPhase) to expose the paper's two-phase cost; FP measures the fast path under contention")
+		"the plain read disables the fast path (ReadTwoPhase) to expose the paper's two-phase cost; the repository benchmark measures the fast path under load (client.fast_hit_frac)")
 	return tbl, nil
 }
 
@@ -157,7 +157,7 @@ func T2Rounds(o Options) (*Table, error) {
 		Headers: []string{"operation", "mean", "p99", "RTTs (vs SWMR write)", "expected RTTs"},
 		Notes: []string{
 			fmt.Sprintf("one-way delay fixed at %v; RTTs normalized to the measured SWMR write (1 RT by construction), which also absorbs the simulator's timer overhead", oneWay),
-			"the plain read disables the fast path (ReadTwoPhase) to expose the paper's round complexity; FP measures the fast path under contention",
+			"the plain read disables the fast path (ReadTwoPhase) to expose the paper's round complexity; the repository benchmark measures the fast path under load (client.rounds_per_read)",
 		},
 	}
 	ops := o.scale(100, 20)

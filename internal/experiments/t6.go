@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/quorum"
+	"repro/internal/transport"
+	"repro/internal/types"
 )
 
 // T6Byzantine evaluates the masking-quorum extension (the Byzantine
@@ -105,4 +108,36 @@ func runByzantineTrial(o Options, mode core.ByzMode, opts []core.ClientOption, r
 		}
 	}
 	return corrupted, nil
+}
+
+// byzLiar is the replica T6 turns into a liar.
+const byzLiar types.NodeID = 2
+
+// startByzReplicas starts n honest replicas on net. With mode != 0 replica
+// byzLiar lies in that mode: its outbound replies pass through a core.Liar
+// installed as a chaos interceptor, the adversary the nemesis harness runs
+// over TCP. It returns the replica ids and a function stopping them.
+func startByzReplicas(net *netsim.Net, n int, mode core.ByzMode, seed int64) ([]types.NodeID, func()) {
+	cn := chaos.New(seed)
+	if mode != 0 {
+		liar := core.NewLiar(byzLiar, seed)
+		liar.SetMode(mode)
+		cn.SetInterceptor(byzLiar, liar.Intercept)
+	}
+	ids := make([]types.NodeID, n)
+	reps := make([]*core.Replica, n)
+	for i := range ids {
+		ids[i] = types.NodeID(i)
+		var ep transport.Endpoint = net.Node(ids[i])
+		if mode != 0 && ids[i] == byzLiar {
+			ep = cn.Wrap(ep)
+		}
+		reps[i] = core.NewReplica(ids[i], ep)
+		reps[i].Start()
+	}
+	return ids, func() {
+		for _, r := range reps {
+			r.Stop()
+		}
+	}
 }

@@ -3,6 +3,7 @@ package health
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -51,67 +52,79 @@ func TestTopKEvictionKeepsHeavyHitters(t *testing.T) {
 	}
 }
 
+// TestTopKZipfRecallAgainstExactCounts scores the sketch against exact
+// counts under zipfian draws: at every skew the top 10 recall at least 9 of
+// the true top 10, and every reported entry brackets its exact count
+// (Count >= exact, Count-Err <= exact). The split case deals the draws over
+// several sketches and scores their MergeHotKeys merge, the cross-store
+// view a fleet dashboard shows.
 func TestTopKZipfRecallAgainstExactCounts(t *testing.T) {
 	const (
 		keys  = 1000
 		draws = 200_000
 		cap   = 64
 	)
-	rng := rand.New(rand.NewSource(42))
-	zipf := rand.NewZipf(rng, 1.2, 1, keys-1)
-	tk := NewTopK(cap)
-	exact := make(map[string]int64)
-	for i := 0; i < draws; i++ {
-		k := fmt.Sprintf("reg-%d", zipf.Uint64())
-		tk.Offer(k)
-		exact[k]++
-	}
+	for _, tc := range []struct {
+		skew     float64
+		sketches int
+	}{{1.07, 1}, {1.2, 1}, {1.5, 1}, {1.2, 4}} {
+		t.Run(fmt.Sprintf("s=%.2f/sketches=%d", tc.skew, tc.sketches), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			zipf := rand.NewZipf(rng, tc.skew, 1, keys-1)
+			tks := make([]*TopK, tc.sketches)
+			for i := range tks {
+				tks[i] = NewTopK(cap)
+			}
+			exact := make(map[string]int64)
+			for i := 0; i < draws; i++ {
+				k := fmt.Sprintf("reg-%d", zipf.Uint64())
+				tks[i%len(tks)].Offer(k)
+				exact[k]++
+			}
 
-	type kc struct {
-		k string
-		c int64
-	}
-	truth := make([]kc, 0, len(exact))
-	for k, c := range exact {
-		truth = append(truth, kc{k, c})
-	}
-	for i := range truth { // selection sort of top 10 is fine at this size
-		for j := i + 1; j < len(truth); j++ {
-			if truth[j].c > truth[i].c {
-				truth[i], truth[j] = truth[j], truth[i]
+			truth := make([]string, 0, len(exact))
+			for k := range exact {
+				truth = append(truth, k)
 			}
-		}
-		if i >= 9 {
-			break
-		}
-	}
+			sort.Slice(truth, func(i, j int) bool {
+				if exact[truth[i]] != exact[truth[j]] {
+					return exact[truth[i]] > exact[truth[j]]
+				}
+				return truth[i] < truth[j]
+			})
+			top10 := make(map[string]bool, 10)
+			for _, k := range truth[:10] {
+				top10[k] = true
+			}
 
-	top := tk.Top(10)
-	inSketch := make(map[string]HotKey, len(top))
-	for _, hk := range top {
-		inSketch[hk.Key] = hk
-	}
-	hits := 0
-	for i := 0; i < 10; i++ {
-		if hk, ok := inSketch[truth[i].k]; ok {
-			hits++
-			if hk.Count < truth[i].c {
-				t.Fatalf("sketch undercounts %s: %d < true %d", truth[i].k, hk.Count, truth[i].c)
+			snaps := make([][]HotKey, len(tks))
+			var total int64
+			for i, tk := range tks {
+				snaps[i] = tk.Snapshot()
+				total += tk.Total()
 			}
-			if hk.Count-hk.Err > truth[i].c {
-				t.Fatalf("lower bound violated for %s: %d-%d > %d",
-					truth[i].k, hk.Count, hk.Err, truth[i].c)
+			hits := 0
+			for _, hk := range MergeHotKeys(10, snaps...) {
+				if top10[hk.Key] {
+					hits++
+				}
+				if hk.Count < exact[hk.Key] {
+					t.Fatalf("sketch undercounts %s: %d < true %d", hk.Key, hk.Count, exact[hk.Key])
+				}
+				if hk.Count-hk.Err > exact[hk.Key] {
+					t.Fatalf("lower bound violated for %s: %d-%d > %d",
+						hk.Key, hk.Count, hk.Err, exact[hk.Key])
+				}
 			}
-		}
-	}
-	if hits < 9 {
-		t.Fatalf("recall@10 = %d/10, want >= 9", hits)
-	}
-	if tk.Total() != draws {
-		t.Fatalf("total = %d, want %d", tk.Total(), draws)
+			if hits < 9 {
+				t.Fatalf("recall@10 = %d/10, want >= 9", hits)
+			}
+			if total != draws {
+				t.Fatalf("total = %d, want %d", total, draws)
+			}
+		})
 	}
 }
-
 func TestMergeHotKeys(t *testing.T) {
 	a := []HotKey{{Key: "x", Count: 10}, {Key: "y", Count: 5, Err: 1}}
 	b := []HotKey{{Key: "y", Count: 7, Err: 2}, {Key: "z", Count: 3}}

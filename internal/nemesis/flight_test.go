@@ -14,7 +14,7 @@ import (
 )
 
 // TestNemesisFlightRecorder is the flight recorder's end-to-end acceptance
-// run: a seeded fault schedule whose burn alerts trigger captures must leave
+// run: a fault schedule whose burn alerts trigger captures must leave
 // profile sets on disk, captured while the faults were live; a fault-free
 // control run of the same workload with its own recorder must capture
 // nothing. The captured heap and goroutine profiles must parse with the
@@ -37,11 +37,12 @@ func TestNemesisFlightRecorder(t *testing.T) {
 	}
 	defer rec.Close()
 
-	// Seed 1's schedule contains a loss storm / latency spike (see
-	// TestNemesisHealthAlerts), so the monitor raises alerts and each fresh
-	// alert pulls the trigger.
+	// Every window of the schedule breaches the objective (see
+	// sloBreachSchedule), so the monitor raises alerts and each fresh alert
+	// pulls the trigger.
 	res, err := Run(context.Background(), Config{
 		Seed: 1, Windows: windows, Window: window, Recorder: rec,
+		Schedule: sloBreachSchedule(windows, window),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +50,8 @@ func TestNemesisFlightRecorder(t *testing.T) {
 	if res.Outcome == lincheck.NotLinearizable {
 		t.Fatal("faulted run not linearizable")
 	}
-	if len(res.Health.Alerts) == 0 {
-		t.Fatal("no alerts raised; the trigger path was never exercised")
+	if !pageInWindow(res.Health, windows, window) {
+		t.Fatalf("no page alert inside a fault window: %+v", res.Health.Alerts)
 	}
 	if len(res.Health.Captures) == 0 {
 		t.Fatalf("alerts raised (%d) but no flight-recorder captures", len(res.Health.Alerts))
@@ -58,19 +59,16 @@ func TestNemesisFlightRecorder(t *testing.T) {
 
 	// At least one capture must have been triggered inside a fault
 	// episode's active interval, same coordinates the alert test uses.
-	inWindow := 0
+	captured := 0
 	for _, c := range res.Health.Captures {
 		if !strings.HasPrefix(c.Reason, "slo-") {
 			t.Errorf("capture reason %q, want slo-*", c.Reason)
 		}
-		off := c.At.Sub(res.Health.Start)
-		w := int(off / window)
-		frac := float64(off%window) / float64(window)
-		if w < windows && frac >= 0.125 && frac <= 0.875 {
-			inWindow++
+		if inWindow(c.At.Sub(res.Health.Start), windows, window) {
+			captured++
 		}
 	}
-	if inWindow == 0 {
+	if captured == 0 {
 		t.Fatalf("no capture inside a fault window: %+v", res.Health.Captures)
 	}
 

@@ -24,6 +24,6 @@
 //     profiling tooling, which is what lets cmd/abd-prof diff two captures
 //     in-process.
 //
-// MeasureAllocs is the per-op attribution primitive the AL experiment
-// (internal/experiments, BENCH_alloc.json) is built on.
+// MeasureAllocs is the per-op attribution primitive behind the repository
+// benchmark's layer probes (bench/probes.go: the *_allocs metrics).
 package prof

@@ -189,6 +189,10 @@ func TestStoreMergesMetricsAndLatency(t *testing.T) {
 		}
 	}
 
+	// Quiesce before comparing: a straggler reply dispatched between the
+	// merged and the per-group snapshot would move a counter in one but not
+	// the other. Closing the group clients waits out their last dispatch.
+	st.Close()
 	m := st.Metrics()
 	if m.Reads != n || m.Writes != n {
 		t.Fatalf("merged metrics: reads=%d writes=%d, want %d each", m.Reads, m.Writes, n)

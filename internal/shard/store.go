@@ -159,7 +159,7 @@ func (s *Store) Metrics() core.MetricsSnapshot {
 }
 
 // GroupMetrics returns each group client's own counter snapshot, in group
-// order — the per-shard load split the scaling experiment reports.
+// order — the per-shard load split.
 func (s *Store) GroupMetrics() []core.MetricsSnapshot {
 	out := make([]core.MetricsSnapshot, len(s.groups))
 	for i, cli := range s.groups {
