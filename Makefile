@@ -22,7 +22,7 @@ test:
 # netsim stats epochs) is lock-free or lock-cheap by design; keep it honest
 # under the race detector. These are the packages with real concurrency.
 race:
-	$(GO) test -race . ./examples/... ./internal/obs/... ./internal/core/... ./internal/netsim/... ./internal/tcpnet/... ./internal/chaos/... ./internal/nemesis/... ./internal/wire/... ./internal/shard/... ./internal/health/... ./internal/experiments/... ./internal/quorum/... ./internal/failure/... ./internal/prof/...
+	$(GO) test -race . ./examples/... ./internal/obs/... ./internal/core/... ./internal/netsim/... ./internal/tcpnet/... ./internal/chaos/... ./internal/nemesis/... ./internal/wire/... ./internal/shard/... ./internal/health/... ./internal/experiments/... ./internal/quorum/... ./internal/failure/... ./internal/prof/... ./internal/baseline/... ./internal/reconfig/...
 
 # Nothing here ever runs the non-Linux twins of the two build-tagged files
 # (core/datasync_other.go, tcpnet/trywrite_other.go); cross-building at

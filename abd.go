@@ -142,9 +142,6 @@ func NewStore(clients []*Client, opts ...Option) (*Store, error) {
 	return shard.New(clients, cfg.shardOpts...)
 }
 
-// ReplicaStats re-exports the replica counter snapshot.
-type ReplicaStats = core.ReplicaStats
-
 // MetricsSnapshot re-exports the client counter snapshot. Snapshots merge
 // (MetricsSnapshot.Merge) across clients and shards.
 type MetricsSnapshot = core.MetricsSnapshot

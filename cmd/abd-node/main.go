@@ -29,11 +29,11 @@
 // profiles of an incident are on disk before anyone starts debugging it.
 // -mutex-profile-fraction and -block-profile-rate enable the contention
 // profilers (off by default; both cost CPU proportional to the sampled event
-// rate), and -runtime-trace brackets probe operations as runtime/trace
-// tasks with quorum phases as regions. SIGINT/SIGTERM shut the node down
-// gracefully: the probe client stops, the WAL is compacted to one record
-// per register, the replica drains, and the final counters are printed; a
-// second signal kills the process immediately.
+// rate). While a runtime/trace session runs (/debug/pprof/trace), probe
+// operations show up as trace tasks with quorum phases as regions.
+// SIGINT/SIGTERM shut the node down gracefully: the probe client stops, the
+// WAL is compacted to one record per register, the replica drains, and the
+// final counters are printed; a second signal kills the process immediately.
 package main
 
 import (
@@ -83,7 +83,6 @@ func run() int {
 		profCheckIv  = flag.Duration("prof-check-interval", 5*time.Second, "flight-recorder anomaly poll period")
 		mutexFrac    = flag.Int("mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction: sample 1/n mutex contention events for /debug/pprof/mutex (0 = off; small n costs a few percent under contention)")
 		blockRate    = flag.Int("block-profile-rate", 0, "runtime.SetBlockProfileRate: sample blocking events >= n ns for /debug/pprof/block (0 = off; 1 samples everything and is expensive)")
-		runtimeTrace = flag.Bool("runtime-trace", false, "bracket probe operations as runtime/trace tasks and quorum phases as regions (visible in go tool trace when a trace session runs, e.g. /debug/pprof/trace)")
 	)
 	flag.Parse()
 
@@ -154,7 +153,7 @@ func run() int {
 	var prober *core.Client
 	var proberEp *tcpnet.Endpoint
 	if *peers != "" {
-		prober, proberEp, err = startProber(types.NodeID(*id), *peers, *probeIv, *byzF, *runtimeTrace, tracer)
+		prober, proberEp, err = startProber(types.NodeID(*id), *peers, *probeIv, *byzF, tracer)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "abd-node: probe client: %v\n", err)
 			return 1
@@ -291,7 +290,7 @@ func newNodeMux(nh *nodeHealth, spans *obs.Collector, pprofOn bool) *http.ServeM
 // The goroutine stops when the returned client is closed. With a tracer the
 // probe operations are traced end to end, so a node group with -trace-out
 // (or the /spans endpoint) continuously self-samples its own critical path.
-func startProber(id types.NodeID, peersSpec string, interval time.Duration, byz int, runtimeTrace bool, tracer obs.Tracer) (*core.Client, *tcpnet.Endpoint, error) {
+func startProber(id types.NodeID, peersSpec string, interval time.Duration, byz int, tracer obs.Tracer) (*core.Client, *tcpnet.Endpoint, error) {
 	peers, order, err := parsePeers(peersSpec)
 	if err != nil {
 		return nil, nil, err
@@ -308,9 +307,6 @@ func startProber(id types.NodeID, peersSpec string, interval time.Duration, byz 
 	}
 	if byz > 0 {
 		copts = append(copts, core.WithByzantine(byz))
-	}
-	if runtimeTrace {
-		copts = append(copts, core.WithRuntimeTrace())
 	}
 	cli, err := core.NewClient(cliID, ep, order, copts...)
 	if err != nil {

@@ -73,7 +73,7 @@ func TestBreakerTransitionsVisibleInMetrics(t *testing.T) {
 	cnet := chaos.New(42)
 	cnet.SetDefaultFaults(chaos.Faults{Drop: 0.30, Reset: 0.02})
 	cli, err := core.NewClient(9000, cnet.Wrap(cliEp), []types.NodeID{0, 1, 2},
-		core.WithAdaptiveRetransmit(20*time.Millisecond, 200*time.Millisecond))
+		core.WithRetransmit(20*time.Millisecond, 200*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

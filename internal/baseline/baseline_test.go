@@ -19,16 +19,35 @@ func ctxT(t *testing.T) context.Context {
 	return ctx
 }
 
-func TestCentralReadWrite(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 1})
-	defer net.Close()
-
-	srv := NewCentralServer(0, net.Node(0))
+// newCentral starts a central server as node 0 on a fresh net; client
+// builds a client of it, closed with the server at cleanup.
+func newCentral(t *testing.T, seed int64) (net *netsim.Net, client func(types.NodeID) *core.Client) {
+	t.Helper()
+	net = netsim.New(netsim.Config{Seed: seed})
+	srv := core.NewReplica(0, net.Node(0))
 	srv.Start()
-	defer srv.Stop()
+	var clients []*core.Client
+	t.Cleanup(func() {
+		for _, c := range clients {
+			c.Close()
+		}
+		srv.Stop()
+		net.Close()
+	})
+	return net, func(id types.NodeID) *core.Client {
+		t.Helper()
+		cli, err := NewCentral(id, net.Node(id), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, cli)
+		return cli
+	}
+}
 
-	cli := NewCentralClient(100, net.Node(100), 0)
-	defer cli.Close()
+func TestCentralReadWrite(t *testing.T) {
+	_, client := newCentral(t, 1)
+	cli := client(100)
 	ctx := ctxT(t)
 
 	if err := cli.Write(ctx, "x", []byte("v1")); err != nil {
@@ -52,16 +71,8 @@ func TestCentralReadWrite(t *testing.T) {
 }
 
 func TestCentralTwoClients(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 2})
-	defer net.Close()
-	srv := NewCentralServer(0, net.Node(0))
-	srv.Start()
-	defer srv.Stop()
-
-	a := NewCentralClient(100, net.Node(100), 0)
-	defer a.Close()
-	b := NewCentralClient(101, net.Node(101), 0)
-	defer b.Close()
+	_, client := newCentral(t, 2)
+	a, b := client(100), client(101)
 	ctx := ctxT(t)
 
 	if err := a.Write(ctx, "x", []byte("from-a")); err != nil {
@@ -76,15 +87,35 @@ func TestCentralTwoClients(t *testing.T) {
 	}
 }
 
+// TestCentralOpsUseTwoMessages: a central read and a central write each
+// cost one request and one reply, the unreplicated server's price.
+func TestCentralOpsUseTwoMessages(t *testing.T) {
+	net, client := newCentral(t, 6)
+	cli := client(100)
+	ctx := ctxT(t)
+
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"write", func() error { return cli.Write(ctx, "x", []byte("v")) }},
+		{"read", func() error { _, err := cli.Read(ctx, "x"); return err }},
+	} {
+		net.ResetStats()
+		if err := op.run(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if st := net.Stats(); st.Sent != 2 {
+			t.Errorf("central %s sent %d messages, want 2", op.name, st.Sent)
+		}
+	}
+}
+
 func TestCentralSingleCrashKillsEverything(t *testing.T) {
 	// The baseline's defining weakness: no fault tolerance at all.
-	net := netsim.New(netsim.Config{Seed: 3})
-	defer net.Close()
-	srv := NewCentralServer(0, net.Node(0))
-	srv.Start()
-	defer srv.Stop()
-	cli := NewCentralClient(100, net.Node(100), 0)
-	defer cli.Close()
+	net, client := newCentral(t, 3)
+	cli := client(100)
 
 	if err := cli.Write(ctxT(t), "x", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -212,13 +243,8 @@ func TestROWAWriteBlocksAfterOneCrash(t *testing.T) {
 }
 
 func TestCentralManyRegisters(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 5})
-	defer net.Close()
-	srv := NewCentralServer(0, net.Node(0))
-	srv.Start()
-	defer srv.Stop()
-	cli := NewCentralClient(100, net.Node(100), 0)
-	defer cli.Close()
+	_, client := newCentral(t, 5)
+	cli := client(100)
 	ctx := ctxT(t)
 
 	for i := 0; i < 20; i++ {

@@ -45,13 +45,10 @@ type Client struct {
 	rrNext       atomic.Uint64 // round-robin cursor for partial fanout
 	f            int           // Byzantine replicas tolerated (WithByzantine; 0 = crash faults only)
 
-	// Retransmission policy; see options.go. The default is adaptive: the
-	// interval tracks the client's own observed phase latencies.
-	rtPolicy   retransmitPolicy
-	retransmit time.Duration // fixed interval (retransmitFixed only)
-	adaptFloor time.Duration
-	adaptCeil  time.Duration
-	// The adaptive interval last derived per phase kind (retransmitInterval).
+	// Retransmission bounds (WithRetransmit): the interval tracks the
+	// client's own observed phase latencies, clamped to [rtFloor, rtCeil].
+	rtFloor, rtCeil time.Duration
+	// The interval last derived per phase kind (retransmitInterval).
 	rtQuery, rtUpdate adaptiveInterval
 
 	// Single-writer state: the last sequence number (unbounded) or label
@@ -71,11 +68,9 @@ type Client struct {
 
 	// Coalescing state (see coalesce.go): per-register shared rounds for
 	// concurrent reads and multi-writer writes issued through this client.
-	coalesceReads bool
-	absorbWrites  bool
-	coMu          sync.Mutex
-	rdRounds      map[string]*opRound
-	wrRounds      map[string]*opRound
+	coMu     sync.Mutex
+	rdRounds map[string]*opRound
+	wrRounds map[string]*opRound
 
 	opSeq   atomic.Uint64
 	pendMu  sync.Mutex
@@ -88,11 +83,6 @@ type Client struct {
 	lat     latencySet
 	hot     *health.TopK // per-register op counts (always on, like lat)
 	tracer  obs.Tracer   // nil = tracing disabled (the default)
-
-	// runtimeTrace arms the runtime/trace task/region bracketing
-	// (WithRuntimeTrace, runtimetrace.go); active only while a trace
-	// session runs.
-	runtimeTrace bool
 }
 
 // NewClient creates a client for the given replica group. The client takes
@@ -121,15 +111,11 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 		hot:      health.NewTopK(0),
 
 		confirmed: make(map[string]Tag),
+		rdRounds:  make(map[string]*opRound),
+		wrRounds:  make(map[string]*opRound),
 
-		coalesceReads: true,
-		absorbWrites:  true,
-		rdRounds:      make(map[string]*opRound),
-		wrRounds:      make(map[string]*opRound),
-
-		rtPolicy:   retransmitAdaptive,
-		adaptFloor: DefaultRetransmitFloor,
-		adaptCeil:  DefaultRetransmitCeiling,
+		rtFloor: DefaultRetransmitFloor,
+		rtCeil:  DefaultRetransmitCeiling,
 	}
 	for i, rid := range c.replicas {
 		if _, dup := c.index[rid]; dup {
@@ -376,7 +362,7 @@ type opTrace struct {
 // (ot.trace, phase span id) so replica and transport spans on the far side
 // join the same trace.
 func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) bool, ot opTrace, label string) ([]message, error) {
-	defer c.phaseRegion(ctx, label)()
+	defer phaseRegion(ctx, label)()
 	op := c.opSeq.Add(1)
 	req.Op = op
 	var spanID uint64
@@ -425,8 +411,7 @@ func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) b
 	}
 
 	var (
-		set     quorum.Set
-		seen    = make([]bool, len(c.replicas))
+		set     quorum.Set // the replicas whose replies were counted
 		replies = make([]message, 0, len(c.replicas))
 	)
 	fail := func(err error) ([]message, error) {
@@ -439,11 +424,10 @@ func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) b
 		case <-inbox.notify:
 			for _, m := range inbox.drain() {
 				i, ok := c.index[m.fromReplica]
-				if !ok || seen[i] {
+				if !ok || set.Has(i) {
 					c.metrics.stragglers.Add(1)
 					continue
 				}
-				seen[i] = true
 				set = set.Add(i)
 				replies = append(replies, m)
 				lastReply = time.Since(start)
@@ -464,7 +448,7 @@ func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) b
 			// Re-send to the replicas that have not answered. Safe because
 			// every protocol message is idempotent.
 			for _, rid := range targets {
-				if i, ok := c.index[rid]; ok && seen[i] {
+				if set.Has(c.index[rid]) {
 					continue
 				}
 				if err := c.ep.Send(rid, payload); err != nil {
@@ -484,41 +468,32 @@ func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) b
 }
 
 // retransmitInterval returns the rebroadcast period for a phase, or 0 for
-// no retransmission. Under the adaptive policy (the default) the interval
-// is derived from the client's own completed-phase latency histogram —
-// 3x the observed p99, clamped to [floor, ceiling] — so it sits safely
-// above the healthy round-trip time yet reacts within a fraction of a
-// second when a message is lost. Until enough phases have completed to
-// trust the histogram, the floor is used: a spurious retransmission is
-// harmless (all protocol messages are idempotent), a late one costs
-// liveness. The derivation walks the whole histogram, so it is redone only
-// every adaptiveRefreshEvery completed phases (or once their number has
-// doubled); in between a phase pays three atomic loads.
+// no retransmission. The interval is derived from the client's own
+// completed-phase latency histogram — 3x the observed p99, clamped to
+// [floor, ceiling] — so it sits safely above the healthy round-trip time
+// yet reacts within a fraction of a second when a message is lost. Until
+// enough phases have completed to trust the histogram, and whenever the
+// bounds leave no room (a fixed interval), the floor is used: a spurious
+// retransmission is harmless (all protocol messages are idempotent), a late
+// one costs liveness. The derivation walks the whole histogram, so it is
+// redone only every adaptiveRefreshEvery completed phases (or once their
+// number has doubled); in between a phase pays three atomic loads.
 func (c *Client) retransmitInterval(kind Kind) time.Duration {
-	switch c.rtPolicy {
-	case retransmitOff:
+	if c.rtFloor <= 0 {
 		return 0
-	case retransmitFixed:
-		return c.retransmit
 	}
 	hist, cache := &c.lat.phaseUpdate, &c.rtUpdate
 	if kind == KindReadQuery {
 		hist, cache = &c.lat.phaseQuery, &c.rtQuery
 	}
 	n := hist.Count()
-	if n < adaptiveMinSamples {
-		return c.adaptFloor
+	if n < adaptiveMinSamples || c.rtCeil <= c.rtFloor {
+		return c.rtFloor
 	}
 	if at := cache.at.Load(); at > 0 && n-at < adaptiveRefreshEvery && n < 2*at {
 		return time.Duration(cache.interval.Load())
 	}
-	d := 3 * hist.Quantile(0.99)
-	if d < c.adaptFloor {
-		d = c.adaptFloor
-	}
-	if d > c.adaptCeil {
-		d = c.adaptCeil
-	}
+	d := min(max(3*hist.Quantile(0.99), c.rtFloor), c.rtCeil)
 	// interval before at: a concurrent reader that sees the new count also
 	// sees an interval at least that fresh.
 	cache.interval.Store(int64(d))
@@ -734,15 +709,9 @@ func (c *Client) Read(ctx context.Context, reg string) (types.Value, error) {
 	start := time.Now()
 	c.hot.Offer(reg)
 	ot := c.beginOp()
-	ctx, endTask := c.beginRuntimeTask(ctx, "abd.read", ot)
+	ctx, endTask := beginRuntimeTask(ctx, "abd.read", ot)
 	defer endTask()
-	var val types.Value
-	var err error
-	if c.coalesceReads {
-		val, err = c.readCoalesced(ctx, reg, ot)
-	} else {
-		val, err = c.read(ctx, reg, ot)
-	}
+	val, err := c.readCoalesced(ctx, reg, ot)
 	if err == nil {
 		c.lat.read.Record(time.Since(start))
 	} else {
@@ -770,13 +739,9 @@ func (c *Client) read(ctx context.Context, reg string, ot opTrace) (types.Value,
 		c.metrics.fastPathReads.Add(1)
 		c.metrics.writeBacksSkipped.Add(1)
 	default:
-		wb := message{Kind: KindWrite, Reg: reg, Tag: best, Val: val, Conf: c.gossip(reg)}
-		if _, err := c.phase(ctx, wb, c.qs.ContainsWriteQuorum, ot, "write-back"); err != nil {
+		if err := c.install(ctx, reg, best, val, ot, "write-back"); err != nil {
 			return nil, fmt.Errorf("read %q write-back: %w", reg, err)
 		}
-		// The write-back collected a write quorum of acks for best: it is now
-		// confirmed, and the next query's piggyback will tell the replicas.
-		c.noteConfirmed(reg, best)
 		c.metrics.writeBacks.Add(1)
 		rounds++
 	}
@@ -824,13 +789,13 @@ func (c *Client) Write(ctx context.Context, reg string, val types.Value) error {
 	start := time.Now()
 	c.hot.Offer(reg)
 	ot := c.beginOp()
-	ctx, endTask := c.beginRuntimeTask(ctx, "abd.write", ot)
+	ctx, endTask := beginRuntimeTask(ctx, "abd.write", ot)
 	defer endTask()
 	var err error
-	if c.absorbWrites && !c.singleWriter {
-		err = c.writeAbsorbed(ctx, reg, val, ot)
-	} else {
+	if c.singleWriter {
 		err = c.write(ctx, reg, val, ot)
+	} else {
+		err = c.writeAbsorbed(ctx, reg, val, ot)
 	}
 	if err == nil {
 		c.lat.write.Record(time.Since(start))
@@ -843,15 +808,26 @@ func (c *Client) Write(ctx context.Context, reg string, val types.Value) error {
 
 func (c *Client) write(ctx context.Context, reg string, val types.Value, ot opTrace) error {
 	tag, err := c.nextTag(ctx, reg, ot)
+	if err == nil {
+		err = c.install(ctx, reg, tag, val, ot, "update")
+	}
 	if err != nil {
 		return fmt.Errorf("write %q: %w", reg, err)
 	}
+	c.metrics.writes.Add(1)
+	return nil
+}
+
+// install is the step a write, a read's write-back and Propagate share:
+// send (tag, val) to the replicas and wait for a write quorum of acks. The
+// pair is then stored at a full write quorum, so tag is confirmed, and the
+// next query's piggyback tells the replicas.
+func (c *Client) install(ctx context.Context, reg string, tag Tag, val types.Value, ot opTrace, label string) error {
 	req := message{Kind: KindWrite, Reg: reg, Tag: tag, Val: val, Conf: c.gossip(reg)}
-	if _, err := c.phase(ctx, req, c.qs.ContainsWriteQuorum, ot, "update"); err != nil {
-		return fmt.Errorf("write %q: %w", reg, err)
+	if _, err := c.phase(ctx, req, c.qs.ContainsWriteQuorum, ot, label); err != nil {
+		return err
 	}
 	c.noteConfirmed(reg, tag)
-	c.metrics.writes.Add(1)
 	return nil
 }
 
@@ -936,11 +912,9 @@ func (c *Client) QueryMax(ctx context.Context, reg string) (Tag, types.Value, er
 // write-back phase: replicas adopt the pair iff it is newer than what they
 // store. Used for cross-configuration state transfer and repair tools.
 func (c *Client) Propagate(ctx context.Context, reg string, tag Tag, val types.Value) error {
-	req := message{Kind: KindWrite, Reg: reg, Tag: tag, Val: val, Conf: c.gossip(reg)}
-	if _, err := c.phase(ctx, req, c.qs.ContainsWriteQuorum, opTrace{}, "update"); err != nil {
+	if err := c.install(ctx, reg, tag, val, opTrace{}, "update"); err != nil {
 		return fmt.Errorf("propagate %q: %w", reg, err)
 	}
-	c.noteConfirmed(reg, tag)
 	return nil
 }
 

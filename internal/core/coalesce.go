@@ -89,8 +89,8 @@ func (c *Client) finishRound(rounds map[string]*opRound, reg string, r *opRound,
 	close(r.done)
 }
 
-// readCoalesced is Read's body when coalescing is enabled: join (or open)
-// the register's current round, then either lead it or adopt its result.
+// readCoalesced is Read's body: join (or open) the register's current
+// round, then either lead it or adopt its result.
 func (c *Client) readCoalesced(ctx context.Context, reg string, ot opTrace) (types.Value, error) {
 	for {
 		c.coMu.Lock()
@@ -123,9 +123,9 @@ func (c *Client) readCoalesced(ctx context.Context, reg string, ot opTrace) (typ
 	}
 }
 
-// writeAbsorbed is Write's body for multi-writer coalescing: queue the
-// value into the register's current round, then either lead the round or
-// ride the leader's acknowledgement.
+// writeAbsorbed is Write's body for multi-writer clients: queue the value
+// into the register's current round, then either lead the round or ride the
+// leader's acknowledgement.
 func (c *Client) writeAbsorbed(ctx context.Context, reg string, val types.Value, ot opTrace) error {
 	for {
 		c.coMu.Lock()
@@ -135,11 +135,14 @@ func (c *Client) writeAbsorbed(ctx context.Context, reg string, val types.Value,
 
 		select {
 		case <-r.token:
+			// Leader: freeze the membership, then write the last queued value
+			// on behalf of every queued write (r.vals is immutable once
+			// started, since no joiner appends anymore).
 			c.coMu.Lock()
 			r.started = true
-			vals := r.vals
+			last := r.vals[len(r.vals)-1]
 			c.coMu.Unlock()
-			err := c.writeRound(ctx, reg, vals, ot)
+			err := c.write(ctx, reg, last, ot)
 			c.finishRound(c.wrRounds, reg, r, nil, err)
 			return err
 		case <-r.done:
@@ -155,22 +158,4 @@ func (c *Client) writeAbsorbed(ctx context.Context, reg string, val types.Value,
 			return fmt.Errorf("write %q: %w", reg, ctx.Err())
 		}
 	}
-}
-
-// writeRound performs one absorbed write round: a single timestamp query
-// and a single update carrying the last queued value, acknowledging every
-// queued write at once. vals is immutable here: the round was marked
-// started before the snapshot, so no joiner appends anymore.
-func (c *Client) writeRound(ctx context.Context, reg string, vals []types.Value, ot opTrace) error {
-	tag, err := c.nextTag(ctx, reg, ot)
-	if err != nil {
-		return fmt.Errorf("write %q: %w", reg, err)
-	}
-	req := message{Kind: KindWrite, Reg: reg, Tag: tag, Val: vals[len(vals)-1], Conf: c.gossip(reg)}
-	if _, err := c.phase(ctx, req, c.qs.ContainsWriteQuorum, ot, "update"); err != nil {
-		return fmt.Errorf("write %q: %w", reg, err)
-	}
-	c.noteConfirmed(reg, tag)
-	c.metrics.writes.Add(1)
-	return nil
 }

@@ -97,31 +97,6 @@ func TestAbsorbedWritesShareRounds(t *testing.T) {
 	}
 }
 
-// TestCoalescingDisabledByOptions: the opt-outs restore one round per
-// operation even under heavy same-register concurrency.
-func TestCoalescingDisabledByOptions(t *testing.T) {
-	c := newTestCluster(t, 3, netsim.Config{Seed: 63, MinDelay: time.Millisecond, MaxDelay: 3 * time.Millisecond})
-	cli := c.client(WithoutReadCoalescing(), WithoutWriteAbsorption())
-	ctx := shortCtx(t)
-	mustWrite(t, ctx, cli, "x", "v")
-
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _ = cli.Read(ctx, "x")
-			_ = cli.Write(ctx, "x", []byte(fmt.Sprintf("v%d", i)))
-		}(i)
-	}
-	wg.Wait()
-
-	m := cli.Metrics()
-	if m.CoalescedReads != 0 || m.AbsorbedWrites != 0 {
-		t.Fatalf("coalesced=%d absorbed=%d with coalescing disabled", m.CoalescedReads, m.AbsorbedWrites)
-	}
-}
-
 // TestSingleWriterNeverAbsorbs: the single-writer fast path keeps its
 // per-write tags; absorption must not engage.
 func TestSingleWriterNeverAbsorbs(t *testing.T) {

@@ -54,10 +54,10 @@ func tcpClientEndpoint(t *testing.T, id types.NodeID, addr string) *tcpnet.Endpo
 	return ep
 }
 
-func tcpClient(t *testing.T, id types.NodeID, addr string, opts ...ClientOption) *Client {
+func tcpClient(t *testing.T, id types.NodeID, addr string) *Client {
 	t.Helper()
 	ep := tcpClientEndpoint(t, id, addr)
-	cli, err := NewClient(id, ep, []types.NodeID{0}, opts...)
+	cli, err := NewClient(id, ep, []types.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestReplicaStopWhileConnectionsWrite(t *testing.T) {
 			}(c*perConn + w)
 		}
 	}
-	waitFor(t, func() bool { return r.Stats().Updates > 200 })
+	waitFor(t, func() bool { return r.ReplicaMetrics().Updates > 200 })
 	r.Stop()
 	cancel()
 	wg.Wait()
@@ -154,7 +154,7 @@ func TestStalledDiskDoesNotBlockOtherConnections(t *testing.T) {
 	}
 
 	unstall()
-	waitFor(t, func() bool { return r.Stats().Updates >= int64(flood) })
+	waitFor(t, func() bool { return r.ReplicaMetrics().Updates >= int64(flood) })
 }
 
 // TestClientCloseFailsInFlightPhases closes a dispatching client while its
@@ -168,7 +168,7 @@ func TestClientCloseFailsInFlightPhases(t *testing.T) {
 	}
 	defer silent.Close()
 
-	cli := tcpClient(t, 100, silent.Addr(), WithoutReadCoalescing())
+	cli := tcpClient(t, 100, silent.Addr())
 	const ops = 16
 	errs := make(chan error, ops)
 	for i := 0; i < ops; i++ {

@@ -146,7 +146,7 @@ func TestFastReadWritesBackInFlightWriteAtDisjointReadQuorum(t *testing.T) {
 		t.Run(tc.sys.Name(), func(t *testing.T) {
 			n := tc.sys.Size()
 			c := newTestCluster(t, n, netsim.Config{Seed: 90})
-			opts := []ClientOption{WithQuorum(tc.sys), WithRetransmit(2 * time.Millisecond)}
+			opts := []ClientOption{WithQuorum(tc.sys), WithRetransmit(2*time.Millisecond, 2*time.Millisecond)}
 			ctx := shortCtx(t)
 
 			w := c.client(opts...)

@@ -63,6 +63,12 @@ func WithReadMode(m ReadMode) ClientOption {
 // if one of them is crashed or slow, the phase stalls even though a quorum
 // of other replicas is healthy. k must still be able to satisfy the read
 // quorum predicate (e.g. k=1 only works with ReadOneWriteAll).
+//
+// A quorum system with read quorums of one does not make this option
+// redundant: the quorum system decides when a phase may stop waiting, the
+// fanout decides whom it asks. ReadOneWriteAll alone still broadcasts every
+// query to all n replicas; the ROWA baseline's 2-message read needs fanout 1
+// as well (baseline.TestROWAReadUsesTwoMessages).
 func WithReadFanout(k int) ClientOption {
 	return func(c *Client) { c.readFanout = k }
 }
@@ -73,29 +79,10 @@ func WithWriteFanout(k int) ClientOption {
 	return func(c *Client) { c.writeFanout = k }
 }
 
-// Retransmission policies. The paper's model assumes reliable channels; on
-// lossy substrates (netsim with a drop probability, or TCP across
-// connection resets and partitions) phase retransmission is the standard
-// engineering step that restores the reliable-channel abstraction. All
-// protocol messages are idempotent — queries are read-only and updates are
-// adopt-if-newer — so retransmission never affects safety, only liveness
-// and message count.
-type retransmitPolicy int
-
-const (
-	// retransmitAdaptive derives the interval from observed phase
-	// latencies (the default; see Client.retransmitInterval).
-	retransmitAdaptive retransmitPolicy = iota
-	// retransmitFixed rebroadcasts at a configured constant interval.
-	retransmitFixed
-	// retransmitOff never rebroadcasts — the pure model semantics.
-	retransmitOff
-)
-
-// Bounds for the adaptive retransmission interval. The floor keeps a cold
-// or fast client from spamming duplicates; the ceiling bounds how long a
-// lost message can stall an operation once latencies have been inflated by
-// faults.
+// Default bounds for the retransmission interval (WithRetransmit). The
+// floor keeps a cold or fast client from spamming duplicates; the ceiling
+// bounds how long a lost message can stall an operation once latencies have
+// been inflated by faults.
 const (
 	DefaultRetransmitFloor   = 100 * time.Millisecond
 	DefaultRetransmitCeiling = 2 * time.Second
@@ -109,68 +96,26 @@ const (
 	adaptiveRefreshEvery = 64
 )
 
-// WithRetransmit makes a phase rebroadcast its request to replicas that
-// have not yet answered, every interval, until the quorum is assembled or
-// the context expires. An interval <= 0 disables retransmission entirely,
-// recovering the paper's pure reliable-channel model (useful for ablations
-// and message-count experiments). Without this option the client defaults
-// to adaptive retransmission — see WithAdaptiveRetransmit.
-func WithRetransmit(interval time.Duration) ClientOption {
-	return func(c *Client) {
-		if interval <= 0 {
-			c.rtPolicy = retransmitOff
-			c.retransmit = 0
-			return
-		}
-		c.rtPolicy = retransmitFixed
-		c.retransmit = interval
-	}
-}
-
-// WithAdaptiveRetransmit selects the adaptive retransmission policy with
-// explicit bounds (the policy itself is already the default, with
-// DefaultRetransmitFloor/DefaultRetransmitCeiling). The rebroadcast
-// interval for each phase is 3x the p99 of that phase kind's completed
-// latencies — per-client, per-phase-kind, from the always-on histograms —
+// WithRetransmit sets the phase retransmission policy: a phase rebroadcasts
+// its request to the replicas that have not yet answered, every interval,
+// until the quorum is assembled or the context expires. The paper's model
+// assumes reliable channels; on lossy substrates (netsim with a drop
+// probability, or TCP across connection resets and partitions)
+// retransmission restores that abstraction. Every protocol message is
+// idempotent — queries are read-only and updates are adopt-if-newer — so
+// retransmission never affects safety, only liveness and message count.
+//
+// The interval for each phase is 3x the p99 of that phase kind's completed
+// latencies — per client, per phase kind, from the always-on histograms —
 // clamped to [floor, ceiling]. A fast network earns a short interval and
 // quick loss recovery; a slow or congested one backs the interval off
-// automatically instead of amplifying the congestion. Non-positive floor
-// or ceiling values keep their defaults; a ceiling below the floor is
-// raised to it.
-func WithAdaptiveRetransmit(floor, ceiling time.Duration) ClientOption {
-	return func(c *Client) {
-		c.rtPolicy = retransmitAdaptive
-		if floor > 0 {
-			c.adaptFloor = floor
-		}
-		if ceiling > 0 {
-			c.adaptCeil = ceiling
-		}
-		if c.adaptCeil < c.adaptFloor {
-			c.adaptCeil = c.adaptFloor
-		}
-	}
-}
-
-// WithoutReadCoalescing disables the shared-round read path: every Read
-// runs its own quorum round even when another read of the same register is
-// in flight on this client. Coalescing is on by default because it is
-// invisible when operations do not overlap and strictly reduces load when
-// they do; this switch exists for baselines and ablations (the throughput
-// experiment's "unbatched" pass) and for callers that want per-read fault
-// isolation — a coalesced read shares its leader's fate and retries on its
-// own round only afterwards.
-func WithoutReadCoalescing() ClientOption {
-	return func(c *Client) { c.coalesceReads = false }
-}
-
-// WithoutWriteAbsorption disables multi-writer write absorption: every
-// Write runs its own query and update phases. See WithoutReadCoalescing
-// for why absorption is otherwise on by default; single-writer and bounded
-// clients never absorb regardless (their fast paths are already one round
-// trip, and bounded label domination is per-write).
-func WithoutWriteAbsorption() ClientOption {
-	return func(c *Client) { c.absorbWrites = false }
+// instead of amplifying the congestion. floor == ceiling (or a ceiling
+// below the floor) gives a fixed interval of floor; floor <= 0 disables
+// retransmission entirely, recovering the paper's pure reliable-channel
+// model (ablations and message-count experiments). The default is
+// [DefaultRetransmitFloor, DefaultRetransmitCeiling].
+func WithRetransmit(floor, ceiling time.Duration) ClientOption {
+	return func(c *Client) { c.rtFloor, c.rtCeil = floor, ceiling }
 }
 
 // WithByzantine makes Byzantine tolerance a first-class protocol mode:
@@ -218,19 +163,6 @@ func WithByzantine(f int) ClientOption {
 // analysis, Multi to fan out. A nil t keeps tracing disabled.
 func WithTracer(t obs.Tracer) ClientOption {
 	return func(c *Client) { c.tracer = t }
-}
-
-// WithRuntimeTrace opts the client into Go execution-trace integration:
-// while a runtime/trace session is active (runtime/trace.Start, or a
-// /debug/pprof/trace scrape), every Read/Write opens a trace task
-// ("abd.read"/"abd.write") and every quorum phase a region
-// ("abd.phase.query", "abd.phase.write-back", ...) inside it, with the
-// operation's causal trace id logged under the "abd.trace" category — so a
-// `go tool trace` flamegraph lines up with the obs span tree for the same
-// operation. When no trace session is active the instrumentation is a
-// single boolean check per op; the default (option absent) costs nothing.
-func WithRuntimeTrace() ClientOption {
-	return func(c *Client) { c.runtimeTrace = true }
 }
 
 // WithBoundedLabels switches the client to the bounded cyclic label mode

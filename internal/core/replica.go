@@ -533,26 +533,6 @@ func (r *Replica) TagWatermarks(limit int) health.ReplicaTags {
 	return out
 }
 
-// ReplicaStats is a snapshot of a replica's counters.
-type ReplicaStats struct {
-	Queries    int64
-	Updates    int64
-	Adoptions  int64
-	Violations int64
-	BadMsgs    int64
-}
-
-// Stats returns a snapshot of the replica's counters.
-func (r *Replica) Stats() ReplicaStats {
-	return ReplicaStats{
-		Queries:    r.queries.Load(),
-		Updates:    r.updates.Load(),
-		Adoptions:  r.adoptions.Load(),
-		Violations: r.violations.Load(),
-		BadMsgs:    r.badMsgs.Load(),
-	}
-}
-
 // ReplicaMetrics is the replica-side counterpart of the client's
 // MetricsSnapshot: the full server-side counter set, plus the store size.
 // Every client phase lands here as exactly one query or update per

@@ -14,7 +14,7 @@ import (
 // eventually lose a quorum; with it every op completes.
 func TestRetransmitRestoresLivenessUnderLoss(t *testing.T) {
 	c := newTestCluster(t, 3, netsim.Config{Seed: 50, DropProb: 0.3})
-	cli := c.client(WithRetransmit(5 * time.Millisecond))
+	cli := c.client(WithRetransmit(5*time.Millisecond, 5*time.Millisecond))
 	ctx := shortCtx(t)
 
 	for i := 0; i < 30; i++ {
@@ -33,8 +33,8 @@ func TestRetransmitRestoresLivenessUnderLoss(t *testing.T) {
 // without retransmission.
 func TestNoRetransmitStallsUnderTotalEarlyLoss(t *testing.T) {
 	c := newTestCluster(t, 3, netsim.Config{Seed: 51})
-	noRetry := c.client(WithSingleWriter(), WithRetransmit(0))
-	retry := c.client(WithSingleWriter(), WithRetransmit(5*time.Millisecond))
+	noRetry := c.client(WithSingleWriter(), WithRetransmit(0, 0))
+	retry := c.client(WithSingleWriter(), WithRetransmit(5*time.Millisecond, 5*time.Millisecond))
 
 	// Blackhole the path to replicas 1 and 2 briefly, then heal: messages
 	// sent during the window are gone forever (loss, not delay).
@@ -122,7 +122,7 @@ func TestAdaptiveIntervalTracksObservedLatency(t *testing.T) {
 	}
 
 	// Custom bounds via the option.
-	tight := c.client(WithAdaptiveRetransmit(10*time.Millisecond, 50*time.Millisecond))
+	tight := c.client(WithRetransmit(10*time.Millisecond, 50*time.Millisecond))
 	if got := tight.retransmitInterval(KindReadQuery); got != 10*time.Millisecond {
 		t.Errorf("custom floor = %v, want 10ms", got)
 	}
@@ -133,8 +133,17 @@ func TestAdaptiveIntervalTracksObservedLatency(t *testing.T) {
 		t.Errorf("custom ceiling = %v, want 50ms", got)
 	}
 
-	// WithRetransmit(0) turns retransmission off entirely.
-	off := c.client(WithRetransmit(0))
+	// floor == ceiling is a fixed interval, whatever the histogram says.
+	fixed := c.client(WithRetransmit(5*time.Millisecond, 5*time.Millisecond))
+	for i := 0; i < 100; i++ {
+		fixed.lat.phaseQuery.Record(time.Second)
+	}
+	if got := fixed.retransmitInterval(KindReadQuery); got != 5*time.Millisecond {
+		t.Errorf("fixed interval = %v, want 5ms", got)
+	}
+
+	// A floor <= 0 turns retransmission off entirely.
+	off := c.client(WithRetransmit(0, 0))
 	if got := off.retransmitInterval(KindReadQuery); got != 0 {
 		t.Errorf("disabled interval = %v, want 0", got)
 	}
@@ -144,7 +153,7 @@ func TestAdaptiveIntervalTracksObservedLatency(t *testing.T) {
 // replica state: the final value and timestamp are the same as a clean run.
 func TestRetransmitIsIdempotent(t *testing.T) {
 	c := newTestCluster(t, 3, netsim.Config{Seed: 52, DropProb: 0.2})
-	cli := c.client(WithSingleWriter(), WithRetransmit(2*time.Millisecond))
+	cli := c.client(WithSingleWriter(), WithRetransmit(2*time.Millisecond, 2*time.Millisecond))
 	ctx := shortCtx(t)
 
 	for i := 0; i < 20; i++ {

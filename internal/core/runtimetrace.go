@@ -6,19 +6,22 @@ import (
 	"strconv"
 )
 
-// Runtime execution-trace integration (WithRuntimeTrace): operations map to
-// trace tasks, quorum phases to regions inside them, and the obs trace id
-// is logged on the task so `go tool trace` output cross-references the span
-// tree. Everything here is gated on rtrace.IsEnabled() so an instrumented
-// client costs one branch per call while no trace session runs.
+// Runtime execution-trace integration: while a runtime/trace session is
+// active (runtime/trace.Start, or a /debug/pprof/trace scrape), every
+// Read/Write opens a trace task ("abd.read"/"abd.write") and every quorum
+// phase a region ("abd.phase.query", "abd.phase.write-back", ...) inside it,
+// with the operation's causal trace id logged under the "abd.trace"
+// category — so a `go tool trace` flamegraph lines up with the obs span tree
+// for the same operation. Everything here is gated on rtrace.IsEnabled(), so
+// a client costs one branch per call while no trace session runs.
 
 func noopEnd() {}
 
 // beginRuntimeTask opens a trace task for one client operation and returns
 // the task-bearing context (phases started under it become its regions)
 // plus the end function.
-func (c *Client) beginRuntimeTask(ctx context.Context, name string, ot opTrace) (context.Context, func()) {
-	if !c.runtimeTrace || !rtrace.IsEnabled() {
+func beginRuntimeTask(ctx context.Context, name string, ot opTrace) (context.Context, func()) {
+	if !rtrace.IsEnabled() {
 		return ctx, noopEnd
 	}
 	ctx, task := rtrace.NewTask(ctx, name)
@@ -32,8 +35,8 @@ func (c *Client) beginRuntimeTask(ctx context.Context, name string, ot opTrace) 
 
 // phaseRegion brackets one broadcast-and-collect phase as a region of the
 // operation's task; the returned func ends it.
-func (c *Client) phaseRegion(ctx context.Context, label string) func() {
-	if !c.runtimeTrace || !rtrace.IsEnabled() {
+func phaseRegion(ctx context.Context, label string) func() {
+	if !rtrace.IsEnabled() {
 		return noopEnd
 	}
 	return rtrace.StartRegion(ctx, regionName(label)).End

@@ -25,7 +25,7 @@ func TestRuntimeTraceTasksAndRegions(t *testing.T) {
 		r.Start()
 		defer r.Stop()
 	}
-	cli, err := NewClient(100, net.Node(100), ids, WithRuntimeTrace())
+	cli, err := NewClient(100, net.Node(100), ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRuntimeTraceTasksAndRegions(t *testing.T) {
 	}
 }
 
-// TestRuntimeTraceDisabledIsInert checks the option costs nothing without a
+// TestRuntimeTraceDisabledIsInert checks the bracketing is inert without a
 // trace session: operations run normally and no task machinery engages.
 func TestRuntimeTraceDisabledIsInert(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 2})
@@ -69,7 +69,7 @@ func TestRuntimeTraceDisabledIsInert(t *testing.T) {
 		r.Start()
 		defer r.Stop()
 	}
-	cli, err := NewClient(100, net.Node(100), ids, WithRuntimeTrace())
+	cli, err := NewClient(100, net.Node(100), ids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -41,30 +42,34 @@ func abdSystem(opts ...core.ClientOption) func(o Options, n int) (regClient, fun
 func rowaSystem() func(o Options, n int) (regClient, func(int), func(), error) {
 	return func(o Options, n int) (regClient, func(int), func(), error) {
 		c := newSimCluster(n, netsim.Config{Seed: o.seed(), MinDelay: 200 * time.Microsecond, MaxDelay: 400 * time.Microsecond})
-		id := c.nextCli
-		c.nextCli++
-		cli, err := baseline.NewROWAClient(id, c.net.Node(id), c.ids)
+		cli, err := c.add(func(id types.NodeID, ep transport.Endpoint) (*core.Client, error) {
+			return baseline.NewROWAClient(id, ep, c.ids)
+		})
 		if err != nil {
 			c.close()
 			return nil, nil, nil, err
 		}
-		c.clients = append(c.clients, cli)
 		return cli, func(i int) { c.net.Crash(types.NodeID(i)) }, c.close, nil
 	}
 }
 
+// central builds a client of the central baseline, whose server is replica
+// 0 of a one-replica simCluster.
+func central(id types.NodeID, ep transport.Endpoint) (*core.Client, error) {
+	return baseline.NewCentral(id, ep, 0)
+}
+
+// centralSystem is the unreplicated server: a one-replica group whatever n
+// is, so crashing server 0 loses everything.
 func centralSystem() func(o Options, n int) (regClient, func(int), func(), error) {
 	return func(o Options, n int) (regClient, func(int), func(), error) {
-		net := netsim.New(netsim.Config{Seed: o.seed(), MinDelay: 200 * time.Microsecond, MaxDelay: 400 * time.Microsecond})
-		srv := baseline.NewCentralServer(0, net.Node(0))
-		srv.Start()
-		cli := baseline.NewCentralClient(10000, net.Node(10000), 0)
-		closeAll := func() {
-			cli.Close()
-			srv.Stop()
-			net.Close()
+		c := newSimCluster(1, netsim.Config{Seed: o.seed(), MinDelay: 200 * time.Microsecond, MaxDelay: 400 * time.Microsecond})
+		cli, err := c.add(central)
+		if err != nil {
+			c.close()
+			return nil, nil, nil, err
 		}
-		return cli, func(i int) { net.Crash(types.NodeID(i)) }, closeAll, nil
+		return cli, func(i int) { c.net.Crash(types.NodeID(i)) }, c.close, nil
 	}
 }
 
@@ -242,31 +247,11 @@ func F3Throughput(o Options) (*Table, error) {
 			return mk, c.close, nil
 		}},
 		{"central", func() (func() (regClient, error), func(), error) {
-			net := netsim.New(netsim.Config{Seed: o.seed(), MinDelay: 100 * time.Microsecond, MaxDelay: 200 * time.Microsecond})
-			srv := baseline.NewCentralServer(0, net.Node(0))
-			srv.Start()
-			var created []*baseline.CentralClient
-			var mu sync.Mutex
-			next := types.NodeID(10000)
+			c := newSimCluster(1, netsim.Config{Seed: o.seed(), MinDelay: 100 * time.Microsecond, MaxDelay: 200 * time.Microsecond})
 			mk := func() (regClient, error) {
-				mu.Lock()
-				id := next
-				next++
-				mu.Unlock()
-				cli := baseline.NewCentralClient(id, net.Node(id), 0)
-				mu.Lock()
-				created = append(created, cli)
-				mu.Unlock()
-				return cli, nil
+				return c.add(central)
 			}
-			closeAll := func() {
-				for _, c := range created {
-					c.Close()
-				}
-				srv.Stop()
-				net.Close()
-			}
-			return mk, closeAll, nil
+			return mk, c.close, nil
 		}},
 	}
 

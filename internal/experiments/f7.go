@@ -37,8 +37,8 @@ func F7Ablations(o Options) (*Table, error) {
 	configs := []config{
 		{"fanout=all (paper)", []core.ClientOption{core.WithSingleWriter()}, 0},
 		{"fanout=quorum (3)", []core.ClientOption{core.WithSingleWriter(), core.WithWriteFanout(3), core.WithReadFanout(3)}, 0},
-		{"25% loss, no retransmit", []core.ClientOption{core.WithSingleWriter(), core.WithRetransmit(0)}, 0.25},
-		{"25% loss + retransmit", []core.ClientOption{core.WithSingleWriter(), core.WithRetransmit(5 * time.Millisecond)}, 0.25},
+		{"25% loss, no retransmit", []core.ClientOption{core.WithSingleWriter(), core.WithRetransmit(0, 0)}, 0.25},
+		{"25% loss + retransmit", []core.ClientOption{core.WithSingleWriter(), core.WithRetransmit(5*time.Millisecond, 5*time.Millisecond)}, 0.25},
 	}
 
 	for _, cfg := range configs {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -33,9 +34,18 @@ func newSimCluster(n int, cfg netsim.Config, ropts ...core.ReplicaOption) *simCl
 }
 
 func (c *simCluster) client(opts ...core.ClientOption) (*core.Client, error) {
+	return c.add(func(id types.NodeID, ep transport.Endpoint) (*core.Client, error) {
+		return core.NewClient(id, ep, c.ids, opts...)
+	})
+}
+
+// add builds a client on the next client id's endpoint — with core.NewClient
+// or one of package baseline's constructors — and closes it with the
+// cluster.
+func (c *simCluster) add(build func(types.NodeID, transport.Endpoint) (*core.Client, error)) (*core.Client, error) {
 	id := c.nextCli
 	c.nextCli++
-	cli, err := core.NewClient(id, c.net.Node(id), c.ids, opts...)
+	cli, err := build(id, c.net.Node(id))
 	if err != nil {
 		return nil, err
 	}

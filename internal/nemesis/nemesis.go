@@ -344,7 +344,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			}
 			ids := append([]types.NodeID(nil), groupIDs[g]...)
 			copts := []core.ClientOption{
-				core.WithAdaptiveRetransmit(50*time.Millisecond, 500*time.Millisecond),
+				core.WithRetransmit(50*time.Millisecond, 500*time.Millisecond),
 				core.WithTracer(c.nodeTracer(id)),
 			}
 			if cfg.Byzantine > 0 {
@@ -662,12 +662,12 @@ func (c *Cluster) LagReport(limit, topRegs int) health.LagReport {
 	return out
 }
 
-// ReplicaStats sums the protocol-level replica counters across the live
+// ReplicaMetrics sums the protocol-level replica counters across the live
 // replica processes and merges their group-commit batch-size histograms.
 // Unlike TransportStats, crashed generations take their counters with them:
 // a restarted replica reports the new process's tallies only, which is
 // exactly what a crash-recovery test wants to observe.
-func (c *Cluster) ReplicaStats() (core.ReplicaMetrics, obs.HistSnapshot) {
+func (c *Cluster) ReplicaMetrics() (core.ReplicaMetrics, obs.HistSnapshot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var total core.ReplicaMetrics
@@ -1208,7 +1208,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// had their timeouts, so the span picture is complete. Snapshot before
 	// the checker runs, not after, to keep teardown-time spans out.
 	spans, spansDropped := cl.Spans()
-	repStats, batchSizes := cl.ReplicaStats()
+	repStats, batchSizes := cl.ReplicaMetrics()
 
 	lies, muted := cl.LiarStats()
 	ops := rec.Ops()

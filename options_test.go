@@ -12,7 +12,7 @@ func TestClusterWithDropsAndRetransmit(t *testing.T) {
 	cluster, err := NewCluster(3,
 		WithSeed(100),
 		WithDropProbability(0.25),
-		WithClientDefaults(core.WithRetransmit(5*time.Millisecond)),
+		WithClientDefaults(core.WithRetransmit(5*time.Millisecond, 5*time.Millisecond)),
 	)
 	if err != nil {
 		t.Fatal(err)
