@@ -3,7 +3,7 @@
 GO ?= go
 
 # Every command binary `make bin` produces under ./bin.
-CMDS = abd-sim abd-node abd-cli abd-check abd-bench abd-trace abd-top abd-prof
+CMDS = abd-sim abd-node abd-cli abd-check abd-bench abd-trace abd-top
 
 .PHONY: all build bin test race vet fmt check smoke e2e-smoke bench eval clean
 

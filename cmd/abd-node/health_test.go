@@ -17,8 +17,8 @@ import (
 // TestNodeMuxServesStatusAndPprof wires a single replica the way run()
 // does and checks the whole HTTP surface: /status serves a well-formed
 // health report with this replica's tag watermarks, /metrics carries the
-// new process gauges and the abd_health_* series, and the pprof index
-// appears exactly when the flag is on.
+// benchmark's series and the abd_health_* series with every family grouped,
+// and the pprof index appears exactly when the flag is on.
 func TestNodeMuxServesStatusAndPprof(t *testing.T) {
 	ep, err := tcpnet.Listen(tcpnet.Config{ID: 0, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
@@ -90,14 +90,46 @@ func TestNodeMuxServesStatusAndPprof(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, series := range []string{
-		"abd_node_heap_bytes",
-		"abd_node_gc_pause_seconds",
+		// Every series the repository benchmark reads (bench/layers.go),
+		// whose own tests are outside `go test ./...`.
+		"abd_replica_queries_total",
+		"abd_replica_updates_total",
+		"abd_replica_stale_rejects_total",
+		"abd_replica_batches_total",
+		"abd_replica_fsyncs_total",
+		"abd_prof_alloc_objects_total",
+		"abd_prof_gc_pause_p99_seconds",
 		"abd_health_tracked_ops_total",
 		"abd_health_watermark_seq",
 		"abd_health_breakers_open",
 	} {
 		if !strings.Contains(string(body), series) {
 			t.Errorf("series %s missing from /metrics", series)
+		}
+	}
+
+	// Text-format grouping: each family has one # TYPE line and every
+	// sample sits under its own family's, so each family's samples are
+	// contiguous — including the abd_transport_* families, written once per
+	// endpoint.
+	typed := map[string]bool{}
+	family := ""
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, _, _ = strings.Cut(name, " ")
+			if typed[family] {
+				t.Errorf("family %s has a second # TYPE line", family)
+			}
+			typed[family] = true
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		if name != family && name != family+"_bucket" && name != family+"_sum" && name != family+"_count" {
+			t.Errorf("sample %q outside its family's group (under %s)", line, family)
 		}
 	}
 

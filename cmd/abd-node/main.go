@@ -27,6 +27,8 @@
 // profiles into a bounded on-disk ring (-prof-captures sets, oldest evicted)
 // whenever an SLO burn alert fires or a circuit breaker opens, so the
 // profiles of an incident are on disk before anyone starts debugging it.
+// Captured and /debug/pprof profiles are plain pprof files for
+// `go tool pprof` (e.g. `-top -diff_base old.pprof new.pprof`).
 // -mutex-profile-fraction and -block-profile-rate enable the contention
 // profilers (off by default; both cost CPU proportional to the sampled event
 // rate). While a runtime/trace session runs (/debug/pprof/trace), probe
@@ -360,13 +362,13 @@ func parsePeers(s string) (map[types.NodeID]string, []types.NodeID, error) {
 }
 
 // nodeGatherer exposes the probe client's latency histograms, the replica's
-// protocol counters, the TCP transport counters, the abd_health_* series,
-// and a few process gauges, all labeled with the node id. The prober may be
-// nil; the client series are still exported, with zero samples. When the
-// probe endpoint exists its transport counters are exported under the same
-// series names with an extra endpoint="probe" label — that endpoint dials
-// the whole replica group, so it is where circuit-breaker transitions show
-// when a peer replica dies.
+// protocol counters, the TCP transport counters, the node's uptime, the
+// abd_health_* series and the abd_prof_* runtime series, all labeled with
+// the node id. The prober may be nil; the client series are still exported,
+// with zero samples. When the probe endpoint exists its transport counters
+// are exported under the same series names with an extra endpoint="probe"
+// label — that endpoint dials the whole replica group, so it is where
+// circuit-breaker transitions show when a peer replica dies.
 func nodeGatherer(nh *nodeHealth) obs.Gatherer {
 	replica, ep, prober, proberEp := nh.replica, nh.ep, nh.prober, nh.proberEp
 	labels := obs.Labels{"node": strconv.FormatInt(int64(replica.ID()), 10)}
@@ -423,18 +425,13 @@ func nodeGatherer(nh *nodeHealth) obs.Gatherer {
 			transport(plabels, proberEp.Stats())
 		}
 
-		var mem runtime.MemStats
-		runtime.ReadMemStats(&mem)
 		w.Gauge("abd_node_uptime_seconds", "seconds since process start", labels, time.Since(nh.start).Seconds())
-		w.Gauge("abd_node_goroutines", "live goroutines", labels, float64(runtime.NumGoroutine()))
-		w.Gauge("abd_node_heap_alloc_bytes", "heap bytes in use", labels, float64(mem.HeapAlloc))
-		w.Gauge("abd_node_heap_bytes", "heap bytes held in in-use spans", labels, float64(mem.HeapInuse))
-		w.Gauge("abd_node_gc_pause_seconds", "cumulative stop-the-world GC pause time", labels, float64(mem.PauseTotalNs)/1e9)
 
 		health.WriteMetrics(w, labels, nh.status())
 
-		// Runtime allocation/GC attribution on a stats-epoch cadence, plus
-		// the flight recorder's ring counters when one is armed.
+		// Runtime goroutine/heap/GC gauges and allocation attribution from
+		// runtime/metrics on a stats-epoch cadence, plus the flight
+		// recorder's ring counters when one is armed.
 		nh.sampler.WriteMetrics(w, labels)
 		if nh.recorder != nil {
 			rs := nh.recorder.Stats()

@@ -117,7 +117,7 @@ func TestBreakerTransitionsVisibleInMetrics(t *testing.T) {
 	// traffic is the client's (replicas dial no one), so pass it in the
 	// probe slot — exactly how abd-node surfaces its embedded probe client,
 	// whose endpoint is likewise the one that dials the replica group.
-	srv := httptest.NewServer(obs.Expose(nodeGatherer(newNodeHealth(reps[0], cliEp, nil, cliEp))))
+	srv := httptest.NewServer(obs.ExposeFull(nodeGatherer(newNodeHealth(reps[0], cliEp, nil, cliEp)), nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {

@@ -172,7 +172,7 @@ func TestTracerSpansOnError(t *testing.T) {
 var sampleLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9.eE+-]+(Inf)?$`)
 
 // TestExposeIntegration runs a small netsim cluster, serves its metrics via
-// obs.Expose over real HTTP, and scrapes twice: every line must parse, and
+// obs.ExposeFull over real HTTP, and scrapes twice: every line must parse, and
 // counters must be monotone across scrapes.
 func TestExposeIntegration(t *testing.T) {
 	const n = 3
@@ -202,7 +202,7 @@ func TestExposeIntegration(t *testing.T) {
 		w.Counter("abd_net_delivered_total", "messages delivered", nil, ns.Delivered)
 		w.Histogram("abd_net_delivery_delay_seconds", "delivery delay", nil, ns.Delay)
 	}
-	srv := httptest.NewServer(obs.Expose(gather))
+	srv := httptest.NewServer(obs.ExposeFull(gather, nil))
 	defer srv.Close()
 
 	scrape := func() map[string]float64 {

@@ -1,7 +1,10 @@
 package nemesis
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,8 +20,8 @@ import (
 // run: a fault schedule whose burn alerts trigger captures must leave
 // profile sets on disk, captured while the faults were live; a fault-free
 // control run of the same workload with its own recorder must capture
-// nothing. The captured heap and goroutine profiles must parse with the
-// in-repo pprof reader — the artifacts are useful, not just present.
+// nothing. The captured heap and goroutine profiles must be real pprof
+// files — the artifacts are useful, not just present.
 func TestNemesisFlightRecorder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second tcpnet runs")
@@ -72,21 +75,25 @@ func TestNemesisFlightRecorder(t *testing.T) {
 		t.Fatalf("no capture inside a fault window: %+v", res.Health.Captures)
 	}
 
-	// The profiles are on disk and readable: heap and goroutine must parse
-	// with the repo's own pprof reader (cpu.pprof may be absent only if the
-	// test binary already runs a CPU profile; its error is recorded).
+	// The profiles are on disk and are pprof files: gzip-compressed, with
+	// the sample type in the string table (cpu.pprof may be absent only if
+	// the test binary already runs a CPU profile; its error is recorded).
 	c := res.Health.Captures[0]
-	for _, name := range []string{"heap.pprof", "goroutine.pprof"} {
-		buf, err := os.ReadFile(filepath.Join(c.Dir, name))
+	for name, sampleType := range map[string]string{"heap.pprof": "inuse_space", "goroutine.pprof": "goroutine"} {
+		data, err := os.ReadFile(filepath.Join(c.Dir, name))
 		if err != nil {
 			t.Fatalf("capture %d missing %s: %v", c.Seq, name, err)
 		}
-		p, err := prof.Parse(buf)
+		zr, err := gzip.NewReader(bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("capture %d: %s does not parse: %v", c.Seq, name, err)
+			t.Fatalf("capture %d: %s is not gzip: %v", c.Seq, name, err)
 		}
-		if len(p.SampleTypes) == 0 {
-			t.Fatalf("capture %d: %s has no sample types", c.Seq, name)
+		buf, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatalf("capture %d: %s does not decompress: %v", c.Seq, name, err)
+		}
+		if !bytes.Contains(buf, []byte(sampleType)) {
+			t.Fatalf("capture %d: %s names no %s sample type", c.Seq, name, sampleType)
 		}
 	}
 	if _, err := os.Stat(filepath.Join(c.Dir, "meta.json")); err != nil {

@@ -52,56 +52,65 @@ var defaultLE = []int64{
 }
 
 // Writer accumulates one scrape's worth of metrics in Prometheus text
-// exposition format (version 0.0.4). Calls for the same metric name must be
-// contiguous (standard Prometheus grouping); # HELP / # TYPE headers are
-// emitted once per name.
+// exposition format (version 0.0.4). Each metric name is one family: its
+// # HELP / # TYPE headers are emitted once, and all of its samples are
+// grouped under them in the order written, whatever other families' calls
+// come in between. Families appear in first-written order.
 type Writer struct {
-	b    strings.Builder
-	seen map[string]bool
+	families map[string]*strings.Builder
+	order    []*strings.Builder
 }
 
 // NewWriter creates an empty Writer.
 func NewWriter() *Writer {
-	return &Writer{seen: make(map[string]bool)}
+	return &Writer{families: make(map[string]*strings.Builder)}
 }
 
-func (w *Writer) header(name, help, typ string) {
-	if w.seen[name] {
-		return
+// family returns name's builder, starting it with its headers on first use.
+func (w *Writer) family(name, help, typ string) *strings.Builder {
+	if b, ok := w.families[name]; ok {
+		return b
 	}
-	w.seen[name] = true
-	fmt.Fprintf(&w.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	b := new(strings.Builder)
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	w.families[name] = b
+	w.order = append(w.order, b)
+	return b
 }
 
 // Counter writes one cumulative counter sample. Names should end in
 // `_total` by convention.
 func (w *Writer) Counter(name, help string, labels Labels, v int64) {
-	w.header(name, help, "counter")
-	fmt.Fprintf(&w.b, "%s%s %d\n", name, labels.render(), v)
+	fmt.Fprintf(w.family(name, help, "counter"), "%s%s %d\n", name, labels.render(), v)
 }
 
 // Gauge writes one gauge sample.
 func (w *Writer) Gauge(name, help string, labels Labels, v float64) {
-	w.header(name, help, "gauge")
-	fmt.Fprintf(&w.b, "%s%s %g\n", name, labels.render(), v)
+	fmt.Fprintf(w.family(name, help, "gauge"), "%s%s %g\n", name, labels.render(), v)
 }
 
 // Histogram writes a full histogram family — `name_bucket` lines over the
 // default upper-bound ladder plus +Inf, `name_sum`, and `name_count`.
 // Durations are exported in seconds, the Prometheus base unit.
 func (w *Writer) Histogram(name, help string, labels Labels, s HistSnapshot) {
-	w.header(name, help, "histogram")
+	b := w.family(name, help, "histogram")
 	for _, le := range defaultLE {
-		fmt.Fprintf(&w.b, "%s_bucket%s %d\n",
+		fmt.Fprintf(b, "%s_bucket%s %d\n",
 			name, labels.renderWith("le", formatSeconds(le)), s.CumulativeLE(le))
 	}
-	fmt.Fprintf(&w.b, "%s_bucket%s %d\n", name, labels.renderWith("le", "+Inf"), s.Count)
-	fmt.Fprintf(&w.b, "%s_sum%s %g\n", name, labels.render(), float64(s.Sum)/1e9)
-	fmt.Fprintf(&w.b, "%s_count%s %d\n", name, labels.render(), s.Count)
+	fmt.Fprintf(b, "%s_bucket%s %d\n", name, labels.renderWith("le", "+Inf"), s.Count)
+	fmt.Fprintf(b, "%s_sum%s %g\n", name, labels.render(), float64(s.Sum)/1e9)
+	fmt.Fprintf(b, "%s_count%s %d\n", name, labels.render(), s.Count)
 }
 
 // String returns the accumulated exposition page.
-func (w *Writer) String() string { return w.b.String() }
+func (w *Writer) String() string {
+	var out strings.Builder
+	for _, b := range w.order {
+		out.WriteString(b.String())
+	}
+	return out.String()
+}
 
 // formatSeconds renders nanoseconds as a seconds le label without trailing
 // zeros (1_024_000 -> "0.001024").
@@ -114,23 +123,6 @@ func formatSeconds(ns int64) string {
 // Gatherer fills a Writer with the current metric values. It is called
 // once per scrape; implementations snapshot live counters inside the call.
 type Gatherer func(*Writer)
-
-// Expose returns an http.Handler serving the observability endpoints:
-//
-//	/metrics — the Gatherer's output in Prometheus text format
-//	/healthz — 200 "ok" while the process is serving
-//
-// Mount it on any mux or hand it straight to http.Serve; see
-// cmd/abd-node's -metrics-addr flag for the reference deployment.
-func Expose(g Gatherer) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", metricsHandler(g))
-	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, _ *http.Request) {
-		rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = rw.Write([]byte("ok\n"))
-	})
-	return mux
-}
 
 // Health is the /healthz body served by ExposeFull: enough to tell at a
 // glance whether the process is up, what build it is, and whether trace
@@ -156,18 +148,25 @@ func BuildRevision() string {
 	return ""
 }
 
-// ExposeFull returns an http.Handler serving the full observability
-// surface of a long-lived node:
+// ExposeFull returns an http.Handler serving the observability surface of
+// a long-lived node:
 //
 //	/metrics — the Gatherer's output in Prometheus text format
 //	/healthz — a JSON Health body: uptime, build info, span-drop counter
 //	/spans   — the collector's push/pull endpoint (absent when spans is nil)
 //
-// Uptime counts from the ExposeFull call.
+// Uptime counts from the ExposeFull call. Mount it on any mux or hand it
+// straight to http.Serve; cmd/abd-node's -metrics-addr is the reference
+// deployment.
 func ExposeFull(g Gatherer, spans *Collector) http.Handler {
 	started := time.Now()
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", metricsHandler(g))
+	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
+		w := NewWriter()
+		g(w)
+		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_, _ = rw.Write([]byte(w.String()))
+	})
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		h := Health{
 			Status:        "ok",
@@ -188,13 +187,4 @@ func ExposeFull(g Gatherer, spans *Collector) http.Handler {
 		mux.Handle("/spans", spans.Handler())
 	}
 	return mux
-}
-
-func metricsHandler(g Gatherer) http.Handler {
-	return http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
-		w := NewWriter()
-		g(w)
-		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = rw.Write([]byte(w.String()))
-	})
 }

@@ -53,6 +53,24 @@ func TestWriterFormat(t *testing.T) {
 	}
 }
 
+// TestWriterGroupsInterleavedFamilies writes two families alternately for
+// two label sets — the way a gatherer loops over endpoints — and requires
+// each family's samples to come out as one group under its headers.
+func TestWriterGroupsInterleavedFamilies(t *testing.T) {
+	w := NewWriter()
+	for _, node := range []string{"0", "1"} {
+		w.Counter("a_total", "a", Labels{"node": node}, 1)
+		w.Gauge("b", "b", Labels{"node": node}, 2)
+	}
+	want := "# HELP a_total a\n# TYPE a_total counter\n" +
+		"a_total{node=\"0\"} 1\na_total{node=\"1\"} 1\n" +
+		"# HELP b b\n# TYPE b gauge\n" +
+		"b{node=\"0\"} 2\nb{node=\"1\"} 2\n"
+	if got := w.String(); got != want {
+		t.Fatalf("families not grouped:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestHistogramBucketsMonotone(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 1000; i++ {
@@ -79,9 +97,9 @@ func TestHistogramBucketsMonotone(t *testing.T) {
 
 func TestExposeEndpoints(t *testing.T) {
 	reads := int64(0)
-	srv := httptest.NewServer(Expose(func(w *Writer) {
+	srv := httptest.NewServer(ExposeFull(func(w *Writer) {
 		w.Counter("abd_reads_total", "reads", nil, reads)
-	}))
+	}, nil))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -94,7 +112,7 @@ func TestExposeEndpoints(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	if code, body := get("/healthz"); code != 200 || body != "ok\n" {
+	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, `"status": "ok"`) {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "abd_reads_total 0") {

@@ -1,6 +1,9 @@
 package prof
 
 import (
+	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -40,18 +43,23 @@ func TestRecorderCaptureWritesProfiles(t *testing.T) {
 			t.Errorf("missing %s: %v", f, err)
 		}
 	}
-	// The captured profiles must parse with this package's own reader.
-	for _, f := range []string{"heap.pprof", "goroutine.pprof"} {
+	// The captured profiles are pprof files: gzip-compressed, with the
+	// sample type in the string table.
+	for f, sampleType := range map[string]string{"heap.pprof": "inuse_space", "goroutine.pprof": "goroutine"} {
 		data, err := os.ReadFile(filepath.Join(c.Dir, f))
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := Parse(data)
+		zr, err := gzip.NewReader(bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("parse %s: %v", f, err)
+			t.Fatalf("%s is not gzip: %v", f, err)
 		}
-		if len(p.SampleTypes) == 0 {
-			t.Fatalf("%s parsed with no sample types", f)
+		raw, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatalf("%s does not decompress: %v", f, err)
+		}
+		if !bytes.Contains(raw, []byte(sampleType)) {
+			t.Fatalf("%s names no %s sample type", f, sampleType)
 		}
 	}
 	st := r.Stats()

@@ -1,6 +1,6 @@
 // Package prof is the performance-observability layer: where the rest of
 // internal/obs answers "how fast", prof answers "at what cost". It has
-// three parts, all stdlib-only:
+// two parts, both stdlib-only:
 //
 //   - Sampler reads a fixed set of runtime/metrics series (heap allocation
 //     totals, GC cycles and pause distribution, GC assist CPU, scheduler
@@ -19,10 +19,8 @@
 //     it behind -prof-dir; internal/nemesis triggers it from the harness's
 //     health monitor.
 //
-//   - Parse reads the pprof protobuf profile format (gzip + the subset of
-//     profile.proto that flat/cum attribution needs) without importing any
-//     profiling tooling, which is what lets cmd/abd-prof diff two captures
-//     in-process.
+// Captured profiles are standard pprof files: read and diff them with
+// `go tool pprof` (README, Performance observability).
 //
 // MeasureAllocs is the per-op attribution primitive behind the repository
 // benchmark's layer probes (bench/probes.go: the *_allocs metrics).

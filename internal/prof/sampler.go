@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"runtime/metrics"
-	"sort"
 	"sync"
 	"time"
 
@@ -175,7 +174,7 @@ type Sampler struct {
 
 // NewSampler creates a sampler and takes the initial baseline. epoch > 0
 // makes Current auto-rotate once that much time has passed since the last
-// rotation; pass 0 to rotate manually (Rotate / Reset).
+// rotation; pass 0 to rotate manually (Rotate).
 func NewSampler(epoch time.Duration) *Sampler {
 	s := &Sampler{epoch: epoch}
 	keys := []string{
@@ -258,9 +257,6 @@ func (s *Sampler) rotateLocked() Delta {
 	return s.last
 }
 
-// Reset rebaselines without keeping the closed epoch (Rotate, discarded).
-func (s *Sampler) Reset() { s.Rotate() }
-
 // Current returns the cumulative snapshot plus the last closed epoch's
 // delta. With a non-zero epoch period it first rotates if the open epoch
 // has run past the period, so concurrent scrapers all observe the same
@@ -336,15 +332,4 @@ func MeasureAllocs(n int, f func(i int)) AllocStats {
 		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(n),
 		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
 	}
-}
-
-// SupportedSeries lists the runtime/metrics keys this runtime resolves, for
-// diagnostics (abd-prof attr -series).
-func SupportedSeries() []string {
-	out := make([]string, 0, len(supportedKeys))
-	for k := range supportedKeys {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
