@@ -140,6 +140,106 @@ func TestRandomScheduleHistoriesLinearizable(t *testing.T) {
 	}
 }
 
+// TestSharedClientHistoriesLinearizable checks concurrent operations through
+// one shared client: several goroutines share each of two clients, so one
+// client has several reads, or several multi-writer writes, of the same
+// register in flight at once, and every recorded history must still be
+// linearizable. Each of those writes must carry its own tag
+// (TestNextTagNeverReusesATag); two writes naming different values with one
+// tag are what this test catches.
+func TestSharedClientHistoriesLinearizable(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			c := newTestCluster(t, 3, netsim.Config{
+				Seed:     seed,
+				MinDelay: 0,
+				MaxDelay: 3 * time.Millisecond,
+			})
+			ctx := shortCtx(t)
+			rec := history.NewRecorder()
+
+			// Two clients, each shared by several goroutines.
+			wcli := c.client()
+			rcli := c.client()
+
+			const writers, readers, opsPer = 3, 4, 12
+			var wg sync.WaitGroup
+			for i := 0; i < writers; i++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					for j := 0; j < opsPer; j++ {
+						val := []byte(fmt.Sprintf("w%d-%d", id, j))
+						p := rec.BeginWrite(id, val)
+						if err := wcli.Write(ctx, "x", val); err != nil {
+							p.Crash()
+							return
+						}
+						p.EndWrite()
+					}
+				}(i)
+			}
+			for i := 0; i < readers; i++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					for j := 0; j < opsPer; j++ {
+						p := rec.BeginRead(id)
+						v, err := rcli.Read(ctx, "x")
+						if err != nil {
+							p.Crash()
+							return
+						}
+						p.EndRead(v)
+					}
+				}(writers + i)
+			}
+			wg.Wait()
+
+			res := lincheck.CheckRegister(rec.Ops(), lincheck.Config{Timeout: 20 * time.Second})
+			if res.Outcome != lincheck.Linearizable {
+				t.Fatalf("seed %d: %v (%d ops)", seed, res.Outcome, len(rec.Ops()))
+			}
+		})
+	}
+}
+
+// TestNextTagNeverReusesATag pins the rule that a client never issues one
+// tag twice: two nextTag calls for one register, with nothing installed in
+// between, return strictly increasing tags in both writer modes. A
+// multi-writer client's two query phases see the same newest tag, so only
+// the client's per-register counter keeps the second tag above the first.
+func TestNextTagNeverReusesATag(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []ClientOption
+	}{
+		{"single-writer", []ClientOption{WithSingleWriter()}},
+		{"multi-writer", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, 3, netsim.Config{Seed: 31})
+			cli := c.client(tc.opts...)
+			ctx := shortCtx(t)
+			mustWrite(t, ctx, cli, "x", "v")
+
+			first, err := cli.nextTag(ctx, "x", opTrace{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := cli.nextTag(ctx, "x", opTrace{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !first.TS.Less(second.TS) {
+				t.Fatalf("second tag %v not above first %v", second.TS, first.TS)
+			}
+		})
+	}
+}
+
 // runRecordedWorkload runs a concurrent read/write mix over a 3-replica
 // cluster with randomized delays, recording every operation.
 func runRecordedWorkload(t *testing.T, seed int64, extraOpts []ClientOption) []history.Op {

@@ -26,7 +26,9 @@ import (
 //	           write it back to a write quorum, return the value.
 //
 // A Client is safe for concurrent use; overlapping operations are
-// multiplexed over one endpoint by operation identifiers.
+// multiplexed over one endpoint by operation identifiers, and each runs its
+// own quorum rounds. Concurrent writes to one register through one client
+// each get a distinct tag (nextTag).
 type Client struct {
 	id       types.NodeID
 	ep       transport.Endpoint
@@ -51,10 +53,11 @@ type Client struct {
 	// The interval last derived per phase kind (retransmitInterval).
 	rtQuery, rtUpdate adaptiveInterval
 
-	// Single-writer state: the last sequence number (unbounded) or label
-	// (bounded) issued, per register.
-	swMu    sync.Mutex
-	swSeq   map[string]int64
+	// Tag-issuing state, per register: the last sequence number this client
+	// issued (both writer modes; see nextTag) and, under bounded labels, the
+	// last label.
+	tagMu   sync.Mutex
+	tagSeq  map[string]int64
 	swLabel map[string]int64
 	swWrote map[string]bool // whether swLabel holds a real label yet
 
@@ -65,12 +68,6 @@ type Client struct {
 	// replies; piggybacked on every outgoing query and write.
 	confMu    sync.Mutex
 	confirmed map[string]Tag
-
-	// Coalescing state (see coalesce.go): per-register shared rounds for
-	// concurrent reads and multi-writer writes issued through this client.
-	coMu     sync.Mutex
-	rdRounds map[string]*opRound
-	wrRounds map[string]*opRound
 
 	opSeq   atomic.Uint64
 	pendMu  sync.Mutex
@@ -103,7 +100,7 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 		index:    make(map[types.NodeID]int, len(replicas)),
 		qs:       quorum.NewMajority(len(replicas)),
 		ord:      unboundedOrder{},
-		swSeq:    make(map[string]int64),
+		tagSeq:   make(map[string]int64),
 		swLabel:  make(map[string]int64),
 		swWrote:  make(map[string]bool),
 		pending:  make(map[uint64]*opInbox),
@@ -111,8 +108,6 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 		hot:      health.NewTopK(0),
 
 		confirmed: make(map[string]Tag),
-		rdRounds:  make(map[string]*opRound),
-		wrRounds:  make(map[string]*opRound),
 
 		rtFloor: DefaultRetransmitFloor,
 		rtCeil:  DefaultRetransmitCeiling,
@@ -711,7 +706,7 @@ func (c *Client) Read(ctx context.Context, reg string) (types.Value, error) {
 	ot := c.beginOp()
 	ctx, endTask := beginRuntimeTask(ctx, "abd.read", ot)
 	defer endTask()
-	val, err := c.readCoalesced(ctx, reg, ot)
+	val, err := c.read(ctx, reg, ot)
 	if err == nil {
 		c.lat.read.Record(time.Since(start))
 	} else {
@@ -783,20 +778,15 @@ func (c *Client) atWriteQuorum(reg string, best Tag, val types.Value, replies []
 
 // Write performs the atomic write. In multi-writer mode (the default) it
 // first queries a read quorum to find the newest timestamp and then
-// broadcasts its successor; in single-writer mode it uses its local
-// sequence counter and needs no query phase.
+// broadcasts a tag above it; in single-writer mode it needs no query phase.
+// Either way the tag comes from the client's per-register counter (nextTag).
 func (c *Client) Write(ctx context.Context, reg string, val types.Value) error {
 	start := time.Now()
 	c.hot.Offer(reg)
 	ot := c.beginOp()
 	ctx, endTask := beginRuntimeTask(ctx, "abd.write", ot)
 	defer endTask()
-	var err error
-	if c.singleWriter {
-		err = c.write(ctx, reg, val, ot)
-	} else {
-		err = c.writeAbsorbed(ctx, reg, val, ot)
-	}
+	err := c.write(ctx, reg, val, ot)
 	if err == nil {
 		c.lat.write.Record(time.Since(start))
 	} else {
@@ -831,34 +821,29 @@ func (c *Client) install(ctx context.Context, reg string, tag Tag, val types.Val
 	return nil
 }
 
-// nextTag chooses the tag for a new write.
+// nextTag chooses the tag for a new write. Both writer modes issue it from
+// the client's per-register counter (NextTagAfter) and differ only in the
+// floor it must exceed. A single writer's floor is 0: its own counter is the
+// whole point of that mode, no query phase, one round trip per write. A
+// multi-writer client first learns the newest timestamp from a read quorum,
+// and exceeds it. Write quorums must pairwise intersect for this to observe
+// every completed write (quorum.VerifyWriteIntersection). The validated
+// query also keeps a fabricated max-tag out of the successor computation: a
+// liar must not get to exhaust the timestamp space or steer honest writers'
+// ordering.
 func (c *Client) nextTag(ctx context.Context, reg string, ot opTrace) (Tag, error) {
-	switch {
-	case c.bounded:
+	if c.bounded {
 		return c.nextBoundedTag(ctx, reg, ot)
-	case c.singleWriter:
-		// The local counter is the whole point of the single-writer fast
-		// path: no query phase, one round trip per write. A sequence number
-		// is consumed even if the write later fails — timestamps need only
-		// be monotone, not dense.
-		c.swMu.Lock()
-		c.swSeq[reg]++
-		seq := c.swSeq[reg]
-		c.swMu.Unlock()
-		return Tag{Valid: true, TS: timestamp.TS{Seq: seq, Writer: c.id}}, nil
-	default:
-		// Multi-writer: learn the newest timestamp from a read quorum, then
-		// exceed it. Write quorums must pairwise intersect for this to
-		// observe every completed write (quorum.VerifyWriteIntersection).
-		// The validated query also keeps a fabricated max-tag out of the
-		// successor computation: a liar must not get to exhaust the
-		// timestamp space or steer honest writers' ordering.
+	}
+	var floor Tag
+	if !c.singleWriter {
 		best, _, _, _, err := c.queryValidated(ctx, reg, ot)
 		if err != nil {
 			return Tag{}, err
 		}
-		return Tag{Valid: true, TS: best.TS.Next(c.id)}, nil
+		floor = best
 	}
+	return c.NextTagAfter(reg, floor), nil
 }
 
 // nextBoundedTag implements the bounded-label write: collect the labels
@@ -875,11 +860,11 @@ func (c *Client) nextBoundedTag(ctx context.Context, reg string, ot opTrace) (Ta
 			live = append(live, m.Tag.Label)
 		}
 	}
-	c.swMu.Lock()
+	c.tagMu.Lock()
 	if c.swWrote[reg] {
 		live = append(live, c.swLabel[reg])
 	}
-	c.swMu.Unlock()
+	c.tagMu.Unlock()
 
 	label, err := c.boundedDom.Dominating(live)
 	if err != nil {
@@ -889,10 +874,10 @@ func (c *Client) nextBoundedTag(ctx context.Context, reg string, ot opTrace) (Ta
 	// Record the label immediately: even if the broadcast fails part-way,
 	// some replicas may have adopted it, so it is live and the next write
 	// must dominate it.
-	c.swMu.Lock()
+	c.tagMu.Lock()
 	c.swLabel[reg] = label
 	c.swWrote[reg] = true
-	c.swMu.Unlock()
+	c.tagMu.Unlock()
 	return Tag{Valid: true, Bounded: true, Label: label}, nil
 }
 
@@ -918,12 +903,21 @@ func (c *Client) Propagate(ctx context.Context, reg string, tag Tag, val types.V
 	return nil
 }
 
-// NextTagAfter returns the tag a write by this client should carry to
-// supersede observed: the successor sequence number tagged with this
-// client's id. Used by internal/reconfig to order writes that observed
-// state across several configurations.
-func (c *Client) NextTagAfter(observed Tag) Tag {
-	return Tag{Valid: true, TS: observed.TS.Next(c.id)}
+// NextTagAfter returns a tag above observed that this client has never
+// issued for reg: sequence max(last issued, observed's) + 1 from the
+// client's per-register counter, which every unbounded write tag comes
+// from (nextTag). The counter is what keeps two concurrent writes through
+// one client that observed the same tag from naming different values with
+// one tag. A sequence number is consumed even if the write later fails —
+// timestamps need only be monotone, not dense. internal/reconfig calls it
+// directly to order writes that observed state across several
+// configurations.
+func (c *Client) NextTagAfter(reg string, observed Tag) Tag {
+	c.tagMu.Lock()
+	seq := max(c.tagSeq[reg], observed.TS.Seq) + 1
+	c.tagSeq[reg] = seq
+	c.tagMu.Unlock()
+	return Tag{Valid: true, TS: timestamp.TS{Seq: seq, Writer: c.id}}
 }
 
 // Register returns a handle binding this client to one named register.

@@ -22,8 +22,6 @@ type Metrics struct {
 	maskRetries       atomic.Int64
 	byzConfirms       atomic.Int64
 	byzRejects        atomic.Int64
-	coalescedReads    atomic.Int64
-	absorbedWrites    atomic.Int64
 	fastPathReads     atomic.Int64
 	readRounds        atomic.Int64
 	readFails         atomic.Int64
@@ -67,11 +65,9 @@ type MetricsSnapshot struct {
 	// zero in honest runs, nonzero whenever a fabricating or equivocating
 	// replica is being masked.
 	ByzConfirms, ByzRejects int64
-	// CoalescedReads counts reads served by adopting a concurrent read's
-	// shared quorum round; AbsorbedWrites counts multi-writer writes acked
-	// by riding a concurrent write's round (see coalesce.go). Both count
-	// the followers only — each shared round's leader shows up in the
-	// ordinary Phases/MsgsSent numbers.
+	// CoalescedReads and AbsorbedWrites are always zero: every read and
+	// write runs its own quorum rounds (DESIGN.md §6). They go together
+	// with the two bench per-layer metrics that still read them.
 	CoalescedReads, AbsorbedWrites int64
 	// FastPathReads counts reads completed in one round because the query
 	// replies proved the newest pair already at a write quorum — by the
@@ -105,8 +101,6 @@ func (s MetricsSnapshot) Merge(o MetricsSnapshot) MetricsSnapshot {
 		MaskRetries:       s.MaskRetries + o.MaskRetries,
 		ByzConfirms:       s.ByzConfirms + o.ByzConfirms,
 		ByzRejects:        s.ByzRejects + o.ByzRejects,
-		CoalescedReads:    s.CoalescedReads + o.CoalescedReads,
-		AbsorbedWrites:    s.AbsorbedWrites + o.AbsorbedWrites,
 		FastPathReads:     s.FastPathReads + o.FastPathReads,
 		ReadRounds:        s.ReadRounds + o.ReadRounds,
 		ReadFails:         s.ReadFails + o.ReadFails,
@@ -129,8 +123,6 @@ func (m *Metrics) snapshot() MetricsSnapshot {
 		MaskRetries:       m.maskRetries.Load(),
 		ByzConfirms:       m.byzConfirms.Load(),
 		ByzRejects:        m.byzRejects.Load(),
-		CoalescedReads:    m.coalescedReads.Load(),
-		AbsorbedWrites:    m.absorbedWrites.Load(),
 		FastPathReads:     m.fastPathReads.Load(),
 		ReadRounds:        m.readRounds.Load(),
 		ReadFails:         m.readFails.Load(),

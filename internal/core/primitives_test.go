@@ -33,7 +33,7 @@ func TestQueryMaxAndPropagate(t *testing.T) {
 	}
 
 	// Propagate a successor pair by hand; a subsequent read must see it.
-	next := tool.NextTagAfter(tag)
+	next := tool.NextTagAfter("x", tag)
 	if !tag.TS.Less(next.TS) {
 		t.Fatalf("NextTagAfter not newer: %v -> %v", tag.TS, next.TS)
 	}

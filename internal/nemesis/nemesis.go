@@ -813,7 +813,7 @@ func GenerateSchedule(seed int64, n int, clients []types.NodeID, windows int, wi
 // equivocated max-tags), quiet lies (stale state or silence) under a loss
 // storm, a crash of an HONEST replica while the liars fabricate (the
 // masking quorum must absorb both adversaries at once), and equivocation
-// under a latency/reorder spike (coalesced readers see per-destination
+// under a latency/reorder spike (concurrent readers see per-destination
 // lies out of order). Every window restores honesty and undoes its fault
 // at its end; at least one crash+fabricate episode is guaranteed, so every
 // schedule exercises the loud-lie rejection path AND crash recovery. With

@@ -197,7 +197,7 @@ func (c *Client) Write(ctx context.Context, reg string, val types.Value) error {
 	if err != nil {
 		return fmt.Errorf("write %q: %w", reg, err)
 	}
-	tag := members[0].Client.NextTagAfter(observed)
+	tag := members[0].Client.NextTagAfter(reg, observed)
 	if err := propagateAll(ctx, members, reg, tag, val); err != nil {
 		return fmt.Errorf("write %q: %w", reg, err)
 	}

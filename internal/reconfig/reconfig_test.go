@@ -150,6 +150,38 @@ func TestFullMigration(t *testing.T) {
 	}
 }
 
+// TestNextTagAfterNeverReusesATag: two writes to one register through one
+// reconfig client can observe the same newest tag; the tags Write then
+// issues must still be distinct and increasing, or one tag would name two
+// values.
+func TestNextTagAfterNeverReusesATag(t *testing.T) {
+	r := newRig(t)
+	g := r.group(oldGroup()...)
+	cli, err := NewClient(500, Member{Epoch: 1, Client: r.coreClient(g)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx := ctxT(t)
+
+	if err := cli.Write(ctx, "x", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	members, err := cli.snapshotMembers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed, _, err := queryAll(ctx, members, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := members[0].Client.NextTagAfter("x", observed)
+	second := members[0].Client.NextTagAfter("x", observed)
+	if !tagLess(observed, first) || !tagLess(first, second) {
+		t.Fatalf("tags after %v: %v then %v, want strictly increasing", observed.TS, first.TS, second.TS)
+	}
+}
+
 func TestEpochValidation(t *testing.T) {
 	r := newRig(t)
 	g := r.group(oldGroup()...)
