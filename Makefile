@@ -40,12 +40,16 @@ fmt:
 
 check: build fmt vet test race
 
-# Tier-2 smoke: one seeded nemesis pass on a real TCP cluster (chaos faults,
-# crash+restart, linearizability check), its spans dumped as JSONL and fed
-# back through abd-trace, which exits nonzero unless at least 95% of the
-# replica/transport spans stitch to the client operation that caused them.
+# Tier-2 smoke: one checked run on the simulated network under a chaos
+# fault mix (drops, duplicates, corruption, a crash), which exits nonzero on
+# a non-linearizable history; then one seeded nemesis pass on a real TCP
+# cluster (chaos faults, crash+restart, linearizability check), its spans
+# dumped as JSONL and fed back through abd-trace, which exits nonzero unless
+# at least 95% of the replica/transport spans stitch to the client operation
+# that caused them.
 SMOKE_SPANS ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/abd-smoke-spans.jsonl
 smoke:
+	$(GO) run ./cmd/abd-sim -seed 7 -check -faults "faults:*:drop=0.2,dup=0.1,corrupt=0.02@0ms; crash:4@20ms; faults:*:none@150ms"
 	$(GO) run ./cmd/abd-sim -nemesis -seed 7 -trace-out $(SMOKE_SPANS)
 	$(GO) run ./cmd/abd-trace -min-stitch 0.95 $(SMOKE_SPANS)
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/netsim"
@@ -176,13 +177,13 @@ func newCluster(groups, perGroup int, cfg clusterConfig) (*Cluster, error) {
 			Seed:     cfg.seed,
 			MinDelay: cfg.minDelay,
 			MaxDelay: cfg.maxDelay,
-			DropProb: cfg.dropProb,
 		}),
 		groups:   groups,
 		perGroup: perGroup,
 		nextCli:  types.NodeID(10000),
 		cfg:      cfg,
 	}
+	cl.net.SetDefaultFaults(chaos.Faults{Drop: cfg.dropProb})
 	for i := 0; i < groups*perGroup; i++ {
 		id := types.NodeID(i)
 		ropts := cfg.replicaOpts

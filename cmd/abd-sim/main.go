@@ -31,9 +31,13 @@
 //	abd-sim -nemesis -seed 101
 //	abd-sim -nemesis -faults "faults:*:drop=0.3@100ms; crash:2@1s; recover:2@2s"
 //
-// In nemesis mode -faults may additionally use the chaos events (faults:,
-// reset:) and reference client ids (9000, 9001, ...); when -faults is
-// empty a schedule is generated deterministically from -seed.
+// -faults acts on the simulator as on the nemesis cluster: faults:
+// installs a drop/dup/corrupt/delay/reorder mix, delivered by the same
+// fault model. reset: is a no-op on the simulator, which has no
+// connections to tear down, and byz: needs -nemesis, whose cluster owns the
+// liars. In nemesis mode -faults may also reference client ids (9000,
+// 9001, ...); when -faults is empty a schedule is generated
+// deterministically from -seed.
 //
 // With -groups G (nemesis only) the cluster becomes G independent replica
 // groups of n replicas each behind sharded stores (internal/shard): the
@@ -52,7 +56,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/history"
@@ -60,7 +63,6 @@ import (
 	"repro/internal/nemesis"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -137,11 +139,9 @@ func run() int {
 
 	net := netsim.New(netsim.Config{Seed: *seed, MinDelay: *minDelay, MaxDelay: *maxDelay})
 	defer net.Close()
-	cn := chaos.New(*seed)
 	ids := make([]types.NodeID, *n)
 	for i := 0; i < *n; i++ {
 		ids[i] = types.NodeID(i)
-		var ep transport.Endpoint = net.Node(ids[i])
 		// The last -byz replicas are the lying minority: their replies are
 		// rewritten on the wire (core.Liar) to fabricate an enormous max-tag
 		// on every read query — the strongest attack on a max-timestamp read
@@ -149,11 +149,10 @@ func run() int {
 		if *n-i <= *byz {
 			liar := core.NewLiar(ids[i], *seed)
 			liar.SetMode(core.ByzFabricate)
-			cn.SetInterceptor(ids[i], liar.Intercept)
-			ep = cn.Wrap(ep)
+			net.SetInterceptor(ids[i], liar.Intercept)
 			fmt.Printf("abd-sim: replica %d is Byzantine (fabricate)\n", i)
 		}
-		r := core.NewReplica(ids[i], ep)
+		r := core.NewReplica(ids[i], net.Node(ids[i]))
 		r.Start()
 		defer r.Stop()
 	}

@@ -18,10 +18,8 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -70,16 +68,11 @@ func runReads(mode core.ByzMode, opts ...core.ClientOption) (int, error) {
 	const n, liarID = 5, types.NodeID(2)
 	liar := core.NewLiar(liarID, 1)
 	liar.SetMode(mode)
-	cn := chaos.New(1)
-	cn.SetInterceptor(liarID, liar.Intercept)
+	net.SetInterceptor(liarID, liar.Intercept)
 	ids := make([]types.NodeID, n)
 	for i := range ids {
 		ids[i] = types.NodeID(i)
-		var ep transport.Endpoint = net.Node(ids[i])
-		if ids[i] == liarID {
-			ep = cn.Wrap(ep)
-		}
-		r := core.NewReplica(ids[i], ep)
+		r := core.NewReplica(ids[i], net.Node(ids[i]))
 		r.Start()
 		defer r.Stop()
 	}

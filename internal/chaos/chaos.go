@@ -1,29 +1,31 @@
-// Package chaos injects faults into a real transport the way
-// internal/netsim injects them into the simulated one: a Net controller
-// holds per-link fault configuration, and Wrap decorates any
-// transport.Endpoint so its outbound sends pass through the injector.
-// Because the wrapper sits above the substrate, the same replica and client
-// code that survives netsim's faults can be demonstrated to survive them
-// over real TCP sockets (internal/tcpnet) — the load-bearing check behind
-// the nemesis harness (internal/nemesis).
+// Package chaos is the repository's one fault model. A Net controller holds
+// every fault's state — crashed nodes, the partition, blocked links, the
+// delay scale, per-link fault mixes, and Byzantine interceptors — and Plan
+// decides each send's fate from it. Two substrates apply those decisions:
+// the simulator (internal/netsim) embeds a Net and delivers what Plan
+// decides, and Wrap decorates any real transport.Endpoint (internal/tcpnet)
+// so its outbound sends take the same decisions on the wall clock. The same
+// replica and client code that survives the simulator's faults is thereby
+// shown to survive them over real TCP sockets — the load-bearing check
+// behind the nemesis harness (internal/nemesis).
 //
 // Faults are drawn from per-link PRNG streams seeded from the controller
 // seed and the link's endpoints, so a fixed seed and a fixed per-link send
 // sequence yield the same fault trace on every run (asserted by test). Six
 // fault kinds are supported per link: drop, duplicate, delay, reorder
 // (delay one message past its successors), payload corruption, and
-// connection reset (for substrates that expose PeerResetter, e.g. tcpnet).
+// connection reset (substrates that expose PeerResetter, e.g. tcpnet, lose
+// the connection; elsewhere only the message is lost).
 //
-// The controller implements failure.Fabric, so one fault schedule script
-// (internal/failure) drives either backend: crash/partition/block events
-// translate to message-level isolation here, and the chaos-only events
-// (faults, reset) are no-ops on the simulator.
+// Net implements failure.Fabric, so one fault schedule script
+// (internal/failure) drives either substrate.
 package chaos
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -58,20 +60,26 @@ func (f Faults) Active() bool {
 		f.Reset > 0 || f.DelayMax > 0
 }
 
+// prob is one probability field of a Faults and its script key.
+type prob struct {
+	key string
+	p   *float64
+}
+
+// probs returns f's probability fields in script order.
+func (f *Faults) probs() []prob {
+	return []prob{{"drop", &f.Drop}, {"dup", &f.Dup}, {"reorder", &f.Reorder}, {"corrupt", &f.Corrupt}, {"reset", &f.Reset}}
+}
+
 // String renders the configuration in the script syntax ParseFaults reads:
 // "drop=0.3,dup=0.1,delay=1ms..5ms". The zero value renders as "none".
 func (f Faults) String() string {
 	var parts []string
-	add := func(k string, v float64) {
-		if v > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%g", k, v))
+	for _, pr := range f.probs() {
+		if *pr.p > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%g", pr.key, *pr.p))
 		}
 	}
-	add("drop", f.Drop)
-	add("dup", f.Dup)
-	add("reorder", f.Reorder)
-	add("corrupt", f.Corrupt)
-	add("reset", f.Reset)
 	if f.DelayMax > 0 || f.DelayMin > 0 {
 		parts = append(parts, fmt.Sprintf("delay=%s..%s", f.DelayMin, f.DelayMax))
 	}
@@ -97,8 +105,9 @@ func ParseFaults(s string) (Faults, error) {
 			return Faults{}, fmt.Errorf("chaos: fault %q: want key=value", kv)
 		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		switch key {
-		case "drop", "dup", "reorder", "corrupt", "reset":
+		probs := f.probs()
+		switch i := slices.IndexFunc(probs, func(pr prob) bool { return pr.key == key }); {
+		case i >= 0:
 			var p float64
 			if _, err := fmt.Sscanf(val, "%g", &p); err != nil {
 				return Faults{}, fmt.Errorf("chaos: fault %s=%q: %w", key, val, err)
@@ -106,19 +115,8 @@ func ParseFaults(s string) (Faults, error) {
 			if p < 0 || p > 1 {
 				return Faults{}, fmt.Errorf("chaos: fault %s=%g outside [0,1]", key, p)
 			}
-			switch key {
-			case "drop":
-				f.Drop = p
-			case "dup":
-				f.Dup = p
-			case "reorder":
-				f.Reorder = p
-			case "corrupt":
-				f.Corrupt = p
-			case "reset":
-				f.Reset = p
-			}
-		case "delay":
+			*probs[i].p = p
+		case key == "delay":
 			minS, maxS, ranged := strings.Cut(val, "..")
 			min, err := time.ParseDuration(minS)
 			if err != nil {
@@ -166,9 +164,10 @@ type Stats struct {
 	Sent, Dropped, Duplicated, Delayed, Reordered, Corrupted, Resets int64
 }
 
-// Net is the fault controller shared by every wrapped endpoint of one
-// cluster. It implements failure.Fabric, so failure.Schedule scripts drive
-// it directly. The zero value is not usable; call New.
+// Net is one cluster's fault model: shared by every endpoint Wrap
+// decorates, or embedded by a netsim.Net. It implements failure.Fabric, so
+// failure.Schedule scripts drive it directly. The zero value is not usable;
+// call New.
 type Net struct {
 	seed int64
 
@@ -177,7 +176,7 @@ type Net struct {
 	links   map[link]Faults
 	blocked map[link]bool
 	crashed map[types.NodeID]bool
-	part    map[types.NodeID]int
+	part    map[types.NodeID]int // node -> group; nil when healed
 	scale   float64
 	rngs    map[link]*rand.Rand
 	seq     map[link]uint64
@@ -195,7 +194,6 @@ func New(seed int64) *Net {
 		links:   make(map[link]Faults),
 		blocked: make(map[link]bool),
 		crashed: make(map[types.NodeID]bool),
-		part:    make(map[types.NodeID]int),
 		scale:   1,
 		rngs:    make(map[link]*rand.Rand),
 		seq:     make(map[link]uint64),
@@ -228,11 +226,17 @@ func (n *Net) SetInterceptor(id types.NodeID, fn Interceptor) {
 	n.mu.Unlock()
 }
 
-// interceptor returns node id's installed interceptor, if any.
-func (n *Net) interceptor(id types.NodeID) Interceptor {
+// Intercept passes one outbound payload of node from through its
+// interceptor, if one is installed, and returns what to send instead;
+// ok=false means the interceptor suppressed the send.
+func (n *Net) Intercept(from, to types.NodeID, payload []byte) (out []byte, ok bool) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.icepts[id]
+	fn := n.icepts[from]
+	n.mu.Unlock()
+	if fn == nil {
+		return payload, true
+	}
+	return fn(to, payload)
 }
 
 // SetDefaultFaults applies f to every link without an explicit per-link
@@ -280,11 +284,7 @@ func (n *Net) ResetLink(from, to types.NodeID) {
 // endpoint: a cluster-wide connection storm.
 func (n *Net) ResetAll() {
 	n.mu.Lock()
-	ids := make([]types.NodeID, 0, len(n.eps))
-	for id := range n.eps {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := slices.Sorted(maps.Keys(n.eps))
 	n.mu.Unlock()
 	for _, from := range ids {
 		for _, to := range ids {
@@ -304,6 +304,13 @@ func (n *Net) Crash(id types.NodeID) {
 	n.mu.Unlock()
 }
 
+// Crashed reports whether id is crashed (Crash without a later Recover).
+func (n *Net) Crashed(id types.NodeID) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.crashed[id]
+}
+
 // Recover undoes Crash.
 func (n *Net) Recover(id types.NodeID) {
 	n.mu.Lock()
@@ -311,10 +318,9 @@ func (n *Net) Recover(id types.NodeID) {
 	n.mu.Unlock()
 }
 
-// Partition splits the nodes into groups; messages cross groups only if
-// both endpoints are in the same group. Nodes not mentioned in any group
-// are unaffected (unlike netsim, a wrapped cluster also carries client
-// endpoints that scripts usually do not enumerate). Call Heal to undo.
+// Partition splits the nodes into groups under failure.Partition's rule: a
+// node in no group is isolated, and Partition() isolates every node. Call
+// Heal to undo.
 func (n *Net) Partition(groups ...[]types.NodeID) {
 	n.mu.Lock()
 	n.part = make(map[types.NodeID]int)
@@ -329,7 +335,7 @@ func (n *Net) Partition(groups ...[]types.NodeID) {
 // Heal removes any partition.
 func (n *Net) Heal() {
 	n.mu.Lock()
-	n.part = make(map[types.NodeID]int)
+	n.part = nil
 	n.mu.Unlock()
 }
 
@@ -381,14 +387,38 @@ func (n *Net) Stats() Stats {
 	return n.stats
 }
 
-// decision is the planned fate of one send.
-type decision struct {
-	blocked   bool
-	drop      bool
-	dup       bool
+// Decision is the planned fate of one send; see Plan.
+type Decision struct {
+	// Drop reports the message lost: to a crash, partition or blocked link,
+	// or to a drop or reset fault.
+	Drop bool
+	// Dup reports the message delivered twice.
+	Dup bool
+
 	reset     bool
-	corruptAt int // -1 = no corruption
-	delay     time.Duration
+	corruptAt int           // index of the flipped byte; -1 = no corruption
+	delay     time.Duration // the fault delay, scaled
+	scale     float64       // the delay scale in force
+}
+
+// Corrupt returns the payload the decision delivers: under a corrupt fault
+// a copy with one byte flipped, otherwise payload itself. payload is never
+// written; the caller may be broadcasting it to other nodes.
+func (d Decision) Corrupt(payload []byte) []byte {
+	if d.corruptAt < 0 {
+		return payload
+	}
+	out := make([]byte, len(payload))
+	copy(out, payload)
+	out[d.corruptAt] ^= 0xFF
+	return out
+}
+
+// After returns how long after the send the message arrives, given the
+// substrate's own latency base: base and the fault delay, both under the
+// delay scale (SetDelayScale).
+func (d Decision) After(base time.Duration) time.Duration {
+	return time.Duration(float64(base)*d.scale) + d.delay
 }
 
 // rngFor returns the link's PRNG, creating it deterministically from the
@@ -405,27 +435,23 @@ func (n *Net) rngFor(l link) *rand.Rand {
 	return r
 }
 
-// plan decides one send's fate, consuming the link's PRNG stream. The
-// stream is consumed in a fixed order per decision, so for a fixed per-link
-// send sequence the trace is a pure function of the seed.
-func (n *Net) plan(from, to types.NodeID, payloadLen int) decision {
+// Plan decides the fate of one size-byte send from -> to, consuming the
+// link's PRNG stream. The stream is consumed in a fixed order per decision,
+// so for a fixed per-link send sequence the trace is a pure function of the
+// seed.
+func (n *Net) Plan(from, to types.NodeID, size int) Decision {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 
 	l := link{from, to}
 	n.seq[l]++
 	n.stats.Sent++
-	d := decision{corruptAt: -1}
+	d := Decision{corruptAt: -1, scale: n.scale}
 
-	switch {
-	case n.crashed[from] || n.crashed[to]:
-		d.blocked = true
-	case n.blocked[l]:
-		d.blocked = true
-	case len(n.part) > 0 && n.part[from] != 0 && n.part[to] != 0 && n.part[from] != n.part[to]:
-		d.blocked = true
-	}
-	if d.blocked {
+	// failure.Partition's rule: only two distinct nodes of one group talk.
+	parted := n.part != nil && from != to && (n.part[from] == 0 || n.part[from] != n.part[to])
+	if n.crashed[from] || n.crashed[to] || n.blocked[l] || parted {
+		d.Drop = true
 		n.stats.Dropped++
 		n.record(l, "blocked")
 		return d
@@ -443,25 +469,25 @@ func (n *Net) plan(from, to types.NodeID, payloadLen int) decision {
 	rng := n.rngFor(l)
 	var verdicts []string
 	if f.Reset > 0 && rng.Float64() < f.Reset {
-		d.reset, d.drop = true, true // the reset kills the in-flight frame
+		d.reset, d.Drop = true, true // the reset kills the in-flight frame
 		n.stats.Resets++
 		n.stats.Dropped++
 		n.record(l, "reset")
 		return d
 	}
 	if f.Drop > 0 && rng.Float64() < f.Drop {
-		d.drop = true
+		d.Drop = true
 		n.stats.Dropped++
 		n.record(l, "drop")
 		return d
 	}
 	if f.Dup > 0 && rng.Float64() < f.Dup {
-		d.dup = true
+		d.Dup = true
 		n.stats.Duplicated++
 		verdicts = append(verdicts, "dup")
 	}
-	if f.Corrupt > 0 && rng.Float64() < f.Corrupt && payloadLen > 0 {
-		d.corruptAt = rng.Intn(payloadLen)
+	if f.Corrupt > 0 && rng.Float64() < f.Corrupt && size > 0 {
+		d.corruptAt = rng.Intn(size)
 		n.stats.Corrupted++
 		verdicts = append(verdicts, "corrupt")
 	}
@@ -538,10 +564,6 @@ func (e *Endpoint) Dispatch(h func(transport.Message)) {
 // delivery are sent anyway and surface as loss at the closed endpoint.
 func (e *Endpoint) Close() error { return e.inner.Close() }
 
-// Inner returns the wrapped endpoint, for callers that need substrate
-// specifics (e.g. tcpnet stats).
-func (e *Endpoint) Inner() transport.Endpoint { return e.inner }
-
 // Send passes the message through the node's interceptor (if one is
 // installed), then through the fault plan for its link, and hands the
 // surviving copies to the inner endpoint, possibly delayed. The
@@ -549,38 +571,28 @@ func (e *Endpoint) Inner() transport.Endpoint { return e.inner }
 // well-formed payload that the byte-level faults (corrupt, drop, delay)
 // then treat like any honest message.
 func (e *Endpoint) Send(to types.NodeID, payload []byte) error {
-	if fn := e.net.interceptor(e.inner.ID()); fn != nil {
-		out, ok := fn(to, payload)
-		if !ok {
-			return nil
-		}
-		payload = out
+	from := e.inner.ID()
+	payload, ok := e.net.Intercept(from, to, payload)
+	if !ok {
+		return nil
 	}
-	d := e.net.plan(e.inner.ID(), to, len(payload))
+	d := e.net.Plan(from, to, len(payload))
 	if d.reset {
 		if pr, ok := e.inner.(PeerResetter); ok {
 			pr.ResetPeer(to)
 		}
 	}
-	if d.blocked || d.drop {
+	if d.Drop {
 		return nil
 	}
-	if d.corruptAt >= 0 {
-		// Copy before flipping: the caller's buffer may be broadcast to
-		// other replicas and must stay intact.
-		corrupted := make([]byte, len(payload))
-		copy(corrupted, payload)
-		corrupted[d.corruptAt] ^= 0xFF
-		payload = corrupted
-	}
+	payload = d.Corrupt(payload)
 	copies := 1
-	if d.dup {
+	if d.Dup {
 		copies = 2
 	}
 	for i := 0; i < copies; i++ {
-		if d.delay > 0 {
-			p := payload
-			time.AfterFunc(d.delay, func() { _ = e.inner.Send(to, p) })
+		if delay := d.After(0); delay > 0 {
+			time.AfterFunc(delay, func() { _ = e.inner.Send(to, payload) })
 			continue
 		}
 		if err := e.inner.Send(to, payload); err != nil {

@@ -217,15 +217,21 @@ func TestCrashBlockPartitionIsolate(t *testing.T) {
 	if got := len(inner.sent()); got != 1 {
 		t.Fatal("send across partition delivered")
 	}
-	// Nodes outside every group (e.g. clients) are unaffected.
+	// A node in no group is isolated (failure.Partition's rule).
 	_ = ep.Send(9, []byte("x"))
-	if got := len(inner.sent()); got != 2 {
-		t.Fatal("send to unpartitioned node blocked")
+	if got := len(inner.sent()); got != 1 {
+		t.Fatal("send to a node in no group delivered")
 	}
 	n.Heal()
 	_ = ep.Send(1, []byte("x"))
-	if got := len(inner.sent()); got != 3 {
+	if got := len(inner.sent()); got != 2 {
 		t.Fatal("send after heal not delivered")
+	}
+	// Partition() with no groups isolates everyone.
+	n.Partition()
+	_ = ep.Send(1, []byte("x"))
+	if got := len(inner.sent()); got != 2 {
+		t.Fatal("send under an empty partition delivered")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/netsim"
 	"repro/internal/quorum"
 	"repro/internal/timestamp"
@@ -14,8 +13,9 @@ import (
 )
 
 // byzCluster is a testCluster whose replica at liarIdx lies: an honest
-// Replica whose outbound replies go through a Liar installed as a chaos
-// interceptor, the same adversary the nemesis harness runs over TCP.
+// Replica whose outbound replies go through a Liar installed as the
+// network's interceptor, the same adversary the nemesis harness runs over
+// TCP.
 type byzCluster struct {
 	*testCluster
 	liar *Liar
@@ -27,15 +27,10 @@ func newByzCluster(t *testing.T, n, liarIdx int, mode ByzMode) *byzCluster {
 	liarID := types.NodeID(liarIdx)
 	liar := NewLiar(liarID, 1)
 	liar.SetMode(mode)
-	cn := chaos.New(1)
-	cn.SetInterceptor(liarID, liar.Intercept)
+	c.net.SetInterceptor(liarID, liar.Intercept)
 	for i := 0; i < n; i++ {
 		id := types.NodeID(i)
-		ep := c.net.Node(id)
-		if id == liarID {
-			ep = cn.Wrap(ep)
-		}
-		r := NewReplica(id, ep)
+		r := NewReplica(id, c.net.Node(id))
 		r.Start()
 		c.replicas = append(c.replicas, r)
 		c.ids = append(c.ids, id)

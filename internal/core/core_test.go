@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/netsim"
 	"repro/internal/quorum"
 	"repro/internal/types"
@@ -427,7 +428,8 @@ func TestProtocolIdempotentUnderDuplication(t *testing.T) {
 	// At-least-once delivery: every message may arrive twice. Queries are
 	// read-only and updates adopt-if-newer, so duplication must change
 	// nothing observable.
-	c := newTestCluster(t, 3, netsim.Config{Seed: 25, DupProb: 0.5})
+	c := newTestCluster(t, 3, netsim.Config{Seed: 25})
+	c.net.SetDefaultFaults(chaos.Faults{Dup: 0.5})
 	w := c.client(WithSingleWriter())
 	r := c.client()
 	ctx := shortCtx(t)

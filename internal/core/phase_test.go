@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/netsim"
 	"repro/internal/quorum"
 	"repro/internal/timestamp"
@@ -35,7 +36,8 @@ func TestPhaseCompletesIffLiveSetContainsQuorum(t *testing.T) {
 			t.Parallel()
 			n := sys.Size()
 			// Duplicated deliveries make every replica likely to answer twice.
-			c := newTestCluster(t, n, netsim.Config{Seed: 70, DupProb: 0.5})
+			c := newTestCluster(t, n, netsim.Config{Seed: 70})
+			c.net.SetDefaultFaults(chaos.Faults{Dup: 0.5})
 			cli := c.client(WithQuorum(sys))
 			tag := Tag{Valid: true, TS: timestamp.TS{Seq: 1, Writer: cli.ID()}}
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/netsim"
 )
 
@@ -13,7 +14,8 @@ import (
 // network (30% drops). Without retransmission most multi-phase ops
 // eventually lose a quorum; with it every op completes.
 func TestRetransmitRestoresLivenessUnderLoss(t *testing.T) {
-	c := newTestCluster(t, 3, netsim.Config{Seed: 50, DropProb: 0.3})
+	c := newTestCluster(t, 3, netsim.Config{Seed: 50})
+	c.net.SetDefaultFaults(chaos.Faults{Drop: 0.3})
 	cli := c.client(WithRetransmit(5*time.Millisecond, 5*time.Millisecond))
 	ctx := shortCtx(t)
 
@@ -152,7 +154,8 @@ func TestAdaptiveIntervalTracksObservedLatency(t *testing.T) {
 // TestRetransmitIsIdempotent checks that duplicated updates do not corrupt
 // replica state: the final value and timestamp are the same as a clean run.
 func TestRetransmitIsIdempotent(t *testing.T) {
-	c := newTestCluster(t, 3, netsim.Config{Seed: 52, DropProb: 0.2})
+	c := newTestCluster(t, 3, netsim.Config{Seed: 52})
+	c.net.SetDefaultFaults(chaos.Faults{Drop: 0.2})
 	cli := c.client(WithSingleWriter(), WithRetransmit(2*time.Millisecond, 2*time.Millisecond))
 	ctx := shortCtx(t)
 

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/quorum"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -115,24 +113,19 @@ const byzLiar types.NodeID = 2
 
 // startByzReplicas starts n honest replicas on net. With mode != 0 replica
 // byzLiar lies in that mode: its outbound replies pass through a core.Liar
-// installed as a chaos interceptor, the adversary the nemesis harness runs
-// over TCP. It returns the replica ids and a function stopping them.
+// installed as the network's interceptor, the adversary the nemesis harness
+// runs over TCP. It returns the replica ids and a function stopping them.
 func startByzReplicas(net *netsim.Net, n int, mode core.ByzMode, seed int64) ([]types.NodeID, func()) {
-	cn := chaos.New(seed)
 	if mode != 0 {
 		liar := core.NewLiar(byzLiar, seed)
 		liar.SetMode(mode)
-		cn.SetInterceptor(byzLiar, liar.Intercept)
+		net.SetInterceptor(byzLiar, liar.Intercept)
 	}
 	ids := make([]types.NodeID, n)
 	reps := make([]*core.Replica, n)
 	for i := range ids {
 		ids[i] = types.NodeID(i)
-		var ep transport.Endpoint = net.Node(ids[i])
-		if mode != 0 && ids[i] == byzLiar {
-			ep = cn.Wrap(ep)
-		}
-		reps[i] = core.NewReplica(ids[i], ep)
+		reps[i] = core.NewReplica(ids[i], net.Node(ids[i]))
 		reps[i].Start()
 	}
 	return ids, func() {

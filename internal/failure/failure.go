@@ -1,10 +1,15 @@
 // Package failure drives fault injection from scripted schedules of
 // crashes, partitions, link blocks, delay spikes, link-level fault mixes,
-// and connection resets. One schedule drives either backend: the simulated
-// network (internal/netsim) or the real-network chaos layer
-// (internal/chaos) — both implement Fabric, and actions a backend does not
-// support are no-ops there. Schedules can be built programmatically or
-// parsed from the compact script syntax cmd/abd-sim accepts:
+// connection resets and Byzantine lies. Every network action lands on the
+// one fault model, internal/chaos, so a schedule means the same thing on
+// either substrate: the simulated network (internal/netsim, which embeds a
+// chaos.Net) or a real cluster (internal/nemesis, a chaos.Net wrapped
+// around tcpnet endpoints, with Crash and Recover overridden by true
+// process stop and restart). Two actions depend on the fabric: reset tears
+// down real connections and is a no-op on the simulator, which has none,
+// and byz switches liars only a ByzController owns. Schedules can be built
+// programmatically or parsed from the compact script syntax cmd/abd-sim
+// accepts:
 //
 //	crash:2@100ms; partition:0,1|2,3,4@200ms; heal@400ms; delay:3.0@1s;
 //	block:0>2@1.5s; faults:*:drop=0.3,dup=0.1@2s; faults:0>1:delay=1ms..5ms@2s;
@@ -16,6 +21,7 @@ package failure
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,9 +31,9 @@ import (
 	"repro/internal/types"
 )
 
-// Fabric is the network substrate a schedule manipulates. Both
-// *netsim.Net and *chaos.Net implement it; internal/nemesis layers true
-// process crash/restart on top by overriding Crash and Recover.
+// Fabric is the network substrate a schedule manipulates: the method set
+// of *chaos.Net, which *netsim.Net embeds and internal/nemesis's Cluster
+// embeds with true process crash/restart in place of Crash and Recover.
 type Fabric interface {
 	Crash(types.NodeID)
 	Recover(types.NodeID)
@@ -36,18 +42,8 @@ type Fabric interface {
 	BlockLink(from, to types.NodeID)
 	UnblockLink(from, to types.NodeID)
 	SetDelayScale(float64)
-}
-
-// FaultInjector is the optional Fabric extension for link-level fault
-// mixes (implemented by *chaos.Net; the simulator ignores these actions).
-type FaultInjector interface {
 	SetDefaultFaults(chaos.Faults)
 	SetLinkFaults(from, to types.NodeID, f chaos.Faults)
-}
-
-// LinkResetter is the optional Fabric extension for connection resets
-// (implemented by *chaos.Net over resettable substrates like tcpnet).
-type LinkResetter interface {
 	ResetLink(from, to types.NodeID)
 	ResetAll()
 }
@@ -84,7 +80,11 @@ func (a Recover) Apply(f Fabric) { f.Recover(a.Node) }
 
 func (a Recover) String() string { return fmt.Sprintf("recover:%d", a.Node) }
 
-// Partition splits the network into groups.
+// Partition splits the network into groups. A message passes only between
+// two nodes of one group: a node in no group is isolated from every other
+// node, and a Partition with no groups isolates every node. Every fabric
+// applies this one rule; scripts that mean to keep clients connected must
+// list them.
 type Partition struct{ Groups [][]types.NodeID }
 
 // Apply implements Action.
@@ -136,7 +136,7 @@ func (a Delay) String() string { return fmt.Sprintf("delay:%g", a.Factor) }
 
 // LinkFaults installs a chaos fault mix on one directed link, or — with
 // All set — as the default for every link. A zero Faults value clears the
-// target. No-op on fabrics without the FaultInjector extension (netsim).
+// target.
 type LinkFaults struct {
 	From, To types.NodeID
 	All      bool
@@ -145,15 +145,11 @@ type LinkFaults struct {
 
 // Apply implements Action.
 func (a LinkFaults) Apply(f Fabric) {
-	fi, ok := f.(FaultInjector)
-	if !ok {
-		return
-	}
 	if a.All {
-		fi.SetDefaultFaults(a.Faults)
+		f.SetDefaultFaults(a.Faults)
 		return
 	}
-	fi.SetLinkFaults(a.From, a.To, a.Faults)
+	f.SetLinkFaults(a.From, a.To, a.Faults)
 }
 
 func (a LinkFaults) String() string {
@@ -165,8 +161,8 @@ func (a LinkFaults) String() string {
 }
 
 // Reset tears down the live connection under one directed link, or every
-// connection with All set. No-op on fabrics without the LinkResetter
-// extension (netsim has no connections to reset).
+// connection with All set. A no-op on the simulator, which has no
+// connections to reset.
 type Reset struct {
 	From, To types.NodeID
 	All      bool
@@ -174,15 +170,11 @@ type Reset struct {
 
 // Apply implements Action.
 func (a Reset) Apply(f Fabric) {
-	lr, ok := f.(LinkResetter)
-	if !ok {
-		return
-	}
 	if a.All {
-		lr.ResetAll()
+		f.ResetAll()
 		return
 	}
-	lr.ResetLink(a.From, a.To)
+	f.ResetLink(a.From, a.To)
 }
 
 func (a Reset) String() string {
@@ -192,26 +184,10 @@ func (a Reset) String() string {
 	return fmt.Sprintf("reset:%d>%d", a.From, a.To)
 }
 
-// Byzantine lying strategies, by script name. The mode ints match
-// core.ByzMode's values (1..4); they are redeclared here because failure
-// sits below core in the layering and must not import it. 0 is honesty.
-var byzModes = map[string]int{
-	"off":        0,
-	"fabricate":  1,
-	"stale":      2,
-	"silent":     3,
-	"equivocate": 4,
-}
-
-// byzModeName inverts byzModes for rendering.
-func byzModeName(mode int) string {
-	for name, m := range byzModes {
-		if m == mode {
-			return name
-		}
-	}
-	return strconv.Itoa(mode)
-}
+// byzModes names the Byzantine lying strategies in the script syntax,
+// indexed by core.ByzMode value (redeclared here because failure sits below
+// core in the layering and must not import it). Mode 0 is honesty.
+var byzModes = []string{"off", "fabricate", "stale", "silent", "equivocate"}
 
 // Byz makes a node lie with the given strategy — fabricated max-tags,
 // stale state, selective silence, per-client equivocation — or return to
@@ -229,7 +205,13 @@ func (a Byz) Apply(f Fabric) {
 	}
 }
 
-func (a Byz) String() string { return fmt.Sprintf("byz:%d:%s", a.Node, byzModeName(a.Mode)) }
+func (a Byz) String() string {
+	mode := strconv.Itoa(a.Mode)
+	if a.Mode >= 0 && a.Mode < len(byzModes) {
+		mode = byzModes[a.Mode]
+	}
+	return fmt.Sprintf("byz:%d:%s", a.Node, mode)
+}
 
 // Event is an action scheduled at an offset from the schedule's start.
 type Event struct {
@@ -452,8 +434,8 @@ func parseAction(s string) (Action, error) {
 		if err != nil {
 			return nil, fmt.Errorf("failure: byz: %w", err)
 		}
-		mode, ok := byzModes[strings.TrimSpace(modeS)]
-		if !ok {
+		mode := slices.Index(byzModes, strings.TrimSpace(modeS))
+		if mode < 0 {
 			return nil, fmt.Errorf("failure: byz: unknown mode %q (want fabricate, stale, silent, equivocate, or off)", modeS)
 		}
 		return Byz{Node: id, Mode: mode}, nil

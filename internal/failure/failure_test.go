@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -101,37 +102,129 @@ func TestValidateRejectsOutOfRangeNodes(t *testing.T) {
 	}
 }
 
-// TestChaosActionsApplyToChaosFabric drives the chaos-only actions against
-// a chaos.Net and the simulator: the former must take effect, the latter
-// must ignore them without panicking.
+// countingEndpoint stands in for a real transport under chaos.Net.Wrap: it
+// counts the sends that reach it.
+type countingEndpoint struct {
+	id    types.NodeID
+	sends int
+}
+
+func (e *countingEndpoint) ID() types.NodeID                { return e.id }
+func (e *countingEndpoint) Send(types.NodeID, []byte) error { e.sends++; return nil }
+func (e *countingEndpoint) Recv() <-chan transport.Message  { return nil }
+func (e *countingEndpoint) Close() error                    { return nil }
+
+// TestChaosActionsApplyToChaosFabric drives the link-fault and reset actions
+// against a chaos.Net and the simulator: both apply the fault mix, and the
+// simulator, which has no connections, ignores the reset.
 func TestChaosActionsApplyToChaosFabric(t *testing.T) {
-	cn := chaos.New(1)
 	sched, err := Parse("faults:*:drop=1@0ms; reset:*@0ms")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cn := chaos.New(1)
+	wrapped := cn.Wrap(&countingEndpoint{id: 0})
+	sim := netsim.New(netsim.Config{})
+	defer sim.Close()
+	a := sim.Node(0)
+	sim.Node(1)
+
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if err := sched.Run(ctx, cn); err != nil {
-		t.Fatal(err)
+	for _, f := range []Fabric{cn, sim} {
+		if err := sched.Run(ctx, f); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	// All-links drop=1 is now the default config: a send through a wrapped
-	// endpoint must be dropped.
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	wrapped := cn.Wrap(net.Node(0))
-	net.Node(1)
 	if err := wrapped.Send(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if st := cn.Stats(); st.Dropped == 0 {
+	if st := cn.Stats(); st.Dropped != 1 {
 		t.Errorf("chaos fabric did not apply faults action: %+v", st)
 	}
+	if err := a.Send(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if st := sim.Stats(); st.Dropped != 1 || st.Delivered != 0 {
+		t.Errorf("simulator did not apply faults action: dropped %d, delivered %d", st.Dropped, st.Delivered)
+	}
+}
 
-	// The simulator ignores chaos-only actions.
-	if err := sched.Run(ctx, net); err != nil {
-		t.Fatalf("chaos actions on netsim errored: %v", err)
+// TestFabricsAgree is the conformance check of the one fault model: the
+// same actions, applied in order to the simulator and to the chaos layer
+// over a stand-in transport, give the same deliver/drop verdict on every
+// link, and the verdict the action documents. Node 3 is in no group of the
+// partition, so it is isolated.
+func TestFabricsAgree(t *testing.T) {
+	nodes := []types.NodeID{0, 1, 2, 3}
+	all := func(from, to types.NodeID) bool { return true }
+	none := func(from, to types.NodeID) bool { return false }
+	notBlocked := func(from, to types.NodeID) bool { return from != 0 || to != 2 }
+	steps := []struct {
+		action Action
+		want   func(from, to types.NodeID) bool
+	}{
+		{Crash{Node: 1}, func(from, to types.NodeID) bool { return from != 1 && to != 1 }},
+		{Recover{Node: 1}, all},
+		{Partition{Groups: [][]types.NodeID{{0, 1}, {2}}}, func(from, to types.NodeID) bool { return from <= 1 && to <= 1 }},
+		{Heal{}, all},
+		{Partition{}, none},
+		{Heal{}, all},
+		{Block{From: 0, To: 2}, notBlocked},
+		{Delay{Factor: 0}, notBlocked},
+		{Unblock{From: 0, To: 2}, all},
+		{LinkFaults{All: true, Faults: chaos.Faults{Drop: 1}}, none},
+		{LinkFaults{All: true}, all},
+	}
+
+	sim := netsim.New(netsim.Config{Seed: 1})
+	defer sim.Close()
+	cn := chaos.New(1)
+	inner := map[types.NodeID]*countingEndpoint{}
+	wrapped := map[types.NodeID]*chaos.Endpoint{}
+	for _, id := range nodes {
+		sim.Node(id)
+		inner[id] = &countingEndpoint{id: id}
+		wrapped[id] = cn.Wrap(inner[id])
+	}
+	// Zero delays: both fabrics deliver inside Send.
+	simDelivers := func(from, to types.NodeID) bool {
+		before := sim.Stats().Delivered
+		if err := sim.Node(from).Send(to, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		return sim.Stats().Delivered > before
+	}
+	chaosDelivers := func(from, to types.NodeID) bool {
+		before := inner[from].sends
+		if err := wrapped[from].Send(to, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		return inner[from].sends > before
+	}
+
+	var drops int64
+	for _, step := range steps {
+		step.action.Apply(sim)
+		step.action.Apply(cn)
+		for _, from := range nodes {
+			for _, to := range nodes {
+				if from == to {
+					continue
+				}
+				s, c, want := simDelivers(from, to), chaosDelivers(from, to), step.want(from, to)
+				if s != want || c != want {
+					t.Errorf("after %s: %d>%d delivered on netsim %v, on chaos %v, want %v",
+						step.action, from, to, s, c, want)
+				}
+				if !s {
+					drops++
+				}
+			}
+		}
+	}
+	if st := sim.Stats(); st.Dropped != drops {
+		t.Errorf("netsim Stats.Dropped = %d, want every fault loss (%d)", st.Dropped, drops)
 	}
 }
 

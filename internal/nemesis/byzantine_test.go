@@ -2,54 +2,13 @@ package nemesis
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/lincheck"
-	"repro/internal/types"
 )
-
-// TestGenerateByzantineScheduleDeterministic: the Byzantine schedule is a
-// pure function of its inputs, every schedule turns liars on and off and
-// includes the guaranteed crash-under-lies episode, and f=0 degrades to
-// the plain generator.
-func TestGenerateByzantineScheduleDeterministic(t *testing.T) {
-	clients := []types.NodeID{9000, 9001, 9002, 9003, 9004}
-	a := GenerateByzantineSchedule(7, 5, 1, clients, 6, 700*time.Millisecond)
-	b := GenerateByzantineSchedule(7, 5, 1, clients, 6, 700*time.Millisecond)
-	if a.String() != b.String() {
-		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
-	}
-	if c := GenerateByzantineSchedule(8, 5, 1, clients, 6, 700*time.Millisecond); a.String() == c.String() {
-		t.Fatal("different seeds produced identical schedules")
-	}
-	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		s := GenerateByzantineSchedule(seed, 5, 1, clients, 6, 700*time.Millisecond).String()
-		if !strings.Contains(s, "byz:") {
-			t.Errorf("seed %d schedule has no byz episode: %s", seed, s)
-		}
-		if !strings.Contains(s, ":off") {
-			t.Errorf("seed %d schedule never restores honesty: %s", seed, s)
-		}
-		if !strings.Contains(s, "crash:") || !strings.Contains(s, "recover:") {
-			t.Errorf("seed %d schedule has no crash+restart episode: %s", seed, s)
-		}
-		if !strings.Contains(s, ":fabricate") && !strings.Contains(s, ":equivocate") {
-			t.Errorf("seed %d schedule has no loud-lie episode: %s", seed, s)
-		}
-	}
-	plain := GenerateSchedule(9, 5, clients, 6, 700*time.Millisecond)
-	if got := GenerateByzantineSchedule(9, 5, 0, clients, 6, 700*time.Millisecond); got.String() != plain.String() {
-		t.Error("f=0 Byzantine schedule should equal the plain schedule")
-	}
-	// A generated Byzantine schedule passes the cluster-shape validation.
-	if err := ValidateSchedule(a, Config{Byzantine: 1}); err != nil {
-		t.Errorf("generated schedule fails validation: %v", err)
-	}
-}
 
 // TestByzantineClusterLiarWiring pins the injection path on a real tcpnet
 // cluster: flipping one replica to fabricate makes its outbound replies

@@ -2,43 +2,12 @@ package nemesis
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/lincheck"
 	"repro/internal/types"
 )
-
-// TestGenerateFastReadRaceScheduleDeterministic: the race schedule is a
-// pure function of its inputs and always includes its two guaranteed
-// genres — a crash+restart episode and a writer-slowdown episode (writer
-// links blocked), the window that manufactures the stored-tag-ahead-of-
-// watermark divergence the fast path must survive.
-func TestGenerateFastReadRaceScheduleDeterministic(t *testing.T) {
-	writers := []types.NodeID{9000, 9001}
-	a := GenerateFastReadRaceSchedule(7, 5, writers, 6, 700*time.Millisecond)
-	b := GenerateFastReadRaceSchedule(7, 5, writers, 6, 700*time.Millisecond)
-	if a.String() != b.String() {
-		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
-	}
-	if c := GenerateFastReadRaceSchedule(8, 5, writers, 6, 700*time.Millisecond); a.String() == c.String() {
-		t.Fatal("different seeds produced identical schedules")
-	}
-	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		s := GenerateFastReadRaceSchedule(seed, 5, writers, 6, 700*time.Millisecond).String()
-		if !strings.Contains(s, "crash:") || !strings.Contains(s, "recover:") {
-			t.Errorf("seed %d schedule has no crash+restart episode: %s", seed, s)
-		}
-		if !strings.Contains(s, "block:") || !strings.Contains(s, "unblock:") {
-			t.Errorf("seed %d schedule has no writer-slowdown episode: %s", seed, s)
-		}
-	}
-	// A generated schedule passes the cluster-shape validation.
-	if err := ValidateSchedule(a, Config{}); err != nil {
-		t.Errorf("generated schedule fails validation: %v", err)
-	}
-}
 
 // TestFastReadNemesisLinearizable is the fast-path acceptance run: three
 // seeded write-vs-fast-read race schedules against a real 5-replica tcpnet
@@ -60,8 +29,7 @@ func TestFastReadNemesisLinearizable(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 			defer cancel()
 			cfg := Config{Seed: seed, Registers: 1}
-			cfg.Schedule = GenerateFastReadRaceSchedule(seed, 5,
-				[]types.NodeID{clientBase, clientBase + 1}, 6, 700*time.Millisecond)
+			cfg.Schedule = GenerateSchedule(FastReadGenres, cfg, []types.NodeID{clientBase, clientBase + 1})
 			res, err := Run(ctx, cfg)
 			if err != nil {
 				t.Fatal(err)

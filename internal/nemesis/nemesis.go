@@ -15,7 +15,8 @@
 //     connection resets, blocks, partitions) is injected by an
 //     internal/chaos controller wrapped around every endpoint.
 //
-// The Cluster implements failure.Fabric, so one scripted schedule drives
+// The Cluster embeds the chaos controller, overriding only Crash, Recover
+// and Crashed, so it is a failure.Fabric and one scripted schedule drives
 // both mechanisms; GenerateSchedule derives a randomized-but-deterministic
 // schedule from a seed.
 package nemesis
@@ -76,8 +77,8 @@ type Config struct {
 	// Groups > 1 the cluster runs Groups*N replicas — group g owns ids
 	// g*N..g*N+N-1 — and every logical client becomes a shard.Store routing
 	// each register to its owning group, so the workload, the fault
-	// schedule (GenerateShardedSchedule faults two groups per window), and
-	// the per-register linearizability verdicts all exercise the sharded
+	// schedule (ShardedGenres fault two groups per window), and the
+	// per-register linearizability verdicts all exercise the sharded
 	// deployment end to end.
 	Groups int
 	// Writers and Readers are the client counts (defaults 2 and 3).
@@ -93,7 +94,7 @@ type Config struct {
 	// round), and every replica carries a chaos-layer core.Liar that the
 	// schedule flips between lying strategies with failure.Byz actions
 	// (script syntax byz:<node>:<fabricate|stale|silent|equivocate|off>).
-	// The generated schedule becomes GenerateByzantineSchedule. Requires
+	// The generated schedule draws from ByzantineGenres. Requires
 	// N >= 4*Byzantine+1 (enforced by the clients' quorum validation) and
 	// Groups == 1.
 	Byzantine int
@@ -197,12 +198,14 @@ type replicaProc struct {
 	ep  *tcpnet.Endpoint
 }
 
-// Cluster is an in-process tcpnet cluster under nemesis control. It
-// implements failure.Fabric (plus the FaultInjector and LinkResetter
-// extensions), overriding Crash/Recover with true process stop/restart.
+// Cluster is an in-process tcpnet cluster under nemesis control. The
+// embedded chaos controller, wrapped around every endpoint, injects every
+// message fault; Crash, Recover and Crashed are overridden with true
+// process stop/restart. It implements failure.Fabric.
 type Cluster struct {
+	*chaos.Net
+
 	cfg     Config
-	chaos   *chaos.Net
 	dir     string
 	ownsDir bool
 
@@ -211,7 +214,8 @@ type Cluster struct {
 	replicas map[types.NodeID]*replicaProc
 	// liars holds one chaos-layer core.Liar per replica in Byzantine mode
 	// (Config.Byzantine > 0), keyed by node so a liar survives its
-	// replica's crash/restart cycles. Nil otherwise.
+	// replica's crash/restart cycles. Nil otherwise. Only NewCluster writes
+	// the map, so it is read without mu.
 	liars map[types.NodeID]*core.Liar
 	// stats accumulates transport counters of endpoints that no longer
 	// exist (crashed replica generations).
@@ -271,8 +275,8 @@ func (c *Cluster) nodeTracer(id types.NodeID) obs.Tracer {
 func NewCluster(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
+		Net:      chaos.New(cfg.Seed),
 		cfg:      cfg,
-		chaos:    chaos.New(cfg.Seed),
 		dir:      cfg.Dir,
 		addrs:    make(map[types.NodeID]string),
 		replicas: make(map[types.NodeID]*replicaProc),
@@ -309,7 +313,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if c.liars != nil {
 			l := core.NewLiar(id, cfg.Seed^int64(1000+i))
 			c.liars[id] = l
-			c.chaos.SetInterceptor(id, l.Intercept)
+			c.SetInterceptor(id, l.Intercept)
 		}
 		if err := c.startReplica(id); err != nil {
 			c.Close()
@@ -350,7 +354,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			if cfg.Byzantine > 0 {
 				copts = append(copts, core.WithByzantine(cfg.Byzantine))
 			}
-			cli, err := core.NewClient(id, c.chaos.Wrap(ep), ids, copts...)
+			cli, err := core.NewClient(id, c.Wrap(ep), ids, copts...)
 			if err != nil {
 				_ = ep.Close()
 				c.Close()
@@ -413,7 +417,7 @@ func (c *Cluster) startReplica(id types.NodeID) error {
 	}
 
 	wal := filepath.Join(c.dir, fmt.Sprintf("replica-%d.wal", id))
-	rep, err := core.NewPersistentReplica(id, c.chaos.Wrap(ep), wal,
+	rep, err := core.NewPersistentReplica(id, c.Wrap(ep), wal,
 		core.WithReplicaTracer(c.nodeTracer(id)), core.WithFsyncDelay(c.cfg.FsyncDelay))
 	if err != nil {
 		_ = ep.Close()
@@ -439,9 +443,7 @@ func (c *Cluster) startReplica(id types.NodeID) error {
 func (c *Cluster) Crash(id types.NodeID) {
 	c.mu.Lock()
 	proc, ok := c.replicas[id]
-	if ok {
-		delete(c.replicas, id)
-	}
+	delete(c.replicas, id)
 	c.mu.Unlock()
 	if !ok {
 		return
@@ -456,11 +458,7 @@ func (c *Cluster) Crash(id types.NodeID) {
 // its persistence log — the crash-recovery path under test. No-op if the
 // replica is running.
 func (c *Cluster) Recover(id types.NodeID) {
-	c.mu.Lock()
-	_, running := c.replicas[id]
-	_, known := c.addrs[id]
-	c.mu.Unlock()
-	if running || !known {
+	if !c.Crashed(id) {
 		return
 	}
 	// Best effort: a failed restart leaves the replica crashed, which the
@@ -479,59 +477,16 @@ func (c *Cluster) Crashed(id types.NodeID) bool {
 
 // RecoverAll restarts every crashed replica.
 func (c *Cluster) RecoverAll() {
-	c.mu.Lock()
-	var down []types.NodeID
-	for id := range c.addrs {
-		if _, running := c.replicas[id]; !running {
-			down = append(down, id)
-		}
-	}
-	c.mu.Unlock()
-	for _, id := range down {
-		c.Recover(id)
+	for id := 0; id < c.cfg.Groups*c.cfg.N; id++ {
+		c.Recover(types.NodeID(id))
 	}
 }
-
-// Message-fault controls delegate to the chaos layer.
-
-// Partition splits the listed groups (see chaos.Net.Partition: nodes in no
-// group — typically clients — are unaffected).
-func (c *Cluster) Partition(groups ...[]types.NodeID) { c.chaos.Partition(groups...) }
-
-// Heal removes the partition.
-func (c *Cluster) Heal() { c.chaos.Heal() }
-
-// BlockLink blackholes the directed link.
-func (c *Cluster) BlockLink(from, to types.NodeID) { c.chaos.BlockLink(from, to) }
-
-// UnblockLink reopens the directed link.
-func (c *Cluster) UnblockLink(from, to types.NodeID) { c.chaos.UnblockLink(from, to) }
-
-// SetDelayScale scales every configured fault delay.
-func (c *Cluster) SetDelayScale(s float64) { c.chaos.SetDelayScale(s) }
-
-// SetDefaultFaults configures the all-links fault mix.
-func (c *Cluster) SetDefaultFaults(f chaos.Faults) { c.chaos.SetDefaultFaults(f) }
-
-// SetLinkFaults configures one link's fault mix.
-func (c *Cluster) SetLinkFaults(from, to types.NodeID, f chaos.Faults) {
-	c.chaos.SetLinkFaults(from, to, f)
-}
-
-// ResetLink tears down the from->to connection.
-func (c *Cluster) ResetLink(from, to types.NodeID) { c.chaos.ResetLink(from, to) }
-
-// ResetAll tears down every connection.
-func (c *Cluster) ResetAll() { c.chaos.ResetAll() }
 
 // SetByzantine switches replica node's liar to mode (a core.ByzMode
 // value; 0 restores honesty). A no-op outside Byzantine mode or for
 // unknown nodes, so schedules degrade gracefully.
 func (c *Cluster) SetByzantine(node types.NodeID, mode int) {
-	c.mu.Lock()
-	l := c.liars[node]
-	c.mu.Unlock()
-	if l != nil {
+	if l := c.liars[node]; l != nil {
 		l.SetMode(core.ByzMode(mode))
 	}
 }
@@ -539,13 +494,7 @@ func (c *Cluster) SetByzantine(node types.NodeID, mode int) {
 // ClearByzantine restores every liar to honesty (the Byzantine analogue
 // of Heal/ClearFaults, run before post-schedule verdicts).
 func (c *Cluster) ClearByzantine() {
-	c.mu.Lock()
-	liars := make([]*core.Liar, 0, len(c.liars))
 	for _, l := range c.liars {
-		liars = append(liars, l)
-	}
-	c.mu.Unlock()
-	for _, l := range liars {
 		l.SetMode(0)
 	}
 }
@@ -553,8 +502,6 @@ func (c *Cluster) ClearByzantine() {
 // LiarStats sums the liars' tallies: replies rewritten and replies
 // suppressed. Zero outside Byzantine mode.
 func (c *Cluster) LiarStats() (lies, muted int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, l := range c.liars {
 		a, b := l.Stats()
 		lies += a
@@ -565,13 +512,8 @@ func (c *Cluster) LiarStats() (lies, muted int64) {
 
 var (
 	_ failure.Fabric        = (*Cluster)(nil)
-	_ failure.FaultInjector = (*Cluster)(nil)
-	_ failure.LinkResetter  = (*Cluster)(nil)
 	_ failure.ByzController = (*Cluster)(nil)
 )
-
-// Chaos exposes the underlying chaos controller (fault stats, tracing).
-func (c *Cluster) Chaos() *chaos.Net { return c.chaos }
 
 // Spans returns the spans collected so far across every layer of the
 // cluster, plus how many were dropped at the collector's capacity.
@@ -745,266 +687,232 @@ func (c *Cluster) Close() {
 	}
 }
 
-// GenerateSchedule derives a deterministic fault schedule from a seed:
-// `windows` sequential episodes of duration `window`, each picking one
-// nemesis genre — a loss/duplication/corruption storm, a latency spike, a
-// replica crash with restart, a connection-reset volley, or a replica
-// isolation (all client links to it blocked). Every episode undoes its
-// fault at the window's end, and at least one crash episode is guaranteed
-// (the harness must exercise crash-recovery). The same (seed, n, clients,
-// windows, window) always yields the same schedule — byte-for-byte as a
-// script — so a failing run can be replayed.
-func GenerateSchedule(seed int64, n int, clients []types.NodeID, windows int, window time.Duration) failure.Schedule {
-	rng := rand.New(rand.NewSource(seed))
-	var sched failure.Schedule
-	add := func(at time.Duration, a failure.Action) {
-		sched = append(sched, failure.Event{At: at, Action: a})
+// Genres names one of GenerateSchedule's genre sets.
+type Genres int
+
+const (
+	// ClassicGenres rotate a loss/duplication/corruption storm, a latency
+	// spike with reordering, a replica crash with restart, a
+	// connection-reset volley, and a replica isolated from every client (a
+	// one-node partition).
+	ClassicGenres Genres = iota
+	// ByzantineGenres turn cfg.Byzantine replicas into liars in every
+	// window and layer a classic fault underneath: loud lies alone
+	// (fabricated and equivocated max-tags), quiet lies (stale state or
+	// silence) under a loss storm, a crash of an HONEST replica while the
+	// liars fabricate (the masking quorum must absorb both adversaries at
+	// once), and equivocation under a latency/reorder spike (concurrent
+	// readers see per-destination lies out of order). Every window
+	// restores honesty at its end. With cfg.Byzantine == 0 these are the
+	// classic genres.
+	ByzantineGenres
+	// FastReadGenres race writers against watermark fast-path reads
+	// (DESIGN.md §10): a read must take the slow path while a write's
+	// update has reached a quorum but the confirmed watermarks lag behind.
+	// A writer slowdown (every writer's link to one replica blocked, so
+	// stored tags diverge while readers race at full speed) is guaranteed;
+	// the other genres are a replica crash with restart (the watermark is
+	// not persisted, so it rejoins conservative), a loss storm (acks and
+	// watermark gossip dropped), and a latency spike with reordering (old
+	// claims arrive after newer ones). The clients passed to
+	// GenerateSchedule are the writers.
+	FastReadGenres
+	// ShardedGenres fault TWO distinct replica groups in every window —
+	// crashing or isolating one replica in each — so the store must keep
+	// the untouched groups' registers live while two groups churn. Each
+	// victim is a minority of its group, so every register stays
+	// reachable, and the per-register verdicts check that routing under
+	// churn never mixes registers across groups. Every third window (in
+	// expectation) adds a global loss/duplication storm. With
+	// cfg.Groups < 2 these are the classic genres.
+	ShardedGenres
+)
+
+// GenerateSchedule derives a deterministic fault schedule from cfg.Seed:
+// cfg.Windows sequential episodes of cfg.Window each, every one drawn from
+// the genre set, its fault applied an eighth of a window in and undone an
+// eighth before the window ends. Every set guarantees at least one replica
+// crash with restart (the harness must exercise crash-recovery). clients
+// are the ids the isolation genres cut off from a replica. The result is a
+// pure function of its inputs — byte-for-byte as a script — so a failing
+// run can be replayed.
+func GenerateSchedule(genres Genres, cfg Config, clients []types.NodeID) failure.Schedule {
+	cfg = cfg.withDefaults()
+	g := &generator{cfg: cfg, clients: clients, rng: rand.New(rand.NewSource(cfg.Seed))}
+	window := g.classic
+	switch {
+	case genres == ByzantineGenres && cfg.Byzantine > 0:
+		window = g.byzantine
+	case genres == FastReadGenres:
+		window = g.fastRead
+	case genres == ShardedGenres && cfg.Groups > 1:
+		window = g.sharded
 	}
-	sawCrash := false
-	for w := 0; w < windows; w++ {
-		start := time.Duration(w)*window + window/8
-		end := time.Duration(w+1)*window - window/8
-		genre := rng.Intn(5)
-		if w == windows-1 && !sawCrash {
-			genre = 2 // guarantee one crash+restart episode per schedule
-		}
-		switch genre {
-		case 0: // message storm: loss plus some duplication and corruption
-			f := chaos.Faults{
-				Drop:    0.1 + 0.2*rng.Float64(),
-				Dup:     0.1 * rng.Float64(),
-				Corrupt: 0.05 * rng.Float64(),
-			}
-			add(start, failure.LinkFaults{All: true, Faults: f})
-			add(end, failure.LinkFaults{All: true})
-		case 1: // latency spike with reordering
-			lo := time.Duration(1+rng.Intn(4)) * time.Millisecond
-			hi := lo + time.Duration(5+rng.Intn(20))*time.Millisecond
-			f := chaos.Faults{DelayMin: lo, DelayMax: hi, Reorder: 0.2 * rng.Float64()}
-			add(start, failure.LinkFaults{All: true, Faults: f})
-			add(end, failure.LinkFaults{All: true})
-		case 2: // crash one replica, restart it before the window closes
-			id := types.NodeID(rng.Intn(n))
-			add(start, failure.Crash{Node: id})
-			add(end, failure.Recover{Node: id})
-			sawCrash = true
-		case 3: // connection-reset volley
-			k := 2 + rng.Intn(3)
-			for j := 0; j < k; j++ {
-				add(start+time.Duration(j)*(end-start)/time.Duration(k), failure.Reset{All: true})
-			}
-		case 4: // isolate one replica from every client (a one-node partition)
-			id := types.NodeID(rng.Intn(n))
-			for _, cl := range clients {
-				add(start, failure.Block{From: cl, To: id})
-			}
-			for _, cl := range clients {
-				add(end, failure.Unblock{From: cl, To: id})
-			}
-		}
+	for g.w = 0; g.w < cfg.Windows; g.w++ {
+		g.start = time.Duration(g.w)*cfg.Window + cfg.Window/8
+		g.end = time.Duration(g.w+1)*cfg.Window - cfg.Window/8
+		window()
 	}
-	return sched
+	return g.sched
 }
 
-// GenerateByzantineSchedule derives a deterministic fault schedule for a
-// Byzantine-mode cluster: `windows` episodes, each turning f replicas
-// into liars for the window's span and layering a classic nemesis fault
-// underneath. Four genres rotate: loud lies alone (fabricated and
-// equivocated max-tags), quiet lies (stale state or silence) under a loss
-// storm, a crash of an HONEST replica while the liars fabricate (the
-// masking quorum must absorb both adversaries at once), and equivocation
-// under a latency/reorder spike (concurrent readers see per-destination
-// lies out of order). Every window restores honesty and undoes its fault
-// at its end; at least one crash+fabricate episode is guaranteed, so every
-// schedule exercises the loud-lie rejection path AND crash recovery. With
-// f = 0 it degrades to GenerateSchedule. Like the other generators the
-// result is a pure function of its inputs.
-func GenerateByzantineSchedule(seed int64, n, f int, clients []types.NodeID, windows int, window time.Duration) failure.Schedule {
-	if f <= 0 {
-		return GenerateSchedule(seed, n, clients, windows, window)
+// generator is GenerateSchedule's state: one RNG for every draw, the
+// current window, and the guarantees met so far.
+type generator struct {
+	cfg     Config
+	clients []types.NodeID
+	rng     *rand.Rand
+	sched   failure.Schedule
+
+	w                     int           // the current window
+	start, end            time.Duration // its fault onset and undo
+	sawCrash, sawSlowdown bool
+}
+
+func (g *generator) add(at time.Duration, a failure.Action) {
+	g.sched = append(g.sched, failure.Event{At: at, Action: a})
+}
+
+// pick draws one of k genres, or crashGenre in the last window of a
+// schedule that has not crashed a replica yet.
+func (g *generator) pick(k, crashGenre int) int {
+	genre := g.rng.Intn(k)
+	if g.w == g.cfg.Windows-1 && !g.sawCrash {
+		return crashGenre
 	}
-	rng := rand.New(rand.NewSource(seed))
-	var sched failure.Schedule
-	add := func(at time.Duration, a failure.Action) {
-		sched = append(sched, failure.Event{At: at, Action: a})
+	return genre
+}
+
+// replica draws one replica of group 0 (the only group of an unsharded
+// cluster).
+func (g *generator) replica() types.NodeID { return types.NodeID(g.rng.Intn(g.cfg.N)) }
+
+// crash stops replica id for the window.
+func (g *generator) crash(id types.NodeID) {
+	g.add(g.start, failure.Crash{Node: id})
+	g.add(g.end, failure.Recover{Node: id})
+	g.sawCrash = true
+}
+
+// isolate blocks every client's link to replica id for the window.
+func (g *generator) isolate(id types.NodeID) {
+	for _, cl := range g.clients {
+		g.add(g.start, failure.Block{From: cl, To: id})
 	}
-	sawCrash := false
-	for w := 0; w < windows; w++ {
-		start := time.Duration(w)*window + window/8
-		end := time.Duration(w+1)*window - window/8
-		perm := rng.Perm(n) // perm[:f] lie this window, perm[f:] stay honest
-		liars := perm[:f]
-		genre := rng.Intn(4)
-		if w == windows-1 && !sawCrash {
-			genre = 2 // guarantee one crash-under-lies episode per schedule
+	for _, cl := range g.clients {
+		g.add(g.end, failure.Unblock{From: cl, To: id})
+	}
+}
+
+// faults installs f on every link for the window.
+func (g *generator) faults(f chaos.Faults) {
+	g.add(g.start, failure.LinkFaults{All: true, Faults: f})
+	g.add(g.end, failure.LinkFaults{All: true})
+}
+
+// storm is a loss storm: drop probability in [drop, drop+dropSpan), dup
+// below dup, and, when corrupt > 0, corruption below corrupt.
+func (g *generator) storm(drop, dropSpan, dup, corrupt float64) {
+	f := chaos.Faults{Drop: drop + dropSpan*g.rng.Float64(), Dup: dup * g.rng.Float64()}
+	if corrupt > 0 {
+		f.Corrupt = corrupt * g.rng.Float64()
+	}
+	g.faults(f)
+}
+
+// latency is a latency spike: every message delayed between lo (1 to
+// loSpan ms) and lo plus hiBase..hiBase+hiSpan-1 ms, reordered below
+// reorder.
+func (g *generator) latency(loSpan, hiBase, hiSpan int, reorder float64) {
+	lo := time.Duration(1+g.rng.Intn(loSpan)) * time.Millisecond
+	hi := lo + time.Duration(hiBase+g.rng.Intn(hiSpan))*time.Millisecond
+	g.faults(chaos.Faults{DelayMin: lo, DelayMax: hi, Reorder: reorder * g.rng.Float64()})
+}
+
+func (g *generator) classic() {
+	switch g.pick(5, 2) {
+	case 0: // message storm: loss plus some duplication and corruption
+		g.storm(0.1, 0.2, 0.1, 0.05)
+	case 1:
+		g.latency(4, 5, 20, 0.2)
+	case 2:
+		g.crash(g.replica())
+	case 3: // connection-reset volley
+		k := 2 + g.rng.Intn(3)
+		for j := 0; j < k; j++ {
+			g.add(g.start+time.Duration(j)*(g.end-g.start)/time.Duration(k), failure.Reset{All: true})
 		}
-		switch genre {
-		case 0: // loud lying minority: fabricated and equivocated max-tags
-			for _, id := range liars {
-				mode := int(core.ByzFabricate)
-				if rng.Intn(2) == 1 {
-					mode = int(core.ByzEquivocate)
-				}
-				add(start, failure.Byz{Node: types.NodeID(id), Mode: mode})
-			}
-		case 1: // quiet lying minority under a loss storm: stale or silent
-			for _, id := range liars {
-				mode := int(core.ByzStale)
-				if rng.Intn(2) == 1 {
-					mode = int(core.ByzSilent)
-				}
-				add(start, failure.Byz{Node: types.NodeID(id), Mode: mode})
-			}
-			fts := chaos.Faults{Drop: 0.05 + 0.1*rng.Float64(), Dup: 0.1 * rng.Float64()}
-			add(start, failure.LinkFaults{All: true, Faults: fts})
-			add(end, failure.LinkFaults{All: true})
-		case 2: // crash an honest replica while the liars fabricate: with
-			// n = 4f+1 the masking quorum of 3f+1 is exactly the replicas
-			// still answering, so reads must survive both adversaries
-			for _, id := range liars {
-				add(start, failure.Byz{Node: types.NodeID(id), Mode: int(core.ByzFabricate)})
-			}
-			victim := types.NodeID(perm[f])
-			add(start, failure.Crash{Node: victim})
-			add(end, failure.Recover{Node: victim})
-			sawCrash = true
-		case 3: // equivocation under a latency spike with reordering
-			for _, id := range liars {
-				add(start, failure.Byz{Node: types.NodeID(id), Mode: int(core.ByzEquivocate)})
-			}
-			lo := time.Duration(1+rng.Intn(3)) * time.Millisecond
-			hi := lo + time.Duration(4+rng.Intn(12))*time.Millisecond
-			f := chaos.Faults{DelayMin: lo, DelayMax: hi, Reorder: 0.2 * rng.Float64()}
-			add(start, failure.LinkFaults{All: true, Faults: f})
-			add(end, failure.LinkFaults{All: true})
-		}
+	case 4:
+		g.isolate(g.replica())
+	}
+}
+
+func (g *generator) byzantine() {
+	f := g.cfg.Byzantine
+	perm := g.rng.Perm(g.cfg.N) // perm[:f] lie this window, perm[f:] stay honest
+	liars := perm[:f]
+	// lie turns every liar to mode a, or to a or b by a coin flip each.
+	lie := func(a, b core.ByzMode) {
 		for _, id := range liars {
-			add(end, failure.Byz{Node: types.NodeID(id), Mode: 0})
+			mode := a
+			if b != 0 && g.rng.Intn(2) == 1 {
+				mode = b
+			}
+			g.add(g.start, failure.Byz{Node: types.NodeID(id), Mode: int(mode)})
 		}
 	}
-	return sched
+	switch g.pick(4, 2) {
+	case 0:
+		lie(core.ByzFabricate, core.ByzEquivocate)
+	case 1:
+		lie(core.ByzStale, core.ByzSilent)
+		g.storm(0.05, 0.1, 0.1, 0)
+	case 2: // with n = 4f+1 the masking quorum of 3f+1 is exactly the
+		// replicas still answering, so reads must survive both adversaries
+		lie(core.ByzFabricate, 0)
+		g.crash(types.NodeID(perm[f]))
+	case 3:
+		lie(core.ByzEquivocate, 0)
+		g.latency(3, 4, 12, 0.2)
+	}
+	for _, id := range liars {
+		g.add(g.end, failure.Byz{Node: types.NodeID(id), Mode: 0})
+	}
 }
 
-// GenerateFastReadRaceSchedule derives a deterministic fault schedule
-// built to race writers against watermark fast-path reads (DESIGN.md §10).
-// The fast path's risky moment is a write whose update phase has reached a
-// quorum while the replicas' confirmed watermarks still lag a tag behind —
-// a reader must then take the slow path, not serve the stale watermark. The
-// schedule manufactures exactly that divergence, windows rotating through:
-//
-//   - writer slowdown: every writer's link to one replica is blocked, so
-//     updates assemble their quorum from the remaining replicas and stored
-//     tags diverge across the group while readers keep racing at full speed;
-//   - a replica crash with restart: the confirmed watermark is deliberately
-//     not persisted, so the restarted replica rejoins conservative (zero
-//     conf, WAL-recovered tags) mid-traffic;
-//   - a loss storm: update acks and piggybacked watermark gossip get
-//     dropped, retransmission interleaves stale and fresh claims;
-//   - a latency spike with reordering: old watermark claims arrive after
-//     newer ones, exercising the monotone adoption rule.
-//
-// At least one crash and one writer-slowdown window are guaranteed.
-// writers are the client ids running the workload's writes (the slowdown
-// genre blocks their links only — readers keep racing). Like the other
-// generators, the result is a pure function of its inputs.
-func GenerateFastReadRaceSchedule(seed int64, n int, writers []types.NodeID, windows int, window time.Duration) failure.Schedule {
-	rng := rand.New(rand.NewSource(seed))
-	var sched failure.Schedule
-	add := func(at time.Duration, a failure.Action) {
-		sched = append(sched, failure.Event{At: at, Action: a})
+func (g *generator) fastRead() {
+	genre := g.pick(4, 1)
+	if g.w == g.cfg.Windows-2 && !g.sawSlowdown {
+		genre = 0
 	}
-	sawCrash, sawSlowdown := false, false
-	for w := 0; w < windows; w++ {
-		start := time.Duration(w)*window + window/8
-		end := time.Duration(w+1)*window - window/8
-		genre := rng.Intn(4)
-		if w == windows-1 && !sawCrash {
-			genre = 1
-		} else if w == windows-2 && !sawSlowdown {
-			genre = 0
-		}
-		switch genre {
-		case 0: // writer slowdown: block every writer's link to one replica
-			id := types.NodeID(rng.Intn(n))
-			for _, cl := range writers {
-				add(start, failure.Block{From: cl, To: id})
-			}
-			for _, cl := range writers {
-				add(end, failure.Unblock{From: cl, To: id})
-			}
-			sawSlowdown = true
-		case 1: // crash one replica, restart it before the window closes
-			id := types.NodeID(rng.Intn(n))
-			add(start, failure.Crash{Node: id})
-			add(end, failure.Recover{Node: id})
-			sawCrash = true
-		case 2: // loss storm: acks and watermark gossip dropped
-			f := chaos.Faults{Drop: 0.1 + 0.2*rng.Float64(), Dup: 0.1 * rng.Float64()}
-			add(start, failure.LinkFaults{All: true, Faults: f})
-			add(end, failure.LinkFaults{All: true})
-		case 3: // latency spike with reordering: stale claims arrive late
-			lo := time.Duration(1+rng.Intn(3)) * time.Millisecond
-			hi := lo + time.Duration(4+rng.Intn(15))*time.Millisecond
-			f := chaos.Faults{DelayMin: lo, DelayMax: hi, Reorder: 0.3 * rng.Float64()}
-			add(start, failure.LinkFaults{All: true, Faults: f})
-			add(end, failure.LinkFaults{All: true})
-		}
+	switch genre {
+	case 0:
+		g.isolate(g.replica())
+		g.sawSlowdown = true
+	case 1:
+		g.crash(g.replica())
+	case 2:
+		g.storm(0.1, 0.2, 0.1, 0)
+	case 3:
+		g.latency(3, 4, 15, 0.3)
 	}
-	return sched
 }
 
-// GenerateShardedSchedule derives a deterministic fault schedule for a
-// sharded cluster: every window faults TWO distinct replica groups at once
-// — crashing or isolating one replica in each — so the store must keep the
-// untouched groups' registers live while two groups churn concurrently.
-// Each victim is a minority of its group, so every register stays
-// reachable; the per-register linearizability verdicts then check that
-// routing under churn never mixes registers across groups. Every third
-// window (in expectation) additionally runs a global loss/duplication storm
-// underneath. At least one crash+restart episode is guaranteed. Like
-// GenerateSchedule, the result is a pure function of its inputs.
-func GenerateShardedSchedule(seed int64, groups, perGroup int, clients []types.NodeID, windows int, window time.Duration) failure.Schedule {
-	if groups < 2 {
-		return GenerateSchedule(seed, groups*perGroup, clients, windows, window)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var sched failure.Schedule
-	add := func(at time.Duration, a failure.Action) {
-		sched = append(sched, failure.Event{At: at, Action: a})
-	}
-	sawCrash := false
-	for w := 0; w < windows; w++ {
-		start := time.Duration(w)*window + window/8
-		end := time.Duration(w+1)*window - window/8
-		gA := rng.Intn(groups)
-		gB := (gA + 1 + rng.Intn(groups-1)) % groups
-		for _, g := range []int{gA, gB} {
-			id := types.NodeID(g*perGroup + rng.Intn(perGroup))
-			genre := rng.Intn(2)
-			if w == windows-1 && !sawCrash {
-				genre = 0 // guarantee one crash+restart episode per schedule
-			}
-			switch genre {
-			case 0: // crash one replica of the group, restart before the window closes
-				add(start, failure.Crash{Node: id})
-				add(end, failure.Recover{Node: id})
-				sawCrash = true
-			case 1: // isolate one replica of the group from every client
-				for _, cl := range clients {
-					add(start, failure.Block{From: cl, To: id})
-				}
-				for _, cl := range clients {
-					add(end, failure.Unblock{From: cl, To: id})
-				}
-			}
-		}
-		if rng.Intn(3) == 0 {
-			f := chaos.Faults{Drop: 0.05 + 0.15*rng.Float64(), Dup: 0.05 * rng.Float64()}
-			add(start, failure.LinkFaults{All: true, Faults: f})
-			add(end, failure.LinkFaults{All: true})
+func (g *generator) sharded() {
+	groups, n := g.cfg.Groups, g.cfg.N
+	gA := g.rng.Intn(groups)
+	gB := (gA + 1 + g.rng.Intn(groups-1)) % groups
+	for _, grp := range []int{gA, gB} {
+		id := types.NodeID(grp*n + g.rng.Intn(n))
+		if g.pick(2, 0) == 0 {
+			g.crash(id)
+		} else {
+			g.isolate(id)
 		}
 	}
-	return sched
+	if g.rng.Intn(3) == 0 {
+		g.storm(0.05, 0.15, 0.05, 0)
+	}
 }
 
 // Result is the outcome of one nemesis run.
@@ -1071,14 +979,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	sched := cfg.Schedule
 	if sched == nil {
+		genres := ClassicGenres
 		switch {
 		case cfg.Byzantine > 0:
-			sched = GenerateByzantineSchedule(cfg.Seed, cfg.N, cfg.Byzantine, cl.ClientIDs(), cfg.Windows, cfg.Window)
+			genres = ByzantineGenres
 		case cfg.Groups > 1:
-			sched = GenerateShardedSchedule(cfg.Seed, cfg.Groups, cfg.N, cl.ClientIDs(), cfg.Windows, cfg.Window)
-		default:
-			sched = GenerateSchedule(cfg.Seed, cfg.N, cl.ClientIDs(), cfg.Windows, cfg.Window)
+			genres = ShardedGenres
 		}
+		sched = GenerateSchedule(genres, cfg, cl.ClientIDs())
 	}
 
 	rec := history.NewRecorder()
@@ -1196,8 +1104,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Restore the cluster before teardown so Close sees live processes.
 	cl.RecoverAll()
-	cl.Chaos().ClearFaults()
-	cl.Chaos().Heal()
+	cl.ClearFaults()
+	cl.Heal()
 	cl.ClearByzantine()
 
 	if err := ctx.Err(); err != nil {
@@ -1222,7 +1130,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Failed:     failed,
 		Schedule:   sched.String(),
 		Transport:  cl.TransportStats(),
-		Chaos:      cl.Chaos().Stats(),
+		Chaos:      cl.Net.Stats(),
 		Replica:    repStats,
 		BatchSizes: batchSizes,
 		Byzantine:  cfg.Byzantine,

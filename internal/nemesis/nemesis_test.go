@@ -6,74 +6,121 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/lincheck"
 	"repro/internal/types"
 )
 
-// TestGenerateScheduleDeterministic: the schedule is a pure function of
-// its inputs — same seed, same script; different seed, different script —
-// and every schedule includes at least one crash+restart episode.
+// TestGenerateScheduleDeterministic: for every genre set the schedule is a
+// pure function of its inputs — same seed, same script; different seed,
+// different script — every schedule includes a crash+restart episode and
+// passes the cluster-shape validation, and each set keeps its own
+// guarantee. Byzantine without liars and sharded with one group are the
+// classic schedule.
 func TestGenerateScheduleDeterministic(t *testing.T) {
-	clients := []types.NodeID{9000, 9001, 9002}
-	a := GenerateSchedule(7, 5, clients, 6, 700*time.Millisecond)
-	b := GenerateSchedule(7, 5, clients, 6, 700*time.Millisecond)
-	if a.String() != b.String() {
-		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
+	clients := []types.NodeID{9000, 9001, 9002, 9003, 9004, 9005}
+	rows := []struct {
+		name    string
+		genres  Genres
+		cfg     Config
+		clients []types.NodeID
+		check   func(t *testing.T, seed int64, sched failure.Schedule)
+	}{
+		{"classic", ClassicGenres, Config{}, clients[:3], nil},
+		{"byzantine", ByzantineGenres, Config{Byzantine: 1}, clients[:5], checkCrashUnderFabricate},
+		{"fast-read", FastReadGenres, Config{}, clients[:2], checkWriterSlowdown},
+		{"sharded", ShardedGenres, Config{Groups: 3, N: 3}, clients, checkTwoGroupsPerWindow},
 	}
-	c := GenerateSchedule(8, 5, clients, 6, 700*time.Millisecond)
-	if a.String() == c.String() {
-		t.Fatal("different seeds produced identical schedules")
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			gen := func(seed int64) failure.Schedule {
+				cfg := row.cfg
+				cfg.Seed = seed
+				return GenerateSchedule(row.genres, cfg, row.clients)
+			}
+			if a, b := gen(7).String(), gen(7).String(); a != b {
+				t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
+			}
+			if gen(7).String() == gen(8).String() {
+				t.Fatal("different seeds produced identical schedules")
+			}
+			for _, seed := range []int64{1, 2, 3, 4, 5} {
+				sched := gen(seed)
+				if s := sched.String(); !strings.Contains(s, "crash:") || !strings.Contains(s, "recover:") {
+					t.Errorf("seed %d schedule has no crash+restart episode: %s", seed, s)
+				}
+				if row.check != nil {
+					row.check(t, seed, sched)
+				}
+			}
+			if err := ValidateSchedule(gen(7), row.cfg); err != nil {
+				t.Errorf("generated schedule fails validation: %v", err)
+			}
+		})
 	}
-	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		s := GenerateSchedule(seed, 5, clients, 6, 700*time.Millisecond).String()
-		if !strings.Contains(s, "crash:") || !strings.Contains(s, "recover:") {
-			t.Errorf("seed %d schedule has no crash+restart episode: %s", seed, s)
-		}
+	plain := GenerateSchedule(ClassicGenres, Config{Seed: 9}, clients).String()
+	if got := GenerateSchedule(ByzantineGenres, Config{Seed: 9}, clients).String(); got != plain {
+		t.Error("f=0 Byzantine schedule should equal the classic schedule")
+	}
+	if got := GenerateSchedule(ShardedGenres, Config{Seed: 9, Groups: 1}, clients).String(); got != plain {
+		t.Error("one-group sharded schedule should equal the classic schedule")
 	}
 }
 
-// TestGenerateShardedScheduleDeterministic: the sharded schedule is a pure
-// function of its inputs, guarantees a crash episode, and every window
-// faults replicas of two distinct groups at the same instant.
-func TestGenerateShardedScheduleDeterministic(t *testing.T) {
-	clients := []types.NodeID{9000, 9001, 9002, 9003, 9004, 9005}
-	a := GenerateShardedSchedule(7, 3, 3, clients, 6, 700*time.Millisecond)
-	b := GenerateShardedSchedule(7, 3, 3, clients, 6, 700*time.Millisecond)
-	if a.String() != b.String() {
-		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
+// checkCrashUnderFabricate: liars are turned back to honesty, and some
+// replica crashes at the instant the liars start fabricating — the masking
+// quorum must absorb both adversaries at once.
+func checkCrashUnderFabricate(t *testing.T, seed int64, sched failure.Schedule) {
+	if !strings.Contains(sched.String(), ":off") {
+		t.Errorf("seed %d schedule never restores honesty: %s", seed, sched)
 	}
-	if c := GenerateShardedSchedule(8, 3, 3, clients, 6, 700*time.Millisecond); a.String() == c.String() {
-		t.Fatal("different seeds produced identical schedules")
+	fabricating := map[time.Duration]bool{}
+	for _, ev := range sched {
+		if b, ok := ev.Action.(failure.Byz); ok && b.Mode == int(core.ByzFabricate) {
+			fabricating[ev.At] = true
+		}
 	}
-	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		sched := GenerateShardedSchedule(seed, 3, 3, clients, 6, 700*time.Millisecond)
-		s := sched.String()
-		if !strings.Contains(s, "crash:") || !strings.Contains(s, "recover:") {
-			t.Errorf("seed %d sharded schedule has no crash+restart episode: %s", seed, s)
+	for _, ev := range sched {
+		if _, ok := ev.Action.(failure.Crash); ok && fabricating[ev.At] {
+			return
 		}
-		// Group the fault onsets by time: each window must hit two groups.
-		byTime := map[time.Duration]map[int]bool{}
-		for _, ev := range sched {
-			var victim types.NodeID = -1
-			switch a := ev.Action.(type) {
-			case failure.Crash:
-				victim = a.Node
-			case failure.Block:
-				victim = a.To
-			}
-			if victim < 0 {
-				continue
-			}
-			if byTime[ev.At] == nil {
-				byTime[ev.At] = map[int]bool{}
-			}
-			byTime[ev.At][int(victim)/3] = true
+	}
+	t.Errorf("seed %d schedule has no crash-under-fabricate episode: %s", seed, sched)
+}
+
+// checkWriterSlowdown: some window blocks the writers' links to a replica,
+// manufacturing the stored-tag-ahead-of-watermark divergence the fast path
+// must survive.
+func checkWriterSlowdown(t *testing.T, seed int64, sched failure.Schedule) {
+	if s := sched.String(); !strings.Contains(s, "block:") || !strings.Contains(s, "unblock:") {
+		t.Errorf("seed %d schedule has no writer-slowdown episode: %s", seed, s)
+	}
+}
+
+// checkTwoGroupsPerWindow: every window faults replicas of two distinct
+// groups (of 3 replicas) at the same instant.
+func checkTwoGroupsPerWindow(t *testing.T, seed int64, sched failure.Schedule) {
+	byTime := map[time.Duration]map[int]bool{}
+	for _, ev := range sched {
+		var victim types.NodeID = -1
+		switch a := ev.Action.(type) {
+		case failure.Crash:
+			victim = a.Node
+		case failure.Block:
+			victim = a.To
 		}
-		for at, groups := range byTime {
-			if len(groups) != 2 {
-				t.Errorf("seed %d: window at %v faults %d groups, want exactly 2", seed, at, len(groups))
-			}
+		if victim < 0 {
+			continue
+		}
+		if byTime[ev.At] == nil {
+			byTime[ev.At] = map[int]bool{}
+		}
+		byTime[ev.At][int(victim)/3] = true
+	}
+	for at, groups := range byTime {
+		if len(groups) != 2 {
+			t.Errorf("seed %d: window at %v faults %d groups, want exactly 2", seed, at, len(groups))
 		}
 	}
 }
@@ -163,7 +210,7 @@ func TestShardedNemesisLinearizable(t *testing.T) {
 // fault schedules against a real 5-node tcpnet cluster with persistent
 // replicas, 200 client operations each (2 writers + 3 readers x 40), all
 // histories linearizable. Every schedule includes a crash+restart of a
-// persistent replica (GenerateSchedule guarantees it).
+// persistent replica (every genre set guarantees it).
 func TestNemesisLinearizable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nemesis runs take seconds each")

@@ -2,9 +2,13 @@
 // paper: n processors, point-to-point channels that are reliable but deliver
 // with arbitrary (here: seeded-random, configurable) delay, and crash
 // failures. It adds the instrumentation the evaluation needs — exact message
-// counts per protocol kind — and the adversarial controls the robustness
-// experiments need: crashes, partitions, per-link blocks, delay spikes, and
-// probabilistic drops.
+// counts per protocol kind.
+//
+// netsim keeps no fault state of its own. A Net embeds the repository's one
+// fault model, a *chaos.Net, so crashes, partitions, link blocks, delay
+// spikes, drop/dup/corrupt/reorder mixes and Byzantine interceptors are set
+// through the promoted methods (net.Crash, net.SetDefaultFaults,
+// net.SetInterceptor, ...), and every send delivers what chaos decides.
 //
 // Delivery ordering is not FIFO unless delays are constant; the ABD protocol
 // does not require FIFO channels, and the tests exercise reordering.
@@ -12,10 +16,12 @@ package netsim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -23,27 +29,18 @@ import (
 )
 
 // Config controls the simulated network. The zero value is valid: zero
-// delays, no drops.
+// delays, no faults.
 type Config struct {
-	// Seed makes delay and drop decisions reproducible. Zero means seed 1.
+	// Seed makes delay and fault decisions reproducible. Zero means seed 1.
 	Seed int64
 	// MinDelay and MaxDelay bound the uniformly random one-way message
 	// delay. MaxDelay < MinDelay is treated as MaxDelay == MinDelay.
 	MinDelay time.Duration
 	MaxDelay time.Duration
-	// DropProb is the probability an individual message is lost. The
-	// paper's model has reliable links; this knob exists for stress tests
-	// and is 0 by default.
-	DropProb float64
-	// DupProb is the probability an individual message is delivered twice
-	// (at-least-once delivery). The protocol's messages are idempotent, so
-	// duplication must be harmless; tests verify that.
-	DupProb float64
 	// Tracer, when non-nil, receives a "net-send" span for every message
 	// carrying a trace context: its Dur is the realized send-to-delivery
 	// transit (the simulated delay plus scheduling slop), with Err set on
-	// messages lost to a crash, partition, block, or random drop. Untraced
-	// messages emit nothing.
+	// messages the fault model lost. Untraced messages emit nothing.
 	Tracer obs.Tracer
 }
 
@@ -58,8 +55,8 @@ type Config struct {
 type Stats struct {
 	Sent      int64
 	Delivered int64
-	Dropped   int64 // includes losses to crash, partition, block, and DropProb
-	// Duplicated counts messages delivered twice (DupProb).
+	Dropped   int64 // every fault loss: crash, partition, block, drop, reset
+	// Duplicated counts messages delivered twice (a dup fault).
 	Duplicated int64
 	// ByKind counts sent messages by the first payload byte, which the
 	// protocol layer uses as its message-kind tag. This is how the message
@@ -76,15 +73,13 @@ type Stats struct {
 
 // Net is a simulated network. All methods are safe for concurrent use.
 type Net struct {
+	*chaos.Net // the fault model; netsim keeps no fault state of its own
+
 	cfg Config
 
-	mu         sync.Mutex
-	rng        *rand.Rand
-	nodes      map[types.NodeID]*endpoint
-	crashed    map[types.NodeID]bool
-	blocked    map[link]bool
-	partition  map[types.NodeID]int // node -> group; empty map means no partition
-	delayScale float64              // multiplies the sampled delay; 1 by default
+	mu    sync.Mutex
+	rng   *rand.Rand // samples the base delay
+	nodes map[types.NodeID]*endpoint
 
 	epoch       uint64 // advanced by ResetStats; messages carry their send epoch
 	sent        int64
@@ -100,8 +95,6 @@ type Net struct {
 	idle     *sync.Cond // on mu; broadcast when inflight drops to zero
 }
 
-type link struct{ from, to types.NodeID }
-
 // New creates a simulated network.
 func New(cfg Config) *Net {
 	seed := cfg.Seed
@@ -112,13 +105,10 @@ func New(cfg Config) *Net {
 		cfg.MaxDelay = cfg.MinDelay
 	}
 	n := &Net{
+		Net:         chaos.New(seed),
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(seed)),
 		nodes:       make(map[types.NodeID]*endpoint),
-		crashed:     make(map[types.NodeID]bool),
-		blocked:     make(map[link]bool),
-		partition:   make(map[types.NodeID]int),
-		delayScale:  1,
 		byKind:      make(map[byte]int64),
 		bytesByKind: make(map[byte]int64),
 		delay:       new(obs.Histogram),
@@ -155,100 +145,13 @@ func (n *Net) Reattach(id types.NodeID) transport.Endpoint {
 	return ep
 }
 
-// Crash makes a node fail-stop: all messages to and from it are dropped from
-// now on. Matches the paper's crash model — the node simply stops taking
-// steps as far as the rest of the system can tell.
-func (n *Net) Crash(id types.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.crashed[id] = true
-}
-
-// Crashed reports whether a node has been crashed.
-func (n *Net) Crashed(id types.NodeID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.crashed[id]
-}
-
-// Recover clears a node's crashed flag. The ABD crash model has no recovery;
-// this exists so tests can build crash-recovery scenarios explicitly.
-func (n *Net) Recover(id types.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.crashed, id)
-}
-
-// Partition splits the network into groups; messages cross groups only if
-// both endpoints are in the same group. Nodes not mentioned in any group are
-// isolated from everyone. Call Heal to undo.
-func (n *Net) Partition(groups ...[]types.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.partition = make(map[types.NodeID]int)
-	for g, members := range groups {
-		for _, id := range members {
-			n.partition[id] = g + 1
-		}
-	}
-	if len(groups) == 0 {
-		// Partition() with no groups isolates every attached node in its
-		// own singleton group.
-		g := 1
-		for id := range n.nodes {
-			n.partition[id] = g
-			g++
-		}
-	}
-}
-
-// Heal removes any partition.
-func (n *Net) Heal() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.partition = make(map[types.NodeID]int)
-}
-
-// BlockLink drops all messages from one node to another (one direction).
-func (n *Net) BlockLink(from, to types.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.blocked[link{from, to}] = true
-}
-
-// UnblockLink re-enables a blocked link.
-func (n *Net) UnblockLink(from, to types.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.blocked, link{from, to})
-}
-
-// SetDelayScale multiplies all sampled delays by s (s >= 0). Used by the
-// delay-spike fault action.
-func (n *Net) SetDelayScale(s float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if s < 0 {
-		s = 0
-	}
-	n.delayScale = s
-}
-
 // Stats returns a snapshot of the current epoch's counters.
 func (n *Net) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	byKind := make(map[byte]int64, len(n.byKind))
-	for k, v := range n.byKind {
-		byKind[k] = v
-	}
-	bytesByKind := make(map[byte]int64, len(n.bytesByKind))
-	for k, v := range n.bytesByKind {
-		bytesByKind[k] = v
-	}
 	return Stats{
 		Sent: n.sent, Delivered: n.delivered, Dropped: n.dropped, Duplicated: n.duplicated,
-		ByKind: byKind, BytesByKind: bytesByKind, Delay: n.delay.Snapshot(),
+		ByKind: maps.Clone(n.byKind), BytesByKind: maps.Clone(n.bytesByKind), Delay: n.delay.Snapshot(),
 	}
 }
 
@@ -311,9 +214,14 @@ func (n *Net) Close() {
 	}
 }
 
-// send implements the one-way channel: sample a delay, then deliver unless
-// the message is lost to a crash, partition, block, or random drop.
+// send implements the one-way channel: run the sender's interceptor, take
+// the fault model's decision, then deliver what survives after the sampled
+// base delay plus the planned fault delay.
 func (n *Net) send(from, to types.NodeID, payload []byte) error {
+	payload, ok := n.Intercept(from, to, payload)
+	if !ok {
+		return nil
+	}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -324,6 +232,8 @@ func (n *Net) send(from, to types.NodeID, payload []byte) error {
 		n.mu.Unlock()
 		return fmt.Errorf("%w: %v", types.ErrUnknownNode, to)
 	}
+	d := n.Plan(from, to, len(payload))
+	payload = d.Corrupt(payload)
 
 	// A payload may be a wire batch frame carrying several protocol
 	// envelopes (the TCP transport coalesces under load; the sim mirrors
@@ -349,43 +259,18 @@ func (n *Net) send(from, to types.NodeID, payload []byte) error {
 			n.bytesByKind[kind] += int64(len(m))
 		}
 	}
-
-	drop := false
-	switch {
-	case n.crashed[from] || n.crashed[to]:
-		drop = true
-	case n.blocked[link{from, to}]:
-		drop = true
-	case len(n.partition) > 0 && n.partition[from] != n.partition[to]:
-		drop = true
-	case n.cfg.DropProb > 0 && n.rng.Float64() < n.cfg.DropProb:
-		drop = true
-	}
-	if drop {
-		n.dropped += int64(len(members))
-		n.mu.Unlock()
-		if n.cfg.Tracer != nil {
-			for _, m := range members {
-				if trace, parentSpan, ok := wire.PeekTrace(m); ok {
-					n.cfg.Tracer.Emit(obs.Span{
-						Trace: trace, ID: obs.NextID(), Parent: parentSpan,
-						Kind: "net-send", Node: int64(from), Peer: int64(to),
-						Start: time.Now(), Err: "dropped",
-					})
-				}
-			}
-		}
-		return nil
-	}
-
 	copies := 1
-	if n.cfg.DupProb > 0 && n.rng.Float64() < n.cfg.DupProb {
+	switch {
+	case d.Drop:
+		copies = 0
+		n.dropped += int64(len(members))
+	case d.Dup:
 		copies = 2
 		n.duplicated++
 	}
 	delays := make([]time.Duration, copies)
 	for i := range delays {
-		delays[i] = n.sampleDelayLocked()
+		delays[i] = d.After(n.sampleDelayLocked())
 	}
 	// Pin the message to this epoch's accounting: deliveries racing a
 	// ResetStats record into this (old) histogram and are not counted in
@@ -412,6 +297,12 @@ func (n *Net) send(from, to types.NodeID, payload []byte) error {
 			}
 		}
 	}
+	if d.Drop {
+		for _, emit := range emits {
+			emit("dropped")
+		}
+		return nil
+	}
 	deliverAll := func() {
 		for i := range msgs {
 			n.deliver(dst, to, msgs[i], epoch, delayHist, sentAt, emits[i])
@@ -436,7 +327,7 @@ func (n *Net) deliver(dst *endpoint, to types.NodeID, msg transport.Message, epo
 		n.mu.Unlock()
 	}()
 	n.mu.Lock()
-	if n.closed || n.crashed[to] {
+	if n.closed || n.Crashed(to) {
 		if epoch == n.epoch {
 			n.dropped++
 		}
@@ -459,7 +350,7 @@ func (n *Net) sampleDelayLocked() time.Duration {
 	if max > min {
 		d = min + time.Duration(n.rng.Int63n(int64(max-min)+1))
 	}
-	return time.Duration(float64(d) * n.delayScale)
+	return d
 }
 
 // endpoint is a node's attachment to the simulated network.

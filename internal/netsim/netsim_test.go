@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -163,8 +164,9 @@ func TestBlockLinkIsDirectional(t *testing.T) {
 }
 
 func TestDropProbLosesRoughlyExpectedFraction(t *testing.T) {
-	n := New(Config{Seed: 42, DropProb: 0.5})
+	n := New(Config{Seed: 42})
 	defer n.Close()
+	n.SetDefaultFaults(chaos.Faults{Drop: 0.5})
 	a := n.Node(1)
 	n.Node(2)
 
@@ -272,8 +274,9 @@ func TestNetCloseIdempotentAndStopsSends(t *testing.T) {
 
 func TestSameSeedSameDrops(t *testing.T) {
 	run := func() int64 {
-		n := New(Config{Seed: 99, DropProb: 0.3})
+		n := New(Config{Seed: 99})
 		defer n.Close()
+		n.SetDefaultFaults(chaos.Faults{Drop: 0.3})
 		a := n.Node(1)
 		n.Node(2)
 		for i := 0; i < 500; i++ {
@@ -308,8 +311,9 @@ func TestReattachReplacesEndpoint(t *testing.T) {
 }
 
 func TestDupProbDeliversTwice(t *testing.T) {
-	n := New(Config{Seed: 5, DupProb: 1.0})
+	n := New(Config{Seed: 5})
 	defer n.Close()
+	n.SetDefaultFaults(chaos.Faults{Dup: 1})
 	a := n.Node(1)
 	n.Node(2)
 
