@@ -112,11 +112,11 @@ func WithReadMode(m ReadMode) ClientOption { return core.WithReadMode(m) }
 // lie — fabricating timestamps, serving stale state, equivocating, or
 // staying silent — not just f that crash. The client switches to masking
 // quorums (n >= 4f+1 required) and adopts a (timestamp, value) pair only
-// when at least f+1 replicas report it identically; a pair claiming to be
-// ahead of the vouched state gets one confirm round before it is discarded
-// as a lie (the ByzRejects counter the health layer exports as
-// abd_health_byz_suspect_rejects_total). f = 0 is the plain crash-fault
-// client unchanged. See internal/core.WithByzantine for the full contract.
+// when at least f+1 replicas report it identically, in one query round. A
+// replica is named a suspect only on evidence no honest replica can
+// produce (the health layer exports it as abd_health_byz_suspicions_total
+// per replica). f = 0 is the plain crash-fault client unchanged. See
+// internal/core.WithByzantine for the full contract.
 func WithByzantine(f int) ClientOption { return core.WithByzantine(f) }
 
 // Store is the sharded multi-group register store: a consistent-hash

@@ -408,19 +408,19 @@ func (c *Cluster) Health() health.Status {
 		SLO:         &slo,
 		Alerts:      tr.Raised(),
 	}
-	byzF := 0
+	byz := &health.ByzStatus{
+		Suspects:    make(map[int64]int64),
+		Unconfirmed: m.ByzUnconfirmed,
+		MaskRetries: m.MaskRetries,
+	}
 	for _, cli := range c.clients {
-		if f := cli.ByzantineF(); f > byzF {
-			byzF = f
+		byz.ToleratedFaults = max(byz.ToleratedFaults, int64(cli.ByzantineF()))
+		for id, n := range cli.Suspects() {
+			byz.Suspects[int64(id)] += n
 		}
 	}
-	if byzF > 0 {
-		st.Byzantine = &health.ByzStatus{
-			ToleratedFaults: int64(byzF),
-			SuspectRejects:  m.ByzRejects,
-			ConfirmRounds:   m.ByzConfirms,
-			MaskRetries:     m.MaskRetries,
-		}
+	if byz.ToleratedFaults > 0 {
+		st.Byzantine = byz
 	}
 	return st
 }

@@ -85,9 +85,12 @@ func (h *nodeHealth) status() health.Status {
 		if f := h.prober.ByzantineF(); f > 0 {
 			st.Byzantine = &health.ByzStatus{
 				ToleratedFaults: int64(f),
-				SuspectRejects:  m.ByzRejects,
-				ConfirmRounds:   m.ByzConfirms,
+				Suspects:        make(map[int64]int64),
+				Unconfirmed:     m.ByzUnconfirmed,
 				MaskRetries:     m.MaskRetries,
+			}
+			for id, n := range h.prober.Suspects() {
+				st.Byzantine.Suspects[int64(id)] = n
 			}
 		}
 	}

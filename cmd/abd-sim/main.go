@@ -16,7 +16,9 @@
 // actively fabricate max-tags on every read query, every client validates
 // reads with WithByzantine(F) (masking quorums, f+1 vouching; requires
 // n >= 4F+1), the linearizability check is forced on, and the per-register
-// verdicts plus the suspected-liar counters are printed:
+// verdicts plus the validation counters are printed. A fabricator that never
+// stops is masked (unconfirmed) but never named a suspect: an honest replica
+// holding a crashed writer's partial write could send the same replies.
 //
 //	abd-sim -byz 1 -n 5
 //
@@ -292,11 +294,15 @@ func run() int {
 
 	if *byz > 0 {
 		var m core.MetricsSnapshot
+		suspects := make(map[types.NodeID]int64)
 		for _, cli := range allClients {
 			m = m.Merge(cli.Metrics())
+			for id, k := range cli.Suspects() {
+				suspects[id] += k
+			}
 		}
-		fmt.Printf("abd-sim: byzantine validation (f=%d): suspect_rejects=%d confirm_rounds=%d mask_retries=%d\n",
-			*byz, m.ByzRejects, m.ByzConfirms, m.MaskRetries)
+		fmt.Printf("abd-sim: byzantine validation (f=%d): suspects=%v unconfirmed=%d mask_retries=%d\n",
+			*byz, suspects, m.ByzUnconfirmed, m.MaskRetries)
 	}
 
 	if *check {
@@ -376,9 +382,9 @@ func runNemesis(n, groups, writers, readers, ops, regs int, seed int64, byz int,
 	fmt.Printf("abd-sim: client: phases=%d retransmits=%d msgs_sent=%d\n",
 		res.Client.Phases, res.Client.Retransmits, res.Client.MsgsSent)
 	if res.Byzantine > 0 {
-		fmt.Printf("abd-sim: byzantine (f=%d): lies=%d muted=%d suspect_rejects=%d confirm_rounds=%d mask_retries=%d\n",
+		fmt.Printf("abd-sim: byzantine (f=%d): lies=%d muted=%d suspects=%v unconfirmed=%d mask_retries=%d\n",
 			res.Byzantine, res.Lies, res.Muted,
-			res.Client.ByzRejects, res.Client.ByzConfirms, res.Client.MaskRetries)
+			res.Health.ByzSuspects, res.Client.ByzUnconfirmed, res.Client.MaskRetries)
 	}
 	fmt.Printf("abd-sim: traces: %d spans (%d dropped), stitch %d/%d (%.1f%%) across %d traces\n",
 		len(res.Spans), res.SpansDropped, res.Stitch.Stitched, res.Stitch.Total,

@@ -22,8 +22,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -111,7 +113,8 @@ type frame struct {
 }
 
 func poll(client *http.Client, addrs []string, quorum, topRegs int) frame {
-	fr := frame{at: time.Now(), nodes: make([]nodeView, len(addrs))}
+	fr := frame{at: time.Now(), nodes: make([]nodeView, len(addrs)),
+		byz: health.ByzStatus{Suspects: make(map[int64]int64)}}
 	var reports []health.ReplicaTags
 	var sketches [][]health.HotKey
 	for i, addr := range addrs {
@@ -133,8 +136,10 @@ func poll(client *http.Client, addrs []string, quorum, topRegs int) frame {
 			if b.ToleratedFaults > fr.byz.ToleratedFaults {
 				fr.byz.ToleratedFaults = b.ToleratedFaults
 			}
-			fr.byz.SuspectRejects += b.SuspectRejects
-			fr.byz.ConfirmRounds += b.ConfirmRounds
+			for id, n := range b.Suspects {
+				fr.byz.Suspects[id] += n
+			}
+			fr.byz.Unconfirmed += b.Unconfirmed
 			fr.byz.MaskRetries += b.MaskRetries
 		}
 	}
@@ -219,13 +224,17 @@ func render(w io.Writer, fr frame) {
 
 	if fr.byzNodes > 0 {
 		state := "no lies suspected"
-		if fr.byz.SuspectRejects > 0 {
-			state = "LIES REJECTED"
+		if len(fr.byz.Suspects) > 0 {
+			var named []string
+			for _, id := range slices.Sorted(maps.Keys(fr.byz.Suspects)) {
+				named = append(named, fmt.Sprintf("replica %d (%d replies)", id, fr.byz.Suspects[id]))
+			}
+			state = "LIARS NAMED: " + strings.Join(named, ", ")
 		}
 		fmt.Fprintf(w, "\nbyzantine validation (f=%d, %d nodes): %s\n",
 			fr.byz.ToleratedFaults, fr.byzNodes, state)
-		fmt.Fprintf(w, "  suspect rejects %d  confirm rounds %d  mask retries %d\n",
-			fr.byz.SuspectRejects, fr.byz.ConfirmRounds, fr.byz.MaskRetries)
+		fmt.Fprintf(w, "  unconfirmed rounds %d  mask retries %d\n",
+			fr.byz.Unconfirmed, fr.byz.MaskRetries)
 	}
 
 	if len(fr.alerts) > 0 {

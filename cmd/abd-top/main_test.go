@@ -23,8 +23,8 @@ func statusServer(t *testing.T, st health.Status) string {
 // up, one straggling, plus one dead address — and checks the single-frame
 // mode assembles the cross-replica picture no individual node has: the
 // straggler flagged against the quorum-confirmed watermark, hot keys
-// merged across sketches, per-node SLO state, and a nonzero node count in
-// the header.
+// merged across sketches, per-node SLO state, the liar the nodes' probe
+// clients named, and a nonzero node count in the header.
 func TestRunOnceRendersClusterView(t *testing.T) {
 	mk := func(node, seq int64) health.Status {
 		return health.Status{
@@ -39,7 +39,10 @@ func TestRunOnceRendersClusterView(t *testing.T) {
 		}
 	}
 	fast0, fast1 := mk(0, 7), mk(1, 7)
+	fast0.Byzantine = &health.ByzStatus{ToleratedFaults: 1, Suspects: map[int64]int64{4: 3}, Unconfirmed: 2}
+	fast1.Byzantine = &health.ByzStatus{ToleratedFaults: 1, MaskRetries: 1}
 	slow := mk(2, 2)
+	slow.Byzantine = &health.ByzStatus{ToleratedFaults: 1, Suspects: map[int64]int64{4: 2}}
 	slow.SLO.PageActive = true
 	slow.Alerts = []health.Alert{{At: time.Unix(0, 0), SLO: "client-ops", Severity: health.SeverityPage, Burn: 11}}
 
@@ -69,6 +72,8 @@ func TestRunOnceRendersClusterView(t *testing.T) {
 		"(180 tracked ops, merged over 3 nodes)",
 		"DOWN",
 		"alerts:",
+		"byzantine validation (f=1, 3 nodes): LIARS NAMED: replica 4 (5 replies)",
+		"unconfirmed rounds 2  mask retries 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame missing %q:\n%s", want, out)

@@ -7,9 +7,9 @@
 // returns what the writer actually wrote. Under the hood WithByzantine(f)
 // switches the client to masking quorums (Malkhi–Reiter, n >= 4f+1) and
 // only adopts a (timestamp, value) pair reported identically by f+1
-// replicas, an echo f liars can never forge; a pair claiming to be ahead of
-// the vouched state gets exactly one confirm round before it is discarded
-// as a lie.
+// replicas, an echo f liars can never forge, in one query round. A pair
+// claiming to be ahead of the vouched state is masked but not held against
+// its sender: it may be an honest write still in flight.
 package main
 
 import (

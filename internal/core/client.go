@@ -69,6 +69,13 @@ type Client struct {
 	confMu    sync.Mutex
 	confirmed map[string]Tag
 
+	// Byzantine evidence (WithByzantine; see audit): per register, the tag
+	// each replica (by index) last reported to this client (nil = no audit),
+	// and per replica how many of its replies were evidence of lying.
+	seenMu     sync.Mutex
+	seen       map[string][]Tag
+	suspicions []atomic.Int64
+
 	opSeq   atomic.Uint64
 	pendMu  sync.Mutex
 	pending map[uint64]*opInbox
@@ -136,6 +143,10 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 			return nil, fmt.Errorf("core: WithByzantine(%d): %w", c.f, err)
 		}
 		c.qs = m
+		c.suspicions = make([]atomic.Int64, len(c.replicas))
+		if !c.bounded { // a cyclic label names many writes over time: no audit
+			c.seen = make(map[string][]Tag)
+		}
 	}
 	if c.qs.Size() != len(c.replicas) {
 		return nil, fmt.Errorf("core: quorum system sized for %d replicas, group has %d",
@@ -169,6 +180,19 @@ func (c *Client) HotKeyTotal() int64 { return c.hot.Total() }
 // ByzantineF returns the number of lying replicas the client's read
 // validation tolerates (WithByzantine), 0 when validation is off.
 func (c *Client) ByzantineF() int { return c.f }
+
+// Suspects names the replicas this client holds evidence against (audit),
+// with how many of each one's replies were such evidence. Empty in an
+// honest run and whenever validation is off.
+func (c *Client) Suspects() map[types.NodeID]int64 {
+	out := make(map[types.NodeID]int64)
+	for i := range c.suspicions {
+		if n := c.suspicions[i].Load(); n > 0 {
+			out[c.replicas[i]] = n
+		}
+	}
+	return out
+}
 
 // ReadMode reports the client's read mode (WithReadMode).
 func (c *Client) ReadMode() ReadMode { return c.readMode }
@@ -617,8 +641,7 @@ func (c *Client) vouch(replies []message) (accepted, unsupported []message) {
 
 // aheadOf reports whether any of replies carries a tag strictly newer than
 // tag. Unorderable tags (bounded-label windows) count as not newer: they
-// already increment orderViolations elsewhere and must not drive
-// Byzantine suspicion.
+// already increment orderViolations elsewhere.
 func (c *Client) aheadOf(replies []message, tag Tag) bool {
 	for _, m := range replies {
 		if cmp, err := c.ord.compare(m.Tag, tag); err == nil && cmp > 0 {
@@ -628,37 +651,84 @@ func (c *Client) aheadOf(replies []message, tag Tag) bool {
 	return false
 }
 
+// lastSeen returns a copy of the tags each replica last reported to this
+// client for reg (indexed like c.replicas), or nil when there are none or
+// audit is off. A query must take it before it sends: only then does every
+// entry predate the replica's answer.
+func (c *Client) lastSeen(reg string) []Tag {
+	if c.seen == nil {
+		return nil
+	}
+	c.seenMu.Lock()
+	defer c.seenMu.Unlock()
+	return append([]Tag(nil), c.seen[reg]...)
+}
+
+// audit checks one Byzantine query round for evidence that no honest
+// replica can produce, charges each piece to the replica that sent it, and
+// then records the round's tags as each replier's latest report. The
+// evidence is:
+//   - the tag of a vouched pair with another value: a tag names exactly one
+//     write (nextTag), and f+1 identical echoes make the vouched value that
+//     write's;
+//   - a tag older than one the same replica reported to this client before
+//     the query was sent (prior): an honest replica's tag never goes back
+//     (invariant P1), even across a restart, since it installs a pair only
+//     after its WAL has synced it.
+//
+// A pair merely newer than the vouched max is not evidence: it may be an
+// honest write still in flight.
+func (c *Client) audit(reg string, prior []Tag, replies, accepted []message) {
+	if c.seen == nil {
+		return
+	}
+	for _, m := range replies {
+		i := c.index[m.fromReplica]
+		lied := false
+		if i < len(prior) {
+			cmp, err := c.ord.compare(m.Tag, prior[i])
+			lied = err == nil && cmp < 0
+		}
+		for _, a := range accepted {
+			lied = lied || (a.Tag == m.Tag && !bytes.Equal(a.Val, m.Val))
+		}
+		if lied {
+			c.suspicions[i].Add(1)
+			c.metrics.byzSuspicions.Add(1)
+		}
+	}
+	c.seenMu.Lock()
+	seen := c.seen[reg]
+	if seen == nil {
+		seen = make([]Tag, len(c.replicas))
+		c.seen[reg] = seen
+	}
+	for _, m := range replies {
+		seen[c.index[m.fromReplica]] = m.Tag
+	}
+	c.seenMu.Unlock()
+}
+
 // queryValidated runs the query phase that starts reads and multi-writer
 // writes and returns the (tag, value) pair the operation should adopt,
 // plus the replies of the phase round that produced it (the fast path's
 // evidence, see atWriteQuorum) and how many quorum rounds it paid (1 plus
-// any masking retries and confirm rounds — the read path's ReadRounds
-// accounting).
+// any masking retries — the read path's ReadRounds accounting).
 //
 // Plain mode (f == 0) is the paper's rule: one phase, newest pair wins.
-// WithByzantine(f > 0) only trusts pairs reported identically by >= f+1
-// replicas and re-queries while write concurrency splits the vote below
-// that bar. When some replica reports a pair NEWER than every vouched-for
-// pair but without f+1 support, the client cannot tell an honest in-flight
-// write from a fabricated max-tag, so it re-queries once more (the confirm
-// round, metric byzConfirms). An honest write's pair gains f+1 support in
-// the fresh round — its update phase reached more correct replicas
-// meanwhile — or is superseded by an even newer vouched pair; either way
-// the fresh round's vouched max catches up and nothing is suspected. A fabrication can never gain honest support:
-// if the confirm round still shows an unsupported tag ahead of everything
-// vouched, the client discards it as a suspected lie (metric byzRejects)
-// and adopts the newest vouched pair. Exactly one confirm round runs per
-// operation — an equivocator fabricating fresh tags every round cannot
-// livelock the read — and fabricated tags never reach the write-back
-// phase (DESIGN.md invariant V2).
+// WithByzantine(f > 0) adopts the newest pair reported identically by
+// >= f+1 replicas (vouch), and re-queries only while write concurrency
+// splits the vote below that bar. A pair newer than that but without f+1
+// support is an honest write still in flight or a fabrication, and in an
+// asynchronous system no bounded number of re-queries tells the two apart.
+// So the query adopts the vouched pair either way, in one round, and only
+// counts the unconfirmed pair (byzUnconfirmed, a rate, not an accusation).
+// Fabricated tags never reach the write-back phase (DESIGN.md invariant
+// V2), and suspicion rests on evidence alone (audit).
 func (c *Client) queryValidated(ctx context.Context, reg string, ot opTrace) (Tag, types.Value, []message, int, error) {
-	confirming := false
 	for rounds := 1; ; rounds++ {
-		label := "query"
-		if confirming {
-			label = "confirm"
-		}
-		replies, err := c.phase(ctx, message{Kind: KindReadQuery, Reg: reg, Conf: c.gossip(reg)}, c.qs.ContainsReadQuorum, ot, label)
+		prior := c.lastSeen(reg)
+		replies, err := c.phase(ctx, message{Kind: KindReadQuery, Reg: reg, Conf: c.gossip(reg)}, c.qs.ContainsReadQuorum, ot, "query")
 		if err != nil {
 			return Tag{}, nil, nil, rounds, err
 		}
@@ -670,6 +740,7 @@ func (c *Client) queryValidated(ctx context.Context, reg string, ot opTrace) (Ta
 			return best, val, replies, rounds, nil
 		}
 		accepted, unsupported := c.vouch(replies)
+		c.audit(reg, prior, replies, accepted)
 		if len(accepted) == 0 {
 			// No pair had f+1 support (write concurrency split the vote);
 			// query again.
@@ -680,18 +751,8 @@ func (c *Client) queryValidated(ctx context.Context, reg string, ot opTrace) (Ta
 		if err != nil {
 			return Tag{}, nil, nil, rounds, err
 		}
-		switch {
-		case !c.aheadOf(unsupported, best):
-			// The quiet case: nothing claims to be ahead of the validated
-			// state.
-		case !confirming:
-			confirming = true
-			c.metrics.byzConfirms.Add(1)
-			continue
-		default:
-			// Still ahead of everything f+1-supported after a fresh round:
-			// no honest write stays invisible that long — suspected lie.
-			c.metrics.byzRejects.Add(1)
+		if c.aheadOf(unsupported, best) {
+			c.metrics.byzUnconfirmed.Add(1)
 		}
 		return best, val, replies, rounds, nil
 	}

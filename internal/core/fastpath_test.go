@@ -243,7 +243,7 @@ func TestFastPathByzantineLyingWatermark(t *testing.T) {
 		}
 	}
 	m := r.Metrics()
-	t.Logf("byzantine reads=%d fast=%d rejects=%d", m.Reads, m.FastPathReads, m.ByzRejects)
+	t.Logf("byzantine reads=%d fast=%d unconfirmed=%d", m.Reads, m.FastPathReads, m.ByzUnconfirmed)
 	// The fast path may legitimately fire once honest replicas' watermarks
 	// catch up (f+1 honest claims), but a hit must never have ridden the
 	// liar's claim alone — which the honest values above already prove.

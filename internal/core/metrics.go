@@ -20,8 +20,8 @@ type Metrics struct {
 	badMsgs           atomic.Int64
 	retransmits       atomic.Int64
 	maskRetries       atomic.Int64
-	byzConfirms       atomic.Int64
-	byzRejects        atomic.Int64
+	byzUnconfirmed    atomic.Int64
+	byzSuspicions     atomic.Int64
 	fastPathReads     atomic.Int64
 	readRounds        atomic.Int64
 	readFails         atomic.Int64
@@ -56,15 +56,13 @@ type MetricsSnapshot struct {
 	// MaskRetries counts masking-mode query phases repeated because no
 	// pair had f+1 support (T6).
 	MaskRetries int64
-	// ByzConfirms counts WithByzantine confirm rounds: a query saw an
-	// unsupported pair ahead of everything f+1-vouched and re-queried once
-	// to tell an honest in-flight write from a fabricated tag. ByzRejects
-	// counts the confirm rounds that ended in suspicion — the pair stayed
-	// unsupported and was discarded as a lie. ByzRejects is the
-	// suspected-liar counter the health layer exports (abd_health_byz_*):
-	// zero in honest runs, nonzero whenever a fabricating or equivocating
-	// replica is being masked.
-	ByzConfirms, ByzRejects int64
+	// ByzUnconfirmed counts WithByzantine query rounds that saw a pair
+	// ahead of everything f+1-vouched without that support: an honest
+	// in-flight write or a fabrication, which one round cannot tell apart.
+	// It is a rate, not an accusation. ByzSuspicions counts replies that
+	// were evidence of lying no honest replica can produce (Client.Suspects
+	// names their senders): zero in every honest run.
+	ByzUnconfirmed, ByzSuspicions int64
 	// CoalescedReads and AbsorbedWrites are always zero: every read and
 	// write runs its own quorum rounds (DESIGN.md §6). They go together
 	// with the two bench per-layer metrics that still read them.
@@ -73,7 +71,7 @@ type MetricsSnapshot struct {
 	// replies proved the newest pair already at a write quorum — by the
 	// repliers holding it or by the confirmed watermark (the ReadAtomic
 	// path; DESIGN.md §10). ReadRounds sums the quorum rounds
-	// every completed read paid (query, masking/confirm retries, write-back)
+	// every completed read paid (query, masking retries, write-back)
 	// — ReadRounds/Reads is the mean round trips per read, the number the
 	// fast path exists to push toward 1.
 	FastPathReads, ReadRounds int64
@@ -99,8 +97,8 @@ func (s MetricsSnapshot) Merge(o MetricsSnapshot) MetricsSnapshot {
 		BadMsgs:           s.BadMsgs + o.BadMsgs,
 		Retransmits:       s.Retransmits + o.Retransmits,
 		MaskRetries:       s.MaskRetries + o.MaskRetries,
-		ByzConfirms:       s.ByzConfirms + o.ByzConfirms,
-		ByzRejects:        s.ByzRejects + o.ByzRejects,
+		ByzUnconfirmed:    s.ByzUnconfirmed + o.ByzUnconfirmed,
+		ByzSuspicions:     s.ByzSuspicions + o.ByzSuspicions,
 		FastPathReads:     s.FastPathReads + o.FastPathReads,
 		ReadRounds:        s.ReadRounds + o.ReadRounds,
 		ReadFails:         s.ReadFails + o.ReadFails,
@@ -121,8 +119,8 @@ func (m *Metrics) snapshot() MetricsSnapshot {
 		BadMsgs:           m.badMsgs.Load(),
 		Retransmits:       m.retransmits.Load(),
 		MaskRetries:       m.maskRetries.Load(),
-		ByzConfirms:       m.byzConfirms.Load(),
-		ByzRejects:        m.byzRejects.Load(),
+		ByzUnconfirmed:    m.byzUnconfirmed.Load(),
+		ByzSuspicions:     m.byzSuspicions.Load(),
 		FastPathReads:     m.fastPathReads.Load(),
 		ReadRounds:        m.readRounds.Load(),
 		ReadFails:         m.readFails.Load(),

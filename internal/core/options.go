@@ -136,13 +136,13 @@ func WithRetransmit(floor, ceiling time.Duration) ClientOption {
 // split across in-flight values — the construction is obstruction-free
 // rather than wait-free, the standard trade-off for this extension.
 //
-// When a query observes a pair newer than anything f+1-supported, the
-// client cannot tell an honest in-flight write from a fabricated max-tag;
-// it re-queries once (the confirm round, counted in
-// MetricsSnapshot.ByzConfirms). An honest write's pair gains support in
-// the fresh round; a fabrication never does and is discarded, counted in
-// ByzConfirms' companion ByzRejects — the suspected-liar counter the
-// health layer exports.
+// A pair newer than anything f+1-supported may be an honest in-flight
+// write or a fabricated max-tag, and no number of re-queries tells them
+// apart, so the query adopts the vouched pair in its one round and counts
+// the other (MetricsSnapshot.ByzUnconfirmed). A replica is suspected only on
+// evidence no honest replica can produce — a vouched tag with another
+// value, or a tag older than one it reported to this client before
+// (Client.Suspects, MetricsSnapshot.ByzSuspicions).
 //
 // Requires n >= 4f+1 replicas (quorum.Masking.Validate; n > 3f is the
 // information-theoretic lower bound, but this one-round validation needs

@@ -48,8 +48,6 @@ func regionName(label string) string {
 	switch label {
 	case "query":
 		return "abd.phase.query"
-	case "confirm":
-		return "abd.phase.confirm"
 	case "update":
 		return "abd.phase.update"
 	case "write-back":

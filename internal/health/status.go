@@ -3,7 +3,9 @@ package health
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -19,18 +21,18 @@ type BreakerStatus struct {
 }
 
 // ByzStatus mirrors a client's Byzantine read-validation counters (see
-// core.WithByzantine). SuspectRejects is the suspected-liar verdict — a
-// reply pair discarded because its tag stayed unvouched through a confirm
-// round; ConfirmRounds counts the extra query rounds run to reach such
-// verdicts (every reject costs one, honest races usually resolve in one
-// too); MaskRetries counts query rounds abandoned because no pair had f+1
-// matching reporters. ToleratedFaults is the f the client validates
-// against.
+// core.WithByzantine). Suspects is the liar verdict: per replica, how many
+// of its replies were evidence no honest replica can produce (empty in an
+// honest run). Unconfirmed counts query rounds that saw a pair ahead of the
+// vouched one without f+1 support — an in-flight write or a lie, a rate and
+// not an accusation; MaskRetries counts query rounds abandoned because no
+// pair had f+1 matching reporters. ToleratedFaults is the f the client
+// validates against.
 type ByzStatus struct {
-	ToleratedFaults int64 `json:"tolerated_faults"`
-	SuspectRejects  int64 `json:"suspect_rejects"`
-	ConfirmRounds   int64 `json:"confirm_rounds"`
-	MaskRetries     int64 `json:"mask_retries"`
+	ToleratedFaults int64           `json:"tolerated_faults"`
+	Suspects        map[int64]int64 `json:"suspects,omitempty"`
+	Unconfirmed     int64           `json:"unconfirmed"`
+	MaskRetries     int64           `json:"mask_retries"`
 }
 
 // Status is the /status endpoint's body: one process's live health view.
@@ -158,12 +160,14 @@ func WriteMetrics(w *obs.Writer, labels obs.Labels, st Status) {
 		w.Gauge("abd_health_byz_tolerated_faults",
 			"Lying replicas (f) the client's read validation tolerates.",
 			labels, float64(st.Byzantine.ToleratedFaults))
-		w.Counter("abd_health_byz_suspect_rejects_total",
-			"Reply pairs rejected as suspected lies (tag unvouched through a confirm round).",
-			labels, st.Byzantine.SuspectRejects)
-		w.Counter("abd_health_byz_confirm_rounds_total",
-			"Extra query rounds run to confirm an unvouched max-tag.",
-			labels, st.Byzantine.ConfirmRounds)
+		for _, id := range slices.Sorted(maps.Keys(st.Byzantine.Suspects)) {
+			w.Counter("abd_health_byz_suspicions_total",
+				"Replies from the replica that were evidence of lying (a vouched tag with another value, or a tag going back).",
+				withLabel(labels, "replica", fmt.Sprintf("%d", id)), st.Byzantine.Suspects[id])
+		}
+		w.Counter("abd_health_byz_unconfirmed_total",
+			"Query rounds that saw a pair ahead of the vouched one without f+1 support.",
+			labels, st.Byzantine.Unconfirmed)
 		w.Counter("abd_health_byz_mask_retries_total",
 			"Query rounds retried because no pair had f+1 matching reporters.",
 			labels, st.Byzantine.MaskRetries)

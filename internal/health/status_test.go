@@ -38,7 +38,8 @@ func sampleStatus() Status {
 		Alerts: []Alert{
 			{At: time.Unix(1, 0), SLO: "client-ops", Severity: SeverityTicket, Burn: 2},
 		},
-		Breakers: &BreakerStatus{Open: 1, Opens: 3, Closes: 2},
+		Breakers:  &BreakerStatus{Open: 1, Opens: 3, Closes: 2},
+		Byzantine: &ByzStatus{ToleratedFaults: 1, Suspects: map[int64]int64{4: 3}, Unconfirmed: 5, MaskRetries: 2},
 	}
 }
 
@@ -61,6 +62,9 @@ func TestHandlerServesStatusJSON(t *testing.T) {
 	}
 	if len(got.Alerts) != 1 || got.Alerts[0].Severity != SeverityTicket {
 		t.Fatalf("alerts lost: %+v", got.Alerts)
+	}
+	if got.Byzantine == nil || got.Byzantine.Suspects[4] != 3 {
+		t.Fatalf("named liar lost: %+v", got.Byzantine)
 	}
 }
 
@@ -98,6 +102,10 @@ func TestWriteMetricsSeries(t *testing.T) {
 		`abd_health_replica_max_seq_lag{node="7",replica="2"} 4`,
 		`abd_health_breakers_open{node="7"} 1`,
 		`abd_health_breaker_opens_total{node="7"} 3`,
+		`abd_health_byz_tolerated_faults{node="7"} 1`,
+		`abd_health_byz_suspicions_total{node="7",replica="4"} 3`,
+		`abd_health_byz_unconfirmed_total{node="7"} 5`,
+		`abd_health_byz_mask_retries_total{node="7"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing series %q in:\n%s", want, out)

@@ -8,13 +8,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/lincheck"
+	"repro/internal/types"
 )
 
 // TestByzantineClusterLiarWiring pins the injection path on a real tcpnet
 // cluster: flipping one replica to fabricate makes its outbound replies
 // lie (the liar tallies rewrites) while validated clients keep returning
-// the honest value and count the rejections; clearing the mode restores a
-// correct replica instantly.
+// the honest value; clearing the mode restores a correct replica
+// instantly, and the tag it then reports, far below its fabrication, names
+// it.
 func TestByzantineClusterLiarWiring(t *testing.T) {
 	cl, err := NewCluster(Config{N: 5, Byzantine: 1, Writers: 1, Readers: 1, Seed: 11})
 	if err != nil {
@@ -48,13 +50,18 @@ func TestByzantineClusterLiarWiring(t *testing.T) {
 	if lies == 0 {
 		t.Error("liar never rewrote a reply — interceptor not wired")
 	}
-	m := cli.Metrics()
-	if m.ByzRejects == 0 {
-		t.Error("client never rejected the fabricated tag")
+	if m := cli.Metrics(); m.ByzUnconfirmed == 0 {
+		t.Error("client never saw the fabricated tag ahead of the vouched one")
+	}
+	if got := cli.Suspects(); len(got) != 0 {
+		t.Errorf("suspects %v while the fabrication was consistent", got)
 	}
 	cl.ClearByzantine()
 	if _, err := cli.Read(ctx, "r0"); err != nil {
 		t.Fatalf("read after honesty restored: %v", err)
+	}
+	if got := cli.Suspects(); len(got) != 1 || got[2] == 0 {
+		t.Errorf("suspects %v after the liar's tag went back, want only n2", got)
 	}
 }
 
@@ -64,9 +71,8 @@ func TestByzantineClusterLiarWiring(t *testing.T) {
 // one replica into a liar on the wire — fabricated max-tags, equivocation,
 // stale state, silence — layered with crashes, loss storms, and latency
 // spikes. Every register's history must stay linearizable, the liars must
-// actually lie, and the clients' suspected-liar counters must be nonzero
-// (fabrications were detected and discarded) with the rejections landing
-// inside the schedule's span.
+// actually lie, and the clients must name a liar, only replicas the
+// schedule made lie, with the first evidence inside the schedule's span.
 func TestByzantineNemesisLinearizable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nemesis runs take seconds each")
@@ -83,9 +89,9 @@ func TestByzantineNemesisLinearizable(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("seed %d: %d ops (%d failed), outcome %v, lies %d (muted %d), "+
-				"rejects %d, confirms %d, mask retries %d",
+				"suspects %v, unconfirmed %d, mask retries %d",
 				seed, res.Ops, res.Failed, res.Outcome, res.Lies, res.Muted,
-				res.Client.ByzRejects, res.Client.ByzConfirms, res.Client.MaskRetries)
+				res.Health.ByzSuspects, res.Client.ByzUnconfirmed, res.Client.MaskRetries)
 			t.Logf("schedule: %s", res.Schedule)
 			if res.Outcome == lincheck.NotLinearizable {
 				for reg, r := range res.Results {
@@ -105,32 +111,44 @@ func TestByzantineNemesisLinearizable(t *testing.T) {
 			if res.Ops < 150 {
 				t.Errorf("only %d/200 ops completed — liveness under Byzantine nemesis too weak", res.Ops)
 			}
-			// The adversary must have fired and the validation must have
-			// caught it: an all-zero run proves nothing.
+			// The adversary must have fired and the clients must have named
+			// it: an all-zero run proves nothing. Suspicion needs evidence no
+			// honest replica can produce, so every suspect lied at some point.
 			if res.Lies == 0 {
 				t.Error("liars never rewrote a reply — the schedule's byz episodes did not run")
 			}
-			if res.Health.ByzRejects == 0 {
-				t.Error("suspected-liar counter is zero — validation never rejected a lie")
+			if len(res.Health.ByzSuspects) == 0 {
+				t.Error("no replica suspected — no lie left evidence")
 			}
-			if res.Health.ByzConfirms < res.Health.ByzRejects {
-				t.Errorf("confirms %d < rejects %d — every rejection passes through a confirm round",
-					res.Health.ByzConfirms, res.Health.ByzRejects)
+			sched, err := failure.Parse(res.Schedule)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// The rejections must land inside the fault schedule's span: the
-			// monitor timeline locates the first one.
+			lied := make(map[types.NodeID]bool)
+			for _, ev := range sched {
+				if b, ok := ev.Action.(failure.Byz); ok && b.Mode != 0 {
+					lied[b.Node] = true
+				}
+			}
+			for id := range res.Health.ByzSuspects {
+				if !lied[id] {
+					t.Errorf("replica %v suspected but never lied", id)
+				}
+			}
+			// The evidence must land inside the fault schedule's span: the
+			// monitor timeline locates the first piece.
 			span := time.Duration(6) * 700 * time.Millisecond // Windows x Window defaults
 			firstAt := time.Duration(-1)
 			for _, s := range res.Health.ByzTimeline {
-				if s.Rejects > 0 {
+				if s.Suspicions > 0 {
 					firstAt = s.At.Sub(res.Health.Start)
 					break
 				}
 			}
 			if firstAt < 0 {
-				t.Error("timeline never observed a rejection")
+				t.Error("timeline never observed a suspicion")
 			} else if firstAt > span+700*time.Millisecond {
-				t.Errorf("first rejection at %v, outside the schedule span %v", firstAt, span)
+				t.Errorf("first suspicion at %v, outside the schedule span %v", firstAt, span)
 			}
 		})
 	}
@@ -138,10 +156,9 @@ func TestByzantineNemesisLinearizable(t *testing.T) {
 
 // TestByzantineNemesisControlRun is the fault-free control: same cluster,
 // same validated clients, but an empty schedule — nobody lies. The run
-// must be linearizable with ZERO suspected-liar rejections: the confirm
-// round absorbs honest races, so a rejection is always a verdict about an
-// actual lie, never noise. This is what makes a nonzero counter in the
-// faulted runs meaningful.
+// must be linearizable and suspect no one: suspicion rests on evidence no
+// honest replica can produce, so an honest race is never an accusation.
+// This is what makes a named replica in the faulted runs meaningful.
 func TestByzantineNemesisControlRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nemesis runs take seconds each")
@@ -152,17 +169,17 @@ func TestByzantineNemesisControlRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("control: %d ops (%d failed), outcome %v, lies %d, rejects %d, confirms %d",
+	t.Logf("control: %d ops (%d failed), outcome %v, lies %d, suspects %v, unconfirmed %d",
 		res.Ops, res.Failed, res.Outcome, res.Lies,
-		res.Health.ByzRejects, res.Health.ByzConfirms)
+		res.Health.ByzSuspects, res.Client.ByzUnconfirmed)
 	if res.Outcome == lincheck.NotLinearizable {
 		t.Fatalf("control run NOT linearizable")
 	}
 	if res.Lies != 0 {
 		t.Errorf("control run recorded %d lies with no byz schedule", res.Lies)
 	}
-	if res.Health.ByzRejects != 0 {
-		t.Errorf("control run rejected %d pairs — validation is flagging honest replicas", res.Health.ByzRejects)
+	if len(res.Health.ByzSuspects) != 0 || res.Client.ByzSuspicions != 0 {
+		t.Errorf("control run suspects %v — validation is accusing honest replicas", res.Health.ByzSuspects)
 	}
 	if res.Ops+res.Failed != 200 {
 		t.Errorf("recorded %d ops, want 200", res.Ops+res.Failed)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/health"
 	"repro/internal/prof"
+	"repro/internal/types"
 )
 
 // HealthReport is the health layer's verdict on one nemesis run: the SLO
@@ -33,24 +34,23 @@ type HealthReport struct {
 	// (empty unless Config.Recorder was set). A faulted run captures inside
 	// its fault windows; a fault-free control run captures nothing.
 	Captures []prof.Capture
-	// ByzRejects and ByzConfirms are the clients' final validated-read
-	// counters — ByzRejects is the suspected-liar verdict: nonzero means
-	// reads actually discarded fabricated or equivocated pairs. Both stay
-	// zero outside Byzantine mode AND in a fault-free Byzantine control
-	// run (honesty costs no rejections). ByzTimeline records the
-	// cumulative counters at every monitor sample, locating the rejections
-	// relative to the schedule's fault windows.
-	ByzRejects, ByzConfirms int64
-	ByzTimeline             []ByzSample
+	// ByzSuspects is the liar verdict, merged over the clients
+	// (core.Client.Suspects): per replica, how many of its replies were
+	// evidence no honest replica can produce. It is empty outside Byzantine
+	// mode and in every honest run, so a replica named here lied.
+	// ByzTimeline records the clients' cumulative suspicion count at every
+	// monitor sample, locating the evidence relative to the schedule's
+	// fault windows.
+	ByzSuspects map[types.NodeID]int64
+	ByzTimeline []ByzSample
 }
 
 // ByzSample is one monitor observation of the clients' cumulative
-// Byzantine-validation counters. At minus HealthReport.Start is the
+// core.MetricsSnapshot.ByzSuspicions. At minus HealthReport.Start is the
 // sample's offset into the fault schedule.
 type ByzSample struct {
-	At       time.Time
-	Rejects  int64
-	Confirms int64
+	At         time.Time
+	Suspicions int64
 }
 
 // AlertOffsets returns each alert's offset from the workload start, in
@@ -151,9 +151,8 @@ func (m *monitor) sample(now time.Time) {
 	m.tracker.Ingest(now, total, bad)
 	if m.cl.cfg.Byzantine > 0 {
 		m.byz = append(m.byz, ByzSample{
-			At:       now,
-			Rejects:  metrics.ByzRejects,
-			Confirms: metrics.ByzConfirms,
+			At:         now,
+			Suspicions: metrics.ByzSuspicions,
 		})
 	}
 }

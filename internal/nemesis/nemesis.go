@@ -90,8 +90,8 @@ type Config struct {
 	Registers int
 	// Byzantine, when > 0, runs the cluster in Byzantine mode tolerating
 	// that many lying replicas: every client validates reads with
-	// core.WithByzantine (masking quorums, f+1 vouching, one confirm
-	// round), and every replica carries a chaos-layer core.Liar that the
+	// core.WithByzantine (masking quorums, f+1 vouching, suspicion on
+	// evidence only), and every replica carries a chaos-layer core.Liar that the
 	// schedule flips between lying strategies with failure.Byz actions
 	// (script syntax byz:<node>:<fabricate|stale|silent|equivocate|off>).
 	// The generated schedule draws from ByzantineGenres. Requires
@@ -948,8 +948,8 @@ type Result struct {
 	// Byzantine echoes Config.Byzantine; Lies counts replica replies the
 	// chaos-layer liars rewrote during the run and Muted the replies they
 	// suppressed — the injected-adversary side of the ledger whose
-	// client-side counterpart is Client.ByzRejects/ByzConfirms. All zero
-	// outside Byzantine mode.
+	// client-side counterpart is Health.ByzSuspects. All zero outside
+	// Byzantine mode.
 	Byzantine   int
 	Lies, Muted int64
 	// Spans is every span collected during the run — client operations and
@@ -1159,10 +1159,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			res.RegisterShard[reg] = cl.stores[0].Shard(reg)
 		}
 	}
+	res.Health.ByzSuspects = make(map[types.NodeID]int64)
 	for _, cli := range cl.Clients() {
 		res.Client = res.Client.Merge(cli.Metrics())
+		for id, n := range cli.Suspects() {
+			res.Health.ByzSuspects[id] += n
+		}
 	}
-	res.Health.ByzRejects = res.Client.ByzRejects
-	res.Health.ByzConfirms = res.Client.ByzConfirms
 	return res, nil
 }
