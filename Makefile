@@ -5,7 +5,7 @@ GO ?= go
 # Every command binary `make bin` produces under ./bin.
 CMDS = abd-sim abd-node abd-cli abd-check abd-bench abd-trace abd-top
 
-.PHONY: all build bin test race vet fmt check smoke e2e-smoke bench eval clean
+.PHONY: all build bin test race vet fmt check smoke e2e-smoke bench eval loc clean
 
 all: check
 
@@ -68,6 +68,17 @@ bench:
 # Regenerate every evaluation table (EXPERIMENTS.md appendix).
 eval:
 	$(GO) run ./cmd/abd-bench -exp all -seed 1
+
+# The line counts ROADMAP.md tracks: non-test Go lines of the protocol
+# core, of the telemetry packages and of the module outside bench/, plus the
+# module's test lines. Quote the output before and after a change.
+loc:
+	@src() { find "$$@" -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l; }; \
+	printf '%-28s %6d\n' \
+		'internal/core' $$(src internal/core) \
+		'obs + health + prof' $$(src internal/obs internal/health internal/prof) \
+		'module outside bench/' $$(src .) \
+		'test lines outside bench/' $$(find . -path ./bench -prune -o -name '*_test.go' -print | xargs cat | wc -l)
 
 clean:
 	$(GO) clean ./...

@@ -385,7 +385,7 @@ func nodeGatherer(nh *nodeHealth) obs.Gatherer {
 		w.Histogram("abd_client_phase_update_seconds", "update/write-back phase latency (embedded probe client)", labels, lat.PhaseUpdate)
 		w.Counter("abd_client_phases_total", "broadcast-and-collect rounds run by the probe client", labels, cm.Phases)
 		w.Counter("abd_client_msgs_sent_total", "request messages sent by the probe client", labels, cm.MsgsSent)
-		w.Counter("abd_client_fast_path_reads_total", "reads completed in one round: the query replies proved the pair already at a write quorum (holders or confirmed watermark)", labels, cm.FastPathReads)
+		w.Counter("abd_client_fast_path_reads_total", "reads completed in one round: the repliers holding the pair contain a write quorum", labels, cm.FastPathReads)
 		w.Counter("abd_client_read_rounds_total", "quorum rounds paid by completed reads (rounds/read = mean read cost)", labels, cm.ReadRounds)
 		w.Histogram("abd_client_read_rounds", "quorum rounds per completed read (1 = fast path)", labels, lat.ReadRounds)
 		rm := replica.ReplicaMetrics()

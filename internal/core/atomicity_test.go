@@ -211,6 +211,9 @@ func TestSharedClientHistoriesLinearizable(t *testing.T) {
 // between, return strictly increasing tags in both writer modes. A
 // multi-writer client's two query phases see the same newest tag, so only
 // the client's per-register counter keeps the second tag above the first.
+// Under bounded labels, k concurrent nextTag calls through one client see
+// the same live labels, so only issuing under one tagMu hold keeps their k
+// labels distinct.
 func TestNextTagNeverReusesATag(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -238,6 +241,36 @@ func TestNextTagNeverReusesATag(t *testing.T) {
 			}
 		})
 	}
+	t.Run("bounded-concurrent", func(t *testing.T) {
+		const window, k = 16, 8
+		c := newTestCluster(t, 3, netsim.Config{Seed: 32}, WithReplicaBoundedWindow(window))
+		cli := c.client(WithSingleWriter(), WithBoundedLabels(window))
+		ctx := shortCtx(t)
+		mustWrite(t, ctx, cli, "x", "v")
+
+		labels := make([]int64, k)
+		errs := make([]error, k)
+		var wg sync.WaitGroup
+		for i := range labels {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tag, err := cli.nextTag(ctx, "x", opTrace{})
+				labels[i], errs[i] = tag.Label, err
+			}()
+		}
+		wg.Wait()
+		seen := make(map[int64]bool, k)
+		for i, l := range labels {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if seen[l] {
+				t.Fatalf("label %d issued twice among %v", l, labels)
+			}
+			seen[l] = true
+		}
+	})
 }
 
 // runRecordedWorkload runs a concurrent read/write mix over a 3-replica

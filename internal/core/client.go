@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,14 +60,6 @@ type Client struct {
 	swLabel map[string]int64
 	swWrote map[string]bool // whether swLabel holds a real label yet
 
-	// Confirmed-watermark state (ReadAtomic; DESIGN.md §10): per register,
-	// the highest tag this client knows to be stored at a full write quorum
-	// — advanced by its own quorum-acked updates, by query rounds whose
-	// holders cover a write quorum, and by watermarks gossiped back on query
-	// replies; piggybacked on every outgoing query and write.
-	confMu    sync.Mutex
-	confirmed map[string]Tag
-
 	// Byzantine evidence (WithByzantine; see audit): per register, the tag
 	// each replica (by index) last reported to this client (nil = no audit),
 	// and per replica how many of its replies were evidence of lying.
@@ -113,8 +104,6 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 		pending:  make(map[uint64]*opInbox),
 		done:     make(chan struct{}),
 		hot:      health.NewTopK(0),
-
-		confirmed: make(map[string]Tag),
 
 		rtFloor: DefaultRetransmitFloor,
 		rtCeil:  DefaultRetransmitCeiling,
@@ -196,74 +185,6 @@ func (c *Client) Suspects() map[types.NodeID]int64 {
 
 // ReadMode reports the client's read mode (WithReadMode).
 func (c *Client) ReadMode() ReadMode { return c.readMode }
-
-// confirmedTag returns the client's own confirmed watermark for reg (zero
-// until something has been confirmed).
-func (c *Client) confirmedTag(reg string) Tag {
-	c.confMu.Lock()
-	defer c.confMu.Unlock()
-	return c.confirmed[reg]
-}
-
-// noteConfirmed records that tag is stored at a full write quorum —
-// witnessed directly (this client collected a write quorum of acks or of
-// holder replies for it) or vouched by the gossip rules in watermark. No-op
-// outside ReadAtomic (the map is then never consulted) and under bounded
-// labels, whose cyclic order admits no sound watermark: those clients
-// gossip nothing and hit the fast path on holder evidence alone.
-func (c *Client) noteConfirmed(reg string, tag Tag) {
-	if c.readMode != ReadAtomic || c.bounded || !tag.Valid {
-		return
-	}
-	c.confMu.Lock()
-	if cmp, err := c.ord.compare(tag, c.confirmed[reg]); err == nil && cmp > 0 {
-		c.confirmed[reg] = tag
-	}
-	c.confMu.Unlock()
-}
-
-// gossip returns the watermark to piggyback on an outgoing query or write:
-// the client's own confirmed tag, or zero (encoding in the pre-watermark
-// wire format) outside ReadAtomic.
-func (c *Client) gossip(reg string) Tag {
-	if c.readMode != ReadAtomic {
-		return Tag{}
-	}
-	return c.confirmedTag(reg)
-}
-
-// watermark folds the query replies' confirmed-watermark claims into the
-// client's own watermark for reg and returns the result. In crash mode
-// every replica is honest, so the maximum claim is trusted. Under
-// WithByzantine(f) up to f repliers lie, so only the (f+1)-th largest claim
-// is trusted: at least one of the f+1 replicas claiming that much is
-// honest, and an honest claim is true. A lying replica can therefore
-// suppress fast-path hits but never mint a watermark above what some honest
-// replica confirmed.
-func (c *Client) watermark(reg string, replies []message) Tag {
-	var wm Tag
-	if c.f == 0 {
-		for _, m := range replies {
-			adoptConf(c.ord, &wm, m.Conf)
-		}
-	} else {
-		confs := make([]Tag, 0, len(replies))
-		for _, m := range replies {
-			if m.Conf.Valid {
-				confs = append(confs, m.Conf)
-			}
-		}
-		if len(confs) > c.f {
-			sort.Slice(confs, func(i, j int) bool {
-				cmp, err := c.ord.compare(confs[i], confs[j])
-				return err == nil && cmp > 0
-			})
-			wm = confs[c.f]
-		}
-	}
-	c.noteConfirmed(reg, wm)
-	return c.confirmedTag(reg)
-}
 
 func (c *Client) start() {
 	if !c.started.CompareAndSwap(false, true) {
@@ -728,7 +649,7 @@ func (c *Client) audit(reg string, prior []Tag, replies, accepted []message) {
 func (c *Client) queryValidated(ctx context.Context, reg string, ot opTrace) (Tag, types.Value, []message, int, error) {
 	for rounds := 1; ; rounds++ {
 		prior := c.lastSeen(reg)
-		replies, err := c.phase(ctx, message{Kind: KindReadQuery, Reg: reg, Conf: c.gossip(reg)}, c.qs.ContainsReadQuorum, ot, "query")
+		replies, err := c.phase(ctx, message{Kind: KindReadQuery, Reg: reg}, c.qs.ContainsReadQuorum, ot, "query")
 		if err != nil {
 			return Tag{}, nil, nil, rounds, err
 		}
@@ -789,7 +710,7 @@ func (c *Client) read(ctx context.Context, reg string, ot opTrace) (types.Value,
 		val = nil
 	case c.readMode == ReadRegular:
 		c.metrics.writeBacksSkipped.Add(1)
-	case c.readMode == ReadAtomic && c.atWriteQuorum(reg, best, val, replies):
+	case c.readMode == ReadAtomic && c.atWriteQuorum(best, val, replies):
 		// Fast path (DESIGN.md §10): the write-back would be a no-op, so the
 		// read completes in the one round already paid.
 		c.metrics.fastPathReads.Add(1)
@@ -809,32 +730,20 @@ func (c *Client) read(ctx context.Context, reg string, ot opTrace) (types.Value,
 
 // atWriteQuorum reports whether the query round already paid proves the
 // pair (best, val) is stored at a full write quorum — the one fact the
-// read's write-back exists to establish (DESIGN.md §10). Two kinds of
-// evidence for it: the holders (repliers reporting exactly the pair)
-// contain a write quorum, or best is at or below the confirmed watermark.
+// read's write-back exists to establish (DESIGN.md §10): the holders
+// (repliers echoing exactly the tag and the value) contain a write quorum.
 // It runs only after queryValidated, so under WithByzantine best is the
-// f+1-vouched pair, a holder must echo its value too, and the watermark is
-// held to the f+1-claim bar. A liar adds at most itself to the holders: a
-// masking write quorum of them meets every later quorum in >= 2f+1
-// replicas, >= f+1 of them honest holders — lying costs hits, never mints
-// one.
-func (c *Client) atWriteQuorum(reg string, best Tag, val types.Value, replies []message) bool {
+// f+1-vouched pair. A liar adds at most itself to the holders: a masking
+// write quorum of them meets every later quorum in >= 2f+1 replicas, >= f+1
+// of them honest holders — lying costs hits, never mints one.
+func (c *Client) atWriteQuorum(best Tag, val types.Value, replies []message) bool {
 	var holders quorum.Set
 	for _, m := range replies {
 		if m.Tag == best && bytes.Equal(m.Val, val) {
 			holders = holders.Add(c.index[m.fromReplica])
 		}
 	}
-	if c.qs.ContainsWriteQuorum(holders) {
-		c.noteConfirmed(reg, best)
-		return true
-	}
-	wm := c.watermark(reg, replies)
-	if !wm.Valid {
-		return false
-	}
-	cmp, err := c.ord.compare(best, wm)
-	return err == nil && cmp <= 0
+	return c.qs.ContainsWriteQuorum(holders)
 }
 
 // Write performs the atomic write. In multi-writer mode (the default) it
@@ -870,16 +779,11 @@ func (c *Client) write(ctx context.Context, reg string, val types.Value, ot opTr
 }
 
 // install is the step a write, a read's write-back and Propagate share:
-// send (tag, val) to the replicas and wait for a write quorum of acks. The
-// pair is then stored at a full write quorum, so tag is confirmed, and the
-// next query's piggyback tells the replicas.
+// send (tag, val) to the replicas and wait for a write quorum of acks.
 func (c *Client) install(ctx context.Context, reg string, tag Tag, val types.Value, ot opTrace, label string) error {
-	req := message{Kind: KindWrite, Reg: reg, Tag: tag, Val: val, Conf: c.gossip(reg)}
-	if _, err := c.phase(ctx, req, c.qs.ContainsWriteQuorum, ot, label); err != nil {
-		return err
-	}
-	c.noteConfirmed(reg, tag)
-	return nil
+	req := message{Kind: KindWrite, Reg: reg, Tag: tag, Val: val}
+	_, err := c.phase(ctx, req, c.qs.ContainsWriteQuorum, ot, label)
+	return err
 }
 
 // nextTag chooses the tag for a new write. Both writer modes issue it from
@@ -909,7 +813,9 @@ func (c *Client) nextTag(ctx context.Context, reg string, ot opTrace) (Tag, erro
 
 // nextBoundedTag implements the bounded-label write: collect the labels
 // live at a read quorum (plus the writer's own last label) and pick a
-// dominating label from the cyclic domain.
+// dominating label from the cyclic domain. tagMu is held from reading the
+// last label through storing the new one, so concurrent writes through one
+// client each dominate the label issued before them and never share one.
 func (c *Client) nextBoundedTag(ctx context.Context, reg string, ot opTrace) (Tag, error) {
 	replies, err := c.phase(ctx, message{Kind: KindReadQuery, Reg: reg}, c.qs.ContainsReadQuorum, ot, "query")
 	if err != nil {
@@ -922,11 +828,10 @@ func (c *Client) nextBoundedTag(ctx context.Context, reg string, ot opTrace) (Ta
 		}
 	}
 	c.tagMu.Lock()
+	defer c.tagMu.Unlock()
 	if c.swWrote[reg] {
 		live = append(live, c.swLabel[reg])
 	}
-	c.tagMu.Unlock()
-
 	label, err := c.boundedDom.Dominating(live)
 	if err != nil {
 		c.metrics.orderViolations.Add(1)
@@ -935,10 +840,8 @@ func (c *Client) nextBoundedTag(ctx context.Context, reg string, ot opTrace) (Ta
 	// Record the label immediately: even if the broadcast fails part-way,
 	// some replicas may have adopted it, so it is live and the next write
 	// must dominate it.
-	c.tagMu.Lock()
 	c.swLabel[reg] = label
 	c.swWrote[reg] = true
-	c.tagMu.Unlock()
 	return Tag{Valid: true, Bounded: true, Label: label}, nil
 }
 

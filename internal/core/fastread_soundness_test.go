@@ -17,9 +17,9 @@ import (
 )
 
 // TestFastReadIffHoldersCoverWriteQuorum is the fast path's soundness
-// property, for every quorum system in internal/quorum: with no watermark in
-// play, a read skips its write-back iff the repliers that reported the
-// newest pair contain a write quorum — and a read that does write back
+// property, for every quorum system in internal/quorum: a read skips its
+// write-back iff the repliers that reported the newest pair contain a write
+// quorum — and a read that does write back
 // leaves the pair at one. Holder sets are installed directly; which
 // replicas a read's quorum ends up counting is up to the (randomly delayed)
 // network, so the oracle takes them from the query phase's span.
@@ -213,8 +213,8 @@ func TestFastReadWritesBackInFlightWriteAtDisjointReadQuorum(t *testing.T) {
 }
 
 // claimant is a Byzantine test replica that answers every query by claiming
-// to store — and to know confirmed — whatever pair it was last told to
-// claim, and acks writes without storing them.
+// to store whatever pair it was last told to claim, and acks writes without
+// storing them.
 type claimant struct {
 	mu  sync.Mutex
 	tag Tag
@@ -236,7 +236,7 @@ func (cl *claimant) serve(ep transport.Endpoint) {
 		reply := message{Kind: KindWriteAck, Op: m.Op, Reg: m.Reg}
 		if m.Kind == KindReadQuery {
 			cl.mu.Lock()
-			reply = message{Kind: KindReadReply, Op: m.Op, Reg: m.Reg, Tag: cl.tag, Val: types.Value(cl.val), Conf: cl.tag}
+			reply = message{Kind: KindReadReply, Op: m.Op, Reg: m.Reg, Tag: cl.tag, Val: types.Value(cl.val)}
 			cl.mu.Unlock()
 		}
 		_ = ep.Send(raw.From, reply.encode())
@@ -245,11 +245,10 @@ func (cl *claimant) serve(ep transport.Endpoint) {
 
 // TestFastReadByzantineClaimantCannotMintHit: an in-flight write is stored
 // at f+1 honest replicas — enough to be vouched — and the liar echoes the
-// very pair the reader will validate, claiming it confirmed too. Its word
-// adds one holder and one watermark claim, never enough on its own: the
-// honest holders fall short of a masking write quorum, so the read must
-// write back. Echoing the tag under a forged value does not even count as
-// holding.
+// very pair the reader will validate. Its word adds one holder, never
+// enough on its own: the honest holders fall short of a masking write
+// quorum, so the read must write back. Echoing the tag under a forged value
+// does not even count as holding.
 func TestFastReadByzantineClaimantCannotMintHit(t *testing.T) {
 	for _, claimed := range []string{"new", "forged"} {
 		claimed := claimed

@@ -101,10 +101,6 @@ func (l *Liar) Intercept(to types.NodeID, payload []byte) ([]byte, bool) {
 		case ByzFabricate:
 			m.Tag = Tag{Valid: true, TS: timestamp.TS{Seq: 1 << 40, Writer: l.id}}
 			m.Val = []byte("byzantine-fabrication")
-			// Also claim the fabricated tag is quorum-confirmed: a lying
-			// watermark must not let the fabrication ride the fast path (the
-			// client only trusts watermarks claimed by >= f+1 replicas).
-			m.Conf = m.Tag
 		case ByzEquivocate:
 			l.mu.Lock()
 			seq := (1 << 40) + l.rng.Int63n(1<<20)
@@ -112,12 +108,10 @@ func (l *Liar) Intercept(to types.NodeID, payload []byte) ([]byte, bool) {
 			l.mu.Unlock()
 			m.Tag = Tag{Valid: true, TS: timestamp.TS{Seq: seq, Writer: l.id}}
 			m.Val = []byte{a, b}
-			m.Conf = m.Tag
 		case ByzStale:
-			// Pretend nothing was ever written (or confirmed).
+			// Pretend nothing was ever written.
 			m.Tag = Tag{}
 			m.Val = nil
-			m.Conf = Tag{}
 		}
 		l.lies.Add(1)
 		return m.encode(), true

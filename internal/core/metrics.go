@@ -68,12 +68,11 @@ type MetricsSnapshot struct {
 	// with the two bench per-layer metrics that still read them.
 	CoalescedReads, AbsorbedWrites int64
 	// FastPathReads counts reads completed in one round because the query
-	// replies proved the newest pair already at a write quorum — by the
-	// repliers holding it or by the confirmed watermark (the ReadAtomic
-	// path; DESIGN.md §10). ReadRounds sums the quorum rounds
-	// every completed read paid (query, masking retries, write-back)
-	// — ReadRounds/Reads is the mean round trips per read, the number the
-	// fast path exists to push toward 1.
+	// replies proved the newest pair already at a write quorum: the
+	// repliers holding it contain one (the ReadAtomic path; DESIGN.md §10).
+	// ReadRounds sums the quorum rounds every completed read paid (query,
+	// masking retries, write-back) — ReadRounds/Reads is the mean round
+	// trips per read, the number the fast path exists to push toward 1.
 	FastPathReads, ReadRounds int64
 	// ReadFails and WriteFails count operations that returned an error (no
 	// quorum, timeout, closed client). Together with Reads/Writes they give

@@ -75,15 +75,6 @@ type Tag struct {
 	Label   int64
 }
 
-// confFlag marks a payload that carries a confirmed-tag watermark trailer
-// after the value bytes (the fast-path gossip; see DESIGN.md §10). Like
-// wire.TraceFlag it rides the kind byte — kinds are small (< 0x40), so the
-// bit is unambiguous — and payloads without a watermark stay byte-identical
-// to the pre-watermark format, which is the mixed-version path: a
-// watermark-aware client interoperates with a peer that has never heard of
-// confirmed tags, and vice versa.
-const confFlag byte = 0x40
-
 // message is the single on-wire shape shared by all four kinds; queries and
 // acks simply leave the tag and value fields empty.
 type message struct {
@@ -92,13 +83,6 @@ type message struct {
 	Reg  string // register name; one replica group hosts many registers
 	Tag  Tag
 	Val  types.Value
-
-	// Conf is the sender's confirmed-tag watermark for Reg: the highest tag
-	// it knows to be stored at a full write quorum. Clients piggyback it on
-	// queries and writes (gossip), replicas echo their own on read replies;
-	// a zero Conf means "no watermark" and encodes in the pre-watermark wire
-	// format. See DESIGN.md §10 for the invariant it carries.
-	Conf Tag
 
 	// Trace and Span form the Dapper-style trace context: Trace groups
 	// every message caused by one client operation, Span is the emitting
@@ -114,16 +98,15 @@ type message struct {
 }
 
 // encode serializes m with the layout
-// [kind][op][reg][valid][seq][writer][bounded][label][val]{[conf tag]}{[trace][span]}[crc32].
+// [kind][op][reg][valid][seq][writer][bounded][label][val]{[trace][span]}[crc32].
 // The optional trace-context trailer and the trailing IEEE CRC32 are the
 // wire envelope (see internal/wire): traced payloads set the high bit of the
 // kind byte, untraced ones are byte-identical to the pre-trace format, so a
-// traced client interoperates with an untraced peer and vice versa. The
-// optional confirmed-watermark trailer works the same way on confFlag:
-// messages without a watermark are byte-identical to the pre-watermark
-// format. The CRC covers every preceding byte: a payload flipped in transit
-// fails decode and is dropped like a lost message, which the protocol
-// already tolerates (all messages are idempotent and clients retransmit).
+// traced client interoperates with an untraced peer and vice versa. Every
+// other kind-byte bit belongs to the kind. The CRC covers every preceding
+// byte: a payload flipped in transit fails decode and is dropped like a
+// lost message, which the protocol already tolerates (all messages are
+// idempotent and clients retransmit).
 // Without it, a bit-flip inside the value bytes would decode cleanly and
 // poison a register with a value nobody wrote — found by the nemesis
 // harness under chaos corrupt faults.
@@ -138,14 +121,6 @@ func (m message) encode() []byte {
 	b = wire.AppendBool(b, m.Tag.Bounded)
 	b = wire.AppendInt(b, m.Tag.Label)
 	b = wire.AppendBytes(b, m.Val)
-	if m.Conf != (Tag{}) {
-		b[0] |= confFlag
-		b = wire.AppendBool(b, m.Conf.Valid)
-		b = wire.AppendInt(b, m.Conf.TS.Seq)
-		b = wire.AppendInt(b, int64(m.Conf.TS.Writer))
-		b = wire.AppendBool(b, m.Conf.Bounded)
-		b = wire.AppendInt(b, m.Conf.Label)
-	}
 	return wire.Seal(b, m.Trace, m.Span)
 }
 
@@ -160,10 +135,9 @@ func decodeMessage(payload []byte) (message, error) {
 		return message{}, fmt.Errorf("%w: empty body", types.ErrBadMessage)
 	}
 	r := wire.NewReader(body[1:])
-	// The kind byte's high bit is the envelope's trace flag and 0x40 the
-	// watermark flag, neither part of the kind; Open leaves them set (it
-	// never mutates the payload).
-	m := message{Kind: Kind(body[0] &^ (wire.TraceFlag | confFlag)), Trace: trace, Span: span}
+	// The kind byte's high bit is the envelope's trace flag, not part of the
+	// kind; Open leaves it set (it never mutates the payload).
+	m := message{Kind: Kind(body[0] &^ wire.TraceFlag), Trace: trace, Span: span}
 	m.Op = r.Uint()
 	m.Reg = r.String()
 	m.Tag.Valid = r.Bool()
@@ -172,13 +146,6 @@ func decodeMessage(payload []byte) (message, error) {
 	m.Tag.Bounded = r.Bool()
 	m.Tag.Label = r.Int()
 	m.Val = r.Bytes()
-	if body[0]&confFlag != 0 {
-		m.Conf.Valid = r.Bool()
-		m.Conf.TS.Seq = r.Int()
-		m.Conf.TS.Writer = types.NodeID(r.Int())
-		m.Conf.Bounded = r.Bool()
-		m.Conf.Label = r.Int()
-	}
 	if err := r.Err(); err != nil {
 		return message{}, err
 	}

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/netsim"
 	"repro/internal/timestamp"
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -28,15 +30,13 @@ func TestMessageRoundTrip(t *testing.T) {
 			Tag: Tag{Valid: true, TS: timestamp.TS{Seq: 8, Writer: 2}}, Val: []byte("v8")},
 		{Kind: KindWrite, Op: 10, Reg: "y", Trace: ^uint64(0), Span: 1, Val: []byte("z")},
 		{Kind: KindWriteAck, Op: 100001, Trace: 5}, // span 0 with trace set still encodes
-		// Confirmed-watermark variants: the conf tag must survive the round
-		// trip alone, with a trace context, and on every carrying kind.
-		{Kind: KindReadQuery, Op: 3, Reg: "r",
-			Conf: Tag{Valid: true, TS: timestamp.TS{Seq: 6, Writer: 1}}},
+		// Edge values: the largest op id, a negative sequence, and a bounded
+		// tag with a trace context.
+		{Kind: KindReadQuery, Op: ^uint64(0), Reg: "r"},
 		{Kind: KindReadReply, Op: 44, Reg: "x",
-			Tag: Tag{Valid: true, TS: timestamp.TS{Seq: 9, Writer: 2}}, Val: []byte("v9"),
-			Conf: Tag{Valid: true, TS: timestamp.TS{Seq: 8, Writer: 2}}},
+			Tag: Tag{Valid: true, TS: timestamp.TS{Seq: -9, Writer: 2}}, Val: []byte("v9")},
 		{Kind: KindWrite, Op: 11, Reg: "y", Val: []byte("z"), Trace: 3, Span: 4,
-			Conf: Tag{Valid: true, Bounded: true, Label: 5}},
+			Tag: Tag{Valid: true, Bounded: true, Label: 5}},
 	}
 	for _, m := range tests {
 		t.Run(m.Kind.String(), func(t *testing.T) {
@@ -52,9 +52,6 @@ func TestMessageRoundTrip(t *testing.T) {
 			}
 			if got.Trace != m.Trace || got.Span != m.Span {
 				t.Fatalf("trace context (%d, %d), want (%d, %d)", got.Trace, got.Span, m.Trace, m.Span)
-			}
-			if got.Conf != m.Conf {
-				t.Fatalf("conf %+v, want %+v", got.Conf, m.Conf)
 			}
 		})
 	}
@@ -91,49 +88,58 @@ func TestDecodeOldFormatPayload(t *testing.T) {
 	if m.Trace != 0 || m.Span != 0 {
 		t.Fatalf("old-format payload grew a trace context: (%d, %d)", m.Trace, m.Span)
 	}
-	// An untraced, watermark-free message emitted today is byte-identical
-	// to the old format — what an untraced (old) peer will be handed.
+	// An untraced message emitted today is byte-identical to the old
+	// format — what an untraced (old) peer will be handed.
 	if got := (message{Kind: KindReadReply, Op: 42, Reg: "r",
 		Tag: Tag{Valid: true, TS: timestamp.TS{Seq: 7, Writer: 3}}, Val: []byte("v")}).encode(); !bytes.Equal(got, old) {
 		t.Fatalf("untraced encode diverged from the old format:\n got %x\nwant %x", got, old)
 	}
 }
 
-// TestDecodeConfFormatPayload pins the watermark extension's wire layout the
-// same way: a hand-built payload with confFlag on the kind byte and the five
-// conf-tag fields after the value decodes to the right Conf, and encode()
-// reproduces it byte-for-byte.
-func TestDecodeConfFormatPayload(t *testing.T) {
-	body := []byte{byte(KindReadReply) | confFlag}
-	body = wire.AppendUint(body, 42)           // op
-	body = wire.AppendString(body, "r")        // reg
-	body = wire.AppendBool(body, true)         // tag.valid
-	body = wire.AppendInt(body, 7)             // seq
-	body = wire.AppendInt(body, 3)             // writer
-	body = wire.AppendBool(body, false)        // bounded
-	body = wire.AppendInt(body, 0)             // label
-	body = wire.AppendBytes(body, []byte("v")) // val
-	body = wire.AppendBool(body, true)         // conf.valid
-	body = wire.AppendInt(body, 6)             // conf.seq
-	body = wire.AppendInt(body, 2)             // conf.writer
-	body = wire.AppendBool(body, false)        // conf.bounded
-	body = wire.AppendInt(body, 0)             // conf.label
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-	golden := append(body, crc[:]...)
+// TestDecodeRejectsRetiredConfBit: 0x40 on the kind byte once flagged a
+// confirmed-tag trailer after the value. The bit is retired, so a payload
+// laid out that way — CRC intact — is an unknown kind, not a message with
+// trailing bytes: decode fails, and a replica and a client each count it as
+// a bad message instead of acting on it.
+func TestDecodeRejectsRetiredConfBit(t *testing.T) {
+	c := newTestCluster(t, 1, netsim.Config{Seed: 92})
+	cl := c.client()
+	sender := c.net.Node(2000)
+	for i, kind := range []Kind{KindReadQuery, KindReadReply, KindWrite, KindWriteAck} {
+		body := []byte{byte(kind) | 0x40}
+		body = wire.AppendUint(body, 42)           // op
+		body = wire.AppendString(body, "r")        // reg
+		body = wire.AppendBool(body, true)         // tag.valid
+		body = wire.AppendInt(body, 7)             // seq
+		body = wire.AppendInt(body, 3)             // writer
+		body = wire.AppendBool(body, false)        // bounded
+		body = wire.AppendInt(body, 0)             // label
+		body = wire.AppendBytes(body, []byte("v")) // val
+		body = wire.AppendBool(body, true)         // retired trailer: valid
+		body = wire.AppendInt(body, 6)             // seq
+		body = wire.AppendInt(body, 2)             // writer
+		body = wire.AppendBool(body, false)        // bounded
+		body = wire.AppendInt(body, 0)             // label
+		payload := wire.Seal(body, 0, 0)
 
-	m, err := decodeMessage(golden)
-	if err != nil {
-		t.Fatalf("conf-format payload rejected: %v", err)
-	}
-	want := Tag{Valid: true, TS: timestamp.TS{Seq: 6, Writer: 2}}
-	if m.Kind != KindReadReply || m.Conf != want {
-		t.Fatalf("conf-format payload decoded wrong: kind %v conf %+v", m.Kind, m.Conf)
-	}
-	if got := (message{Kind: KindReadReply, Op: 42, Reg: "r",
-		Tag: Tag{Valid: true, TS: timestamp.TS{Seq: 7, Writer: 3}}, Val: []byte("v"),
-		Conf: want}).encode(); !bytes.Equal(got, golden) {
-		t.Fatalf("watermark encode diverged from the pinned format:\n got %x\nwant %x", got, golden)
+		_, err := decodeMessage(payload)
+		if !errors.Is(err, types.ErrBadMessage) || !strings.Contains(err.Error(), "unknown kind") {
+			t.Fatalf("%v with the retired bit: err %v, want an unknown kind", kind, err)
+		}
+
+		if err := sender.Send(0, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := sender.Send(cl.ID(), payload); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool {
+			want := int64(i + 1)
+			return c.replicas[0].ReplicaMetrics().BadMsgs == want && cl.Metrics().BadMsgs == want
+		})
+		if m := c.replicas[0].ReplicaMetrics(); m.Queries+m.Updates != 0 {
+			t.Fatalf("%v: the replica handled a retired-bit payload: %+v", kind, m)
+		}
 	}
 }
 
@@ -151,7 +157,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 }
 
 func TestQuickMessageRoundTrip(t *testing.T) {
-	f := func(op uint64, reg string, seq int64, writer int32, valid, bounded bool, label int64, val []byte, trace, span uint64, confSeq int64, confWriter int32, conf bool) bool {
+	f := func(op uint64, reg string, seq int64, writer int32, valid, bounded bool, label int64, val []byte, trace, span uint64) bool {
 		m := message{
 			Kind:  KindWrite,
 			Op:    op,
@@ -161,16 +167,13 @@ func TestQuickMessageRoundTrip(t *testing.T) {
 			Trace: trace,
 			Span:  span,
 		}
-		if conf {
-			m.Conf = Tag{Valid: true, TS: timestamp.TS{Seq: confSeq, Writer: types.NodeID(confWriter)}}
-		}
 		got, err := decodeMessage(m.encode())
 		if err != nil {
 			return false
 		}
 		return got.Kind == m.Kind && got.Op == m.Op && got.Reg == m.Reg &&
 			got.Tag == m.Tag && bytes.Equal(got.Val, m.Val) && (got.Val == nil) == (val == nil) &&
-			got.Trace == m.Trace && got.Span == m.Span && got.Conf == m.Conf
+			got.Trace == m.Trace && got.Span == m.Span
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

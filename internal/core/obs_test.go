@@ -18,7 +18,7 @@ import (
 // the completed operations and phases.
 func TestLatencyHistogramsRecord(t *testing.T) {
 	c := newTestCluster(t, 3, netsim.Config{Seed: 21, MinDelay: 100 * time.Microsecond, MaxDelay: 500 * time.Microsecond})
-	// The counts below pin the paper's two-phase read; the watermark fast
+	// The counts below pin the paper's two-phase read; the one-round fast
 	// path would legitimately skip the write-backs (fastpath_test.go covers
 	// its accounting).
 	cli := c.client(WithReadMode(ReadTwoPhase))

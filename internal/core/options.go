@@ -34,10 +34,9 @@ type ReadMode int
 
 const (
 	// ReadAtomic completes a read in the one round already paid whenever the
-	// query replies prove the newest pair is stored at a full write quorum —
-	// the repliers holding it contain one, or its tag is at or below a
-	// confirmed watermark — and writes back otherwise. Atomic for every
-	// quorum system; DESIGN.md §10 has the invariant.
+	// repliers holding the newest pair (tag and value) contain a write
+	// quorum, and writes back otherwise. Atomic for every quorum system;
+	// DESIGN.md §10 has the invariant.
 	ReadAtomic ReadMode = iota
 	// ReadTwoPhase is the paper's read: every read of a written register
 	// pays the write-back. Used by ablations and the message-complexity

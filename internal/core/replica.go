@@ -16,14 +16,6 @@ import (
 type regEntry struct {
 	tag Tag
 	val types.Value
-
-	// conf is the register's confirmed watermark: the highest tag this
-	// replica knows to be stored at a full write quorum, learned from the
-	// gossip clients piggyback on queries and writes (DESIGN.md §10). It is
-	// deliberately not WAL-persisted: confirmation is a globally monotone
-	// fact, so losing it across a crash only costs fast-path hits (reads
-	// fall back to the two-round protocol), never safety.
-	conf Tag
 }
 
 // Replica is one processor's server side of the emulation: it stores a
@@ -324,37 +316,15 @@ func (r *Replica) handleQuery(from types.NodeID, m message) {
 	start, handleID := r.beginHandle(m)
 	r.mu.Lock()
 	e := r.regs[m.Reg]
-	// Adopt the querier's piggybacked watermark before replying, so the
-	// very reply that answers this query already spreads the freshest
-	// confirmation the client knows — that is the whole gossip channel.
-	if adoptConf(r.ord, &e.conf, m.Conf) {
-		r.regs[m.Reg] = e
-	}
 	r.mu.Unlock()
 
 	// The reply echoes the trace and names the handle span as its span, so
 	// the reply leg's transport spans parent to the handler rather than to
 	// the client's phase — separating request network from reply network.
 	reply := message{Kind: KindReadReply, Op: m.Op, Reg: m.Reg, Tag: e.tag, Val: e.val,
-		Conf: e.conf, Trace: m.Trace, Span: handleID}
+		Trace: m.Trace, Span: handleID}
 	r.endHandle(m, "query", start, handleID, nil)
 	_ = r.ep.Send(from, reply.encode())
-}
-
-// adoptConf folds an incoming watermark claim into *conf, returning whether
-// it advanced. Comparison failures (bounded-label windows) leave the stored
-// watermark alone: the fast path is disabled in bounded mode anyway, and a
-// wrong adoption here could only ever cost hits, never safety — but there
-// is no reason to store what cannot be ordered.
-func adoptConf(ord order, conf *Tag, claim Tag) bool {
-	if !claim.Valid {
-		return false
-	}
-	if cmp, err := ord.compare(claim, *conf); err == nil && cmp > 0 {
-		*conf = claim
-		return true
-	}
-	return false
 }
 
 // commitBatch runs one group commit. Adoption decisions are made against a
@@ -388,12 +358,6 @@ func (r *Replica) commitBatch(batch []inboundWrite) {
 		if !ok {
 			cur = r.regs[m.Reg]
 		}
-		// Watermark gossip is independent of the adoption decision: even a
-		// stale-rejected write can carry news about what is confirmed. The
-		// staged conf installs without a WAL record — see regEntry.conf.
-		if adoptConf(r.ord, &cur.conf, m.Conf) {
-			staged[m.Reg] = cur
-		}
 		cmp, err := r.ord.compare(m.Tag, cur.tag)
 		switch {
 		case err != nil:
@@ -402,7 +366,7 @@ func (r *Replica) commitBatch(batch []inboundWrite) {
 			// counter. See DESIGN.md on the bounded-staleness assumption.
 			r.violations.Add(1)
 		case cmp > 0:
-			staged[m.Reg] = regEntry{tag: m.Tag, val: m.Val, conf: cur.conf}
+			staged[m.Reg] = regEntry{tag: m.Tag, val: m.Val}
 			r.adoptions.Add(1)
 			adopted[i] = true
 			recs = append(recs, record{reg: m.Reg, tag: m.Tag, val: m.Val})
@@ -476,14 +440,6 @@ func (r *Replica) State(reg string) (Tag, types.Value) {
 	defer r.mu.Unlock()
 	e := r.regs[reg]
 	return e.tag, e.val.Clone()
-}
-
-// Confirmed returns the replica's confirmed watermark for a register (zero
-// until gossip has delivered one), for tests and inspection tools.
-func (r *Replica) Confirmed(reg string) Tag {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.regs[reg].conf
 }
 
 // HotKeys returns the replica's hottest registers by handled request count

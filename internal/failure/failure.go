@@ -15,7 +15,8 @@
 //	block:0>2@1.5s; faults:*:drop=0.3,dup=0.1@2s; faults:0>1:delay=1ms..5ms@2s;
 //	reset:*@2.5s; faults:*:none@3s; byz:2:fabricate@3.5s; byz:2:off@4s
 //
-// Each event is "<action>@<offset>", offsets relative to Run's start.
+// Each event is "<action>@<offset>", offsets relative to Run's start. A
+// partition with no groups, "partition:", isolates every node.
 package failure
 
 import (
@@ -365,6 +366,9 @@ func parseAction(s string) (Action, error) {
 		}
 		return Recover{Node: id}, nil
 	case "partition":
+		if strings.TrimSpace(args) == "" {
+			return Partition{}, nil // no groups: every node isolated
+		}
 		var groups [][]types.NodeID
 		for _, side := range strings.Split(args, "|") {
 			var group []types.NodeID

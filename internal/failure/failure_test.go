@@ -12,12 +12,12 @@ import (
 )
 
 func TestParseRoundTrip(t *testing.T) {
-	script := "crash:2@100ms; partition:0,1|2,3,4@200ms; heal@400ms; delay:3@1s; block:0>2@1.5s; unblock:0>2@2s; recover:2@3s; faults:*:drop=0.3,dup=0.1@4s; faults:0>1:corrupt=0.05,delay=1ms..5ms@5s; reset:0>2@6s; reset:*@7s; faults:*:none@8s"
+	script := "crash:2@100ms; partition:0,1|2,3,4@200ms; heal@400ms; delay:3@1s; block:0>2@1.5s; unblock:0>2@2s; recover:2@3s; faults:*:drop=0.3,dup=0.1@4s; faults:0>1:corrupt=0.05,delay=1ms..5ms@5s; reset:0>2@6s; reset:*@7s; faults:*:none@8s; partition:@9s"
 	sched, err := Parse(script)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sched) != 12 {
+	if len(sched) != 13 {
 		t.Fatalf("parsed %d events", len(sched))
 	}
 	// Round trip through String and Parse again.

@@ -11,13 +11,13 @@ import (
 
 // TestFastReadNemesisLinearizable is the fast-path acceptance run: three
 // seeded write-vs-fast-read race schedules against a real 5-replica tcpnet
-// cluster, all clients running the default read mode (watermark fast path
+// cluster, all clients running the default read mode (one-round fast path
 // on), every writer and reader hammering ONE register. The schedule blocks
-// writer links, crashes replicas mid-traffic (the watermark is not
-// persisted, so restarts rejoin conservative), and drops/reorders the
-// piggybacked gossip. The recorded history must stay linearizable AND the
-// fast path must actually fire during the run — a race nobody entered
-// proves nothing.
+// writer links, crashes replicas mid-traffic (restarts rejoin behind, on
+// their WAL), and drops/reorders updates, so the replicas a read hears keep
+// diverging on who holds the newest pair. The recorded history must stay
+// linearizable AND the fast path must actually fire during the run — a
+// race nobody entered proves nothing.
 func TestFastReadNemesisLinearizable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nemesis runs take seconds each")

@@ -706,16 +706,17 @@ const (
 	// restores honesty at its end. With cfg.Byzantine == 0 these are the
 	// classic genres.
 	ByzantineGenres
-	// FastReadGenres race writers against watermark fast-path reads
-	// (DESIGN.md §10): a read must take the slow path while a write's
-	// update has reached a quorum but the confirmed watermarks lag behind.
-	// A writer slowdown (every writer's link to one replica blocked, so
-	// stored tags diverge while readers race at full speed) is guaranteed;
-	// the other genres are a replica crash with restart (the watermark is
-	// not persisted, so it rejoins conservative), a loss storm (acks and
-	// watermark gossip dropped), and a latency spike with reordering (old
-	// claims arrive after newer ones). The clients passed to
-	// GenerateSchedule are the writers.
+	// FastReadGenres race writers against fast-path reads (DESIGN.md §10):
+	// a read must take the slow path whenever the replicas it hears
+	// diverge — a write's update has reached some of them but the holders
+	// of the newest pair cover no write quorum. A writer slowdown (every
+	// writer's link to one replica blocked, so stored tags diverge while
+	// readers race at full speed) is guaranteed; the other genres are a
+	// replica crash with restart (it rejoins behind, on its WAL), a loss
+	// storm (updates and acks dropped, so holders stay partial), and a
+	// latency spike with reordering (an update reaches some replicas long
+	// after others). The clients passed to GenerateSchedule are the
+	// writers.
 	FastReadGenres
 	// ShardedGenres fault TWO distinct replica groups in every window —
 	// crashing or isolating one replica in each — so the store must keep

@@ -90,8 +90,8 @@ func checkCrashUnderFabricate(t *testing.T, seed int64, sched failure.Schedule) 
 }
 
 // checkWriterSlowdown: some window blocks the writers' links to a replica,
-// manufacturing the stored-tag-ahead-of-watermark divergence the fast path
-// must survive.
+// manufacturing the holder divergence (some replicas a tag ahead of the
+// rest) the fast path must survive.
 func checkWriterSlowdown(t *testing.T, seed int64, sched failure.Schedule) {
 	if s := sched.String(); !strings.Contains(s, "block:") || !strings.Contains(s, "unblock:") {
 		t.Errorf("seed %d schedule has no writer-slowdown episode: %s", seed, s)
