@@ -5,7 +5,7 @@ GO ?= go
 # Every command binary `make bin` produces under ./bin.
 CMDS = abd-sim abd-node abd-cli abd-check abd-bench abd-trace abd-top
 
-.PHONY: all build bin test race vet fmt check smoke e2e-smoke bench eval loc clean
+.PHONY: all build bin test race vet fmt check smoke e2e-smoke bench bench-pairs eval loc clean
 
 all: check
 
@@ -64,6 +64,15 @@ e2e-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Paired runs of the repository benchmark, PARENT vs this checkout, one
+# pair per seed with alternating order; appends every run's JSON line to
+# BENCH_PAIRS_OUT and prints median, IQR and k-of-n per end-to-end metric.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=read-heavy SEEDS="31 32 33"
+BENCH_PAIRS_OUT ?= bench-pairs.jsonl
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" -a -n "$(SEEDS)" || { echo 'usage: make bench-pairs PARENT=<rev> WORKLOAD=<workload> SEEDS="..."'; exit 2; }
+	sh scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(SEEDS)" "$(BENCH_PAIRS_OUT)"
 
 # Regenerate every evaluation table (EXPERIMENTS.md appendix).
 eval:

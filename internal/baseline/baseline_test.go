@@ -222,23 +222,15 @@ func TestROWAWriteBlocksAfterOneCrash(t *testing.T) {
 		t.Fatalf("ROWA write with a crashed replica: want ErrNoQuorum, got %v", err)
 	}
 
-	// Reads keep working as long as the round-robin hits a live replica —
-	// and fail when it hits the dead one. Count both behaviours.
-	okCount, failCount := 0, 0
+	// Reads keep working: the write's retransmit ticks marked the crashed
+	// replica silent, so every read asks a live one.
 	for i := 0; i < 10; i++ {
 		rctx, rcancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-		if _, err := cli.Read(rctx, "x"); err == nil {
-			okCount++
-		} else {
-			failCount++
-		}
+		_, err := cli.Read(rctx, "x")
 		rcancel()
-	}
-	if okCount == 0 {
-		t.Fatal("all ROWA reads failed; round-robin should mostly hit live replicas")
-	}
-	if failCount == 0 {
-		t.Fatal("no ROWA read hit the crashed replica in 10 rotations of 5")
+		if err != nil {
+			t.Fatalf("ROWA read %d with one replica crashed: %v", i, err)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@
 //     counter and reads without a write-back, so each operation is one
 //     phase to the one replica.
 //   - ROWA (read-one/write-all), built from the core protocol with a
-//     read-one quorum system and fanout 1: reads are cheap, writes block
+//     read-one quorum system, so a read asks one replica: reads are cheap, writes block
 //     the moment a single replica crashes (experiment F2).
 //   - The "regular" register — ABD without the read write-back — is a core
 //     read mode (core.ReadRegular), not a separate system.

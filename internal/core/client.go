@@ -21,8 +21,13 @@ import (
 //
 //	Write(v):  [multi-writer: query a read quorum for the max timestamp]
 //	           send (ts, v) to all, await a write quorum of acks.
-//	Read():    query all, await a read quorum, pick the max-timestamp pair,
+//	Read():    query a read quorum, pick the max-timestamp pair,
 //	           write it back to a write quorum, return the value.
+//
+// A query asks one minimal quorum, rotating across phases and chosen to
+// need no replica that went silent (it still asks those), and widens to
+// everyone on a retransmit tick; updates go to all (targets). Safety rests on which replies a phase
+// counts, never on whom it asked.
 //
 // A Client is safe for concurrent use; overlapping operations are
 // multiplexed over one endpoint by operation identifiers, and each runs its
@@ -41,10 +46,15 @@ type Client struct {
 	readMode     ReadMode
 	bounded      bool
 	boundedDom   timestamp.Cyclic
-	readFanout   int
-	writeFanout  int
-	rrNext       atomic.Uint64 // round-robin cursor for partial fanout
-	f            int           // Byzantine replicas tolerated (WithByzantine; 0 = crash faults only)
+	f            int // Byzantine replicas tolerated (WithByzantine; 0 = crash faults only)
+
+	// Whom a query phase asks first (targetTable): one rotation per start
+	// for plain queries and for a ReadAtomic read's query; nil asks all.
+	queryTargets, fastTargets []quorum.Set
+	rrNext                    atomic.Uint64 // rotation cursor
+	// silent is a quorum.Set of the replicas a retransmit tick found
+	// targeted and unanswered; any reply from one clears its bit.
+	silent atomic.Uint64
 
 	// Retransmission bounds (WithRetransmit): the interval tracks the
 	// client's own observed phase latencies, clamped to [rtFloor, rtCeil].
@@ -144,6 +154,10 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 	if c.bounded && !c.singleWriter {
 		return nil, fmt.Errorf("core: bounded labels require the single-writer mode")
 	}
+	c.queryTargets = c.targetTable(c.qs.ContainsReadQuorum)
+	c.fastTargets = c.targetTable(func(s quorum.Set) bool {
+		return c.qs.ContainsReadQuorum(s) && c.qs.ContainsWriteQuorum(s)
+	})
 	c.start()
 	return c, nil
 }
@@ -226,21 +240,25 @@ func (c *Client) dispatch(raw transport.Message) {
 		c.metrics.badMsgs.Add(1)
 		return
 	}
-	if m.Kind != KindReadReply && m.Kind != KindWriteAck {
+	i, member := c.index[raw.From]
+	if !member || m.Kind != KindReadReply && m.Kind != KindWriteAck {
 		c.metrics.badMsgs.Add(1)
 		return
 	}
+	// Any reply, a straggler's included, puts a silent replica back into
+	// rotation.
+	if bit := uint64(1) << i; c.silent.Load()&bit != 0 {
+		c.silent.And(^bit)
+	}
+	m.fromReplica = raw.From
 	c.pendMu.Lock()
 	inbox, ok := c.pending[m.Op]
 	c.pendMu.Unlock()
-	if !ok {
-		// A straggler reply for a finished operation; the protocol
-		// discards these by design.
+	if !ok || !inbox.offer(i, m) {
+		// A duplicate, or a straggler reply for a finished phase; the
+		// protocol discards these by design.
 		c.metrics.stragglers.Add(1)
-		return
 	}
-	m.fromReplica = raw.From
-	inbox.put(m)
 }
 
 // adaptiveInterval caches one phase kind's derived retransmission interval
@@ -250,36 +268,62 @@ type adaptiveInterval struct {
 	at       atomic.Int64
 }
 
-// opInbox buffers one in-flight operation's replies without bounds, so
-// duplicated or bursty replies can never crowd out a reply from a distinct
-// replica (the substrate may deliver at-least-once).
+// opInbox collects one phase's replies on the goroutines that dispatch
+// them: it counts the first reply from each replica and wakes the phase's
+// goroutine once, with the reply that makes the repliers satisfy pred.
+// From then on (or from stop) it counts nothing more.
 type opInbox struct {
-	mu     sync.Mutex
-	buf    []message
-	notify chan struct{} // capacity 1: "buf may be non-empty"
+	pred   func(quorum.Set) bool
+	start  time.Time
+	notify chan struct{} // capacity 1: sent to once, on completion
+
+	mu      sync.Mutex
+	closed  bool
+	set     quorum.Set // the replicas whose replies were counted
+	replies []message
+	// Reply offsets from start, kept only when tracing (rtts != nil): the
+	// first and the latest counted reply, and each counted replica's.
+	first, last time.Duration
+	rtts        map[int64]time.Duration
 }
 
-func newOpInbox() *opInbox {
-	return &opInbox{notify: make(chan struct{}, 1)}
-}
-
-func (in *opInbox) put(m message) {
+// offer counts m, the reply of replica i, and reports whether it did: not
+// when the phase is over or already counted i.
+func (in *opInbox) offer(i int, m message) bool {
 	in.mu.Lock()
-	in.buf = append(in.buf, m)
-	in.mu.Unlock()
-	select {
-	case in.notify <- struct{}{}:
-	default:
+	defer in.mu.Unlock()
+	if in.closed || in.set.Has(i) {
+		return false
 	}
+	in.set = in.set.Add(i)
+	in.replies = append(in.replies, m)
+	if in.rtts != nil {
+		in.last = time.Since(in.start)
+		if len(in.replies) == 1 {
+			in.first = in.last
+		}
+		in.rtts[int64(m.fromReplica)] = in.last
+	}
+	if in.pred(in.set) {
+		in.closed = true
+		in.notify <- struct{}{}
+	}
+	return true
 }
 
-// drain removes and returns all buffered replies.
-func (in *opInbox) drain() []message {
+// counted returns the replicas whose replies were counted so far; stop
+// also closes the inbox, after which its fields no longer change.
+func (in *opInbox) counted() quorum.Set {
 	in.mu.Lock()
-	out := in.buf
-	in.buf = nil
-	in.mu.Unlock()
-	return out
+	defer in.mu.Unlock()
+	return in.set
+}
+
+func (in *opInbox) stop() quorum.Set {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.closed = true
+	return in.set
 }
 
 // opTrace is one client operation's trace context: trace is the id shared
@@ -290,8 +334,9 @@ type opTrace struct {
 	span  uint64
 }
 
-// phase broadcasts one request to every replica and collects replies until
-// the responder set satisfies pred. It returns the replies that formed the
+// phase sends one request to the replicas the next rotation of table
+// names (targets; nil asks every replica) and collects replies until the
+// responder set satisfies pred. It returns the replies that formed the
 // quorum (one per replica, duplicates discarded).
 //
 // ot and label feed the observability layer: completed phases record into
@@ -301,7 +346,7 @@ type opTrace struct {
 // RTT. When the operation is traced, the outgoing request is stamped with
 // (ot.trace, phase span id) so replica and transport spans on the far side
 // join the same trace.
-func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) bool, ot opTrace, label string) ([]message, error) {
+func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) bool, table []quorum.Set, ot opTrace, label string) ([]message, error) {
 	defer phaseRegion(ctx, label)()
 	op := c.opSeq.Add(1)
 	req.Op = op
@@ -312,7 +357,14 @@ func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) b
 	if ot.trace != 0 {
 		req.Trace, req.Span = ot.trace, spanID
 	}
-	inbox := newOpInbox()
+	start := time.Now()
+	inbox := &opInbox{
+		pred: pred, start: start, notify: make(chan struct{}, 1),
+		replies: make([]message, 0, len(c.replicas)),
+	}
+	if c.tracer != nil {
+		inbox.rtts = make(map[int64]time.Duration, len(c.replicas))
+	}
 
 	c.pendMu.Lock()
 	c.pending[op] = inbox
@@ -323,19 +375,12 @@ func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) b
 		c.pendMu.Unlock()
 	}()
 
-	start := time.Now()
-	var (
-		firstReply time.Duration
-		lastReply  time.Duration
-		rtts       map[int64]time.Duration
-	)
-	if c.tracer != nil {
-		rtts = make(map[int64]time.Duration, len(c.replicas))
-	}
-
 	payload := req.encode()
-	targets := c.targets(req.Kind)
-	for _, rid := range targets {
+	targets := c.targets(table)
+	for i, rid := range c.replicas {
+		if !targets.Has(i) {
+			continue
+		}
 		if err := c.ep.Send(rid, payload); err != nil {
 			return nil, fmt.Errorf("send to %v: %w", rid, err)
 		}
@@ -350,45 +395,26 @@ func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) b
 		retransmitCh = ticker.C
 	}
 
-	var (
-		set     quorum.Set // the replicas whose replies were counted
-		replies = make([]message, 0, len(c.replicas))
-	)
 	fail := func(err error) ([]message, error) {
-		c.emitPhase(ot, spanID, label, req.Reg, start, err,
-			len(targets), set.Count(), firstReply, lastReply, rtts)
+		c.emitPhase(ot, spanID, label, req.Reg, err, targets.Count(), inbox)
 		return nil, err
 	}
 	for {
 		select {
 		case <-inbox.notify:
-			for _, m := range inbox.drain() {
-				i, ok := c.index[m.fromReplica]
-				if !ok || set.Has(i) {
-					c.metrics.stragglers.Add(1)
-					continue
-				}
-				set = set.Add(i)
-				replies = append(replies, m)
-				lastReply = time.Since(start)
-				if len(replies) == 1 {
-					firstReply = lastReply
-				}
-				if rtts != nil {
-					rtts[int64(m.fromReplica)] = lastReply
-				}
-			}
-			if pred(set) {
-				c.recordPhase(req.Kind, time.Since(start))
-				c.emitPhase(ot, spanID, label, req.Reg, start, nil,
-					len(targets), set.Count(), firstReply, lastReply, rtts)
-				return replies, nil
-			}
+			c.recordPhase(req.Kind, time.Since(start))
+			c.emitPhase(ot, spanID, label, req.Reg, nil, targets.Count(), inbox)
+			return inbox.replies, nil
 		case <-retransmitCh:
-			// Re-send to the replicas that have not answered. Safe because
-			// every protocol message is idempotent.
-			for _, rid := range targets {
-				if set.Has(c.index[rid]) {
+			// Mark the targets that have not answered silent, so later
+			// phases ask around them, and re-send to every replica that has
+			// not answered: a silent target must not stall the phase. Safe
+			// because every protocol message is idempotent.
+			answered := inbox.counted()
+			c.silent.Or(uint64(targets &^ answered))
+			targets = quorum.Full(len(c.replicas))
+			for i, rid := range c.replicas {
+				if answered.Has(i) {
 					continue
 				}
 				if err := c.ep.Send(rid, payload); err != nil {
@@ -399,9 +425,10 @@ func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) b
 			}
 		case <-ctx.Done():
 			return fail(fmt.Errorf("%w: %s phase got %d/%d replies: %v",
-				types.ErrNoQuorum, req.Kind, set.Count(), len(c.replicas), ctx.Err()))
+				types.ErrNoQuorum, req.Kind, inbox.stop().Count(), len(c.replicas), ctx.Err()))
 		case <-c.done:
 			// The client was closed under us: no more replies can arrive.
+			inbox.stop()
 			return fail(fmt.Errorf("%s phase: %w", req.Kind, types.ErrClosed))
 		}
 	}
@@ -450,18 +477,18 @@ func (c *Client) recordPhase(kind Kind, d time.Duration) {
 	}
 }
 
-// emitPhase sends a phase child span to the tracer, if one is attached.
-func (c *Client) emitPhase(ot opTrace, id uint64, label, reg string, start time.Time, err error,
-	targets, quorumSize int, first, last time.Duration, rtts map[int64]time.Duration) {
+// emitPhase sends a phase child span to the tracer, if one is attached. The
+// phase's inbox must be closed.
+func (c *Client) emitPhase(ot opTrace, id uint64, label, reg string, err error, targets int, in *opInbox) {
 	if c.tracer == nil {
 		return
 	}
 	sp := obs.Span{
 		Trace: ot.trace, ID: id, Parent: ot.span,
 		Kind: "phase", Phase: label, Reg: reg, Node: int64(c.id),
-		Start: start, Dur: time.Since(start),
-		Targets: targets, Quorum: quorumSize,
-		FirstReply: first, LastReply: last, ReplicaRTT: rtts,
+		Start: in.start, Dur: time.Since(in.start),
+		Targets: targets, Quorum: in.set.Count(),
+		FirstReply: in.first, LastReply: in.last, ReplicaRTT: in.rtts,
 	}
 	if err != nil {
 		sp.Err = err.Error()
@@ -493,23 +520,45 @@ func (c *Client) endOp(ot opTrace, kind, reg string, start time.Time, err error)
 	c.tracer.Emit(sp)
 }
 
-// targets returns the replicas a phase contacts: everyone by default, or a
-// round-robin window of the configured fanout.
-func (c *Client) targets(kind Kind) []types.NodeID {
-	fanout := c.writeFanout
-	if kind == KindReadQuery {
-		fanout = c.readFanout
-	}
+// targetTable returns the rotating target sets of a query phase that
+// completes on pred, one per rotation start: a minimal set satisfying pred,
+// found by dropping replicas from the back of the rotated group while pred
+// still holds. It returns nil (ask everyone) when retransmission is off,
+// since nothing would then widen a phase whose targets cannot answer, and
+// under bounded labels, where a replica lagging more than the window behind
+// breaks the comparison (DESIGN.md §2): a rotation asks it in most phases,
+// a broadcast counts it only when it wins the race to the quorum.
+func (c *Client) targetTable(pred func(quorum.Set) bool) []quorum.Set {
 	n := len(c.replicas)
-	if fanout <= 0 || fanout >= n {
-		return c.replicas
+	if c.rtFloor <= 0 || c.bounded {
+		return nil
 	}
-	start := int(c.rrNext.Add(1)-1) % n
-	out := make([]types.NodeID, 0, fanout)
-	for i := 0; i < fanout; i++ {
-		out = append(out, c.replicas[(start+i)%n])
+	table := make([]quorum.Set, n)
+	for s := range table {
+		set := quorum.Full(n)
+		for pos := n - 1; pos >= 0; pos-- {
+			if without := set &^ (1 << ((s + pos) % n)); pred(without) {
+				set = without
+			}
+		}
+		table[s] = set
 	}
-	return out
+	return table
+}
+
+// targets returns the replicas a phase asks: the next rotation of table
+// that avoids every silent replica, plus the silent replicas themselves,
+// or everyone when table is nil or no rotation avoids them. The phase can
+// complete without a silent replica, yet asks it, so one that has
+// recovered answers and comes back into rotation whatever the traffic.
+func (c *Client) targets(table []quorum.Set) quorum.Set {
+	silent := quorum.Set(c.silent.Load())
+	for range table {
+		if set := table[c.rrNext.Add(1)%uint64(len(table))]; set&silent == 0 {
+			return set | silent
+		}
+	}
+	return quorum.Full(len(c.replicas))
 }
 
 // newest returns the max-tag pair among replies under the client's order.
@@ -646,10 +695,10 @@ func (c *Client) audit(reg string, prior []Tag, replies, accepted []message) {
 // counts the unconfirmed pair (byzUnconfirmed, a rate, not an accusation).
 // Fabricated tags never reach the write-back phase (DESIGN.md invariant
 // V2), and suspicion rests on evidence alone (audit).
-func (c *Client) queryValidated(ctx context.Context, reg string, ot opTrace) (Tag, types.Value, []message, int, error) {
+func (c *Client) queryValidated(ctx context.Context, reg string, table []quorum.Set, ot opTrace) (Tag, types.Value, []message, int, error) {
 	for rounds := 1; ; rounds++ {
 		prior := c.lastSeen(reg)
-		replies, err := c.phase(ctx, message{Kind: KindReadQuery, Reg: reg}, c.qs.ContainsReadQuorum, ot, "query")
+		replies, err := c.phase(ctx, message{Kind: KindReadQuery, Reg: reg}, c.qs.ContainsReadQuorum, table, ot, "query")
 		if err != nil {
 			return Tag{}, nil, nil, rounds, err
 		}
@@ -699,7 +748,13 @@ func (c *Client) Read(ctx context.Context, reg string) (types.Value, error) {
 }
 
 func (c *Client) read(ctx context.Context, reg string, ot opTrace) (types.Value, error) {
-	best, val, replies, rounds, err := c.queryValidated(ctx, reg, ot)
+	// A ReadAtomic query asks a write quorum too, so that its holders can
+	// prove the fast path.
+	table := c.queryTargets
+	if c.readMode == ReadAtomic {
+		table = c.fastTargets
+	}
+	best, val, replies, rounds, err := c.queryValidated(ctx, reg, table, ot)
 	if err != nil {
 		return nil, fmt.Errorf("read %q: %w", reg, err)
 	}
@@ -779,10 +834,12 @@ func (c *Client) write(ctx context.Context, reg string, val types.Value, ot opTr
 }
 
 // install is the step a write, a read's write-back and Propagate share:
-// send (tag, val) to the replicas and wait for a write quorum of acks.
+// send (tag, val) to every replica and wait for a write quorum of acks.
+// Updates always go to all: the fast path needs every replica to get every
+// update.
 func (c *Client) install(ctx context.Context, reg string, tag Tag, val types.Value, ot opTrace, label string) error {
 	req := message{Kind: KindWrite, Reg: reg, Tag: tag, Val: val}
-	_, err := c.phase(ctx, req, c.qs.ContainsWriteQuorum, ot, label)
+	_, err := c.phase(ctx, req, c.qs.ContainsWriteQuorum, nil, ot, label)
 	return err
 }
 
@@ -802,7 +859,7 @@ func (c *Client) nextTag(ctx context.Context, reg string, ot opTrace) (Tag, erro
 	}
 	var floor Tag
 	if !c.singleWriter {
-		best, _, _, _, err := c.queryValidated(ctx, reg, ot)
+		best, _, _, _, err := c.queryValidated(ctx, reg, c.queryTargets, ot)
 		if err != nil {
 			return Tag{}, err
 		}
@@ -817,7 +874,7 @@ func (c *Client) nextTag(ctx context.Context, reg string, ot opTrace) (Tag, erro
 // last label through storing the new one, so concurrent writes through one
 // client each dominate the label issued before them and never share one.
 func (c *Client) nextBoundedTag(ctx context.Context, reg string, ot opTrace) (Tag, error) {
-	replies, err := c.phase(ctx, message{Kind: KindReadQuery, Reg: reg}, c.qs.ContainsReadQuorum, ot, "query")
+	replies, err := c.phase(ctx, message{Kind: KindReadQuery, Reg: reg}, c.qs.ContainsReadQuorum, c.queryTargets, ot, "query")
 	if err != nil {
 		return Tag{}, err
 	}
@@ -850,7 +907,7 @@ func (c *Client) nextBoundedTag(ctx context.Context, reg string, ot opTrace) (Ta
 // building block internal/reconfig uses to read across configurations; a
 // bare QueryMax is only a regular read, not an atomic one.
 func (c *Client) QueryMax(ctx context.Context, reg string) (Tag, types.Value, error) {
-	tag, val, _, _, err := c.queryValidated(ctx, reg, opTrace{})
+	tag, val, _, _, err := c.queryValidated(ctx, reg, c.queryTargets, opTrace{})
 	if err != nil {
 		return Tag{}, nil, fmt.Errorf("query %q: %w", reg, err)
 	}

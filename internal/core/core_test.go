@@ -455,14 +455,16 @@ func TestProtocolIdempotentUnderDuplication(t *testing.T) {
 
 // TestClientReplicaPhaseReconciliation cross-checks the client-side and
 // replica-side counter sets: on a loss-free instant network with full
-// fanout, every client phase reaches every replica as exactly one request,
+// fanout (the paper's reliable channels, WithRetransmit(0, 0); by default a
+// query asks one quorum), every client phase reaches every replica as
+// exactly one request,
 // so per replica Queries+Updates == client Phases, and summed over the
 // group == client MsgsSent. The update split must also account for every
 // update: Adoptions + StaleRejects + OrderViolations == Updates.
 func TestClientReplicaPhaseReconciliation(t *testing.T) {
 	const n = 3
 	c := newTestCluster(t, n, netsim.Config{Seed: 11})
-	cli := c.client()
+	cli := c.client(WithRetransmit(0, 0))
 	ctx := shortCtx(t)
 
 	for i := 0; i < 5; i++ {

@@ -32,7 +32,7 @@ type Metrics struct {
 type MetricsSnapshot struct {
 	// Reads and Writes count completed operations.
 	Reads, Writes int64
-	// Phases counts broadcast-and-collect rounds; the paper's round
+	// Phases counts send-and-collect rounds; the paper's round
 	// complexity claims (T2) are checked against Phases/ops ratios.
 	Phases int64
 	// MsgsSent counts request messages sent by this client (T1 counts

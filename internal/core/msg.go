@@ -5,9 +5,9 @@
 // The protocol is the one sketched in the paper (and in Attiya's account in
 // the supplied column): every processor keeps a timestamped copy of each
 // register; a write sends the new value to all and awaits a write quorum of
-// acknowledgements; a read queries all, awaits a read quorum, adopts the
-// pair with the largest timestamp, and writes that pair back to a write
-// quorum before returning. The write-back is what makes reads atomic rather
+// acknowledgements; a read queries all (this package asks one read quorum,
+// see Client), awaits a read quorum, adopts the pair with the largest
+// timestamp, and writes that pair back to a write quorum before returning. The write-back is what makes reads atomic rather
 // than merely regular.
 //
 // The package supports the single-writer protocol (local sequence numbers,

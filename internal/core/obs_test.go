@@ -113,8 +113,14 @@ func TestTracerSpans(t *testing.T) {
 		if p.Reg != parent.Reg {
 			t.Errorf("phase register %q != parent's %q", p.Reg, parent.Reg)
 		}
-		if p.Targets != 3 {
-			t.Errorf("phase %q targets = %d, want 3", p.Phase, p.Targets)
+		// A query asks one rotation of the target table (2 of 3); updates
+		// and write-backs ask every replica.
+		wantTargets := 3
+		if p.Phase == "query" {
+			wantTargets = cli.queryTargets[0].Count()
+		}
+		if p.Targets != wantTargets {
+			t.Errorf("phase %q targets = %d, want %d", p.Phase, p.Targets, wantTargets)
 		}
 		if p.Quorum < 2 || p.Quorum > 3 {
 			t.Errorf("phase %q quorum = %d, want majority of 3", p.Phase, p.Quorum)

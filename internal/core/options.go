@@ -55,29 +55,6 @@ func WithReadMode(m ReadMode) ClientOption {
 	return func(c *Client) { c.readMode = m }
 }
 
-// WithReadFanout limits how many replicas a read-side query phase contacts
-// (0 or >= group size means all, the paper's choice). Targets rotate
-// round-robin across phases. Contacting fewer replicas than the group saves
-// messages but couples the operation's liveness to the targeted replicas:
-// if one of them is crashed or slow, the phase stalls even though a quorum
-// of other replicas is healthy. k must still be able to satisfy the read
-// quorum predicate (e.g. k=1 only works with ReadOneWriteAll).
-//
-// A quorum system with read quorums of one does not make this option
-// redundant: the quorum system decides when a phase may stop waiting, the
-// fanout decides whom it asks. ReadOneWriteAll alone still broadcasts every
-// query to all n replicas; the ROWA baseline's 2-message read needs fanout 1
-// as well (baseline.TestROWAReadUsesTwoMessages).
-func WithReadFanout(k int) ClientOption {
-	return func(c *Client) { c.readFanout = k }
-}
-
-// WithWriteFanout is WithReadFanout for write/update phases (including read
-// write-backs).
-func WithWriteFanout(k int) ClientOption {
-	return func(c *Client) { c.writeFanout = k }
-}
-
 // Default bounds for the retransmission interval (WithRetransmit). The
 // floor keeps a cold or fast client from spamming duplicates; the ceiling
 // bounds how long a lost message can stall an operation once latencies have
@@ -111,7 +88,9 @@ const (
 // instead of amplifying the congestion. floor == ceiling (or a ceiling
 // below the floor) gives a fixed interval of floor; floor <= 0 disables
 // retransmission entirely, recovering the paper's pure reliable-channel
-// model (ablations and message-count experiments). The default is
+// model (ablations and message-count experiments); with nothing to widen a
+// phase whose targets fail to answer, every phase then asks every replica,
+// as the paper does. The default is
 // [DefaultRetransmitFloor, DefaultRetransmitCeiling].
 func WithRetransmit(floor, ceiling time.Duration) ClientOption {
 	return func(c *Client) { c.rtFloor, c.rtCeil = floor, ceiling }

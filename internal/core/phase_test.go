@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,14 +45,14 @@ func TestPhaseCompletesIffLiveSetContainsQuorum(t *testing.T) {
 			// check runs one phase and compares its outcome with want. A phase
 			// that should stall gets a short deadline: every live replica
 			// answers within microseconds on an undelayed net.
-			check := func(req message, pred func(quorum.Set) bool, live quorum.Set, want bool) error {
+			check := func(req message, pred func(quorum.Set) bool, table []quorum.Set, live quorum.Set, want bool) error {
 				timeout := 25 * time.Millisecond
 				if want {
 					timeout = 10 * time.Second
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), timeout)
 				defer cancel()
-				replies, err := cli.phase(ctx, req, pred, opTrace{}, req.Kind.String())
+				replies, err := cli.phase(ctx, req, pred, table, opTrace{}, req.Kind.String())
 				if !want {
 					if !errors.Is(err, types.ErrNoQuorum) {
 						return fmt.Errorf("%s phase: got %d replies, err %v; want ErrNoQuorum", req.Kind, len(replies), err)
@@ -85,11 +86,11 @@ func TestPhaseCompletesIffLiveSetContainsQuorum(t *testing.T) {
 				errs := make(chan error, 2)
 				go func() {
 					errs <- check(message{Kind: KindReadQuery, Reg: "x"},
-						cli.qs.ContainsReadQuorum, live, sys.ContainsReadQuorum(live))
+						cli.qs.ContainsReadQuorum, cli.queryTargets, live, sys.ContainsReadQuorum(live))
 				}()
 				go func() {
 					errs <- check(message{Kind: KindWrite, Reg: "x", Tag: tag, Val: types.Value("v")},
-						cli.qs.ContainsWriteQuorum, live, sys.ContainsWriteQuorum(live))
+						cli.qs.ContainsWriteQuorum, nil, live, sys.ContainsWriteQuorum(live))
 				}()
 				for k := 0; k < 2; k++ {
 					if err := <-errs; err != nil {
@@ -101,5 +102,59 @@ func TestPhaseCompletesIffLiveSetContainsQuorum(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInboxSignalsOnceAtQuorum: the reply collector wakes its phase only
+// with the reply that completes the quorum — never below it, never for a
+// duplicate, never again after — and counts nothing once it has. It keeps
+// the per-reply offsets a traced phase's span reports.
+func TestInboxSignalsOnceAtQuorum(t *testing.T) {
+	in := &opInbox{
+		pred: quorum.NewMajority(5).ContainsReadQuorum, start: time.Now(),
+		notify: make(chan struct{}, 1), rtts: map[int64]time.Duration{},
+	}
+	signalled := func() bool {
+		select {
+		case <-in.notify:
+			return true
+		default:
+			return false
+		}
+	}
+	for step, tc := range []struct {
+		from            int
+		counted, signal bool
+	}{
+		{0, true, false}, {0, false, false}, {1, true, false}, {1, false, false},
+		{2, true, true}, {2, false, false}, {3, false, false}, {4, false, false},
+	} {
+		if got := in.offer(tc.from, message{fromReplica: types.NodeID(tc.from)}); got != tc.counted {
+			t.Fatalf("step %d: reply from %d counted = %v, want %v", step, tc.from, got, tc.counted)
+		}
+		if got := signalled(); got != tc.signal {
+			t.Fatalf("step %d: reply from %d signalled = %v, want %v", step, tc.from, got, tc.signal)
+		}
+	}
+	if len(in.replies) != 3 || in.set != quorum.Full(3) || len(in.rtts) != 3 || in.last < in.first {
+		t.Fatalf("inbox kept %d replies from %b, %d RTTs, first %v last %v; want the quorum {0,1,2}",
+			len(in.replies), in.set, len(in.rtts), in.first, in.last)
+	}
+
+	// Concurrent offers, every replica answering several times: one signal.
+	in = &opInbox{pred: quorum.NewMajority(5).ContainsReadQuorum, start: time.Now(), notify: make(chan struct{}, 1)}
+	var wg sync.WaitGroup
+	for k := 0; k < 4; k++ {
+		for i := 0; i < 5; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				in.offer(i, message{fromReplica: types.NodeID(i)})
+			}()
+		}
+	}
+	wg.Wait() // a second signal would block its offer forever
+	if !signalled() || signalled() || len(in.replies) != 3 {
+		t.Fatalf("concurrent offers: %d replies counted, want exactly 3 and one signal", len(in.replies))
 	}
 }

@@ -31,7 +31,8 @@ func runExp(t *testing.T, fn func(Options) (*Table, error)) *Table {
 
 // TestPinnedPaperCells pins the EXPERIMENTS.md cells that are exact by
 // construction at quick scale, so the recorded tables are checked rather
-// than transcribed: T1's message counts per n (2n/4n/4n/2n), F4's ok/blocked
+// than transcribed: T1's message counts per n (2n/4n/4n/2n, and 2q+2n/2q+2n/2q
+// for the default client's one-quorum queries), F4's ok/blocked
 // boundary per (n, side), F5's minimum quorum sizes, T5's two phases per
 // multi-writer write, and T6's corrupted-read counts (a fabricating or
 // equivocating liar corrupts every plain-majority read; WithByzantine(1)
@@ -41,6 +42,10 @@ func TestPinnedPaperCells(t *testing.T) {
 	for _, n := range []int{3, 5, 7, 9} {
 		for op, k := range map[string]int{"SWMR write": 2, "read": 4, "MWMR write": 4, "read (fast path)": 2} {
 			t1[fmt.Sprintf("%d/%s", n, op)] = fmt.Sprintf("%d.0", k*n)
+		}
+		q := n/2 + 1 // the default client queries one majority
+		for op, msgs := range map[string]int{"read, one quorum": 2*q + 2*n, "MWMR write, one quorum": 2*q + 2*n, "read (fast path), one quorum": 2 * q} {
+			t1[fmt.Sprintf("%d/%s", n, op)] = fmt.Sprintf("%d.0", msgs)
 		}
 	}
 	f4 := map[string]string{}
@@ -274,19 +279,22 @@ func TestF7AblationShapes(t *testing.T) {
 	for _, row := range tbl.Rows {
 		byName[row[0]] = row
 	}
-	full, narrow := byName["fanout=all (paper)"], byName["fanout=quorum (3)"]
-	if full == nil || narrow == nil {
+	full, one := byName["fanout=all (paper)"], byName["default"]
+	if full == nil || one == nil {
 		t.Fatal("missing fanout rows")
 	}
-	// Broadcast costs more messages per op than contacting a bare quorum.
+	// Broadcast costs more messages per op than asking one quorum.
 	fullMsgs, _ := strconv.ParseFloat(full[1], 64)
-	narrowMsgs, _ := strconv.ParseFloat(narrow[1], 64)
-	if fullMsgs <= narrowMsgs {
-		t.Errorf("fanout=all msgs/op %.1f should exceed fanout=quorum %.1f", fullMsgs, narrowMsgs)
+	oneMsgs, _ := strconv.ParseFloat(one[1], 64)
+	if fullMsgs <= oneMsgs {
+		t.Errorf("fanout=all msgs/op %.1f should exceed default %.1f", fullMsgs, oneMsgs)
 	}
-	// Broadcast is crash-oblivious; the narrow window is not.
-	if full[3] != full[2] {
-		t.Errorf("fanout=all degraded under one crash: %s vs %s", full[3], full[2])
+	// Both stay available under one crash: the default client's query
+	// widens past the crashed replica within one retransmit interval.
+	for _, row := range [][]string{full, one} {
+		if row[3] != row[2] {
+			t.Errorf("%s degraded under one crash: %s vs %s", row[0], row[3], row[2])
+		}
 	}
 	// With retransmission, every op completes despite 10% loss.
 	retry := byName["25% loss + retransmit"]
