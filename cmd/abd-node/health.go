@@ -16,10 +16,10 @@ import (
 const watermarkLimit = 128
 
 // nodeHealth assembles one node's live health view: its replica's tag
-// watermarks, the embedded probe client's hot keys and SLO burn state, and
-// the transport's circuit-breaker counters. Lag stays nil — a node sees
-// only its own replica, so cross-replica divergence is computed by whoever
-// polls every node's watermarks (abd-top does, via health.ComputeLag).
+// watermarks and the embedded probe client's hot keys, SLO burn state and
+// Byzantine counters. Lag stays nil — a node sees only its own replica, so
+// cross-replica divergence is computed by whoever polls every node's
+// watermarks (abd-top does, via health.ComputeLag).
 type nodeHealth struct {
 	start    time.Time
 	replica  *core.Replica
@@ -36,10 +36,8 @@ type nodeHealth struct {
 	tracker *health.Tracker
 	// pending accumulates the tracker's fresh (edge-triggered) alerts so
 	// the flight-recorder watchdog sees every alert even when a /status or
-	// /metrics scrape ran the evaluation that raised it. lastOpens is the
-	// breaker-opens total at the watchdog's previous check.
-	pending   []health.Alert
-	lastOpens int64
+	// /metrics scrape ran the evaluation that raised it.
+	pending []health.Alert
 }
 
 func newNodeHealth(replica *core.Replica, ep *tcpnet.Endpoint, prober *core.Client, proberEp *tcpnet.Endpoint) *nodeHealth {
@@ -94,43 +92,18 @@ func (h *nodeHealth) status() health.Status {
 			}
 		}
 	}
-
-	br := breakerStatus(h.ep.Stats())
-	if h.proberEp != nil {
-		p := breakerStatus(h.proberEp.Stats())
-		br.Open += p.Open
-		br.Opens += p.Opens
-		br.Closes += p.Closes
-	}
-	st.Breakers = &br
 	return st
 }
 
 // watch is the flight-recorder watchdog's poll: it runs one evaluation
-// (via status), drains the alerts accumulated since the last check, and
-// returns them with the breaker-opens delta over the same interval. Any
-// fresh alert or new breaker open is a capture trigger.
-func (h *nodeHealth) watch() (fresh []health.Alert, breakerOpens int64) {
+// (via status) and drains the alerts accumulated since the last check.
+// Every fresh alert is a capture trigger.
+func (h *nodeHealth) watch() []health.Alert {
 	_ = h.status()
 
-	opens := h.ep.Stats().BreakerOpens
-	if h.proberEp != nil {
-		opens += h.proberEp.Stats().BreakerOpens
-	}
-
 	h.mu.Lock()
-	fresh = h.pending
+	fresh := h.pending
 	h.pending = nil
-	breakerOpens = opens - h.lastOpens
-	h.lastOpens = opens
 	h.mu.Unlock()
-	return fresh, breakerOpens
-}
-
-func breakerStatus(ts tcpnet.Stats) health.BreakerStatus {
-	return health.BreakerStatus{
-		Open:   ts.BreakersOpen,
-		Opens:  ts.BreakerOpens,
-		Closes: ts.BreakerCloses,
-	}
+	return fresh
 }

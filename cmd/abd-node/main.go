@@ -13,7 +13,7 @@
 // the README's Observability section for the naming conventions), a JSON
 // health report on /healthz (uptime, build revision, span-drop counter), a
 // live introspection report on /status (tag watermarks, hot keys, SLO burn
-// state, breaker counters — the feed abd-top renders), and the span
+// state, Byzantine counters — the feed abd-top renders), and the span
 // collector on /spans (GET pulls collected spans as JSONL for abd-trace;
 // POST pushes spans from another process). -pprof additionally mounts
 // net/http/pprof under /debug/pprof/ on the same mux. With -peers also set,
@@ -25,8 +25,8 @@
 // -prof-dir arms the anomaly-triggered flight recorder: a watchdog polls the
 // node's health every -prof-check-interval and captures CPU/heap/goroutine
 // profiles into a bounded on-disk ring (-prof-captures sets, oldest evicted)
-// whenever an SLO burn alert fires or a circuit breaker opens, so the
-// profiles of an incident are on disk before anyone starts debugging it.
+// whenever an SLO burn alert fires, so the profiles of an incident are on
+// disk before anyone starts debugging it.
 // Captured and /debug/pprof profiles are plain pprof files for
 // `go tool pprof` (e.g. `-top -diff_base old.pprof new.pprof`).
 // -mutex-profile-fraction and -block-profile-rate enable the contention
@@ -79,7 +79,7 @@ func run() int {
 		byzF     = flag.Int("byz", 0, "probe with Byzantine read validation tolerating this many lying replicas (requires -peers with n >= 4f+1; surfaces abd_health_byz_* series)")
 		traceOut = flag.String("trace-out", "", "write every span (replica handlers, WAL appends, transport hops, probe ops) as JSONL to this file for abd-trace")
 
-		profDir      = flag.String("prof-dir", "", "arm the anomaly-triggered flight recorder: capture CPU/heap/goroutine profiles into this directory on SLO burn alerts and circuit-breaker opens (bounded ring, oldest evicted)")
+		profDir      = flag.String("prof-dir", "", "arm the anomaly-triggered flight recorder: capture CPU/heap/goroutine profiles into this directory on SLO burn alerts (bounded ring, oldest evicted)")
 		profCaptures = flag.Int("prof-captures", 8, "flight-recorder ring size (capture sets kept on disk)")
 		profCPUSecs  = flag.Float64("prof-cpu-seconds", 1, "CPU profile duration per flight-recorder capture")
 		profCheckIv  = flag.Duration("prof-check-interval", 5*time.Second, "flight-recorder anomaly poll period")
@@ -239,17 +239,16 @@ func run() int {
 	st := replica.ReplicaMetrics()
 	ts := ep.Stats()
 	fmt.Printf("abd-node: stopped (queries=%d updates=%d adoptions=%d stale=%d registers=%d "+
-		"frames_sent=%d write_timeouts=%d breaker_opens=%d)\n",
+		"frames_sent=%d write_timeouts=%d suppressed=%d)\n",
 		st.Queries, st.Updates, st.Adoptions, st.StaleRejects, st.Registers,
-		ts.FramesSent, ts.WriteTimeouts, ts.BreakerOpens)
+		ts.FramesSent, ts.WriteTimeouts, ts.SuppressedSends)
 	return 0
 }
 
 // watchAnomalies is the flight-recorder watchdog: every interval it drains
-// the health tracker's fresh burn alerts and the transport's breaker-open
-// delta, and pulls the recorder's trigger for each anomaly class. The
-// recorder's cooldown and single-flight gate bound the capture rate no
-// matter how noisy the anomalies get.
+// the health tracker's fresh burn alerts and pulls the recorder's trigger
+// for each. The recorder's cooldown and single-flight gate bound the
+// capture rate no matter how noisy the alerts get.
 func watchAnomalies(nh *nodeHealth, interval time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -258,12 +257,8 @@ func watchAnomalies(nh *nodeHealth, interval time.Duration, stop <-chan struct{}
 		case <-stop:
 			return
 		case <-t.C:
-			fresh, opens := nh.watch()
-			for _, a := range fresh {
+			for _, a := range nh.watch() {
 				nh.recorder.Trigger("slo-" + string(a.Severity))
-			}
-			if opens > 0 {
-				nh.recorder.Trigger("breaker-open")
 			}
 		}
 	}
@@ -368,7 +363,7 @@ func parsePeers(s string) (map[types.NodeID]string, []types.NodeID, error) {
 // with zero samples. When the probe endpoint exists its transport counters
 // are exported under the same series names with an extra endpoint="probe"
 // label — that endpoint dials the whole replica group, so it is where
-// circuit-breaker transitions show when a peer replica dies.
+// dial failures and suppressed sends show when a peer replica dies.
 func nodeGatherer(nh *nodeHealth) obs.Gatherer {
 	replica, ep, prober, proberEp := nh.replica, nh.ep, nh.prober, nh.proberEp
 	labels := obs.Labels{"node": strconv.FormatInt(int64(replica.ID()), 10)}
@@ -409,11 +404,7 @@ func nodeGatherer(nh *nodeHealth) obs.Gatherer {
 			w.Counter("abd_transport_accepts_total", "inbound connections accepted", lb, ts.Accepts)
 			w.Counter("abd_transport_write_failures_total", "frame writes that errored", lb, ts.WriteFailures)
 			w.Counter("abd_transport_write_timeouts_total", "frame writes that missed the write deadline", lb, ts.WriteTimeouts)
-			w.Counter("abd_transport_suppressed_sends_total", "sends swallowed as loss while a peer was backing off or broken", lb, ts.SuppressedSends)
-			w.Counter("abd_transport_breaker_opens_total", "circuit breakers tripped open", lb, ts.BreakerOpens)
-			w.Counter("abd_transport_breaker_probes_total", "half-open probe attempts", lb, ts.BreakerProbes)
-			w.Counter("abd_transport_breaker_closes_total", "circuit breakers recovered closed", lb, ts.BreakerCloses)
-			w.Gauge("abd_transport_breakers_open", "peers with an open or half-open breaker", lb, float64(ts.BreakersOpen))
+			w.Counter("abd_transport_suppressed_sends_total", "sends swallowed as loss while a peer was backing off", lb, ts.SuppressedSends)
 			w.Counter("abd_transport_resets_total", "connections torn down via ResetPeer", lb, ts.Resets)
 			w.Gauge("abd_transport_conns_active", "cached TCP connections", lb, float64(ts.ConnsActive))
 		}

@@ -375,10 +375,9 @@ func runNemesis(n, groups, writers, readers, ops, regs int, seed int64, byz int,
 	fmt.Printf("abd-sim: schedule: %s\n", res.Schedule)
 	fmt.Printf("abd-sim: chaos: %+v\n", res.Chaos)
 	fmt.Printf("abd-sim: transport: dials=%d dial_failures=%d write_failures=%d write_timeouts=%d "+
-		"suppressed=%d breaker_opens=%d breaker_probes=%d breaker_closes=%d resets=%d\n",
+		"suppressed=%d resets=%d\n",
 		res.Transport.Dials, res.Transport.DialFailures, res.Transport.WriteFailures,
-		res.Transport.WriteTimeouts, res.Transport.SuppressedSends, res.Transport.BreakerOpens,
-		res.Transport.BreakerProbes, res.Transport.BreakerCloses, res.Transport.Resets)
+		res.Transport.WriteTimeouts, res.Transport.SuppressedSends, res.Transport.Resets)
 	fmt.Printf("abd-sim: client: phases=%d retransmits=%d msgs_sent=%d\n",
 		res.Client.Phases, res.Client.Retransmits, res.Client.MsgsSent)
 	if res.Byzantine > 0 {

@@ -4,8 +4,8 @@
 // renders: node liveness and SLO burn state, cross-replica lag computed
 // from the polled tag watermarks (each node only knows its own replica;
 // abd-top is the one who sees them all, so it runs health.ComputeLag),
-// the fleet-merged hot keys, circuit-breaker counters, and any burn-rate
-// alerts the nodes raised.
+// the fleet-merged hot keys, the probe clients' Byzantine validation, and
+// any burn-rate alerts the nodes raised.
 //
 // Usage:
 //
@@ -168,8 +168,8 @@ func render(w io.Writer, fr frame) {
 	fmt.Fprintf(w, "abd-top  %s  %d/%d nodes up  quorum=%d\n",
 		fr.at.Format("15:04:05"), fr.up, len(fr.nodes), fr.lag.Quorum)
 
-	fmt.Fprintf(w, "\n  %-22s %6s %8s %10s %6s %8s %7s\n",
-		"node", "id", "uptime", "burn", "slo", "breakers", "alerts")
+	fmt.Fprintf(w, "\n  %-22s %6s %8s %10s %6s %7s\n",
+		"node", "id", "uptime", "burn", "slo", "alerts")
 	for _, nv := range fr.nodes {
 		if nv.err != nil {
 			fmt.Fprintf(w, "  %-22s DOWN (%v)\n", nv.addr, nv.err)
@@ -187,12 +187,8 @@ func render(w io.Writer, fr frame) {
 				state = "ticket"
 			}
 		}
-		brk := "-"
-		if b := nv.st.Breakers; b != nil {
-			brk = fmt.Sprintf("%d open", b.Open)
-		}
-		fmt.Fprintf(w, "  %-22s %6d %7.0fs %10s %6s %8s %7d\n",
-			nv.addr, nv.st.Node, nv.st.UptimeSeconds, burn, state, brk, len(nv.st.Alerts))
+		fmt.Fprintf(w, "  %-22s %6d %7.0fs %10s %6s %7d\n",
+			nv.addr, nv.st.Node, nv.st.UptimeSeconds, burn, state, len(nv.st.Alerts))
 	}
 
 	fmt.Fprintf(w, "\nreplica lag (vs quorum-confirmed watermark):\n")

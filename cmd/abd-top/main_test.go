@@ -35,7 +35,6 @@ func TestRunOnceRendersClusterView(t *testing.T) {
 			Watermarks:    &health.ReplicaTags{Node: node, Tags: map[string]health.Tag{"x": {Seq: seq}}},
 			SLO: &health.SLOStatus{Name: "client-ops", Objective: 0.99,
 				Windows: []health.WindowBurn{{WindowSeconds: 60, Burn: 0.5}}},
-			Breakers: &health.BreakerStatus{Open: 1, Opens: 3, Closes: 2},
 		}
 	}
 	fast0, fast1 := mk(0, 7), mk(1, 7)
@@ -67,7 +66,6 @@ func TestRunOnceRendersClusterView(t *testing.T) {
 		"BEHIND on 1 regs, worst seq lag 5",
 		"confirmed seq 7",
 		"PAGE",
-		"1 open",
 		"150 ops (>= 150)", // 3 sketches of x=50 merged
 		"(180 tracked ops, merged over 3 nodes)",
 		"DOWN",

@@ -68,8 +68,6 @@ type Replica struct {
 	batches      atomic.Int64 // group commits executed
 
 	batchSizes obs.Histogram // writes per group commit (a count, not ns)
-
-	hot *health.TopK // per-register request counts (queries + updates)
 }
 
 // inboundWrite is one update waiting in the group-commit channel.
@@ -131,7 +129,6 @@ func NewReplica(id types.NodeID, ep transport.Endpoint, opts ...ReplicaOption) *
 		ord:  unboundedOrder{},
 		regs: make(map[string]regEntry),
 		done: make(chan struct{}),
-		hot:  health.NewTopK(0),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -312,7 +309,6 @@ func (r *Replica) endHandle(m message, phase string, start time.Time, id uint64,
 
 func (r *Replica) handleQuery(from types.NodeID, m message) {
 	r.queries.Add(1)
-	r.hot.Offer(m.Reg)
 	start, handleID := r.beginHandle(m)
 	r.mu.Lock()
 	e := r.regs[m.Reg]
@@ -352,7 +348,6 @@ func (r *Replica) commitBatch(batch []inboundWrite) {
 	for i, w := range batch {
 		m := w.m
 		r.updates.Add(1)
-		r.hot.Offer(m.Reg)
 		starts[i], handleIDs[i] = r.beginHandle(m)
 		cur, ok := staged[m.Reg]
 		if !ok {
@@ -441,13 +436,6 @@ func (r *Replica) State(reg string) (Tag, types.Value) {
 	e := r.regs[reg]
 	return e.tag, e.val.Clone()
 }
-
-// HotKeys returns the replica's hottest registers by handled request count
-// (queries plus updates). k <= 0 returns every tracked key.
-func (r *Replica) HotKeys(k int) []health.HotKey { return r.hot.Top(k) }
-
-// HotKeyTotal returns how many requests the hot-key sketch has seen.
-func (r *Replica) HotKeyTotal() int64 { return r.hot.Total() }
 
 // TagWatermarks reports the replica's max installed tag per register — its
 // watermark report for the health layer's lag computation. The health tag

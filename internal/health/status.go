@@ -11,15 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-// BreakerStatus mirrors the transport's circuit-breaker counters: how many
-// peer links are currently open (failing fast) and the lifetime open/close
-// transitions.
-type BreakerStatus struct {
-	Open   int64 `json:"open"`
-	Opens  int64 `json:"opens"`
-	Closes int64 `json:"closes"`
-}
-
 // ByzStatus mirrors a client's Byzantine read-validation counters (see
 // core.WithByzantine). Suspects is the liar verdict: per replica, how many
 // of its replies were evidence no honest replica can produce (empty in an
@@ -54,9 +45,8 @@ type Status struct {
 	// cannot see every replica).
 	Lag *LagReport `json:"lag,omitempty"`
 
-	SLO      *SLOStatus     `json:"slo,omitempty"`
-	Alerts   []Alert        `json:"alerts"`
-	Breakers *BreakerStatus `json:"breakers,omitempty"`
+	SLO    *SLOStatus `json:"slo,omitempty"`
+	Alerts []Alert    `json:"alerts"`
 	// Byzantine reports the process's read-validation counters (nil when
 	// no client of the process runs in Byzantine mode).
 	Byzantine *ByzStatus `json:"byzantine,omitempty"`
@@ -145,15 +135,6 @@ func WriteMetrics(w *obs.Writer, labels obs.Labels, st Status) {
 				"Worst tag-sequence gap behind the quorum-confirmed watermark.",
 				nodeLabels, float64(rl.MaxSeqLag))
 		}
-	}
-
-	if st.Breakers != nil {
-		w.Gauge("abd_health_breakers_open",
-			"Peer links currently failing fast.", labels, float64(st.Breakers.Open))
-		w.Counter("abd_health_breaker_opens_total",
-			"Lifetime breaker open transitions.", labels, st.Breakers.Opens)
-		w.Counter("abd_health_breaker_closes_total",
-			"Lifetime breaker close transitions.", labels, st.Breakers.Closes)
 	}
 
 	if st.Byzantine != nil {

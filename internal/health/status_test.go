@@ -38,7 +38,6 @@ func sampleStatus() Status {
 		Alerts: []Alert{
 			{At: time.Unix(1, 0), SLO: "client-ops", Severity: SeverityTicket, Burn: 2},
 		},
-		Breakers:  &BreakerStatus{Open: 1, Opens: 3, Closes: 2},
 		Byzantine: &ByzStatus{ToleratedFaults: 1, Suspects: map[int64]int64{4: 3}, Unconfirmed: 5, MaskRetries: 2},
 	}
 }
@@ -100,8 +99,6 @@ func TestWriteMetricsSeries(t *testing.T) {
 		`abd_health_watermark_seq{node="7",reg="hot"} 42`,
 		`abd_health_replica_behind_registers{node="7",replica="2"} 1`,
 		`abd_health_replica_max_seq_lag{node="7",replica="2"} 4`,
-		`abd_health_breakers_open{node="7"} 1`,
-		`abd_health_breaker_opens_total{node="7"} 3`,
 		`abd_health_byz_tolerated_faults{node="7"} 1`,
 		`abd_health_byz_suspicions_total{node="7",replica="4"} 3`,
 		`abd_health_byz_unconfirmed_total{node="7"} 5`,

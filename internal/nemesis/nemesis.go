@@ -235,16 +235,15 @@ type Cluster struct {
 
 // tcpConfig is the aggressive-timeout endpoint configuration nemesis runs
 // with: short enough that every self-healing mechanism (write deadline,
-// backoff, breaker) cycles many times within one run.
+// dial backoff) cycles many times within one run.
 func (c *Cluster) tcpConfig(id types.NodeID) tcpnet.Config {
 	return tcpnet.Config{
-		ID:               id,
-		DialTimeout:      time.Second,
-		WriteTimeout:     500 * time.Millisecond,
-		BackoffMin:       20 * time.Millisecond,
-		BackoffMax:       500 * time.Millisecond,
-		BreakerThreshold: 4,
-		Tracer:           c.nodeTracer(id),
+		ID:           id,
+		DialTimeout:  time.Second,
+		WriteTimeout: 500 * time.Millisecond,
+		BackoffMin:   20 * time.Millisecond,
+		BackoffMax:   500 * time.Millisecond,
+		Tracer:       c.nodeTracer(id),
 	}
 }
 
@@ -657,10 +656,6 @@ func addStats(a, b tcpnet.Stats) tcpnet.Stats {
 		WriteFailures:   a.WriteFailures + b.WriteFailures,
 		WriteTimeouts:   a.WriteTimeouts + b.WriteTimeouts,
 		SuppressedSends: a.SuppressedSends + b.SuppressedSends,
-		BreakerOpens:    a.BreakerOpens + b.BreakerOpens,
-		BreakerProbes:   a.BreakerProbes + b.BreakerProbes,
-		BreakerCloses:   a.BreakerCloses + b.BreakerCloses,
-		BreakersOpen:    a.BreakersOpen + b.BreakersOpen,
 		Resets:          a.Resets + b.Resets,
 		ConnsActive:     a.ConnsActive + b.ConnsActive,
 	}

@@ -226,9 +226,9 @@ func TestNemesisLinearizable(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("seed %d: %d ops (%d failed), outcome %v, retransmits %d, "+
-				"breaker opens/closes %d/%d, chaos %+v",
+				"dial failures/suppressed %d/%d, chaos %+v",
 				seed, res.Ops, res.Failed, res.Outcome, res.Client.Retransmits,
-				res.Transport.BreakerOpens, res.Transport.BreakerCloses, res.Chaos)
+				res.Transport.DialFailures, res.Transport.SuppressedSends, res.Chaos)
 			t.Logf("schedule: %s", res.Schedule)
 			if res.Outcome == lincheck.NotLinearizable {
 				t.Fatalf("seed %d: history NOT linearizable; schedule %s", seed, res.Schedule)

@@ -92,7 +92,7 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 }
 
 // Trigger requests a capture attributed to reason (e.g. "slo-page",
-// "breaker-open"). It returns immediately: true if a capture was started,
+// "slo-ticket"). It returns immediately: true if a capture was started,
 // false if it was skipped because one is in flight or the cooldown since
 // the last completion has not elapsed. Safe for concurrent use; nil-safe,
 // so callers can hold an optional recorder without guarding every call.

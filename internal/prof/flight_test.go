@@ -70,17 +70,17 @@ func TestRecorderCaptureWritesProfiles(t *testing.T) {
 
 func TestRecorderCooldownAndSingleFlight(t *testing.T) {
 	r := newTestRecorder(t, 4, time.Hour)
-	if !r.Trigger("breaker-open") {
+	if !r.Trigger("slo-ticket") {
 		t.Fatal("first trigger was skipped")
 	}
 	// In flight or cooling down: every further trigger is skipped.
 	for i := 0; i < 5; i++ {
-		if r.Trigger("breaker-open") {
+		if r.Trigger("slo-ticket") {
 			t.Fatal("trigger accepted during in-flight capture")
 		}
 	}
 	r.Wait()
-	if r.Trigger("breaker-open") {
+	if r.Trigger("slo-ticket") {
 		t.Fatal("trigger accepted inside cooldown")
 	}
 	st := r.Stats()
@@ -137,10 +137,10 @@ func TestRecorderNilSafe(t *testing.T) {
 
 func TestSanitizeReason(t *testing.T) {
 	for in, want := range map[string]string{
-		"slo-page":     "slo-page",
-		"SLO Page!":    "slo-page-",
-		"":             "trigger",
-		"breaker open": "breaker-open",
+		"slo-page":   "slo-page",
+		"SLO Page!":  "slo-page-",
+		"":           "trigger",
+		"slo ticket": "slo-ticket",
 	} {
 		if got := sanitizeReason(in); got != want {
 			t.Errorf("sanitizeReason(%q) = %q, want %q", in, got, want)

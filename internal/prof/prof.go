@@ -13,9 +13,9 @@
 //
 //   - Recorder is an anomaly-triggered flight recorder: Trigger captures
 //     CPU/heap/goroutine profiles into a bounded on-disk ring of capture
-//     directories (oldest evicted), so when a health SLO burn alert or a
-//     circuit-breaker open fires, the profile from *inside* the fault
-//     window is already on disk when a human shows up. cmd/abd-node wires
+//     directories (oldest evicted), so when a health SLO burn alert fires,
+//     the profile from *inside* the fault window is already on disk when a
+//     human shows up. cmd/abd-node wires
 //     it behind -prof-dir; internal/nemesis triggers it from the harness's
 //     health monitor.
 //

@@ -276,9 +276,11 @@ func TestFlushDelayNeverWritesInline(t *testing.T) {
 }
 
 // TestCoalescingUnderContention: 32 senders on one idle-configured peer
-// (no FlushDelay) contend for the writer role, so most payloads queue and
+// (no FlushDelay) find the writer role taken, so their payloads queue and
 // the flusher batches them — the inline path must not have switched
-// batching off.
+// batching off. The test holds the role itself until a full batch has
+// queued: on one P the senders would otherwise never overlap, and each
+// would write inline, as designed.
 func TestCoalescingUnderContention(t *testing.T) {
 	server := listenT(t, Config{ID: 1, ListenAddr: "127.0.0.1:0"})
 	client := listenT(t, Config{ID: 100, Peers: map[types.NodeID]string{1: server.Addr()}})
@@ -286,8 +288,12 @@ func TestCoalescingUnderContention(t *testing.T) {
 	server.Dispatch(func(transport.Message) { handled.Add(1) })
 	_ = client.Send(1, []byte("warm"))
 	waitConn(t, client, 1)
+	client.mu.Lock()
+	ps := client.peers[1]
+	client.mu.Unlock()
 
 	const senders, each = 32, 200
+	ps.wmu.Lock()
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		wg.Add(1)
@@ -298,6 +304,13 @@ func TestCoalescingUnderContention(t *testing.T) {
 			}
 		}()
 	}
+	for deadline := time.Now().Add(5 * time.Second); len(ps.queue) < client.cfg.MaxBatch; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			ps.wmu.Unlock()
+			t.Fatalf("only %d payloads queued behind a held writer role", len(ps.queue))
+		}
+	}
+	ps.wmu.Unlock()
 	wg.Wait()
 	for deadline := time.Now().Add(10 * time.Second); handled.Load() < senders*each+1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {

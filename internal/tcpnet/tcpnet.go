@@ -36,7 +36,7 @@
 // single buffered write (up to MaxBatch payloads or ~1 MiB per flush). So
 // an idle peer costs no goroutine hand-off, and batching engages exactly
 // when senders contend: under load, syscalls and frame headers amortize
-// across the batch. Dialing, backoff, breaker probes and FlushDelay
+// across the batch. Dialing, the backoff check and FlushDelay
 // lingering never leave the flusher. Three rules hold on both routes: a
 // payload is never written ahead of one enqueued before it for the same
 // peer; a frame is never torn (a partial frame is completed or the
@@ -49,11 +49,14 @@
 // Self-healing: every flusher write carries a deadline (WriteTimeout), so a
 // stalled peer with a full TCP buffer can never wedge the flusher; failed
 // peers are redialed with exponential backoff plus jitter instead of
-// dial-per-send hammering; and each peer sits behind a circuit breaker
-// that opens after BreakerThreshold consecutive failures, fast-failing
-// sends (as loss) until a half-open probe succeeds. Breaker transitions
-// and suppressed sends are visible in Stats and, via cmd/abd-node, in
-// /metrics.
+// dial-per-send hammering. A failed dial or write doubles the peer's
+// backoff window (BackoffMin up to BackoffMax); until the window elapses,
+// a send that would have to dial reads as loss without touching the
+// network, and the first send after it dials again. A successful write,
+// or a connection accepted from the peer, clears the backoff. The
+// transport never judges a peer down: the protocol's quorum phases and
+// retransmission decide what loss means. Dial failures and suppressed
+// sends are visible in Stats and, via cmd/abd-node, in /metrics.
 package tcpnet
 
 import (
@@ -114,10 +117,6 @@ type Config struct {
 	// loss, so a dead peer costs one dial per backoff window rather than
 	// one per send.
 	BackoffMin, BackoffMax time.Duration
-	// BreakerThreshold is the number of consecutive failures after which a
-	// peer's circuit breaker opens (default 8; negative disables the
-	// breaker accounting, leaving only the dial backoff).
-	BreakerThreshold int
 	// SendQueueLen is the capacity of each peer's send queue (default 256).
 	// When the queue is full, Send blocks up to WriteTimeout (backpressure)
 	// and then counts the payload as loss.
@@ -138,13 +137,6 @@ type Config struct {
 	// (wire.PeekTrace) without decoding the protocol message.
 	Tracer obs.Tracer
 }
-
-// Breaker states, per peer.
-const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
-)
 
 // sendReq is one queued payload: the bytes, the enqueue time (flush-latency
 // histogram), and the span-emit hook (no-op when untraced).
@@ -178,10 +170,10 @@ type carry struct {
 }
 
 // peerState is the per-peer send queue plus connection cache and
-// failure-handling state. conn and the breaker fields are guarded by the
-// endpoint mutex. wmu is the peer's writer role: whoever holds it — an
-// inline Send or the peer's one flusher goroutine — is the only writer on
-// the connection.
+// backoff state. conn, backoff and nextTry are guarded by the endpoint
+// mutex. wmu is the peer's writer role: whoever holds it — an inline Send
+// or the peer's one flusher goroutine — is the only writer on the
+// connection.
 type peerState struct {
 	id    types.NodeID
 	queue chan sendReq
@@ -198,8 +190,6 @@ type peerState struct {
 	kick    chan struct{}
 
 	conn    net.Conn
-	fails   int
-	state   int
 	backoff time.Duration
 	nextTry time.Time
 }
@@ -237,10 +227,6 @@ type Endpoint struct {
 	writeFailures atomic.Int64
 	writeTimeouts atomic.Int64
 	suppressed    atomic.Int64
-	breakerOpens  atomic.Int64
-	breakerProbes atomic.Int64
-	breakerCloses atomic.Int64
-	breakersOpen  atomic.Int64
 	resets        atomic.Int64
 
 	batchSizes   obs.Histogram // payloads per flush (a count, not nanoseconds)
@@ -279,15 +265,12 @@ type Stats struct {
 	// missed the write deadline (stalled peer).
 	WriteFailures, WriteTimeouts int64
 	// SuppressedSends counts sends swallowed as loss without touching the
-	// network because the peer was backing off or its breaker was open.
+	// network because the peer was backing off.
 	SuppressedSends int64
-	// BreakerOpens/Probes/Closes count circuit-breaker transitions:
-	// closed→open after BreakerThreshold consecutive failures, open→
-	// half-open probe attempts, and half-open→closed recoveries.
-	BreakerOpens, BreakerProbes, BreakerCloses int64
-	// BreakersOpen is the current number of peers with an open or
-	// half-open breaker.
-	BreakersOpen int64
+	// BreakerOpens and BreakersOpen are always zero: the transport has no
+	// circuit breaker, only the dial backoff. They go together with the
+	// bench per-layer metric that still reads them.
+	BreakerOpens, BreakersOpen int64
 	// Resets counts connections torn down via ResetPeer (chaos injection).
 	Resets int64
 	// ConnsActive is the current number of cached connections.
@@ -317,10 +300,6 @@ func (e *Endpoint) Stats() Stats {
 		WriteFailures:   e.writeFailures.Load(),
 		WriteTimeouts:   e.writeTimeouts.Load(),
 		SuppressedSends: e.suppressed.Load(),
-		BreakerOpens:    e.breakerOpens.Load(),
-		BreakerProbes:   e.breakerProbes.Load(),
-		BreakerCloses:   e.breakerCloses.Load(),
-		BreakersOpen:    e.breakersOpen.Load(),
 		Resets:          e.resets.Load(),
 		ConnsActive:     active,
 	}
@@ -352,9 +331,6 @@ func Listen(cfg Config) (*Endpoint, error) {
 	}
 	if cfg.BackoffMax == 0 {
 		cfg.BackoffMax = 5 * time.Second
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 8
 	}
 	if cfg.SendQueueLen <= 0 {
 		cfg.SendQueueLen = 256
@@ -432,11 +408,9 @@ func (e *Endpoint) peerLocked(id types.NodeID) *peerState {
 	return ps
 }
 
-// noteFailure records one peer failure: the consecutive-failure counter
-// grows, the redial backoff doubles (with ±25% jitter), and at
-// BreakerThreshold the breaker opens. Caller holds e.mu.
+// noteFailure records one peer failure: the redial backoff doubles (with
+// ±25% jitter). Caller holds e.mu.
 func (e *Endpoint) noteFailureLocked(ps *peerState) {
-	ps.fails++
 	if ps.backoff == 0 {
 		ps.backoff = e.cfg.BackoffMin
 	} else {
@@ -447,26 +421,10 @@ func (e *Endpoint) noteFailureLocked(ps *peerState) {
 	}
 	jitter := 1 + (rand.Float64()-0.5)/2 // 0.75 .. 1.25
 	ps.nextTry = time.Now().Add(time.Duration(float64(ps.backoff) * jitter))
-	switch {
-	case ps.state == breakerHalfOpen:
-		// Failed probe: back to open, wait out another backoff window.
-		ps.state = breakerOpen
-	case ps.state == breakerClosed && e.cfg.BreakerThreshold > 0 && ps.fails >= e.cfg.BreakerThreshold:
-		ps.state = breakerOpen
-		e.breakerOpens.Add(1)
-		e.breakersOpen.Add(1)
-	}
 }
 
-// noteSuccess clears a peer's failure state, closing its breaker. Caller
-// holds e.mu.
+// noteSuccess clears a peer's backoff. Caller holds e.mu.
 func (e *Endpoint) noteSuccessLocked(ps *peerState) {
-	if ps.state != breakerClosed {
-		ps.state = breakerClosed
-		e.breakerCloses.Add(1)
-		e.breakersOpen.Add(-1)
-	}
-	ps.fails = 0
 	ps.backoff = 0
 	ps.nextTry = time.Time{}
 }
@@ -624,7 +582,7 @@ func (e *Endpoint) flushLoop(ps *peerState) {
 // flushBatch writes one coalesced batch to the peer: a lone payload goes
 // out in the classic single-envelope frame, several go out as one wire
 // batch frame. The caller holds the peer's writer role. The flusher passes
-// a nil inline connection: connection establishment and breaker gating
+// a nil inline connection: connection establishment and the backoff check
 // happen here, on its goroutine. An inline Send passes the live connection
 // it found, and its write never waits (writeFrame).
 func (e *Endpoint) flushBatch(ps *peerState, batch []sendReq, inline net.Conn) {
@@ -729,8 +687,8 @@ func (e *Endpoint) writeFrame(ps *peerState, conn net.Conn, bufp *[]byte, off in
 
 // connFor returns a connection to the peer, dialing if needed. A nil
 // connection with nil error means the batch should read as loss: the dial
-// failed, the peer is backing off / breaker-open (n payloads counted as
-// suppressed), or an accepted-connection-only peer went away.
+// failed, the peer is backing off (n payloads counted as suppressed), or
+// an accepted-connection-only peer went away.
 func (e *Endpoint) connFor(ps *peerState, n int64) (net.Conn, error) {
 	e.mu.Lock()
 	if c := ps.conn; c != nil {
@@ -743,17 +701,11 @@ func (e *Endpoint) connFor(ps *peerState, n int64) (net.Conn, error) {
 		e.mu.Unlock()
 		return nil, nil
 	}
-	// No cached connection: the breaker/backoff state gates the dial.
+	// No cached connection: the backoff window gates the dial.
 	if !ps.nextTry.IsZero() && time.Now().Before(ps.nextTry) {
 		e.suppressed.Add(n)
 		e.mu.Unlock()
 		return nil, nil
-	}
-	if ps.state == breakerOpen {
-		// Backoff elapsed on an open breaker: this attempt is the
-		// half-open probe.
-		ps.state = breakerHalfOpen
-		e.breakerProbes.Add(1)
 	}
 	e.mu.Unlock()
 
@@ -790,7 +742,7 @@ func (e *Endpoint) connFor(ps *peerState, n int64) (net.Conn, error) {
 }
 
 // ResetPeer tears down the cached connection to a peer, simulating a
-// connection reset (chaos.PeerResetter). The breaker state is untouched:
+// connection reset (chaos.PeerResetter). The backoff is untouched:
 // a reset is an injected fault, not evidence the peer is down. Returns
 // whether there was a connection to kill.
 func (e *Endpoint) ResetPeer(id types.NodeID) bool {
@@ -882,7 +834,7 @@ func (e *Endpoint) readLoop(conn net.Conn, peerHint types.NodeID) {
 		e.bytesRecv.Add(int64(8 + len(payload)))
 		if registered < 0 {
 			// Learn the peer so replies go back on this connection. An
-			// inbound connection is proof of life: close any breaker.
+			// inbound connection is proof of life: clear any backoff.
 			e.mu.Lock()
 			if !e.closed.Load() {
 				ps := e.peerLocked(from)

@@ -392,10 +392,11 @@ func TestWriteDeadlineUnblocksStalledPeer(t *testing.T) {
 	}
 }
 
-// TestBreakerLifecycle drives a peer's circuit breaker through
-// closed → open → half-open probe → closed and checks every transition is
-// visible in Stats.
-func TestBreakerLifecycle(t *testing.T) {
+// TestBackoffLifecycle: against a dead peer, dials are paced by the
+// backoff windows and the sends in between read as suppressed loss; once
+// the peer is back, delivery resumes on one live connection and nothing
+// more is suppressed.
+func TestBackoffLifecycle(t *testing.T) {
 	// Reserve an address with nothing behind it yet.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -404,95 +405,94 @@ func TestBreakerLifecycle(t *testing.T) {
 	addr := ln.Addr().String()
 	_ = ln.Close()
 
+	const backoffMin, backoffMax = 5 * time.Millisecond, 20 * time.Millisecond
 	client := listenT(t, Config{ID: 100,
-		Peers:            map[types.NodeID]string{1: addr},
-		DialTimeout:      200 * time.Millisecond,
-		BackoffMin:       5 * time.Millisecond,
-		BackoffMax:       20 * time.Millisecond,
-		BreakerThreshold: 3})
+		Peers:       map[types.NodeID]string{1: addr},
+		DialTimeout: 200 * time.Millisecond,
+		BackoffMin:  backoffMin,
+		BackoffMax:  backoffMax})
 
-	// Hammer the dead peer until the breaker opens. Each backoff window
-	// admits one dial, so pace slightly above BackoffMax.
-	deadline := time.After(10 * time.Second)
-	for client.Stats().BreakerOpens == 0 {
+	// Send to the dead peer far faster than any backoff window.
+	start := time.Now()
+	for time.Since(start) < 300*time.Millisecond {
 		if err := client.Send(1, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case <-deadline:
-			t.Fatalf("breaker never opened: %+v", client.Stats())
-		case <-time.After(25 * time.Millisecond):
-		}
+		time.Sleep(time.Millisecond)
 	}
+	elapsed := time.Since(start)
 	st := client.Stats()
-	if st.BreakersOpen != 1 {
-		t.Fatalf("open breaker gauge = %d, want 1 (%+v)", st.BreakersOpen, st)
+	if st.DialFailures == 0 || st.SuppressedSends == 0 {
+		t.Fatalf("dead peer: want dial failures and suppressed sends, got %+v", st)
 	}
-	if st.DialFailures < 3 {
-		t.Fatalf("breaker opened after %d dial failures, threshold 3", st.DialFailures)
+	// Every failure but the last opens a window of at least 3/4 of its
+	// backoff (BackoffMin doubling up to BackoffMax), and no dial starts
+	// inside one.
+	maxDials := int64(1)
+	for b, spent := backoffMin, time.Duration(0); ; maxDials++ {
+		spent += b * 3 / 4
+		if spent > elapsed {
+			break
+		}
+		b = min(2*b, backoffMax)
+	}
+	if st.DialFailures > maxDials {
+		t.Errorf("%d dial failures in %v, the backoff windows admit at most %d", st.DialFailures, elapsed, maxDials)
 	}
 
-	// With the breaker open, sends inside the backoff window are suppressed
-	// without touching the network. Sends are queued and flushed
-	// asynchronously now, so keep sending until suppression is observed.
-	fails := client.Stats().DialFailures
-	sent := int64(0)
-	deadline = time.After(10 * time.Second)
-	for client.Stats().SuppressedSends == 0 {
-		if err := client.Send(1, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		sent++
-		select {
-		case <-deadline:
-			t.Fatalf("no suppressed sends while breaker open: %+v", client.Stats())
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	st = client.Stats()
-	if got := st.DialFailures - fails; sent > 4 && got > sent/2 {
-		t.Errorf("breaker open but dials kept hammering: %d dial failures for %d sends", got, sent)
-	}
-
-	// Bring the peer up on the reserved address: the next probe closes the
-	// breaker and delivery resumes.
+	// Bring the peer up on the reserved address: the first dial after the
+	// current window connects and delivery resumes.
 	server, err := Listen(Config{ID: 1, ListenAddr: addr})
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
 	t.Cleanup(func() { _ = server.Close() })
-
-	deadline = time.After(10 * time.Second)
-	for {
-		if err := client.Send(1, []byte("probe")); err != nil {
+	deadline := time.After(10 * time.Second)
+	for delivered := false; !delivered; {
+		if err := client.Send(1, []byte("revived")); err != nil {
 			t.Fatal(err)
 		}
-		st = client.Stats()
-		if st.BreakerCloses >= 1 && st.BreakersOpen == 0 {
-			break
-		}
 		select {
+		case m := <-server.Recv():
+			if m.From != 100 {
+				t.Fatalf("server saw sender %v", m.From)
+			}
+			delivered = true
+		case <-time.After(5 * time.Millisecond):
 		case <-deadline:
-			t.Fatalf("breaker never closed: %+v", st)
-		case <-time.After(25 * time.Millisecond):
+			t.Fatalf("no delivery after the peer came back: %+v", client.Stats())
 		}
 	}
-	if st.BreakerProbes == 0 {
-		t.Errorf("breaker closed without a recorded probe: %+v", st)
+	st = client.Stats()
+	if st.ConnsActive != 1 {
+		t.Fatalf("revived peer: %d active connections, want 1 (%+v)", st.ConnsActive, st)
 	}
-	select {
-	case m := <-server.Recv():
-		if m.From != 100 {
-			t.Fatalf("server saw sender %v", m.From)
+
+	// With a live connection nothing is suppressed: every later send lands.
+	const later = 20
+	for i := 0; i < later; i++ {
+		if err := client.Send(1, []byte("after")); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no delivery after breaker closed")
+	}
+	for got := 0; got < later; {
+		select {
+		case m := <-server.Recv():
+			if string(m.Payload) == "after" {
+				got++
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d sends delivered after revival: %+v", got, later, client.Stats())
+		}
+	}
+	if now := client.Stats(); now.SuppressedSends != st.SuppressedSends || now.DialFailures != st.DialFailures {
+		t.Errorf("suppression continued on a live connection: %+v, then %+v", st, now)
 	}
 }
 
 // TestResetPeerKillsConnection covers the chaos hook: ResetPeer drops the
-// cached connection but leaves the breaker closed, so the next send
-// redials immediately.
+// cached connection but starts no backoff, so the next send redials
+// immediately.
 func TestResetPeerKillsConnection(t *testing.T) {
 	server := listenT(t, Config{ID: 1, ListenAddr: "127.0.0.1:0"})
 	client := listenT(t, Config{ID: 100, Peers: map[types.NodeID]string{1: server.Addr()}})
