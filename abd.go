@@ -157,8 +157,8 @@ type LatencySnapshot = core.LatencySnapshot
 
 // Tracer re-exports the span sink interface. Attach one to a client with
 // core.WithTracer (or cluster-wide with WithStoreTracer, which tags each
-// shard's spans) to stream per-operation and per-phase spans; obs.NewRing
-// and obs.NewJSONL are the built-in sinks.
+// shard's spans) to stream per-operation and per-phase spans;
+// obs.NewCollector and obs.NewJSONL are the built-in sinks.
 type Tracer = obs.Tracer
 
 // Span re-exports the traced span record.
@@ -166,7 +166,8 @@ type Span = obs.Span
 
 // HealthStatus re-exports the live introspection snapshot returned by
 // Cluster.Health and Store.Health: hot keys, replica lag watermarks, SLO
-// burn state, and raised alerts (see internal/health).
+// burn state, raised alerts and the Byzantine verdict (see internal/health
+// and core.Fleet).
 type HealthStatus = health.Status
 
 // SLO re-exports the health layer's objective configuration; pass one to

@@ -307,32 +307,26 @@ func (c *Cluster) Replica(i int) *core.Replica { return c.replicas[i] }
 // NetStats returns the simulated network's counters.
 func (c *Cluster) NetStats() netsim.Stats { return c.net.Stats() }
 
-// Latency merges every cluster client's and store's latency histograms
-// into one fleet-wide snapshot (see core.Client.Latency). The merge is
-// exact: quantiles of the result are quantiles over the union of all
-// samples, up to the histograms' bucket resolution.
-func (c *Cluster) Latency() core.LatencySnapshot {
-	var out core.LatencySnapshot
-	for _, cli := range c.clients {
-		out = out.Merge(cli.Latency())
-	}
+// fleet is every client the cluster created: its plain clients and every
+// store's group clients.
+func (c *Cluster) fleet() core.Fleet {
+	f := append(core.Fleet(nil), c.clients...)
 	for _, st := range c.stores {
-		out = out.Merge(st.Latency())
+		f = append(f, st.Clients()...)
 	}
-	return out
+	return f
 }
 
+// Latency merges every cluster client's and store's latency histograms
+// into one fleet-wide snapshot (see core.Fleet.Latency).
+func (c *Cluster) Latency() core.LatencySnapshot { return c.fleet().Latency() }
+
 // Metrics merges every cluster client's and store's operation counters.
-func (c *Cluster) Metrics() core.MetricsSnapshot {
-	var out core.MetricsSnapshot
-	for _, cli := range c.clients {
-		out = out.Merge(cli.Metrics())
-	}
-	for _, st := range c.stores {
-		out = out.Merge(st.Metrics())
-	}
-	return out
-}
+func (c *Cluster) Metrics() core.MetricsSnapshot { return c.fleet().Metrics() }
+
+// HotKeys merges every cluster client's and store's hot-key sketch into
+// one fleet-wide top-k list (k <= 0 keeps everything).
+func (c *Cluster) HotKeys(k int) []health.HotKey { return c.fleet().HotKeys(k) }
 
 // SetSLO replaces the objective Health tracks (and resets its burn
 // history). Without a call, Health tracks health.DefaultSLO.
@@ -346,25 +340,13 @@ func (c *Cluster) SetSLO(slo health.SLO) {
 // plenty for the workbench's keyspaces while keeping the report small.
 const healthWatermarkLimit = 128
 
-// HotKeys merges every cluster client's and store's hot-key sketch into
-// one fleet-wide top-k list (k <= 0 keeps everything).
-func (c *Cluster) HotKeys(k int) []health.HotKey {
-	var lists [][]health.HotKey
-	for _, cli := range c.clients {
-		lists = append(lists, cli.HotKeys(0))
-	}
-	for _, st := range c.stores {
-		lists = append(lists, st.HotKeys(0))
-	}
-	return health.MergeHotKeys(k, lists...)
-}
-
-// Health returns the cluster's live health view: fleet-merged hot keys,
-// per-replica lag against each group's quorum-confirmed tag watermarks,
-// and the SLO burn state over all clients' latencies and failure counters.
-// Each call ingests the current counters into the sliding burn windows, so
-// poll it periodically; the first call only seeds the baseline. Like
-// Latency and Metrics, Health must not race Client/Store creation.
+// Health returns the cluster's live health view: the client fleet's hot
+// keys, SLO burn state and Byzantine verdict (core.Fleet.Health, over
+// every plain client and store), plus per-replica lag against each group's
+// quorum-confirmed tag watermarks. Each call ingests the current counters
+// into the sliding burn windows, so poll it periodically; the first call
+// only seeds the baseline. Like Latency and Metrics, Health must not race
+// Client/Store creation.
 func (c *Cluster) Health() health.Status {
 	c.healthMu.Lock()
 	if c.tracker == nil {
@@ -373,55 +355,13 @@ func (c *Cluster) Health() health.Status {
 	tr := c.tracker
 	c.healthMu.Unlock()
 
-	now := time.Now()
-	m := c.Metrics()
-	lat := c.Latency()
-	total, bad := tr.SLO().Cut(lat.Read.Merge(lat.Write), m.ReadFails+m.WriteFails)
-	tr.Ingest(now, total, bad)
-	slo, _ := tr.Evaluate(now)
-
-	// Per-group lag, concatenated: groups are independent ABD instances,
-	// so "behind the quorum" is only meaningful within a group.
-	lag := health.LagReport{Quorum: c.perGroup/2 + 1}
-	for g := 0; g < c.groups; g++ {
-		reports := make([]health.ReplicaTags, 0, c.perGroup)
-		for i := g * c.perGroup; i < (g+1)*c.perGroup; i++ {
-			reports = append(reports, c.replicas[i].TagWatermarks(healthWatermarkLimit))
-		}
-		gl := health.ComputeLag(reports, c.perGroup/2+1, 5)
-		lag.Replicas = append(lag.Replicas, gl.Replicas...)
-		lag.Registers = append(lag.Registers, gl.Registers...)
+	st, _ := c.fleet().Health(tr, time.Now())
+	groups := make([][]health.ReplicaTags, c.groups)
+	for i, r := range c.replicas {
+		groups[i/c.perGroup] = append(groups[i/c.perGroup], r.TagWatermarks(healthWatermarkLimit))
 	}
-
-	var hotTotal int64
-	for _, cli := range c.clients {
-		hotTotal += cli.HotKeyTotal()
-	}
-	for _, st := range c.stores {
-		hotTotal += st.HotKeyTotal()
-	}
-
-	st := health.Status{
-		HotKeys:     c.HotKeys(10),
-		HotKeyTotal: hotTotal,
-		Lag:         &lag,
-		SLO:         &slo,
-		Alerts:      tr.Raised(),
-	}
-	byz := &health.ByzStatus{
-		Suspects:    make(map[int64]int64),
-		Unconfirmed: m.ByzUnconfirmed,
-		MaskRetries: m.MaskRetries,
-	}
-	for _, cli := range c.clients {
-		byz.ToleratedFaults = max(byz.ToleratedFaults, int64(cli.ByzantineF()))
-		for id, n := range cli.Suspects() {
-			byz.Suspects[int64(id)] += n
-		}
-	}
-	if byz.ToleratedFaults > 0 {
-		st.Byzantine = byz
-	}
+	lag := health.GroupLag(groups, c.perGroup/2+1, 5)
+	st.Lag = &lag
 	return st
 }
 

@@ -52,46 +52,25 @@ func newNodeHealth(replica *core.Replica, ep *tcpnet.Endpoint, prober *core.Clie
 	}
 }
 
-// status samples the node's cumulative counters into one health.Status.
-// Each call ingests the probe client's current totals into the SLO
-// tracker, so scraping /status (or /metrics) at any cadence yields
+// status samples the node's cumulative counters into one health.Status:
+// the embedded probe client's hot keys, SLO burn state and Byzantine
+// verdict (core.Fleet.Health), plus the node's id, uptime and replica
+// watermarks. Each call ingests the probe client's current totals into the
+// SLO tracker, so scraping /status (or /metrics) at any cadence yields
 // correct sliding-window burn rates.
 func (h *nodeHealth) status() health.Status {
-	st := health.Status{
-		Node:          int64(h.replica.ID()),
-		UptimeSeconds: time.Since(h.start).Seconds(),
+	var st health.Status
+	if h.prober != nil {
+		h.mu.Lock()
+		var fresh []health.Alert
+		st, fresh = core.Fleet{h.prober}.Health(h.tracker, time.Now())
+		h.pending = append(h.pending, fresh...)
+		h.mu.Unlock()
 	}
+	st.Node = int64(h.replica.ID())
+	st.UptimeSeconds = time.Since(h.start).Seconds()
 	wm := h.replica.TagWatermarks(watermarkLimit)
 	st.Watermarks = &wm
-
-	if h.prober != nil {
-		st.HotKeys = h.prober.HotKeys(10)
-		st.HotKeyTotal = h.prober.HotKeyTotal()
-
-		now := time.Now()
-		lat := h.prober.Latency()
-		m := h.prober.Metrics()
-		h.mu.Lock()
-		total, bad := h.tracker.SLO().Cut(lat.Read.Merge(lat.Write), m.ReadFails+m.WriteFails)
-		h.tracker.Ingest(now, total, bad)
-		slo, fresh := h.tracker.Evaluate(now)
-		h.pending = append(h.pending, fresh...)
-		st.Alerts = h.tracker.Raised()
-		h.mu.Unlock()
-		st.SLO = &slo
-
-		if f := h.prober.ByzantineF(); f > 0 {
-			st.Byzantine = &health.ByzStatus{
-				ToleratedFaults: int64(f),
-				Suspects:        make(map[int64]int64),
-				Unconfirmed:     m.ByzUnconfirmed,
-				MaskRetries:     m.MaskRetries,
-			}
-			for id, n := range h.prober.Suspects() {
-				st.Byzantine.Suspects[int64(id)] = n
-			}
-		}
-	}
 	return st
 }
 

@@ -48,9 +48,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -288,7 +286,7 @@ func newNodeMux(nh *nodeHealth, spans *obs.Collector, pprofOn bool) *http.ServeM
 // probe operations are traced end to end, so a node group with -trace-out
 // (or the /spans endpoint) continuously self-samples its own critical path.
 func startProber(id types.NodeID, peersSpec string, interval time.Duration, byz int, tracer obs.Tracer) (*core.Client, *tcpnet.Endpoint, error) {
-	peers, order, err := parsePeers(peersSpec)
+	peers, order, err := tcpnet.ParsePeers(peersSpec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -328,32 +326,6 @@ func startProber(id types.NodeID, peersSpec string, interval time.Duration, byz 
 		}
 	}()
 	return cli, ep, nil
-}
-
-// parsePeers parses "0=host:port,1=host:port"; replica order (and quorum
-// indexing) is ascending id, matching abd-cli.
-func parsePeers(s string) (map[types.NodeID]string, []types.NodeID, error) {
-	peers := make(map[types.NodeID]string)
-	for _, part := range strings.Split(s, ",") {
-		idS, addr, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, nil, fmt.Errorf("bad peer %q (want id=host:port)", part)
-		}
-		id, err := strconv.Atoi(idS)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bad peer id %q: %w", idS, err)
-		}
-		if _, dup := peers[types.NodeID(id)]; dup {
-			return nil, nil, fmt.Errorf("duplicate peer id %d", id)
-		}
-		peers[types.NodeID(id)] = addr
-	}
-	order := make([]types.NodeID, 0, len(peers))
-	for id := range peers {
-		order = append(order, id)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	return peers, order, nil
 }
 
 // nodeGatherer exposes the probe client's latency histograms, the replica's

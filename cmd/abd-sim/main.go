@@ -173,7 +173,7 @@ func run() int {
 	var mu sync.Mutex
 
 	nextID := types.NodeID(10000)
-	var allClients []*core.Client
+	var allClients core.Fleet
 	mkClient := func() (*core.Client, error) {
 		id := nextID
 		nextID++
@@ -255,10 +255,7 @@ func run() int {
 
 	// Latency profile, merged over every client's obs histograms. Only
 	// completed operations record, so the pending ops above are absent.
-	var lat core.LatencySnapshot
-	for _, cli := range allClients {
-		lat = lat.Merge(cli.Latency())
-	}
+	lat := allClients.Latency()
 	row := func(kind string, s obs.HistSnapshot) {
 		if s.Count == 0 {
 			return
@@ -292,17 +289,9 @@ func run() int {
 		fmt.Printf("abd-sim: history (%d ops) written to %s\n", len(histOps), *out)
 	}
 
-	if *byz > 0 {
-		var m core.MetricsSnapshot
-		suspects := make(map[types.NodeID]int64)
-		for _, cli := range allClients {
-			m = m.Merge(cli.Metrics())
-			for id, k := range cli.Suspects() {
-				suspects[id] += k
-			}
-		}
+	if b := allClients.Byzantine(); b != nil {
 		fmt.Printf("abd-sim: byzantine validation (f=%d): suspects=%v unconfirmed=%d mask_retries=%d\n",
-			*byz, suspects, m.ByzUnconfirmed, m.MaskRetries)
+			b.ToleratedFaults, b.Suspects, b.Unconfirmed, b.MaskRetries)
 	}
 
 	if *check {
@@ -383,7 +372,7 @@ func runNemesis(n, groups, writers, readers, ops, regs int, seed int64, byz int,
 	if res.Byzantine > 0 {
 		fmt.Printf("abd-sim: byzantine (f=%d): lies=%d muted=%d suspects=%v unconfirmed=%d mask_retries=%d\n",
 			res.Byzantine, res.Lies, res.Muted,
-			res.Health.ByzSuspects, res.Client.ByzUnconfirmed, res.Client.MaskRetries)
+			res.Health.Byzantine.Suspects, res.Client.ByzUnconfirmed, res.Client.MaskRetries)
 	}
 	fmt.Printf("abd-sim: traces: %d spans (%d dropped), stitch %d/%d (%.1f%%) across %d traces\n",
 		len(res.Spans), res.SpansDropped, res.Stitch.Stitched, res.Stitch.Total,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/health"
 )
 
@@ -101,5 +102,45 @@ func TestStoreHealthSLOAndHotKeys(t *testing.T) {
 	}
 	if st.Lag != nil {
 		t.Fatalf("store health has no replica view, Lag must be nil: %+v", st.Lag)
+	}
+}
+
+// TestByzantineStoreLiarNamedInHealth is the operator question "is anyone
+// lying" asked of a Store's clients: a Byzantine Store catches replica 4
+// going back from what it reported honestly, and both the Store's and the
+// Cluster's health name it. The store's client cannot reach replica 0, so
+// every quorum it assembles holds the liar's reply.
+func TestByzantineStoreLiarNamedInHealth(t *testing.T) {
+	cluster, err := NewCluster(5, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	liar := core.NewLiar(4, 1)
+	cluster.Net().SetInterceptor(4, liar.Intercept)
+	store := cluster.Store(WithByzantine(1))
+	cluster.Net().BlockLink(store.Group(0).ID(), 0)
+	ctx := testCtx(t)
+
+	for i := 0; i < 3; i++ {
+		if err := store.Write(ctx, "x", []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	liar.SetMode(core.ByzStale)
+	for i := 0; i < 3; i++ {
+		if got, err := store.Read(ctx, "x"); err != nil || string(got) != "v2" {
+			t.Fatalf("read = %q, %v; want v2", got, err)
+		}
+	}
+
+	for name, st := range map[string]health.Status{"store": store.Health(), "cluster": cluster.Health()} {
+		b := st.Byzantine
+		if b == nil {
+			t.Fatalf("%s health has no byzantine block", name)
+		}
+		if b.ToleratedFaults != 1 || len(b.Suspects) != 1 || b.Suspects[4] == 0 {
+			t.Fatalf("%s health byzantine = %+v, want f=1 and only replica 4 suspected", name, b)
+		}
 	}
 }

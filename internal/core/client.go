@@ -172,14 +172,6 @@ func (c *Client) Metrics() MetricsSnapshot { return c.metrics.snapshot() }
 // histograms. Histograms are always on; only completed operations record.
 func (c *Client) Latency() LatencySnapshot { return c.lat.snapshot() }
 
-// HotKeys returns the client's hottest registers by attempted operation
-// count (reads and writes, including failed ones), from an always-on
-// space-saving sketch. k <= 0 returns every tracked key.
-func (c *Client) HotKeys(k int) []health.HotKey { return c.hot.Top(k) }
-
-// HotKeyTotal returns how many operations the hot-key sketch has seen.
-func (c *Client) HotKeyTotal() int64 { return c.hot.Total() }
-
 // ByzantineF returns the number of lying replicas the client's read
 // validation tolerates (WithByzantine), 0 when validation is off.
 func (c *Client) ByzantineF() int { return c.f }

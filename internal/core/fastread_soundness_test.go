@@ -45,8 +45,8 @@ func TestFastReadIffHoldersCoverWriteQuorum(t *testing.T) {
 		t.Run(tc.sys.Name(), func(t *testing.T) {
 			n := tc.sys.Size()
 			c := newTestCluster(t, n, netsim.Config{Seed: int64(80 + si), MaxDelay: 200 * time.Microsecond})
-			ring := obs.NewRing(64)
-			r := c.client(append([]ClientOption{WithQuorum(tc.sys), WithTracer(ring)}, tc.opts...)...)
+			col := obs.NewCollector(0)
+			r := c.client(append([]ClientOption{WithQuorum(tc.sys), WithTracer(col)}, tc.opts...)...)
 			ctx := shortCtx(t)
 			rng := rand.New(rand.NewSource(int64(si)))
 			tag := Tag{Valid: true, TS: timestamp.TS{Seq: 1, Writer: 7}}
@@ -71,7 +71,7 @@ func TestFastReadIffHoldersCoverWriteQuorum(t *testing.T) {
 				m := r.Metrics()
 
 				var holders quorum.Set
-				for _, sp := range ring.Spans() {
+				for _, sp := range col.Spans() {
 					if sp.Kind == "phase" && sp.Phase == "query" && sp.Reg == reg {
 						for id := range sp.ReplicaRTT {
 							if installed.Has(int(id)) {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"sync/atomic"
+	"time"
 
+	"repro/internal/health"
 	"repro/internal/obs"
 )
 
@@ -163,6 +165,76 @@ func (s LatencySnapshot) Merge(o LatencySnapshot) LatencySnapshot {
 		PhaseUpdate: s.PhaseUpdate.Merge(o.PhaseUpdate),
 		ReadRounds:  s.ReadRounds.Merge(o.ReadRounds),
 	}
+}
+
+// Fleet is a set of clients read as one: a Cluster's clients and stores, a
+// Store's group clients, the nemesis workload, a node's prober. Every
+// fleet-wide health number is computed here, so each host adds only what it
+// alone can see (node id, uptime, replica watermarks, lag).
+type Fleet []*Client
+
+// Metrics sums the clients' operation counters.
+func (f Fleet) Metrics() (out MetricsSnapshot) {
+	for _, c := range f {
+		out = out.Merge(c.Metrics())
+	}
+	return out
+}
+
+// Latency merges the clients' latency histograms, exactly up to the
+// histograms' bucket resolution.
+func (f Fleet) Latency() (out LatencySnapshot) {
+	for _, c := range f {
+		out = out.Merge(c.Latency())
+	}
+	return out
+}
+
+// HotKeys merges the clients' hot-key sketches — always on, counting every
+// attempted read and write — into one top-k list (k <= 0 keeps all).
+func (f Fleet) HotKeys(k int) []health.HotKey {
+	lists := make([][]health.HotKey, len(f))
+	for i, c := range f {
+		lists[i] = c.hot.Top(0)
+	}
+	return health.MergeHotKeys(k, lists...)
+}
+
+// Byzantine is the fleet's read-validation verdict: the largest tolerated
+// f, every client's Suspects summed per replica, and the summed unconfirmed
+// rounds and mask retries. It is nil when no client validates reads.
+func (f Fleet) Byzantine() *health.ByzStatus {
+	b := &health.ByzStatus{Suspects: make(map[int64]int64)}
+	for _, c := range f {
+		m := c.Metrics()
+		b.ToleratedFaults = max(b.ToleratedFaults, int64(c.f))
+		b.Unconfirmed += m.ByzUnconfirmed
+		b.MaskRetries += m.MaskRetries
+		for id, n := range c.Suspects() {
+			b.Suspects[int64(id)] += n
+		}
+	}
+	if b.ToleratedFaults == 0 {
+		return nil
+	}
+	return b
+}
+
+// Health takes one SLO sample of the fleet — its cumulative latency and
+// failure counters go into tr, whose burn windows are evaluated as of now
+// — and returns it with the top-10 hot keys and the Byzantine verdict,
+// plus the alerts this evaluation raised (rising edges only). Poll it
+// periodically; the first call only seeds the baseline.
+func (f Fleet) Health(tr *health.Tracker, now time.Time) (health.Status, []health.Alert) {
+	m, lat := f.Metrics(), f.Latency()
+	total, bad := tr.SLO().Cut(lat.Read.Merge(lat.Write), m.ReadFails+m.WriteFails)
+	tr.Ingest(now, total, bad)
+	slo, fresh := tr.Evaluate(now)
+	st := health.Status{HotKeys: f.HotKeys(10), SLO: &slo, Alerts: tr.Raised(), Byzantine: f.Byzantine()}
+	for _, c := range f {
+		st.HotKeyTotal += c.hot.Total()
+	}
+	return st, fresh
 }
 
 func (l *latencySet) snapshot() LatencySnapshot {

@@ -70,17 +70,17 @@ func TestLatencyHistogramsRecord(t *testing.T) {
 // operation root spans with phase children linked via Parent, phase spans
 // carrying quorum detail and per-replica RTTs.
 func TestTracerSpans(t *testing.T) {
-	ring := obs.NewRing(64)
+	col := obs.NewCollector(0)
 	c := newTestCluster(t, 3, netsim.Config{Seed: 22})
 	// Two-phase read pinned: the span-tree shape below includes the
 	// write-back the fast path would skip.
-	cli := c.client(WithTracer(ring), WithReadMode(ReadTwoPhase))
+	cli := c.client(WithTracer(col), WithReadMode(ReadTwoPhase))
 	ctx := shortCtx(t)
 
 	mustWrite(t, ctx, cli, "x", "v")
 	_ = mustRead(t, ctx, cli, "x")
 
-	spans := ring.Spans()
+	spans := col.Spans()
 	// write = query + update + root; read = query + write-back + root.
 	if len(spans) != 6 {
 		t.Fatalf("got %d spans, want 6: %+v", len(spans), spans)
@@ -146,9 +146,9 @@ func TestTracerSpans(t *testing.T) {
 // TestTracerSpansOnError: a phase that cannot assemble a quorum still emits
 // its span, marked with the error, as does the operation root.
 func TestTracerSpansOnError(t *testing.T) {
-	ring := obs.NewRing(16)
+	col := obs.NewCollector(0)
 	c := newTestCluster(t, 3, netsim.Config{Seed: 23})
-	cli := c.client(WithTracer(ring))
+	cli := c.client(WithTracer(col))
 
 	// Majority down: no quorum can form.
 	c.net.Crash(0)
@@ -159,7 +159,7 @@ func TestTracerSpansOnError(t *testing.T) {
 		t.Fatal("read with crashed majority should fail")
 	}
 
-	spans := ring.Spans()
+	spans := col.Spans()
 	if len(spans) != 2 { // failed query phase + failed read root
 		t.Fatalf("got %d spans, want 2: %+v", len(spans), spans)
 	}

@@ -137,7 +137,7 @@ func WithByzantine(f int) ClientOption {
 // default is no tracer: spans cost nothing unless one is attached. Latency
 // histograms (Latency) are always on regardless.
 //
-// Sinks in internal/obs: NewRing for tests and tools, NewJSONL for offline
+// Sinks in internal/obs: NewCollector in memory, NewJSONL for offline
 // analysis, Multi to fan out. A nil t keeps tracing disabled.
 func WithTracer(t obs.Tracer) ClientOption {
 	return func(c *Client) { c.tracer = t }

@@ -52,12 +52,11 @@ import (
 // state can no longer be trusted, so the open fails with ErrLogCorrupt
 // instead of silently rejoining with wrong data. So does a frame that only
 // looks torn because its length field, which the checksum does not cover,
-// is damaged (lengthDamaged). A torn tail is truncated away. v1 logs (no magic, no checksums) are detected and atomically
-// rewritten as v2 on open.
+// is damaged (lengthDamaged). A torn tail is truncated away. A non-empty
+// file without the magic header is not a log: its open fails with
+// ErrLogCorrupt.
 
-// persistMagic identifies a v2 log. Its first byte (0xAB) can never start
-// a v1 record: v1 began with a 4-byte big-endian length below 64 MiB, so
-// its first byte was always small.
+// persistMagic identifies a v2 log.
 const persistMagic = "\xABDWAL2\x00\x00"
 
 const (
@@ -178,84 +177,69 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// loadLog reads every intact record from the log at path. It reports the
-// detected version (0 for a missing or empty file), and cleanLen — the
-// byte offset after the last intact record, i.e. where a zero or torn tail
-// begins (cleanLen == file size when the log is whole). A v2 checksum
-// mismatch that is not a torn write returns ErrLogCorrupt.
-func loadLog(path string) (recs []record, version int, cleanLen int64, err error) {
+// loadLog reads every intact record from the log at path. It reports
+// cleanLen — the byte offset after the last intact record, i.e. where a
+// zero or torn tail begins (cleanLen == file size when the log is whole; 0
+// for a missing or empty file). A non-empty file that does not start with
+// the magic header, and a checksum mismatch that is not a torn write,
+// return ErrLogCorrupt.
+func loadLog(path string) (recs []record, cleanLen int64, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, 0, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("core: open persistence log: %w", err)
+		return nil, 0, fmt.Errorf("core: open persistence log: %w", err)
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 64<<10)
 
-	header := make([]byte, 8) // v2: length + crc
 	magic, _ := br.Peek(len(persistMagic))
 	switch {
 	case len(magic) == 0:
-		return nil, 0, 0, nil
-	case string(magic) == persistMagic:
-		version, cleanLen = 2, int64(len(magic))
-		br.Discard(len(magic)) // just peeked: cannot fail
-	default:
-		// No magic: a v1 log, parsed from the start with the legacy framing.
-		version = 1
-		header = header[:4] // v1: length only
+		return nil, 0, nil
+	case string(magic) != persistMagic:
+		return nil, 0, ErrLogCorrupt
 	}
+	cleanLen = int64(len(magic))
+	br.Discard(len(magic)) // just peeked: cannot fail
 
-	var frame []byte // one framed record, reused: decodeRecord copies out of it
+	header := make([]byte, 8) // length + crc
+	var frame []byte          // one framed record, reused: decodeRecord copies out of it
 	for {
-		if _, err := io.ReadFull(br, header); err != nil {
-			break // EOF or torn header
-		}
-		if version == 2 && allZero(header) {
-			break // the zero tail
+		if _, err := io.ReadFull(br, header); err != nil || allZero(header) {
+			break // EOF, a torn header or the zero tail
 		}
 		bodyLen := binary.BigEndian.Uint32(header[:4])
 		if bodyLen > 64<<20 {
-			if version == 2 {
-				// Not a tear: a write that lost sectors over zeros can
-				// only shrink a length. The log is damaged.
-				return nil, version, cleanLen, ErrLogCorrupt
-			}
-			break // v1: stop at the anomaly as before
+			// Not a tear: a write that lost sectors over zeros can only
+			// shrink a length. The log is damaged.
+			return nil, cleanLen, ErrLogCorrupt
 		}
 		frame = append(append(frame[:0], header...), make([]byte, bodyLen)...)
 		body := frame[len(header):]
 		n, err := io.ReadFull(br, body)
-		if version == 2 {
-			crc := binary.BigEndian.Uint32(header[4:8])
-			if err != nil || crc32.ChecksumIEEE(body) != crc {
-				// Not an intact record. It is a torn tail — the record
-				// never finished hitting the disk — if the file's end cut
-				// it short or a sector of it is still zero, and the log
-				// is damaged otherwise.
-				if (err != nil || tornOverZeros(cleanLen, frame)) && !lengthDamaged(body[:n], crc) {
-					break
-				}
-				return nil, version, cleanLen, ErrLogCorrupt
+		crc := binary.BigEndian.Uint32(header[4:8])
+		if err != nil || crc32.ChecksumIEEE(body) != crc {
+			// Not an intact record. It is a torn tail — the record never
+			// finished hitting the disk — if the file's end cut it short
+			// or a sector of it is still zero, and the log is damaged
+			// otherwise.
+			if (err != nil || tornOverZeros(cleanLen, frame)) && !lengthDamaged(body[:n], crc) {
+				break
 			}
-		} else if err != nil {
-			break // v1 torn tail
+			return nil, cleanLen, ErrLogCorrupt
 		}
 		rec, _, err := decodeRecord(body)
 		if err != nil {
-			if version == 2 {
-				// The checksum passed but the body does not decode: the
-				// record was written damaged. Same verdict as bit-rot.
-				return nil, version, cleanLen, ErrLogCorrupt
-			}
-			break
+			// The checksum passed but the body does not decode: the
+			// record was written damaged. Same verdict as bit-rot.
+			return nil, cleanLen, ErrLogCorrupt
 		}
 		recs = append(recs, rec)
 		cleanLen += int64(len(frame))
 	}
-	return recs, version, cleanLen, nil
+	return recs, cleanLen, nil
 }
 
 // writeLog writes a fresh v2 log holding recs and tail zero bytes to a
@@ -314,20 +298,20 @@ func syncDir(path string) error {
 	return nil
 }
 
-// openPersister opens (or creates) the log at path, normalizing it to the
-// v2 format, and returns the replayed records: a new or empty file gets
-// the magic header; a v1 log is rewritten in place as v2; a v2 log is cut
+// openPersister opens (or creates) the log at path and returns the
+// replayed records: a new or empty file gets the magic header; a log is cut
 // back to its last intact record — dropping the zero tail and whatever a
-// crash tore — so later appends land on a clean boundary. Mid-log
-// corruption surfaces as ErrLogCorrupt. Nothing is zero-filled here: the
-// first append does that.
+// crash tore — so later appends land on a clean boundary. A file without
+// the magic header and mid-log corruption surface as ErrLogCorrupt, with
+// the file left as it was. Nothing is zero-filled here: the first append
+// does that.
 func openPersister(path string, syncEach bool) (*persister, []record, error) {
-	recs, version, cleanLen, err := loadLog(path)
+	recs, cleanLen, err := loadLog(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	var f *os.File
-	if version == 2 {
+	if cleanLen > 0 {
 		if f, err = os.OpenFile(path, os.O_RDWR, 0o644); err != nil {
 			return nil, nil, fmt.Errorf("core: open persistence log: %w", err)
 		}
@@ -335,8 +319,8 @@ func openPersister(path string, syncEach bool) (*persister, []record, error) {
 			err = fmt.Errorf("core: persistence truncate torn tail: %w", err)
 		}
 	} else {
-		// New, empty, or v1: (re)write as v2.
-		if f, cleanLen, err = writeLog(path, recs, 0); err != nil {
+		// New or empty: write the magic header.
+		if f, cleanLen, err = writeLog(path, nil, 0); err != nil {
 			return nil, nil, err
 		}
 		err = syncDir(path)

@@ -162,14 +162,15 @@ func TestPersistDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestPersistUpgradesV1Log replays a checksum-less legacy log and rewrites
-// it in place as v2, so old deployments keep their state across the format
-// change.
-func TestPersistUpgradesV1Log(t *testing.T) {
+// TestPersistRejectsLogWithoutMagic: a non-empty file that does not start
+// with the log's magic header is not a log this replica wrote — a
+// checksum-less legacy log, or some other file named by mistake. Opening
+// it fails with ErrLogCorrupt and leaves it byte-identical.
+func TestPersistRejectsLogWithoutMagic(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "legacy.wal")
 
-	// Hand-write a v1 log: [4-byte len][body] records, no magic, no CRC.
+	// A legacy-framed log: [4-byte len][body] records, no magic, no CRC.
 	var raw []byte
 	for i := 1; i <= 2; i++ {
 		rec := record{reg: "x", tag: Tag{Valid: true}, val: []byte(fmt.Sprintf("v%d", i))}
@@ -186,33 +187,21 @@ func TestPersistUpgradesV1Log(t *testing.T) {
 
 	net := netsim.New(netsim.Config{Seed: 76})
 	defer net.Close()
-	r, err := NewPersistentReplica(0, net.Node(0), logPath)
-	if err != nil {
-		t.Fatal(err)
+	if r, err := NewPersistentReplica(0, net.Node(0), logPath); !errors.Is(err, ErrLogCorrupt) {
+		if r != nil {
+			r.Stop()
+		}
+		t.Fatalf("open of a log without magic: err = %v, want ErrLogCorrupt", err)
 	}
-	tag, val := r.State("x")
-	if !tag.Valid || tag.TS.Seq != 2 || string(val) != "v2" {
-		t.Fatalf("v1 replay got %q@%d", val, tag.TS.Seq)
-	}
-	r.Stop()
-
-	// The file now starts with the v2 magic and replays identically.
 	data, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) < 8 || string(data[:8]) != persistMagic {
-		t.Fatal("log was not upgraded to v2")
+	if !bytes.Equal(data, raw) {
+		t.Fatalf("rejected log was modified: %d bytes, was %d", len(data), len(raw))
 	}
-	net2 := netsim.New(netsim.Config{Seed: 77})
-	defer net2.Close()
-	r2, err := NewPersistentReplica(0, net2.Node(0), logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Stop()
-	if tag, val := r2.State("x"); tag.TS.Seq != 2 || string(val) != "v2" {
-		t.Fatalf("v2 re-replay got %q@%d", val, tag.TS.Seq)
+	if _, err := os.Stat(logPath + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("rejected open left a temporary file: %v", err)
 	}
 }
 
@@ -866,7 +855,7 @@ func TestCompactFailureKeepsOldLog(t *testing.T) {
 	if err := p.appendBatch([]record{xrec(3)}); err != nil {
 		t.Fatal(err)
 	}
-	if recs, _, _, err := loadLog(logPath); err != nil || sameRecords(recs, []record{xrec(1), xrec(2), xrec(3)}) != nil {
+	if recs, _, err := loadLog(logPath); err != nil || sameRecords(recs, []record{xrec(1), xrec(2), xrec(3)}) != nil {
 		t.Fatalf("after a failed compaction the log at the path holds %d records (%v), want all 3", len(recs), err)
 	}
 
@@ -879,7 +868,7 @@ func TestCompactFailureKeepsOldLog(t *testing.T) {
 	if err := p.appendBatch([]record{xrec(4)}); err != nil {
 		t.Fatal(err)
 	}
-	if recs, _, _, err := loadLog(logPath); err != nil || sameRecords(recs, []record{xrec(3), xrec(4)}) != nil {
+	if recs, _, err := loadLog(logPath); err != nil || sameRecords(recs, []record{xrec(3), xrec(4)}) != nil {
 		t.Fatalf("after compaction the log at the path holds %d records (%v), want the snapshot and the append", len(recs), err)
 	}
 	if _, err := os.Stat(logPath + ".tmp"); !errors.Is(err, os.ErrNotExist) {

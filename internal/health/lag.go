@@ -74,6 +74,20 @@ func (r LagReport) TotalBehind() int {
 	return n
 }
 
+// GroupLag computes the lag of independent replica groups and concatenates
+// their reports. Each group is its own ABD instance, so "behind the quorum"
+// is only meaningful within a group: groups[g] holds group g's watermark
+// reports, and quorum is one group's.
+func GroupLag(groups [][]ReplicaTags, quorum, topRegs int) LagReport {
+	out := LagReport{Quorum: quorum}
+	for _, reports := range groups {
+		gl := ComputeLag(reports, quorum, topRegs)
+		out.Replicas = append(out.Replicas, gl.Replicas...)
+		out.Registers = append(out.Registers, gl.Registers...)
+	}
+	return out
+}
+
 // ComputeLag derives per-replica divergence from a set of watermark
 // reports. For each register named by any report, the confirmed tag is the
 // quorum-th largest reported tag — the newest write a majority provably

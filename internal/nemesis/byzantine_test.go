@@ -91,7 +91,7 @@ func TestByzantineNemesisLinearizable(t *testing.T) {
 			t.Logf("seed %d: %d ops (%d failed), outcome %v, lies %d (muted %d), "+
 				"suspects %v, unconfirmed %d, mask retries %d",
 				seed, res.Ops, res.Failed, res.Outcome, res.Lies, res.Muted,
-				res.Health.ByzSuspects, res.Client.ByzUnconfirmed, res.Client.MaskRetries)
+				res.Health.Byzantine.Suspects, res.Client.ByzUnconfirmed, res.Client.MaskRetries)
 			t.Logf("schedule: %s", res.Schedule)
 			if res.Outcome == lincheck.NotLinearizable {
 				for reg, r := range res.Results {
@@ -117,7 +117,7 @@ func TestByzantineNemesisLinearizable(t *testing.T) {
 			if res.Lies == 0 {
 				t.Error("liars never rewrote a reply — the schedule's byz episodes did not run")
 			}
-			if len(res.Health.ByzSuspects) == 0 {
+			if len(res.Health.Byzantine.Suspects) == 0 {
 				t.Error("no replica suspected — no lie left evidence")
 			}
 			sched, err := failure.Parse(res.Schedule)
@@ -130,8 +130,8 @@ func TestByzantineNemesisLinearizable(t *testing.T) {
 					lied[b.Node] = true
 				}
 			}
-			for id := range res.Health.ByzSuspects {
-				if !lied[id] {
+			for id := range res.Health.Byzantine.Suspects {
+				if !lied[types.NodeID(id)] {
 					t.Errorf("replica %v suspected but never lied", id)
 				}
 			}
@@ -171,15 +171,15 @@ func TestByzantineNemesisControlRun(t *testing.T) {
 	}
 	t.Logf("control: %d ops (%d failed), outcome %v, lies %d, suspects %v, unconfirmed %d",
 		res.Ops, res.Failed, res.Outcome, res.Lies,
-		res.Health.ByzSuspects, res.Client.ByzUnconfirmed)
+		res.Health.Byzantine.Suspects, res.Client.ByzUnconfirmed)
 	if res.Outcome == lincheck.NotLinearizable {
 		t.Fatalf("control run NOT linearizable")
 	}
 	if res.Lies != 0 {
 		t.Errorf("control run recorded %d lies with no byz schedule", res.Lies)
 	}
-	if len(res.Health.ByzSuspects) != 0 || res.Client.ByzSuspicions != 0 {
-		t.Errorf("control run suspects %v — validation is accusing honest replicas", res.Health.ByzSuspects)
+	if len(res.Health.Byzantine.Suspects) != 0 || res.Client.ByzSuspicions != 0 {
+		t.Errorf("control run suspects %v — validation is accusing honest replicas", res.Health.Byzantine.Suspects)
 	}
 	if res.Ops+res.Failed != 200 {
 		t.Errorf("recorded %d ops, want 200", res.Ops+res.Failed)

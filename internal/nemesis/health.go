@@ -3,30 +3,28 @@ package nemesis
 import (
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/prof"
-	"repro/internal/types"
 )
 
-// HealthReport is the health layer's verdict on one nemesis run: the SLO
-// burn state at the end of the workload, every burn-rate alert raised
-// while it ran, the fleet-merged hot keys, and the post-run replica lag
-// picture. The acceptance story: a faulted run raises alerts inside its
-// fault windows, a fault-free control run stays silent.
+// HealthReport is the health layer's verdict on one nemesis run: the
+// workload clients' final health sample, the post-run replica lag picture,
+// and where on the run's clock the alerts, captures and suspicions landed.
+// The acceptance story: a faulted run raises alerts inside its fault
+// windows, a fault-free control run stays silent.
 type HealthReport struct {
-	// SLO is the tracker's final evaluation; Alerts is every alert raised
-	// during the run, in raise order.
-	SLO    health.SLOStatus
-	Alerts []health.Alert
-	// HotKeys is the top-k over the workload clients' sketches;
-	// HotKeyTotal the operations those sketches absorbed.
-	HotKeys     []health.HotKey
-	HotKeyTotal int64
-	// Lag is computed after the schedule unwound and crashed replicas were
-	// restarted. ABD has no anti-entropy — a recovered replica only knows
-	// what its own WAL held — so replicas that missed writes while down
-	// stay visibly behind until read write-backs repair them.
-	Lag health.LagReport
+	// Status is the monitor's last core.Fleet.Health sample over the
+	// workload clients: the final SLO state, every alert raised during the
+	// run in raise order (Alerts), the fleet-merged hot keys and, in
+	// Byzantine mode, the liar verdict (Byzantine.Suspects: per replica, how
+	// many of its replies were evidence no honest replica can produce, so a
+	// replica named there lied). Lag is computed after the schedule unwound
+	// and crashed replicas were restarted. ABD has no anti-entropy — a
+	// recovered replica only knows what its own WAL held — so replicas that
+	// missed writes while down stay visibly behind until read write-backs
+	// repair them.
+	health.Status
 	// Start anchors the run's clock: Alert.At minus Start is the alert's
 	// offset into the fault schedule.
 	Start time.Time
@@ -34,19 +32,14 @@ type HealthReport struct {
 	// (empty unless Config.Recorder was set). A faulted run captures inside
 	// its fault windows; a fault-free control run captures nothing.
 	Captures []prof.Capture
-	// ByzSuspects is the liar verdict, merged over the clients
-	// (core.Client.Suspects): per replica, how many of its replies were
-	// evidence no honest replica can produce. It is empty outside Byzantine
-	// mode and in every honest run, so a replica named here lied.
-	// ByzTimeline records the clients' cumulative suspicion count at every
+	// ByzTimeline records the clients' summed suspicion count at every
 	// monitor sample, locating the evidence relative to the schedule's
 	// fault windows.
-	ByzSuspects map[types.NodeID]int64
 	ByzTimeline []ByzSample
 }
 
-// ByzSample is one monitor observation of the clients' cumulative
-// core.MetricsSnapshot.ByzSuspicions. At minus HealthReport.Start is the
+// ByzSample is one monitor observation of the clients' summed suspicions
+// (the sum of Status.Byzantine.Suspects). At minus HealthReport.Start is the
 // sample's offset into the fault schedule.
 type ByzSample struct {
 	At         time.Time
@@ -88,11 +81,10 @@ func (c Config) healthSLO() health.SLO {
 // per tracker bucket at the default window (700ms / 48 ≈ 15ms buckets).
 const monitorInterval = 25 * time.Millisecond
 
-// monitor samples the workload clients' cumulative counters into an SLO
-// tracker while the run is live, the same way a deployment would poll
-// /status.
+// monitor samples the workload clients' health into an SLO tracker while
+// the run is live, the same way a deployment would poll /status.
 type monitor struct {
-	cl      *Cluster
+	fleet   core.Fleet
 	tracker *health.Tracker
 	rec     *prof.Recorder // nil-safe; triggered on fresh alerts
 	stop    chan struct{}
@@ -103,9 +95,9 @@ type monitor struct {
 	byz []ByzSample
 }
 
-func startMonitor(cl *Cluster, slo health.SLO, rec *prof.Recorder) *monitor {
+func startMonitor(fleet core.Fleet, slo health.SLO, rec *prof.Recorder) *monitor {
 	m := &monitor{
-		cl:      cl,
+		fleet:   fleet,
 		tracker: health.NewTracker(slo),
 		rec:     rec,
 		stop:    make(chan struct{}),
@@ -126,40 +118,29 @@ func (m *monitor) run() {
 			return
 		case now := <-t.C:
 			m.sample(now)
-			_, fresh := m.tracker.Evaluate(now)
-			m.capture(fresh)
 		}
 	}
 }
 
-// capture triggers the flight recorder once per fresh alert, so the
-// profiles land while the burn that raised the alert is still in progress.
-// The recorder's own cooldown and single-flight gate keep a sustained burn
-// from capturing every 25ms.
-func (m *monitor) capture(fresh []health.Alert) {
+// sample takes one fleet health sample. It triggers the flight recorder
+// once per fresh alert, so the profiles land while the burn that raised
+// the alert is still in progress (the recorder's own cooldown and
+// single-flight gate keep a sustained burn from capturing every 25ms), and
+// extends the Byzantine timeline.
+func (m *monitor) sample(now time.Time) health.Status {
+	st, fresh := m.fleet.Health(m.tracker, now)
 	for _, a := range fresh {
 		m.rec.Trigger("slo-" + string(a.Severity))
 	}
-}
-
-// sample ingests the clients' current cumulative totals.
-func (m *monitor) sample(now time.Time) {
-	var metrics = m.cl.clientMetrics()
-	lat := m.cl.clientLatency()
-	total, bad := m.tracker.SLO().Cut(lat.Read.Merge(lat.Write),
-		metrics.ReadFails+metrics.WriteFails)
-	m.tracker.Ingest(now, total, bad)
-	if m.cl.cfg.Byzantine > 0 {
-		m.byz = append(m.byz, ByzSample{
-			At:         now,
-			Suspicions: metrics.ByzSuspicions,
-		})
+	if st.Byzantine != nil {
+		s := ByzSample{At: now}
+		for _, n := range st.Byzantine.Suspects {
+			s.Suspicions += n
+		}
+		m.byz = append(m.byz, s)
 	}
+	return st
 }
-
-// byzTimeline returns the sampled Byzantine counter timeline; call after
-// halt.
-func (m *monitor) byzTimeline() []ByzSample { return m.byz }
 
 // drainCaptures waits out any in-flight flight-recorder capture and returns
 // the completed set (nil recorder → nil).
@@ -171,14 +152,9 @@ func drainCaptures(rec *prof.Recorder) []prof.Capture {
 	return rec.Captures()
 }
 
-// halt stops the monitor, runs one final sample+evaluation, and returns
-// the final SLO state plus every alert raised.
-func (m *monitor) halt() (health.SLOStatus, []health.Alert) {
+// halt stops the monitor and returns its final sample.
+func (m *monitor) halt() health.Status {
 	close(m.stop)
 	<-m.done
-	now := time.Now()
-	m.sample(now)
-	st, fresh := m.tracker.Evaluate(now)
-	m.capture(fresh)
-	return st, m.tracker.Raised()
+	return m.sample(time.Now())
 }

@@ -538,69 +538,19 @@ func (c *Cluster) ClientIDs() []types.NodeID {
 	return ids
 }
 
-// clientMetrics merges every protocol client's counters (the monitor's
-// cumulative sample source).
-func (c *Cluster) clientMetrics() core.MetricsSnapshot {
-	var out core.MetricsSnapshot
-	for _, cli := range c.clients {
-		out = out.Merge(cli.Metrics())
-	}
-	return out
-}
-
-// clientLatency merges every protocol client's latency histograms.
-func (c *Cluster) clientLatency() core.LatencySnapshot {
-	var out core.LatencySnapshot
-	for _, cli := range c.clients {
-		out = out.Merge(cli.Latency())
-	}
-	return out
-}
-
-// HotKeys merges the workload clients' hot-key sketches into one top-k
-// list (k <= 0 keeps everything).
-func (c *Cluster) HotKeys(k int) []health.HotKey {
-	lists := make([][]health.HotKey, len(c.clients))
-	for i, cli := range c.clients {
-		lists[i] = cli.HotKeys(0)
-	}
-	return health.MergeHotKeys(k, lists...)
-}
-
-// HotKeyTotal sums the operations seen by every client's sketch.
-func (c *Cluster) HotKeyTotal() int64 {
-	var n int64
-	for _, cli := range c.clients {
-		n += cli.HotKeyTotal()
-	}
-	return n
-}
-
 // LagReport computes per-replica divergence from the quorum-confirmed tag
 // watermarks, per group, over the currently live replica processes (a
 // crashed replica has no process to report; restart it first). limit
 // bounds each replica's watermark report, topRegs the per-register detail.
 func (c *Cluster) LagReport(limit, topRegs int) health.LagReport {
 	c.mu.Lock()
-	byGroup := make([][]*core.Replica, c.cfg.Groups)
+	groups := make([][]health.ReplicaTags, c.cfg.Groups)
 	for id, proc := range c.replicas {
 		g := c.groupOf(id)
-		byGroup[g] = append(byGroup[g], proc.rep)
+		groups[g] = append(groups[g], proc.rep.TagWatermarks(limit))
 	}
 	c.mu.Unlock()
-
-	quorum := c.cfg.N/2 + 1
-	out := health.LagReport{Quorum: quorum}
-	for _, reps := range byGroup {
-		reports := make([]health.ReplicaTags, 0, len(reps))
-		for _, rep := range reps {
-			reports = append(reports, rep.TagWatermarks(limit))
-		}
-		gl := health.ComputeLag(reports, quorum, topRegs)
-		out.Replicas = append(out.Replicas, gl.Replicas...)
-		out.Registers = append(out.Registers, gl.Registers...)
-	}
-	return out
+	return health.GroupLag(groups, c.cfg.N/2+1, topRegs)
 }
 
 // ReplicaMetrics sums the protocol-level replica counters across the live
@@ -944,7 +894,7 @@ type Result struct {
 	// Byzantine echoes Config.Byzantine; Lies counts replica replies the
 	// chaos-layer liars rewrote during the run and Muted the replies they
 	// suppressed — the injected-adversary side of the ledger whose
-	// client-side counterpart is Health.ByzSuspects. All zero outside
+	// client-side counterpart is Health.Byzantine.Suspects. All zero outside
 	// Byzantine mode.
 	Byzantine   int
 	Lies, Muted int64
@@ -993,7 +943,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// tracker while the workload runs, the way a deployment polls /status.
 	// Its baseline sample anchors the run clock alerts are located on.
 	start := time.Now()
-	mon := startMonitor(cl, cfg.healthSLO(), cfg.Recorder)
+	mon := startMonitor(cl.clients, cfg.healthSLO(), cfg.Recorder)
 
 	sctx, stopSched := context.WithCancel(ctx)
 	schedDone := make(chan struct{})
@@ -1096,7 +1046,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	wg.Wait()
 	stopSched()
 	<-schedDone
-	sloStatus, alerts := mon.halt()
+	final := mon.halt()
 
 	// Restore the cluster before teardown so Close sees live processes.
 	cl.RecoverAll()
@@ -1132,34 +1082,26 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Byzantine:  cfg.Byzantine,
 		Lies:       lies,
 		Muted:      muted,
+		Client:     core.Fleet(cl.clients).Metrics(),
 
 		Spans:        spans,
 		SpansDropped: spansDropped,
 		Stitch:       obs.Stitch(spans),
 		Health: HealthReport{
-			SLO:         sloStatus,
-			Alerts:      alerts,
-			HotKeys:     cl.HotKeys(10),
-			HotKeyTotal: cl.HotKeyTotal(),
-			// RecoverAll has run: every replica reports, and ones that
-			// missed writes while crashed show up behind (no anti-entropy).
-			Lag:         cl.LagReport(128, 5),
+			Status:      final,
 			Start:       start,
-			ByzTimeline: mon.byzTimeline(),
+			ByzTimeline: mon.byz,
 			Captures:    drainCaptures(cfg.Recorder),
 		},
 	}
+	// RecoverAll has run: every replica reports, and ones that missed
+	// writes while crashed show up behind (no anti-entropy).
+	lag := cl.LagReport(128, 5)
+	res.Health.Lag = &lag
 	if cfg.Groups > 1 {
 		res.RegisterShard = make(map[string]int, cfg.Registers)
 		for _, reg := range regNames {
 			res.RegisterShard[reg] = cl.stores[0].Shard(reg)
-		}
-	}
-	res.Health.ByzSuspects = make(map[types.NodeID]int64)
-	for _, cli := range cl.Clients() {
-		res.Client = res.Client.Merge(cli.Metrics())
-		for id, n := range cli.Suspects() {
-			res.Health.ByzSuspects[id] += n
 		}
 	}
 	return res, nil

@@ -100,63 +100,6 @@ func NextID() uint64 {
 // cross-process collision resistance as NextID.
 func NewTraceID() uint64 { return NextID() }
 
-// NopTracer discards every span; it is the implicit default everywhere.
-type NopTracer struct{}
-
-// Emit discards the span.
-func (NopTracer) Emit(Span) {}
-
-// Ring is a fixed-capacity in-memory tracer for tests and tools: the last
-// cap spans are kept, older ones are overwritten.
-type Ring struct {
-	mu    sync.Mutex
-	spans []Span
-	next  int   // write cursor
-	total int64 // lifetime emit count
-}
-
-// NewRing creates a ring tracer keeping the most recent capacity spans
-// (minimum 1).
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{spans: make([]Span, 0, capacity)}
-}
-
-// Emit stores the span, overwriting the oldest when full.
-func (r *Ring) Emit(s Span) {
-	r.mu.Lock()
-	if len(r.spans) < cap(r.spans) {
-		r.spans = append(r.spans, s)
-	} else {
-		r.spans[r.next] = s
-	}
-	r.next = (r.next + 1) % cap(r.spans)
-	r.total++
-	r.mu.Unlock()
-}
-
-// Spans returns the retained spans, oldest first.
-func (r *Ring) Spans() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.spans) < cap(r.spans) {
-		return append([]Span(nil), r.spans...)
-	}
-	out := make([]Span, 0, len(r.spans))
-	out = append(out, r.spans[r.next:]...)
-	out = append(out, r.spans[:r.next]...)
-	return out
-}
-
-// Total returns how many spans were ever emitted (retained or not).
-func (r *Ring) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // JSONL writes each span as one JSON line, for offline analysis (jq,
 // pandas). Writes are buffered; call Close to flush.
 type JSONL struct {

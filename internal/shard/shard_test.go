@@ -278,10 +278,10 @@ func TestStoreRejectsBadConfig(t *testing.T) {
 
 // TestTagTracer: the wrapper stamps the 1-based shard tag and forwards.
 func TestTagTracer(t *testing.T) {
-	ring := obs.NewRing(8)
-	tr := Tag(ring, 2)
+	col := obs.NewCollector(0)
+	tr := Tag(col, 2)
 	tr.Emit(obs.Span{Kind: "read"})
-	spans := ring.Spans()
+	spans := col.Spans()
 	if len(spans) != 1 || spans[0].Shard != 3 {
 		t.Fatalf("tagged span = %+v, want Shard 3", spans)
 	}

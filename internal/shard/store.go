@@ -150,13 +150,7 @@ func (s *Store) Register(name string) types.Register {
 }
 
 // Metrics merges the group clients' operation counters into one snapshot.
-func (s *Store) Metrics() core.MetricsSnapshot {
-	var out core.MetricsSnapshot
-	for _, cli := range s.groups {
-		out = out.Merge(cli.Metrics())
-	}
-	return out
-}
+func (s *Store) Metrics() core.MetricsSnapshot { return core.Fleet(s.groups).Metrics() }
 
 // GroupMetrics returns each group client's own counter snapshot, in group
 // order — the per-shard load split.
@@ -170,33 +164,12 @@ func (s *Store) GroupMetrics() []core.MetricsSnapshot {
 
 // Latency merges the group clients' latency histograms into one fleet-wide
 // snapshot; the merge is exact up to the histograms' bucket resolution.
-func (s *Store) Latency() core.LatencySnapshot {
-	var out core.LatencySnapshot
-	for _, cli := range s.groups {
-		out = out.Merge(cli.Latency())
-	}
-	return out
-}
+func (s *Store) Latency() core.LatencySnapshot { return core.Fleet(s.groups).Latency() }
 
 // HotKeys merges the group clients' hot-key sketches into one cross-shard
 // top-k list: the head keys of the whole keyspace, not of one group.
 // k <= 0 keeps every tracked key.
-func (s *Store) HotKeys(k int) []health.HotKey {
-	lists := make([][]health.HotKey, len(s.groups))
-	for i, cli := range s.groups {
-		lists[i] = cli.HotKeys(0)
-	}
-	return health.MergeHotKeys(k, lists...)
-}
-
-// HotKeyTotal sums the operations seen by every group's sketch.
-func (s *Store) HotKeyTotal() int64 {
-	var n int64
-	for _, cli := range s.groups {
-		n += cli.HotKeyTotal()
-	}
-	return n
-}
+func (s *Store) HotKeys(k int) []health.HotKey { return core.Fleet(s.groups).HotKeys(k) }
 
 // SetSLO replaces the store's tracked objective (and resets the burn
 // history). Without a call, Health tracks health.DefaultSLO.
@@ -206,12 +179,12 @@ func (s *Store) SetSLO(slo health.SLO) {
 	s.healthMu.Unlock()
 }
 
-// Health returns the store's client-side health view: merged hot keys and
-// the SLO burn state over the group clients' operation latencies and
-// failure counters. Each call ingests the current cumulative counters into
-// the sliding windows, so poll it periodically; the first call only seeds
-// the baseline. Replica-side lag needs replica access the store doesn't
-// have — the Cluster facade and abd-top fill that in.
+// Health returns the store's client-side health view over its group
+// clients (core.Fleet.Health): merged hot keys, the SLO burn state and the
+// Byzantine verdict. Each call ingests the current cumulative counters
+// into the sliding windows, so poll it periodically; the first call only
+// seeds the baseline. Replica-side lag needs replica access the store
+// doesn't have — the Cluster facade and abd-top fill that in.
 func (s *Store) Health() health.Status {
 	s.healthMu.Lock()
 	if s.tracker == nil {
@@ -220,18 +193,8 @@ func (s *Store) Health() health.Status {
 	tr := s.tracker
 	s.healthMu.Unlock()
 
-	now := time.Now()
-	m := s.Metrics()
-	lat := s.Latency()
-	total, bad := tr.SLO().Cut(lat.Read.Merge(lat.Write), m.ReadFails+m.WriteFails)
-	tr.Ingest(now, total, bad)
-	slo, _ := tr.Evaluate(now)
-	return health.Status{
-		HotKeys:     s.HotKeys(10),
-		HotKeyTotal: s.HotKeyTotal(),
-		SLO:         &slo,
-		Alerts:      tr.Raised(),
-	}
+	st, _ := core.Fleet(s.groups).Health(tr, time.Now())
+	return st
 }
 
 // Close closes every group client, failing their in-flight operations.

@@ -15,9 +15,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Tests for the run-to-completion message path: the three send rules
-// (never park on the socket, per-peer FIFO, no inline write under
-// FlushDelay; coalescing still engages under contention) and the dispatch
+// Tests for the run-to-completion message path: the send rules (never
+// park on the socket, per-peer FIFO; coalescing still engages under
+// contention) and the dispatch
 // contract (Recv untouched without a handler, nothing lost around the
 // install, Recv closes after the last handler call).
 
@@ -241,42 +241,7 @@ func TestPerPeerFIFO(t *testing.T) {
 	}
 }
 
-// TestFlushDelayNeverWritesInline is send rule two's other half: with an
-// accumulation window configured, back-to-back sends from one goroutine to
-// an idle, connected peer — each one inline-eligible but for the delay —
-// still coalesce.
-func TestFlushDelayNeverWritesInline(t *testing.T) {
-	server := listenT(t, Config{ID: 1, ListenAddr: "127.0.0.1:0"})
-	client := listenT(t, Config{ID: 100,
-		Peers:      map[types.NodeID]string{1: server.Addr()},
-		FlushDelay: 2 * time.Millisecond})
-	_ = client.Send(1, []byte("warm"))
-	<-server.Recv()
-	waitConn(t, client, 1)
-
-	const n = 64
-	for i := 0; i < n; i++ {
-		if err := client.Send(1, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case m := <-server.Recv():
-			if len(m.Payload) != 1 || m.Payload[0] != byte(i) {
-				t.Fatalf("payload %d: got %x", i, m.Payload)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("received %d of %d", i, n)
-		}
-	}
-	if st := client.Stats(); st.Flushes >= st.FramesSent {
-		t.Errorf("FlushDelay set, yet %d flushes for %d payloads", st.Flushes, st.FramesSent)
-	}
-}
-
-// TestCoalescingUnderContention: 32 senders on one idle-configured peer
-// (no FlushDelay) find the writer role taken, so their payloads queue and
+// TestCoalescingUnderContention: 32 senders on one idle peer find the writer role taken, so their payloads queue and
 // the flusher batches them — the inline path must not have switched
 // batching off. The test holds the role itself until a full batch has
 // queued: on one P the senders would otherwise never overlap, and each
@@ -304,7 +269,7 @@ func TestCoalescingUnderContention(t *testing.T) {
 			}
 		}()
 	}
-	for deadline := time.Now().Add(5 * time.Second); len(ps.queue) < client.cfg.MaxBatch; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); len(ps.queue) < maxBatch; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			ps.wmu.Unlock()
 			t.Fatalf("only %d payloads queued behind a held writer role", len(ps.queue))

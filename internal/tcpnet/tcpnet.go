@@ -29,22 +29,22 @@
 //
 // Outbound: each peer has one writer role, held by whoever is writing to
 // its connection. Send takes it and writes its one payload itself when the
-// peer is idle: a live cached connection, nothing queued or in flight
-// ahead of it, nobody writing, and no FlushDelay. Otherwise Send enqueues
-// onto the bounded per-peer queue and the peer's flusher goroutine, which
-// takes the same role per batch, coalesces everything pending into a
-// single buffered write (up to MaxBatch payloads or ~1 MiB per flush). So
-// an idle peer costs no goroutine hand-off, and batching engages exactly
-// when senders contend: under load, syscalls and frame headers amortize
-// across the batch. Dialing, the backoff check and FlushDelay
-// lingering never leave the flusher. Three rules hold on both routes: a
-// payload is never written ahead of one enqueued before it for the same
-// peer; a frame is never torn (a partial frame is completed or the
-// connection dropped); and a caller never parks on the socket — the inline
-// attempt is a single non-blocking write, and whatever it could not push
-// is handed to the flusher, which finishes it under WriteTimeout before
-// anything else goes out. A full queue applies backpressure: Send blocks
-// up to the write timeout, then counts the payload as loss (QueueDrops).
+// peer is idle: a live cached connection, nothing queued or in flight ahead
+// of it, and nobody writing. Otherwise Send enqueues onto the bounded
+// per-peer queue (sendQueueLen) and the peer's flusher goroutine, which
+// takes the same role per batch, coalesces everything pending into a single
+// buffered write (up to maxBatch payloads or ~1 MiB per flush). So an idle
+// peer costs no goroutine hand-off, and batching engages exactly when
+// senders contend: under load, syscalls and frame headers amortize across
+// the batch. Dialing and the backoff check never leave the flusher. Three
+// rules hold on both routes: a payload is never written ahead of one
+// enqueued before it for the same peer; a frame is never torn (a partial
+// frame is completed or the connection dropped); and a caller never parks
+// on the socket — the inline attempt is a single non-blocking write, and
+// whatever it could not push is handed to the flusher, which finishes it
+// under WriteTimeout before anything else goes out. A full queue applies
+// backpressure: Send blocks up to the write timeout, then counts the
+// payload as loss (QueueDrops).
 //
 // Self-healing: every flusher write carries a deadline (WriteTimeout), so a
 // stalled peer with a full TCP buffer can never wedge the flusher; failed
@@ -66,6 +66,9 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -84,6 +87,14 @@ const maxFrameSize = 16 << 20
 // readBufSize is each connection reader's buffer: one read(2) takes in as
 // many frames as have arrived, up to this many bytes.
 const readBufSize = 64 << 10
+
+// sendQueueLen is the capacity of each peer's send queue. When the queue
+// is full, Send blocks up to WriteTimeout (backpressure) and then counts
+// the payload as loss.
+const sendQueueLen = 256
+
+// maxBatch is the most payloads one flush coalesces into a single write.
+const maxBatch = 64
 
 // flushByteBudget caps the payload bytes coalesced into one flush, keeping
 // batch frames far below maxFrameSize and bounding flusher memory. A single
@@ -117,18 +128,6 @@ type Config struct {
 	// loss, so a dead peer costs one dial per backoff window rather than
 	// one per send.
 	BackoffMin, BackoffMax time.Duration
-	// SendQueueLen is the capacity of each peer's send queue (default 256).
-	// When the queue is full, Send blocks up to WriteTimeout (backpressure)
-	// and then counts the payload as loss.
-	SendQueueLen int
-	// MaxBatch is the maximum number of payloads one flush coalesces into
-	// a single write (default 64; values < 1 mean 1, disabling batching).
-	MaxBatch int
-	// FlushDelay is how long the flusher waits after the first pending
-	// payload to let more accumulate before writing (default 0: flush
-	// immediately, coalescing only what is already queued). A small value
-	// (tens of microseconds) trades latency for larger batches.
-	FlushDelay time.Duration
 	// Tracer, when non-nil, receives a "net-send" span for every outbound
 	// payload carrying a trace context (enqueue→write, Err set when the
 	// send read as loss) and a "net-recv" span for every such inbound
@@ -136,6 +135,36 @@ type Config struct {
 	// trace context is read from the payload's envelope trailer
 	// (wire.PeekTrace) without decoding the protocol message.
 	Tracer obs.Tracer
+}
+
+// ParsePeers parses a peer table written "0=host:port,1=host:port" into
+// Config.Peers form, plus the ids in ascending order: the replica order
+// (and therefore quorum indexing) every client of the group agrees on.
+func ParsePeers(s string) (map[types.NodeID]string, []types.NodeID, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil, fmt.Errorf("empty peer list (want id=host:port,...)")
+	}
+	peers := make(map[types.NodeID]string)
+	for _, part := range strings.Split(s, ",") {
+		idS, addr, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok {
+			return nil, nil, fmt.Errorf("bad peer %q (want id=host:port)", part)
+		}
+		id, err := strconv.Atoi(idS)
+		if err != nil {
+			return nil, nil, fmt.Errorf("bad peer id %q: %w", idS, err)
+		}
+		if _, dup := peers[types.NodeID(id)]; dup {
+			return nil, nil, fmt.Errorf("duplicate peer id %d", id)
+		}
+		peers[types.NodeID(id)] = addr
+	}
+	order := make([]types.NodeID, 0, len(peers))
+	for id := range peers {
+		order = append(order, id)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	return peers, order, nil
 }
 
 // sendReq is one queued payload: the bytes, the enqueue time (flush-latency
@@ -332,15 +361,6 @@ func Listen(cfg Config) (*Endpoint, error) {
 	if cfg.BackoffMax == 0 {
 		cfg.BackoffMax = 5 * time.Second
 	}
-	if cfg.SendQueueLen <= 0 {
-		cfg.SendQueueLen = 256
-	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = 1
-	}
 	peers := make(map[types.NodeID]string, len(cfg.Peers))
 	for id, addr := range cfg.Peers {
 		peers[id] = addr
@@ -400,7 +420,7 @@ func (e *Endpoint) Dispatching() bool { return e.handler.Load() != nil }
 func (e *Endpoint) peerLocked(id types.NodeID) *peerState {
 	ps, ok := e.peers[id]
 	if !ok {
-		ps = &peerState{id: id, queue: make(chan sendReq, e.cfg.SendQueueLen), kick: make(chan struct{}, 1)}
+		ps = &peerState{id: id, queue: make(chan sendReq, sendQueueLen), kick: make(chan struct{}, 1)}
 		e.peers[id] = ps
 		e.wg.Add(1)
 		go e.flushLoop(ps)
@@ -456,7 +476,7 @@ func (e *Endpoint) Send(to types.NodeID, payload []byte) error {
 	conn := ps.conn
 	// pending is checked before the role is tried: a payload queued before
 	// this call began is counted by now, and stays counted until written.
-	inline := conn != nil && e.cfg.FlushDelay == 0 && ps.pending.Load() == 0 && ps.wmu.TryLock()
+	inline := conn != nil && ps.pending.Load() == 0 && ps.wmu.TryLock()
 	if !inline {
 		ps.pending.Add(1)
 	}
@@ -516,11 +536,10 @@ func (e *Endpoint) beginSendSpan(to types.NodeID, payload []byte) func(errStr st
 }
 
 // flushLoop is a peer's flusher: it blocks for the first pending payload,
-// optionally lingers FlushDelay to let a batch accumulate, then drains
-// whatever else is queued (up to MaxBatch payloads / the byte budget),
-// takes the peer's writer role and writes it all in one frame — after
-// finishing the frame an inline Send left half-written, if there is one. It
-// exits when the endpoint closes; payloads still queued at that point are
+// drains whatever else is queued (up to maxBatch payloads / the byte
+// budget), takes the peer's writer role and writes it all in one frame —
+// after finishing the frame an inline Send left half-written, if there is
+// one. It exits when the endpoint closes; payloads still queued at that point are
 // dropped, which reads as loss.
 func (e *Endpoint) flushLoop(ps *peerState) {
 	defer e.wg.Done()
@@ -534,28 +553,12 @@ func (e *Endpoint) flushLoop(ps *peerState) {
 		case <-e.closeCh:
 			return
 		}
-		if d := e.cfg.FlushDelay; d > 0 && len(batch) < e.cfg.MaxBatch {
-			t := time.NewTimer(d)
-		linger:
-			for len(batch) < e.cfg.MaxBatch {
-				select {
-				case r := <-ps.queue:
-					batch = append(batch, r)
-				case <-t.C:
-					break linger
-				case <-e.closeCh:
-					t.Stop()
-					return
-				}
-			}
-			t.Stop()
-		}
 		size := 0
 		for _, r := range batch {
 			size += len(r.payload)
 		}
 	drain:
-		for len(batch) < e.cfg.MaxBatch && size < flushByteBudget {
+		for len(batch) < maxBatch && size < flushByteBudget {
 			select {
 			case r := <-ps.queue:
 				batch = append(batch, r)

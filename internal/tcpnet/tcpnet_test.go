@@ -277,16 +277,24 @@ func TestConcurrentSendsShareConnection(t *testing.T) {
 	}
 }
 
-// TestSendCoalescing pins the batching path: with a flush-delay window,
-// a burst of concurrent sends coalesces into fewer wire writes than
-// payloads, and every payload still arrives intact and individually.
+// TestSendCoalescing pins the batching path: a burst of concurrent sends
+// that finds the peer's writer role taken queues behind it and coalesces
+// into fewer wire writes than payloads, and every payload still arrives
+// intact and individually. The test holds the role itself until a full
+// batch has queued (as TestCoalescingUnderContention does): on one P the
+// senders would otherwise never overlap, and each would write inline.
 func TestSendCoalescing(t *testing.T) {
 	server := listenT(t, Config{ID: 1, ListenAddr: "127.0.0.1:0"})
-	client := listenT(t, Config{ID: 100,
-		Peers:      map[types.NodeID]string{1: server.Addr()},
-		FlushDelay: 2 * time.Millisecond})
+	client := listenT(t, Config{ID: 100, Peers: map[types.NodeID]string{1: server.Addr()}})
+	_ = client.Send(1, []byte{0xff, 0xff})
+	<-server.Recv()
+	waitConn(t, client, 1)
+	client.mu.Lock()
+	ps := client.peers[1]
+	client.mu.Unlock()
 
 	const n = 200
+	ps.wmu.Lock()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -295,6 +303,13 @@ func TestSendCoalescing(t *testing.T) {
 			_ = client.Send(1, []byte{byte(i), byte(i >> 8)})
 		}(i)
 	}
+	for deadline := time.Now().Add(5 * time.Second); len(ps.queue) < maxBatch; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			ps.wmu.Unlock()
+			t.Fatalf("only %d payloads queued behind a held writer role", len(ps.queue))
+		}
+	}
+	ps.wmu.Unlock()
 	wg.Wait()
 
 	seen := make(map[int]bool, n)
@@ -311,8 +326,8 @@ func TestSendCoalescing(t *testing.T) {
 		}
 	}
 	st := client.Stats()
-	if st.FramesSent != n {
-		t.Errorf("frames sent = %d, want %d", st.FramesSent, n)
+	if st.FramesSent != n+1 {
+		t.Errorf("frames sent = %d, want %d", st.FramesSent, n+1)
 	}
 	if st.Flushes >= st.FramesSent {
 		t.Errorf("no coalescing: %d flushes for %d payloads", st.Flushes, st.FramesSent)
@@ -325,17 +340,17 @@ func TestSendCoalescing(t *testing.T) {
 		t.Errorf("max batch size %d, want >= 2", max)
 	}
 	// The sender records a batch's flush latencies only after its conn.Write
-	// returns, by which time the receiver may already have drained all n
+	// returns, by which time the receiver may already have drained all
 	// payloads: wait (bounded) for the last batch's bookkeeping.
 	fl := client.FlushLatency()
-	for deadline := time.Now().Add(5 * time.Second); fl.Count < n && time.Now().Before(deadline); fl = client.FlushLatency() {
+	for deadline := time.Now().Add(5 * time.Second); fl.Count < n+1 && time.Now().Before(deadline); fl = client.FlushLatency() {
 		time.Sleep(time.Millisecond)
 	}
-	if fl.Count != n {
-		t.Errorf("flush-latency histogram count %d, want %d", fl.Count, n)
+	if fl.Count != n+1 {
+		t.Errorf("flush-latency histogram count %d, want %d", fl.Count, n+1)
 	}
-	if rs := server.Stats(); rs.FramesRecv != n {
-		t.Errorf("receiver frames = %d, want %d", rs.FramesRecv, n)
+	if rs := server.Stats(); rs.FramesRecv != n+1 {
+		t.Errorf("receiver frames = %d, want %d", rs.FramesRecv, n+1)
 	}
 }
 
@@ -584,6 +599,42 @@ func TestEndpointStats(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("dial failures = %d, want 1", b.Stats().DialFailures)
 		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+func TestParsePeers(t *testing.T) {
+	peers, order, err := ParsePeers("2=host2:7002, 0=host0:7000,1=host1:7001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(peers) != 3 {
+		t.Fatalf("peers: %v", peers)
+	}
+	if peers[0] != "host0:7000" || peers[2] != "host2:7002" {
+		t.Fatalf("addresses: %v", peers)
+	}
+	// Quorum indexing order must be ascending by id regardless of input
+	// order, so every client agrees on replica indexes.
+	want := []types.NodeID{0, 1, 2}
+	for i, id := range order {
+		if id != want[i] {
+			t.Fatalf("order: %v", order)
+		}
+	}
+}
+
+func TestParsePeersErrors(t *testing.T) {
+	bad := []string{
+		"",
+		"  ",
+		"0:addr",  // wrong separator
+		"x=addr",  // non-numeric id
+		"0=a,0=b", // duplicate id
+	}
+	for _, s := range bad {
+		if _, _, err := ParsePeers(s); err == nil {
+			t.Errorf("ParsePeers(%q) accepted", s)
 		}
 	}
 }
