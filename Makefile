@@ -3,7 +3,7 @@
 GO ?= go
 
 # Every command binary `make bin` produces under ./bin.
-CMDS = abd-sim abd-node abd-cli abd-check abd-bench abd-trace abd-top
+CMDS = abd-sim abd-node abd-cli
 
 .PHONY: all build bin test race vet fmt bench-check check smoke e2e-smoke bench bench-pairs eval loc clean
 
@@ -49,16 +49,20 @@ check: build fmt vet test race bench-check
 
 # Tier-2 smoke: one checked run on the simulated network under a chaos
 # fault mix (drops, duplicates, corruption, a crash), which exits nonzero on
-# a non-linearizable history; then one seeded nemesis pass on a real TCP
+# a non-linearizable history, its history written out and checked again
+# from the file (abd-sim -in); then one seeded nemesis pass on a real TCP
 # cluster (chaos faults, crash+restart, linearizability check), its spans
-# dumped as JSONL and fed back through abd-trace, which exits nonzero unless
-# at least 95% of the replica/transport spans stitch to the client operation
-# that caused them.
-SMOKE_SPANS ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/abd-smoke-spans.jsonl
+# dumped as JSONL and fed back through abd-cli trace, which exits nonzero
+# unless at least 95% of the replica/transport spans stitch to the client
+# operation that caused them.
+smoke_dir := $(if $(TMPDIR),$(TMPDIR),/tmp)
+SMOKE_HISTORY ?= $(smoke_dir)/abd-smoke-history.json
+SMOKE_SPANS ?= $(smoke_dir)/abd-smoke-spans.jsonl
 smoke:
-	$(GO) run ./cmd/abd-sim -seed 7 -check -faults "faults:*:drop=0.2,dup=0.1,corrupt=0.02@0ms; crash:4@20ms; faults:*:none@150ms"
+	$(GO) run ./cmd/abd-sim -seed 7 -check -faults "faults:*:drop=0.2,dup=0.1,corrupt=0.02@0ms; crash:4@20ms; faults:*:none@150ms" -out $(SMOKE_HISTORY)
+	$(GO) run ./cmd/abd-sim -in $(SMOKE_HISTORY)
 	$(GO) run ./cmd/abd-sim -nemesis -seed 7 -trace-out $(SMOKE_SPANS)
-	$(GO) run ./cmd/abd-trace -min-stitch 0.95 $(SMOKE_SPANS)
+	$(GO) run ./cmd/abd-cli trace -min-stitch 0.95 $(SMOKE_SPANS)
 
 # Tier-2 end-to-end smoke: the repository benchmark's own unit tests, then
 # its smoke run — real abd-node processes with a WAL, driven over tcpnet at
@@ -83,7 +87,7 @@ bench-pairs:
 
 # Regenerate every evaluation table (EXPERIMENTS.md appendix).
 eval:
-	$(GO) run ./cmd/abd-bench -exp all -seed 1
+	$(GO) run ./cmd/abd-sim -exp all -seed 1
 
 # The line counts ROADMAP.md tracks: non-test Go lines of the protocol
 # core, of the telemetry packages and of the module outside bench/, plus the

@@ -2,7 +2,7 @@ package abd
 
 // One testing.B benchmark per evaluation table/figure (DESIGN.md §3). Each
 // bench exercises the experiment's inner loop; the full sweeps with
-// paper-vs-measured comparison live in cmd/abd-bench (and EXPERIMENTS.md).
+// paper-vs-measured comparison live in abd-sim -exp (and EXPERIMENTS.md).
 // Custom metrics (msgs/op, phases/op) are reported alongside ns/op.
 
 import (

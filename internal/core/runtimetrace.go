@@ -26,7 +26,7 @@ func beginRuntimeTask(ctx context.Context, name string, ot opTrace) (context.Con
 	}
 	ctx, task := rtrace.NewTask(ctx, name)
 	if ot.trace != 0 {
-		// The causal trace id, hex like abd-trace renders it, so a task in
+		// The causal trace id, hex like abd-cli trace renders it, so a task in
 		// the execution trace can be matched to its span tree.
 		rtrace.Log(ctx, "abd.trace", strconv.FormatUint(ot.trace, 16))
 	}

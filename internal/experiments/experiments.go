@@ -6,7 +6,7 @@
 // portability theorem — into a measurement on the simulated network, where
 // message counts are exact and failures are injectable.
 //
-// cmd/abd-bench prints the tables; bench_test.go exposes each experiment's
+// abd-sim -exp prints the tables; bench_test.go exposes each experiment's
 // inner loop as a testing.B benchmark; EXPERIMENTS.md records a full run.
 package experiments
 
@@ -144,7 +144,7 @@ func Find(id string) (Runner, bool) {
 }
 
 // Menu returns the id menu for command-line help, generated from the
-// registry so a new experiment shows up in abd-bench's usage and -exp
+// registry so a new experiment shows up in abd-sim's usage and -exp
 // validation the moment it is registered.
 func Menu() string {
 	parts := make([]string, 0, len(All()))

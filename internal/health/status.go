@@ -29,7 +29,7 @@ type ByzStatus struct {
 // Status is the /status endpoint's body: one process's live health view.
 // A single-process cluster facade fills everything; a deployment node
 // fills its own watermarks and hot keys and leaves Lag to be computed by
-// whoever sees every node (abd-top does, via ComputeLag over the polled
+// whoever sees every node (abd-cli top does, via ComputeLag over the polled
 // Watermarks).
 type Status struct {
 	Node          int64   `json:"node"`

@@ -2,7 +2,7 @@
 // space-saving hot-key sketch, replica lag watermarks derived from the
 // quorum's confirmed tags, and multi-window SLO burn-rate tracking. It
 // consumes the obs layer's counters and histograms in-process and produces
-// the queryable health surface served by /status and rendered by abd-top.
+// the queryable health surface served by /status and rendered by abd-cli top.
 //
 // Like obs, the package depends on no protocol package, so core, shard,
 // nemesis, and the binaries can all use it without import cycles.

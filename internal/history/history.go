@@ -156,7 +156,7 @@ func (r *Recorder) Len() int {
 }
 
 // WriteJSON writes the history as JSON lines, one operation per line — the
-// format cmd/abd-check consumes.
+// format abd-sim -in checks.
 func WriteJSON(w io.Writer, ops []Op) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

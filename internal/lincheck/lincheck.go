@@ -6,7 +6,7 @@
 //
 // The checker is used two ways in this repository: as the oracle in the T3
 // experiment (ABD histories pass; the no-write-back variant's histories
-// exhibit new/old inversions and fail) and as the engine of cmd/abd-check.
+// exhibit new/old inversions and fail) and as the engine of abd-sim's verdicts.
 package lincheck
 
 import (
@@ -48,8 +48,9 @@ func (o Outcome) String() string {
 // of the operations (into the checked slice) in linearization order.
 type Result struct {
 	Outcome Outcome
-	// Witness is a valid linearization order (op indexes) when the outcome
-	// is Linearizable.
+	// Witness is a valid linearization order when the outcome is
+	// Linearizable: indexes into the slice given to CheckRegister or
+	// CheckRegisters (never into a per-register sub-history).
 	Witness []int
 	// StatesExplored counts search configurations visited.
 	StatesExplored int64
@@ -157,15 +158,21 @@ func CheckRegister(ops []history.Op, cfg Config) Result {
 // linearizable iff each object's sub-history is. Operations are grouped by
 // Op.Reg and each group is checked independently, which is exponentially
 // cheaper than checking the combined history. The result maps each register
-// name to its verdict.
+// name to its verdict; each Witness indexes ops, not the sub-history.
 func CheckRegisters(ops []history.Op, cfg Config) map[string]Result {
 	byReg := make(map[string][]history.Op)
-	for _, op := range ops {
+	idx := make(map[string][]int)
+	for i, op := range ops {
 		byReg[op.Reg] = append(byReg[op.Reg], op)
+		idx[op.Reg] = append(idx[op.Reg], i)
 	}
 	out := make(map[string]Result, len(byReg))
 	for reg, sub := range byReg {
-		out[reg] = CheckRegister(sub, cfg)
+		res := CheckRegister(sub, cfg)
+		for i, w := range res.Witness {
+			res.Witness[i] = idx[reg][w]
+		}
+		out[reg] = res
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package lincheck
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/history"
@@ -262,6 +263,26 @@ func TestCheckRegistersCompositional(t *testing.T) {
 	}
 	if AllLinearizable(results) != NotLinearizable {
 		t.Error("overall outcome should be NotLinearizable")
+	}
+}
+
+// TestCheckRegistersWitnessIndexesInput: each register's witness names
+// operations by their index in the history CheckRegisters was given, so a
+// caller can print ops[idx] for any register.
+func TestCheckRegistersWitnessIndexesInput(t *testing.T) {
+	ops := []history.Op{
+		{Client: 1, Kind: history.Write, Reg: "a", Value: []byte("1"), Inv: 1, Ret: 2},
+		{Client: 2, Kind: history.Write, Reg: "b", Value: []byte("2"), Inv: 3, Ret: 4},
+		{Client: 3, Kind: history.Read, Reg: "b", Value: []byte("2"), Inv: 5, Ret: 6},
+	}
+	want := map[string][]int{"a": {0}, "b": {1, 2}}
+	for reg, res := range CheckRegisters(ops, Config{}) {
+		if res.Outcome != Linearizable {
+			t.Fatalf("register %q: %v", reg, res.Outcome)
+		}
+		if !slices.Equal(res.Witness, want[reg]) {
+			t.Errorf("register %q witness %v, want %v (indexes into ops)", reg, res.Witness, want[reg])
+		}
 	}
 }
 

@@ -3,9 +3,9 @@ package obs
 // Collector assembles spans from several processes into per-operation trace
 // trees. It is both a Tracer (in-process spans Emit straight into it) and an
 // ingestion point for spans that crossed a process boundary — JSONL files
-// written by -trace-out flags, or HTTP pushes to the /spans endpoint
-// abd-node mounts next to /metrics. The analysis half (AssembleTraces,
-// Stitch) is pure and works on any []Span.
+// written by -trace-out flags, or a GET of the /spans endpoint abd-node
+// mounts next to /metrics. The analysis half (AssembleTraces, Stitch) is
+// pure and works on any []Span.
 
 import (
 	"bufio"
@@ -97,29 +97,21 @@ func (c *Collector) IngestJSONL(r io.Reader) (int, error) {
 	return n, sc.Err()
 }
 
-// Handler returns the /spans endpoint: POST ingests a JSONL body (the push
-// path for remote processes), GET dumps every collected span as JSONL (the
-// pull path for abd-trace against a live node).
+// Handler returns the /spans endpoint: GET dumps every collected span as
+// JSONL (the pull path for abd-cli trace against a live node); any other
+// method is refused.
 func (c *Collector) Handler() http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		switch req.Method {
-		case http.MethodPost:
-			n, err := c.IngestJSONL(req.Body)
-			if err != nil {
-				http.Error(rw, err.Error(), http.StatusBadRequest)
+		if req.Method != http.MethodGet {
+			http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		rw.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(rw)
+		for _, s := range c.Spans() {
+			if err := enc.Encode(s); err != nil {
 				return
 			}
-			fmt.Fprintf(rw, "ingested %d spans\n", n)
-		case http.MethodGet:
-			rw.Header().Set("Content-Type", "application/x-ndjson")
-			enc := json.NewEncoder(rw)
-			for _, s := range c.Spans() {
-				if err := enc.Encode(s); err != nil {
-					return
-				}
-			}
-		default:
-			http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
 		}
 	})
 }

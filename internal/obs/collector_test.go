@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -119,8 +119,8 @@ func TestCollectorBoundAndDrop(t *testing.T) {
 }
 
 func TestCollectorJSONLAndHTTP(t *testing.T) {
-	// Round-trip through the JSONL tracer into a collector via the HTTP
-	// push endpoint, then pull them back out via GET.
+	// Round-trip through the JSONL tracer into a collector, then pull the
+	// spans back out via GET; the endpoint refuses pushes.
 	var sb strings.Builder
 	j := NewJSONL(&sb)
 	j.Emit(opSpan(9, 90, "write", 1000))
@@ -130,6 +130,12 @@ func TestCollectorJSONLAndHTTP(t *testing.T) {
 	}
 
 	c := NewCollector(0)
+	if n, err := c.IngestJSONL(strings.NewReader(sb.String())); err != nil || n != 2 {
+		t.Fatalf("ingested %d spans, err %v", n, err)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("collector has %d spans after ingest, want 2", c.Len())
+	}
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Post(srv.URL, "application/x-ndjson", strings.NewReader(sb.String()))
@@ -137,11 +143,8 @@ func TestCollectorJSONLAndHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("POST status %d", resp.StatusCode)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("collector has %d spans after push, want 2", c.Len())
+	if resp.StatusCode != http.StatusMethodNotAllowed || c.Len() != 2 {
+		t.Fatalf("POST status %d, %d spans after it; want 405 and 2", resp.StatusCode, c.Len())
 	}
 
 	pull, err := srv.Client().Get(srv.URL)
@@ -164,23 +167,23 @@ func TestCollectorJSONLAndHTTP(t *testing.T) {
 }
 
 // TestCollectorConcurrentEmitIngestDrain hammers one bounded collector from
-// every direction at once — in-process Emit, HTTP POST /spans ingestion, and
+// every direction at once — in-process Emit, JSONL ingestion, and
 // concurrent drains via Spans()/GET — and then checks the books balance:
 // every span offered was either retained or counted in Dropped, and the
 // store never exceeded its bound. Run under -race this is also the
 // collector's data-race acceptance test.
 func TestCollectorConcurrentEmitIngestDrain(t *testing.T) {
 	const (
-		cap      = 500
-		emitters = 4
-		posters  = 2
-		perG     = 300
+		cap       = 500
+		emitters  = 4
+		ingesters = 2
+		perG      = 300
 	)
 	col := NewCollector(cap)
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
 
-	// One JSONL batch every poster POSTs repeatedly.
+	// One JSONL batch every ingester feeds in.
 	var batch strings.Builder
 	j := NewJSONL(&batch)
 	for i := 0; i < perG; i++ {
@@ -200,19 +203,12 @@ func TestCollectorConcurrentEmitIngestDrain(t *testing.T) {
 			}
 		}(g)
 	}
-	for p := 0; p < posters; p++ {
+	for p := 0; p < ingesters; p++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := srv.Client().Post(srv.URL, "application/x-ndjson", strings.NewReader(batch.String()))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if !strings.Contains(string(body), fmt.Sprintf("ingested %d spans", perG)) {
-				t.Errorf("POST response %q, want %d spans ingested", body, perG)
+			if n, err := col.IngestJSONL(strings.NewReader(batch.String())); err != nil || n != perG {
+				t.Errorf("ingested %d spans, err %v; want %d", n, err, perG)
 			}
 		}()
 	}
@@ -247,7 +243,7 @@ func TestCollectorConcurrentEmitIngestDrain(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	const offered = emitters*perG + posters*perG
+	const offered = emitters*perG + ingesters*perG
 	if got := col.Len() + int(col.Dropped()); got != offered {
 		t.Fatalf("kept %d + dropped %d = %d, offered %d", col.Len(), col.Dropped(), got, offered)
 	}

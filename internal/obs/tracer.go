@@ -44,7 +44,7 @@ type Span struct {
 	// tagging tracer (group index + 1, so 0 means "not shard-tagged").
 	// Spans emitted through a shard-tagged tracer — a shard's client and
 	// its replicas — carry the tag, letting per-shard load and latency be
-	// split offline (abd-trace prints the per-shard breakdown).
+	// split offline (abd-cli trace prints the per-shard breakdown).
 	Shard int `json:"shard,omitempty"`
 
 	Start time.Time     `json:"start"`

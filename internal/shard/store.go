@@ -184,7 +184,7 @@ func (s *Store) SetSLO(slo health.SLO) {
 // Byzantine verdict. Each call ingests the current cumulative counters
 // into the sliding windows, so poll it periodically; the first call only
 // seeds the baseline. Replica-side lag needs replica access the store
-// doesn't have — the Cluster facade and abd-top fill that in.
+// doesn't have — the Cluster facade and abd-cli top fill that in.
 func (s *Store) Health() health.Status {
 	s.healthMu.Lock()
 	if s.tracker == nil {
