@@ -5,7 +5,7 @@ GO ?= go
 # Every command binary `make bin` produces under ./bin.
 CMDS = abd-sim abd-node abd-cli
 
-.PHONY: all build bin test race vet fmt bench-check check smoke e2e-smoke bench bench-pairs eval loc clean
+.PHONY: all build bin test race vet fmt bench-check check smoke e2e-smoke bench bench-pairs eval loc knobs clean
 
 all: check
 
@@ -99,6 +99,23 @@ loc:
 		'obs + health + prof' $$(src internal/obs internal/health internal/prof) \
 		'module outside bench/' $$(src .) \
 		'test lines outside bench/' $$(find . -path ./bench -prune -o -name '*_test.go' -print | xargs cat | wc -l)
+
+# The settable surface ROADMAP.md tracks: exported With* options per
+# package and option type, the root package's cluster constructors, and the
+# flags each binary under cmd/ defines. Quote the output before and after a
+# change that adds or removes a setting. Not a gate.
+knobs:
+	@src=$$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print); \
+	echo 'With* options (package, type, count):'; \
+	grep -H '^func With' $$src | sed -E 's|^\./||; s|[^/]*\.go:func With[A-Za-z0-9]*\([^)]*\) ([A-Za-z.]+).*| \1|; s|^ |. |; s|/ | |' | \
+		sort | uniq -c | awk '{ printf "  %-22s %-14s %3d\n", $$2, $$3, $$1 }'; \
+	printf 'cluster constructors:'; \
+	grep -ho '^func New[A-Za-z]*Cluster(' *.go | sed -E 's/^func (.*)\(/ \1/' | tr -d '\n'; echo; \
+	echo 'flags per binary:'; \
+	for d in cmd/*/; do \
+		printf '  %-22s %3d\n' $$(basename $$d) $$(cat $$(ls $$d*.go | grep -v '_test\.go$$') | \
+			grep -cE '\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func)(Var)?\((&[^,]*, *)?"'); \
+	done
 
 clean:
 	$(GO) clean ./...

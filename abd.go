@@ -36,7 +36,7 @@
 // Sharded: partition the namespace over 3 groups of 5 behind one Store
 // (same RW surface, near-linear aggregate throughput):
 //
-//	cluster, _ := abd.NewShardedCluster(3, 5, abd.WithSeed(1))
+//	cluster, _ := abd.NewCluster(15, abd.WithShards(3), abd.WithSeed(1))
 //	defer cluster.Close()
 //	store := cluster.Store()
 //	_ = store.Write(ctx, "greeting", []byte("hello"))
@@ -126,21 +126,11 @@ func WithByzantine(f int) ClientOption { return core.WithByzantine(f) }
 // per Store lifetime).
 type Store = shard.Store
 
-// HashFunc hashes a register name onto the Store's ring (WithHashFunc).
-type HashFunc = shard.HashFunc
-
 // NewStore builds a Store over caller-supplied group clients (one per
 // replica group, in group order — e.g. tcpnet-backed clients of a real
-// deployment). The store takes ownership of the clients. Only the shard
-// options (WithShards, WithVirtualNodes, WithHashFunc) apply here; for
-// in-process work, Cluster.Store handles client construction too.
-func NewStore(clients []*Client, opts ...Option) (*Store, error) {
-	var cfg clusterConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return shard.New(clients, cfg.shardOpts...)
-}
+// deployment). The store takes ownership of the clients. For in-process
+// work, Cluster.Store handles client construction too.
+func NewStore(clients []*Client) (*Store, error) { return shard.New(clients) }
 
 // MetricsSnapshot re-exports the client counter snapshot. Snapshots merge
 // (MetricsSnapshot.Merge) across clients and shards.
@@ -156,9 +146,9 @@ type ReplicaMetrics = core.ReplicaMetrics
 type LatencySnapshot = core.LatencySnapshot
 
 // Tracer re-exports the span sink interface. Attach one to a client with
-// core.WithTracer (or cluster-wide with WithStoreTracer, which tags each
-// shard's spans) to stream per-operation and per-phase spans;
-// obs.NewCollector and obs.NewJSONL are the built-in sinks.
+// core.WithTracer (cluster-wide with WithClientDefaults) to stream
+// per-operation and per-phase spans; obs.NewCollector and obs.NewJSONL are
+// the built-in sinks, and shard.Tag tags one group's spans.
 type Tracer = obs.Tracer
 
 // Span re-exports the traced span record.

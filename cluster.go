@@ -21,9 +21,9 @@ import (
 // see cmd/abd-node and cmd/abd-cli.
 //
 // A single-group cluster (NewCluster) is the paper's setting: every
-// register lives on the one group. A sharded cluster (NewShardedCluster,
-// or NewCluster with WithShards) partitions the register namespace across
-// independent groups behind a Store.
+// register lives on the one group. A sharded cluster (NewCluster with
+// WithShards) partitions the register namespace across independent groups
+// behind a Store.
 type Cluster struct {
 	net      *netsim.Net
 	replicas []*core.Replica // all groups, flattened in id order
@@ -47,11 +47,8 @@ type clusterConfig struct {
 	maxDelay      time.Duration
 	dropProb      float64
 	quorum        quorum.System
-	replicaOpts   []core.ReplicaOption
 	defaultClient []core.ClientOption
-	shards        int // WithShards; 0 = constructor's group count
-	shardOpts     []shard.Option
-	storeTracer   Tracer
+	shards        int // WithShards; 1 if unset
 }
 
 // Option configures a Cluster.
@@ -81,14 +78,13 @@ func WithQuorumSystem(qs quorum.System) Option {
 	return func(c *clusterConfig) { c.quorum = qs }
 }
 
-// WithBoundedTimestamps switches the whole cluster (replicas and clients)
-// to the bounded cyclic label mode with liveness window l. Implies
-// single-writer clients.
+// WithBoundedTimestamps switches every client the cluster creates to the
+// bounded cyclic label mode with liveness window l >= 1
+// (core.WithBoundedLabels; a smaller l makes client creation panic), which
+// implies single-writer clients. The replicas need no setting: the window
+// travels in every tag.
 func WithBoundedTimestamps(l int64) Option {
-	return func(c *clusterConfig) {
-		c.replicaOpts = append(c.replicaOpts, core.WithReplicaBoundedWindow(l))
-		c.defaultClient = append(c.defaultClient, core.WithBoundedLabels(l))
-	}
+	return WithClientDefaults(core.WithBoundedLabels(l))
 }
 
 // WithClientDefaults appends protocol options applied to every client the
@@ -102,73 +98,25 @@ func WithClientDefaults(opts ...core.ClientOption) Option {
 // (n must be divisible by g), sharding the register namespace across them.
 // NewCluster(n) is WithShards(1): the paper's single-group setting.
 func WithShards(g int) Option {
-	return func(c *clusterConfig) {
-		c.shards = g
-		c.shardOpts = append(c.shardOpts, shard.WithShards(g))
-	}
-}
-
-// WithVirtualNodes sets the consistent-hash ring's points per group for
-// every Store the cluster creates (see internal/shard; the default is
-// shard.DefaultVirtualNodes).
-func WithVirtualNodes(v int) Option {
-	return func(c *clusterConfig) { c.shardOpts = append(c.shardOpts, shard.WithVirtualNodes(v)) }
-}
-
-// WithHashFunc replaces the ring's register hash for every Store the
-// cluster creates. The function must be pure: every store of a deployment
-// must agree on the register→group map.
-func WithHashFunc(h HashFunc) Option {
-	return func(c *clusterConfig) { c.shardOpts = append(c.shardOpts, shard.WithHashFunc(h)) }
-}
-
-// WithStoreTracer attaches a span tracer to every client the cluster
-// creates, tagged per shard: a Store's group-g client emits spans carrying
-// shard tag g+1 (obs.Span.Shard), and plain Clients emit under their
-// group's tag. One tracer, per-shard attribution.
-func WithStoreTracer(t Tracer) Option {
-	return func(c *clusterConfig) { c.storeTracer = t }
+	return func(c *clusterConfig) { c.shards = g }
 }
 
 // NewCluster starts n replicas (node ids 0..n-1) on a fresh simulated
-// network. Close must be called to release them. It is sugar over
-// NewShardedCluster: one group of n replicas unless WithShards(g) asks for
-// the namespace to be partitioned into g groups of n/g.
+// network. Close must be called to release them. The replicas form one
+// group unless WithShards(g) partitions them into g groups of n/g — group
+// k owns node ids k*n/g .. (k+1)*n/g-1 — across which every Store the
+// cluster hands out partitions the registers; each group is an unchanged
+// ABD instance tolerating a minority of crashes.
 func NewCluster(n int, opts ...Option) (*Cluster, error) {
-	cfg := clusterConfig{seed: 1}
+	cfg := clusterConfig{seed: 1, shards: 1}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	groups := cfg.shards
-	if groups == 0 {
-		groups = 1
-	}
 	if groups < 1 || n < groups || n%groups != 0 {
 		return nil, fmt.Errorf("abd: cannot split %d replicas into %d equal groups", n, groups)
 	}
-	return newCluster(groups, n/groups, cfg)
-}
-
-// NewShardedCluster starts `groups` independent replica groups of
-// `perGroup` replicas each — group g owns node ids g*perGroup ..
-// (g+1)*perGroup-1 — on one simulated network. Registers are partitioned
-// across groups by every Store the cluster hands out; each group is an
-// unchanged ABD instance tolerating a minority of crashes.
-func NewShardedCluster(groups, perGroup int, opts ...Option) (*Cluster, error) {
-	cfg := clusterConfig{seed: 1}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.shards != 0 && cfg.shards != groups {
-		return nil, fmt.Errorf("abd: NewShardedCluster(%d groups) conflicts with WithShards(%d)", groups, cfg.shards)
-	}
-	return newCluster(groups, perGroup, cfg)
-}
-
-func newCluster(groups, perGroup int, cfg clusterConfig) (*Cluster, error) {
-	if groups < 1 || perGroup < 1 {
-		return nil, fmt.Errorf("abd: cluster needs >= 1 group of >= 1 replicas, got %dx%d", groups, perGroup)
-	}
+	perGroup := n / groups
 	if perGroup > quorum.MaxNodes {
 		return nil, fmt.Errorf("abd: group size %d exceeds max %d", perGroup, quorum.MaxNodes)
 	}
@@ -184,14 +132,9 @@ func newCluster(groups, perGroup int, cfg clusterConfig) (*Cluster, error) {
 		cfg:      cfg,
 	}
 	cl.net.SetDefaultFaults(chaos.Faults{Drop: cfg.dropProb})
-	for i := 0; i < groups*perGroup; i++ {
+	for i := 0; i < n; i++ {
 		id := types.NodeID(i)
-		ropts := cfg.replicaOpts
-		if cfg.storeTracer != nil {
-			ropts = append(append([]core.ReplicaOption(nil), ropts...),
-				core.WithReplicaTracer(shard.Tag(cfg.storeTracer, i/perGroup)))
-		}
-		r := core.NewReplica(id, cl.net.Node(id), ropts...)
+		r := core.NewReplica(id, cl.net.Node(id))
 		r.Start()
 		cl.replicas = append(cl.replicas, r)
 		cl.ids = append(cl.ids, id)
@@ -223,12 +166,9 @@ func (c *Cluster) GroupReplicaIDs(g int) []NodeID {
 func (c *Cluster) newGroupClient(g int, opts []core.ClientOption) *Client {
 	id := c.nextCli
 	c.nextCli++
-	all := make([]core.ClientOption, 0, len(c.cfg.defaultClient)+len(opts)+2)
+	all := make([]core.ClientOption, 0, len(c.cfg.defaultClient)+len(opts)+1)
 	if c.cfg.quorum != nil {
 		all = append(all, core.WithQuorum(c.cfg.quorum))
-	}
-	if c.cfg.storeTracer != nil {
-		all = append(all, core.WithTracer(shard.Tag(c.cfg.storeTracer, g)))
 	}
 	all = append(all, c.cfg.defaultClient...)
 	all = append(all, opts...)
@@ -252,8 +192,8 @@ func (c *Cluster) Client(opts ...core.ClientOption) *Client {
 }
 
 // Store creates a sharded store over every replica group: one fresh client
-// per group (cluster defaults plus opts), routed by the cluster's
-// consistent-hash ring configuration (WithVirtualNodes, WithHashFunc).
+// per group (cluster defaults plus opts), routed by the consistent-hash
+// ring every Store of the cluster shares (see internal/shard).
 // The cluster owns the store; Close closes it. On a single-group cluster
 // the store is a plain client behind the router — same protocol, same
 // guarantees — so code written against Store runs unchanged at any scale.
@@ -262,7 +202,7 @@ func (c *Cluster) Store(opts ...core.ClientOption) *Store {
 	for g := range clients {
 		clients[g] = c.newGroupClient(g, opts)
 	}
-	st, err := shard.New(clients, c.cfg.shardOpts...)
+	st, err := shard.New(clients)
 	if err != nil {
 		// Same contract as Client: the cluster controls every input.
 		panic(fmt.Sprintf("abd: cluster store: %v", err))
@@ -276,15 +216,6 @@ func (c *Cluster) Store(opts ...core.ClientOption) *Store {
 // recovery.
 func (c *Cluster) Crash(i int) {
 	c.net.Crash(c.ids[i])
-}
-
-// CrashGroupMinority fail-stops a minority (floor((perGroup-1)/2)) of the
-// replicas of group g — the largest crash the group tolerates while staying
-// live.
-func (c *Cluster) CrashGroupMinority(g int) {
-	for i := 0; i < (c.perGroup-1)/2; i++ {
-		c.Crash(g*c.perGroup + i)
-	}
 }
 
 // Partition splits the network into groups of node ids (replicas and

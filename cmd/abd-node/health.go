@@ -19,7 +19,7 @@ const watermarkLimit = 128
 // watermarks and the embedded probe client's hot keys, SLO burn state and
 // Byzantine counters. Lag stays nil — a node sees only its own replica, so
 // cross-replica divergence is computed by whoever polls every node's
-// watermarks (abd-top does, via health.ComputeLag).
+// watermarks (`abd-cli top` does, via health.ComputeLag).
 type nodeHealth struct {
 	start    time.Time
 	replica  *core.Replica

@@ -3,19 +3,19 @@
 //
 // Usage:
 //
-//	abd-node -id 0 -listen 127.0.0.1:7000 [-bounded-window L] \
-//	         [-metrics-addr 127.0.0.1:9100] \
+//	abd-node -id 0 -listen 127.0.0.1:7000 [-metrics-addr 127.0.0.1:9100] \
 //	         [-peers "0=127.0.0.1:7000,1=...,2=..." -probe-interval 1s]
 //
 // Replicas need no peer table: they answer clients over the connections the
-// clients opened. With -metrics-addr set, the node serves Prometheus text
+// clients opened. Nor do they need a timestamp mode: a bounded-label client's
+// tags carry their label window, so any replica serves it. With -metrics-addr set, the node serves Prometheus text
 // metrics on /metrics (client, replica, transport, and process series — see
 // the README's Observability section for the naming conventions), a JSON
 // health report on /healthz (uptime, build revision, span-drop counter), a
 // live introspection report on /status (tag watermarks, hot keys, SLO burn
-// state, Byzantine counters — the feed abd-top renders), and the span
-// collector on /spans (GET pulls collected spans as JSONL for abd-trace;
-// POST pushes spans from another process). -pprof additionally mounts
+// state, Byzantine counters — the feed `abd-cli top` renders), and the span
+// collector on /spans (GET pulls collected spans as JSONL for
+// `abd-cli trace`; any other method is 405). -pprof additionally mounts
 // net/http/pprof under /debug/pprof/ on the same mux. With -peers also set,
 // the node runs an embedded probe client against the whole replica group:
 // one end-to-end write+read pair per -probe-interval, whose latency
@@ -68,14 +68,13 @@ func run() int {
 	var (
 		id       = flag.Int("id", 0, "this replica's node id")
 		listen   = flag.String("listen", "127.0.0.1:7000", "TCP listen address")
-		bounded  = flag.Int64("bounded-window", 0, "enable bounded labels with this liveness window (0 = unbounded)")
 		wal      = flag.String("wal", "", "write-ahead log path for crash-recovery (empty = in-memory only)")
 		metrics  = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /status on this address (empty = disabled)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the metrics address")
 		peers    = flag.String("peers", "", "replica addresses id=host:port,... for the embedded probe client (empty = no probing)")
 		probeIv  = flag.Duration("probe-interval", time.Second, "end-to-end probe period when -peers is set")
 		byzF     = flag.Int("byz", 0, "probe with Byzantine read validation tolerating this many lying replicas (requires -peers with n >= 4f+1; surfaces abd_health_byz_* series)")
-		traceOut = flag.String("trace-out", "", "write every span (replica handlers, WAL appends, transport hops, probe ops) as JSONL to this file for abd-trace")
+		traceOut = flag.String("trace-out", "", "write every span (replica handlers, WAL appends, transport hops, probe ops) as JSONL to this file for abd-cli trace")
 
 		profDir      = flag.String("prof-dir", "", "arm the anomaly-triggered flight recorder: capture CPU/heap/goroutine profiles into this directory on SLO burn alerts (bounded ring, oldest evicted)")
 		profCaptures = flag.Int("prof-captures", 8, "flight-recorder ring size (capture sets kept on disk)")
@@ -131,9 +130,6 @@ func run() int {
 	}
 
 	var ropts []core.ReplicaOption
-	if *bounded > 0 {
-		ropts = append(ropts, core.WithReplicaBoundedWindow(*bounded))
-	}
 	if tracer != nil {
 		ropts = append(ropts, core.WithReplicaTracer(tracer))
 	}
@@ -360,7 +356,7 @@ func nodeGatherer(nh *nodeHealth) obs.Gatherer {
 		w.Counter("abd_replica_updates_total", "write/update requests handled", labels, rm.Updates)
 		w.Counter("abd_replica_adoptions_total", "updates that replaced the stored pair", labels, rm.Adoptions)
 		w.Counter("abd_replica_stale_rejects_total", "updates with a tag at or below the stored one", labels, rm.StaleRejects)
-		w.Counter("abd_replica_order_violations_total", "bounded-mode comparisons outside the sound window", labels, rm.OrderViolations)
+		w.Counter("abd_replica_order_violations_total", "updates refused unacknowledged: tag of another label window, or bounded labels outside the sound window", labels, rm.OrderViolations)
 		w.Counter("abd_replica_bad_msgs_total", "undecodable payloads", labels, rm.BadMsgs)
 		w.Counter("abd_replica_batches_total", "group commits (updates/batches = mean writes per commit)", labels, rm.Batches)
 		w.Counter("abd_replica_fsyncs_total", "WAL flushes issued; under load stays below adoptions (group-commit amortization)", labels, rm.Fsyncs)

@@ -69,7 +69,7 @@ func TestClusterHealthDetectsStraggler(t *testing.T) {
 // TestStoreHealthSLOAndHotKeys drives a skewed workload through a sharded
 // store and checks the merged client-side health view.
 func TestStoreHealthSLOAndHotKeys(t *testing.T) {
-	cluster, err := NewShardedCluster(2, 3, WithSeed(3))
+	cluster, err := NewCluster(6, WithShards(2), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,7 +243,7 @@ func TestNextTagNeverReusesATag(t *testing.T) {
 	}
 	t.Run("bounded-concurrent", func(t *testing.T) {
 		const window, k = 16, 8
-		c := newTestCluster(t, 3, netsim.Config{Seed: 32}, WithReplicaBoundedWindow(window))
+		c := newTestCluster(t, 3, netsim.Config{Seed: 32})
 		cli := c.client(WithSingleWriter(), WithBoundedLabels(window))
 		ctx := shortCtx(t)
 		mustWrite(t, ctx, cli, "x", "v")

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/timestamp"
@@ -12,7 +14,7 @@ import (
 
 func TestBoundedModeBasic(t *testing.T) {
 	const window = 16
-	c := newTestCluster(t, 3, netsim.Config{Seed: 20}, WithReplicaBoundedWindow(window))
+	c := newTestCluster(t, 3, netsim.Config{Seed: 20})
 	w := c.client(WithBoundedLabels(window))
 	r := c.client(WithBoundedLabels(window))
 	ctx := shortCtx(t)
@@ -27,7 +29,7 @@ func TestBoundedModeLabelsStayInDomain(t *testing.T) {
 	// T4's claim: the label never grows — it wraps within the 3L domain no
 	// matter how many writes happen.
 	const window = 8 // domain 24
-	c := newTestCluster(t, 3, netsim.Config{Seed: 21}, WithReplicaBoundedWindow(window))
+	c := newTestCluster(t, 3, netsim.Config{Seed: 21})
 	w := c.client(WithBoundedLabels(window))
 	r := c.client(WithBoundedLabels(window))
 	ctx := shortCtx(t)
@@ -40,7 +42,7 @@ func TestBoundedModeLabelsStayInDomain(t *testing.T) {
 	}
 	for i, rep := range c.replicas {
 		tag, _ := rep.State("x")
-		if !tag.Bounded || tag.Label < 0 || tag.Label >= 3*window {
+		if tag.Window != window || tag.Label < 0 || tag.Label >= 3*window {
 			t.Fatalf("replica %d label %d outside domain [0,%d)", i, tag.Label, 3*window)
 		}
 	}
@@ -49,9 +51,7 @@ func TestBoundedModeLabelsStayInDomain(t *testing.T) {
 func TestBoundedModeRequiresSingleWriter(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
-	// WithBoundedLabels implies single-writer, so constructing is fine; the
-	// guard triggers only if someone forges the flags. Check the implied
-	// mode instead.
+	// WithBoundedLabels implies single-writer, so constructing is fine.
 	cli, err := NewClient(1, net.Node(1), c3ids(), WithBoundedLabels(8))
 	if err != nil {
 		t.Fatal(err)
@@ -60,11 +60,55 @@ func TestBoundedModeRequiresSingleWriter(t *testing.T) {
 	if !cli.singleWriter || !cli.bounded {
 		t.Fatal("WithBoundedLabels must imply single-writer bounded mode")
 	}
+	// A window below 1 names no cyclic domain: NewClient rejects it instead
+	// of leaving the client unbounded.
+	for _, l := range []int64{0, -1} {
+		if _, err := NewClient(2, net.Node(2), c3ids(), WithBoundedLabels(l)); err == nil {
+			t.Errorf("WithBoundedLabels(%d) accepted", l)
+		}
+	}
+}
+
+// TestMixedWindowWriteIsRefused: replicas read the label window from the
+// tag, so an update whose window differs from the stored tag's cannot be
+// ordered. Every replica counts an order violation and withholds its ack:
+// the write fails instead of being acknowledged and lost, and the register
+// keeps its value. Both directions: a bounded write onto an unbounded
+// register, and an unbounded write onto a bounded one.
+func TestMixedWindowWriteIsRefused(t *testing.T) {
+	c := newTestCluster(t, 3, netsim.Config{Seed: 24})
+	ctx := shortCtx(t)
+	refused := func(w *Client, reg, val string) {
+		t.Helper()
+		short, cancel := context.WithTimeout(ctx, 300*time.Millisecond)
+		defer cancel()
+		if err := w.Write(short, reg, []byte(val)); err == nil {
+			t.Fatalf("write %q=%q across label windows acknowledged", reg, val)
+		}
+	}
+
+	mustWrite(t, ctx, c.client(), "x", "a")
+	refused(c.client(WithBoundedLabels(8)), "x", "b")
+	if got := mustRead(t, ctx, c.client(), "x"); got != "a" {
+		t.Fatalf("read %q, want a", got)
+	}
+
+	mustWrite(t, ctx, c.client(WithBoundedLabels(8)), "y", "c")
+	refused(c.client(), "y", "d")
+	if got := mustRead(t, ctx, c.client(WithBoundedLabels(8)), "y"); got != "c" {
+		t.Fatalf("read %q, want c", got)
+	}
+
+	for i, r := range c.replicas {
+		if m := r.ReplicaMetrics(); m.OrderViolations == 0 {
+			t.Errorf("replica %d counted no order violation: %+v", i, m)
+		}
+	}
 }
 
 func TestBoundedModeSurvivesMinorityCrash(t *testing.T) {
 	const window = 16
-	c := newTestCluster(t, 5, netsim.Config{Seed: 22}, WithReplicaBoundedWindow(window))
+	c := newTestCluster(t, 5, netsim.Config{Seed: 22})
 	w := c.client(WithBoundedLabels(window))
 	ctx := shortCtx(t)
 
@@ -86,7 +130,7 @@ func TestBoundedModeDetectsWindowViolation(t *testing.T) {
 	// detect that the live set is incomparable (ErrOutOfWindow) instead of
 	// silently mis-ordering — the reason the domain is 3L, not 2L+1.
 	const window = 4 // domain 12 — tiny, easy to violate
-	c := newTestCluster(t, 3, netsim.Config{Seed: 23}, WithReplicaBoundedWindow(window))
+	c := newTestCluster(t, 3, netsim.Config{Seed: 23})
 	w := c.client(WithBoundedLabels(window))
 	ctx := shortCtx(t)
 

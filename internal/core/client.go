@@ -39,14 +39,13 @@ type Client struct {
 	replicas []types.NodeID
 	index    map[types.NodeID]int
 	qs       quorum.System
-	ord      order
 
 	// Mode flags; see options.go.
 	singleWriter bool
 	readMode     ReadMode
 	bounded      bool
-	boundedDom   timestamp.Cyclic
-	f            int // Byzantine replicas tolerated (WithByzantine; 0 = crash faults only)
+	boundedDom   timestamp.Cyclic // the window every tag this client issues carries
+	f            int              // Byzantine replicas tolerated (WithByzantine; 0 = crash faults only)
 
 	// Whom a query phase asks first (targetTable): one rotation per start
 	// for plain queries and for a ReadAtomic read's query; nil asks all.
@@ -64,11 +63,10 @@ type Client struct {
 
 	// Tag-issuing state, per register: the last sequence number this client
 	// issued (both writer modes; see nextTag) and, under bounded labels, the
-	// last label.
+	// last label, present once one was issued.
 	tagMu   sync.Mutex
 	tagSeq  map[string]int64
 	swLabel map[string]int64
-	swWrote map[string]bool // whether swLabel holds a real label yet
 
 	// Byzantine evidence (WithByzantine; see audit): per register, the tag
 	// each replica (by index) last reported to this client (nil = no audit),
@@ -81,8 +79,7 @@ type Client struct {
 	pendMu  sync.Mutex
 	pending map[uint64]*opInbox
 
-	started atomic.Bool
-	done    chan struct{}
+	done chan struct{}
 
 	metrics Metrics
 	lat     latencySet
@@ -107,10 +104,8 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 		replicas: append([]types.NodeID(nil), replicas...),
 		index:    make(map[types.NodeID]int, len(replicas)),
 		qs:       quorum.NewMajority(len(replicas)),
-		ord:      unboundedOrder{},
 		tagSeq:   make(map[string]int64),
 		swLabel:  make(map[string]int64),
-		swWrote:  make(map[string]bool),
 		pending:  make(map[uint64]*opInbox),
 		done:     make(chan struct{}),
 		hot:      health.NewTopK(0),
@@ -151,14 +146,19 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 		return nil, fmt.Errorf("core: quorum system sized for %d replicas, group has %d",
 			c.qs.Size(), len(c.replicas))
 	}
-	if c.bounded && !c.singleWriter {
-		return nil, fmt.Errorf("core: bounded labels require the single-writer mode")
+	if c.bounded {
+		if _, err := timestamp.NewCyclic(c.boundedDom.L); err != nil {
+			return nil, fmt.Errorf("core: WithBoundedLabels(%d): %w", c.boundedDom.L, err)
+		}
 	}
 	c.queryTargets = c.targetTable(c.qs.ContainsReadQuorum)
 	c.fastTargets = c.targetTable(func(s quorum.Set) bool {
 		return c.qs.ContainsReadQuorum(s) && c.qs.ContainsWriteQuorum(s)
 	})
-	c.start()
+	if d, ok := c.ep.(transport.Dispatcher); ok {
+		d.Dispatch(c.dispatch)
+	}
+	go c.demux()
 	return c, nil
 }
 
@@ -192,23 +192,8 @@ func (c *Client) Suspects() map[types.NodeID]int64 {
 // ReadMode reports the client's read mode (WithReadMode).
 func (c *Client) ReadMode() ReadMode { return c.readMode }
 
-func (c *Client) start() {
-	if !c.started.CompareAndSwap(false, true) {
-		return
-	}
-	if d, ok := c.ep.(transport.Dispatcher); ok {
-		d.Dispatch(c.dispatch)
-	}
-	go c.demux()
-}
-
 // Close shuts the client down, failing any in-flight operations.
 func (c *Client) Close() {
-	if c.started.CompareAndSwap(false, true) {
-		close(c.done)
-		_ = c.ep.Close()
-		return
-	}
 	_ = c.ep.Close()
 	<-c.done
 }
@@ -558,7 +543,7 @@ func (c *Client) newest(replies []message) (Tag, types.Value, error) {
 	best := Tag{}
 	var val types.Value
 	for _, m := range replies {
-		cmp, err := c.ord.compare(m.Tag, best)
+		cmp, err := m.Tag.compare(best)
 		if err != nil {
 			c.metrics.orderViolations.Add(1)
 			return Tag{}, nil, fmt.Errorf("core: cannot order replica tags: %w", err)
@@ -606,7 +591,7 @@ func (c *Client) vouch(replies []message) (accepted, unsupported []message) {
 // already increment orderViolations elsewhere.
 func (c *Client) aheadOf(replies []message, tag Tag) bool {
 	for _, m := range replies {
-		if cmp, err := c.ord.compare(m.Tag, tag); err == nil && cmp > 0 {
+		if cmp, err := m.Tag.compare(tag); err == nil && cmp > 0 {
 			return true
 		}
 	}
@@ -648,7 +633,7 @@ func (c *Client) audit(reg string, prior []Tag, replies, accepted []message) {
 		i := c.index[m.fromReplica]
 		lied := false
 		if i < len(prior) {
-			cmp, err := c.ord.compare(m.Tag, prior[i])
+			cmp, err := m.Tag.compare(prior[i])
 			lied = err == nil && cmp < 0
 		}
 		for _, a := range accepted {
@@ -872,14 +857,14 @@ func (c *Client) nextBoundedTag(ctx context.Context, reg string, ot opTrace) (Ta
 	}
 	live := make([]int64, 0, len(replies)+1)
 	for _, m := range replies {
-		if m.Tag.Valid && m.Tag.Bounded {
+		if m.Tag.Valid && m.Tag.Window == c.boundedDom.L {
 			live = append(live, m.Tag.Label)
 		}
 	}
 	c.tagMu.Lock()
 	defer c.tagMu.Unlock()
-	if c.swWrote[reg] {
-		live = append(live, c.swLabel[reg])
+	if last, ok := c.swLabel[reg]; ok {
+		live = append(live, last)
 	}
 	label, err := c.boundedDom.Dominating(live)
 	if err != nil {
@@ -890,8 +875,7 @@ func (c *Client) nextBoundedTag(ctx context.Context, reg string, ot opTrace) (Ta
 	// some replicas may have adopted it, so it is live and the next write
 	// must dominate it.
 	c.swLabel[reg] = label
-	c.swWrote[reg] = true
-	return Tag{Valid: true, Bounded: true, Label: label}, nil
+	return Tag{Valid: true, Window: c.boundedDom.L, Label: label}, nil
 }
 
 // QueryMax runs a single query phase: it returns the newest (tag, value)

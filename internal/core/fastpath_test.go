@@ -128,7 +128,7 @@ func TestFastPathNoEvidenceForcesSlowPath(t *testing.T) {
 // TestFastPathBoundedLabels: holder evidence is tag equality, which cyclic
 // labels support, so bounded-label clients get one-round reads too.
 func TestFastPathBoundedLabels(t *testing.T) {
-	c := newTestCluster(t, 3, netsim.Config{Seed: 77}, WithReplicaBoundedWindow(16))
+	c := newTestCluster(t, 3, netsim.Config{Seed: 77})
 	w := c.client(WithBoundedLabels(16))
 	r := c.client(WithBoundedLabels(16))
 	ctx := shortCtx(t)

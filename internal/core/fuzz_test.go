@@ -18,7 +18,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		{Kind: KindReadReply, Op: 2, Reg: "x",
 			Tag: Tag{Valid: true, TS: timestamp.TS{Seq: 3, Writer: 1}}, Val: []byte("v")},
 		{Kind: KindWrite, Op: 3, Reg: "y",
-			Tag: Tag{Valid: true, Bounded: true, Label: 7}, Val: []byte{}},
+			Tag: Tag{Valid: true, Window: 3, Label: 7}, Val: []byte{}},
 		{Kind: KindWriteAck, Op: 4},
 		{Kind: KindReadQuery, Op: 5, Reg: "r", Trace: 0xA1B2C3D4, Span: 0x55},
 		{Kind: KindReadReply, Op: 6, Reg: "x", Trace: 1, Span: ^uint64(0),
@@ -51,7 +51,7 @@ func FuzzDecodeMessage(f *testing.F) {
 }
 
 func FuzzDecodeRecord(f *testing.F) {
-	f.Add(encodeRecordBody(nil, record{reg: "x", tag: Tag{Valid: true}, val: []byte("v")}))
+	f.Add(appendEntry(nil, "x", Tag{Valid: true}, []byte("v")))
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 
@@ -60,7 +60,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, _, err := decodeRecord(encodeRecordBody(nil, rec))
+		re, _, err := decodeRecord(appendEntry(nil, rec.reg, rec.tag, rec.val))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -75,21 +75,20 @@ func FuzzOrderComparisons(f *testing.F) {
 	f.Add(int64(5), int64(1), int64(5), int64(2), true, true)
 
 	f.Fuzz(func(t *testing.T, seqA, wA, seqB, wB int64, validA, validB bool) {
-		ord := unboundedOrder{}
 		a := Tag{Valid: validA, TS: timestamp.TS{Seq: seqA, Writer: types.NodeID(wA)}}
 		b := Tag{Valid: validB, TS: timestamp.TS{Seq: seqB, Writer: types.NodeID(wB)}}
-		ab, err := ord.compare(a, b)
+		ab, err := a.compare(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ba, err := ord.compare(b, a)
+		ba, err := b.compare(a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ab != -ba {
 			t.Fatalf("compare not antisymmetric: %d vs %d", ab, ba)
 		}
-		aa, _ := ord.compare(a, a)
+		aa, _ := a.compare(a)
 		if aa != 0 {
 			t.Fatalf("compare not reflexive: %d", aa)
 		}

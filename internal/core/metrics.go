@@ -44,8 +44,8 @@ type MetricsSnapshot struct {
 	// whether the second phase ran (skipped = fast-path hits, plus every
 	// read under ReadRegular).
 	WriteBacks, WriteBacksSkipped int64
-	// OrderViolations counts bounded-label comparisons that fell outside
-	// the sound window (T4).
+	// OrderViolations counts replica tags the client could not order: of
+	// another label window, or bounded labels outside the sound window (T4).
 	OrderViolations int64
 	// Stragglers counts replies that arrived after their operation
 	// finished — the protocol's designed-for case, not an error.

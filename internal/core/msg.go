@@ -63,16 +63,38 @@ func (k Kind) String() string {
 	}
 }
 
-// Tag orders the versions of a register value. In unbounded mode the TS
-// field carries the paper's (sequence, writer) timestamp. In bounded mode
-// the Label field carries a position in the cyclic bounded domain instead.
-// Valid distinguishes a written version from the initial register state,
-// which is older than everything.
+// Tag orders the versions of a register value. Window is the label window
+// the tag was issued under: 0 for the paper's unbounded timestamps, whose
+// TS field carries the (sequence, writer) pair, and L >= 1 for a bounded
+// tag, whose Label field carries a position in the cyclic domain Z_{3L}
+// (timestamp.Cyclic). Valid distinguishes a written version from the
+// initial register state, which is older than everything.
 type Tag struct {
-	Valid   bool
-	TS      timestamp.TS
-	Bounded bool
-	Label   int64
+	Valid  bool
+	TS     timestamp.TS
+	Window int64
+	Label  int64
+}
+
+// compare returns -1/0/+1 as t is older/equal/newer than u. The initial
+// state is older than every written tag; two written tags order only under
+// one window: lexicographic (seq, writer) when unbounded, cyclic distance
+// when bounded. It fails when the windows differ and, for bounded labels,
+// outside the sound comparison window (timestamp.ErrOutOfWindow).
+func (t Tag) compare(u Tag) (int, error) {
+	switch {
+	case !t.Valid && !u.Valid:
+		return 0, nil
+	case !t.Valid:
+		return -1, nil
+	case !u.Valid:
+		return 1, nil
+	case t.Window != u.Window:
+		return 0, fmt.Errorf("%w: label windows %d and %d differ", types.ErrBadMessage, t.Window, u.Window)
+	case t.Window == 0:
+		return t.TS.Compare(u.TS), nil
+	}
+	return timestamp.Cyclic{L: t.Window}.Compare(t.Label, u.Label)
 }
 
 // message is the single on-wire shape shared by all four kinds; queries and
@@ -98,7 +120,8 @@ type message struct {
 }
 
 // encode serializes m with the layout
-// [kind][op][reg][valid][seq][writer][bounded][label][val]{[trace][span]}[crc32].
+// [kind][op][entry]{[trace][span]}[crc32], entry being appendEntry's
+// [reg][valid][seq][writer][window][label][val].
 // The optional trace-context trailer and the trailing IEEE CRC32 are the
 // wire envelope (see internal/wire): traced payloads set the high bit of the
 // kind byte, untraced ones are byte-identical to the pre-trace format, so a
@@ -114,13 +137,7 @@ func (m message) encode() []byte {
 	b := make([]byte, 0, 48+len(m.Reg)+len(m.Val))
 	b = append(b, byte(m.Kind))
 	b = wire.AppendUint(b, m.Op)
-	b = wire.AppendString(b, m.Reg)
-	b = wire.AppendBool(b, m.Tag.Valid)
-	b = wire.AppendInt(b, m.Tag.TS.Seq)
-	b = wire.AppendInt(b, int64(m.Tag.TS.Writer))
-	b = wire.AppendBool(b, m.Tag.Bounded)
-	b = wire.AppendInt(b, m.Tag.Label)
-	b = wire.AppendBytes(b, m.Val)
+	b = appendEntry(b, m.Reg, m.Tag, m.Val)
 	return wire.Seal(b, m.Trace, m.Span)
 }
 
@@ -139,14 +156,7 @@ func decodeMessage(payload []byte) (message, error) {
 	// kind; Open leaves it set (it never mutates the payload).
 	m := message{Kind: Kind(body[0] &^ wire.TraceFlag), Trace: trace, Span: span}
 	m.Op = r.Uint()
-	m.Reg = r.String()
-	m.Tag.Valid = r.Bool()
-	m.Tag.TS.Seq = r.Int()
-	m.Tag.TS.Writer = types.NodeID(r.Int())
-	m.Tag.Bounded = r.Bool()
-	m.Tag.Label = r.Int()
-	m.Val = r.Bytes()
-	if err := r.Err(); err != nil {
+	if m.Reg, m.Tag, m.Val, err = readEntry(r); err != nil {
 		return message{}, err
 	}
 	switch m.Kind {
@@ -157,52 +167,34 @@ func decodeMessage(payload []byte) (message, error) {
 	return m, nil
 }
 
-// order compares tags; the implementation depends on the timestamp mode.
-type order interface {
-	// compare returns -1/0/+1 as a is older/equal/newer than b. It fails
-	// only in bounded mode, when the two labels are outside the sound
-	// comparison window.
-	compare(a, b Tag) (int, error)
+// appendEntry appends the (register, tag, value) fields that a protocol
+// message and a WAL record share, in their one order. Window is a zig-zag
+// varint, so an unbounded tag's 0 is the single byte 0x00.
+func appendEntry(b []byte, reg string, tag Tag, val types.Value) []byte {
+	b = wire.AppendString(b, reg)
+	b = wire.AppendBool(b, tag.Valid)
+	b = wire.AppendInt(b, tag.TS.Seq)
+	b = wire.AppendInt(b, int64(tag.TS.Writer))
+	b = wire.AppendInt(b, tag.Window)
+	b = wire.AppendInt(b, tag.Label)
+	return wire.AppendBytes(b, val)
 }
 
-// unboundedOrder is the paper's simple mode: lexicographic (seq, writer).
-type unboundedOrder struct{}
-
-func (unboundedOrder) compare(a, b Tag) (int, error) {
-	switch {
-	case !a.Valid && !b.Valid:
-		return 0, nil
-	case !a.Valid:
-		return -1, nil
-	case !b.Valid:
-		return 1, nil
+// readEntry reads what appendEntry wrote, and reports the reader's first
+// error. A negative window is malformed: no mode issues one.
+func readEntry(r *wire.Reader) (reg string, tag Tag, val types.Value, err error) {
+	reg = r.String()
+	tag.Valid = r.Bool()
+	tag.TS.Seq = r.Int()
+	tag.TS.Writer = types.NodeID(r.Int())
+	tag.Window = r.Int()
+	tag.Label = r.Int()
+	val = r.Bytes()
+	if err := r.Err(); err != nil {
+		return "", Tag{}, nil, err
 	}
-	return a.TS.Compare(b.TS), nil
-}
-
-// boundedOrder compares cyclic bounded labels (single-writer only).
-type boundedOrder struct{ dom timestamp.Cyclic }
-
-// newBoundedOrder builds the bounded order for liveness window l.
-func newBoundedOrder(l int64) (boundedOrder, error) {
-	dom, err := timestamp.NewCyclic(l)
-	if err != nil {
-		return boundedOrder{}, err
+	if tag.Window < 0 {
+		return "", Tag{}, nil, fmt.Errorf("%w: label window %d", types.ErrBadMessage, tag.Window)
 	}
-	return boundedOrder{dom: dom}, nil
-}
-
-func (o boundedOrder) compare(a, b Tag) (int, error) {
-	switch {
-	case !a.Valid && !b.Valid:
-		return 0, nil
-	case !a.Valid:
-		return -1, nil
-	case !b.Valid:
-		return 1, nil
-	}
-	if !a.Bounded || !b.Bounded {
-		return 0, fmt.Errorf("%w: unbounded tag in bounded mode", types.ErrBadMessage)
-	}
-	return o.dom.Compare(a.Label, b.Label)
+	return reg, tag, val, nil
 }

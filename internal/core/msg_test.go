@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"strings"
@@ -21,7 +22,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		{Kind: KindReadReply, Op: 42, Reg: "account/balance",
 			Tag: Tag{Valid: true, TS: timestamp.TS{Seq: 7, Writer: 3}}, Val: []byte("v7")},
 		{Kind: KindWrite, Op: 9, Reg: "x",
-			Tag: Tag{Valid: true, Bounded: true, Label: 11}, Val: []byte{}},
+			Tag: Tag{Valid: true, Window: 4, Label: 11}, Val: []byte{}},
 		{Kind: KindWriteAck, Op: 100000, Reg: ""},
 		// Traced variants: the trace context must survive the round trip on
 		// every kind, including edge ids.
@@ -36,7 +37,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		{Kind: KindReadReply, Op: 44, Reg: "x",
 			Tag: Tag{Valid: true, TS: timestamp.TS{Seq: -9, Writer: 2}}, Val: []byte("v9")},
 		{Kind: KindWrite, Op: 11, Reg: "y", Val: []byte("z"), Trace: 3, Span: 4,
-			Tag: Tag{Valid: true, Bounded: true, Label: 5}},
+			Tag: Tag{Valid: true, Window: 2, Label: 5}},
 	}
 	for _, m := range tests {
 		t.Run(m.Kind.String(), func(t *testing.T) {
@@ -112,7 +113,7 @@ func TestDecodeRejectsRetiredConfBit(t *testing.T) {
 		body = wire.AppendBool(body, true)         // tag.valid
 		body = wire.AppendInt(body, 7)             // seq
 		body = wire.AppendInt(body, 3)             // writer
-		body = wire.AppendBool(body, false)        // bounded
+		body = wire.AppendInt(body, 0)             // window: unbounded
 		body = wire.AppendInt(body, 0)             // label
 		body = wire.AppendBytes(body, []byte("v")) // val
 		body = wire.AppendBool(body, true)         // retired trailer: valid
@@ -157,12 +158,12 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 }
 
 func TestQuickMessageRoundTrip(t *testing.T) {
-	f := func(op uint64, reg string, seq int64, writer int32, valid, bounded bool, label int64, val []byte, trace, span uint64) bool {
+	f := func(op uint64, reg string, seq int64, writer int32, valid bool, window uint16, label int64, val []byte, trace, span uint64) bool {
 		m := message{
 			Kind:  KindWrite,
 			Op:    op,
 			Reg:   reg,
-			Tag:   Tag{Valid: valid, TS: timestamp.TS{Seq: seq, Writer: types.NodeID(writer)}, Bounded: bounded, Label: label},
+			Tag:   Tag{Valid: valid, TS: timestamp.TS{Seq: seq, Writer: types.NodeID(writer)}, Window: int64(window), Label: label},
 			Val:   val,
 			Trace: trace,
 			Span:  span,
@@ -181,7 +182,6 @@ func TestQuickMessageRoundTrip(t *testing.T) {
 }
 
 func TestUnboundedOrder(t *testing.T) {
-	ord := unboundedOrder{}
 	zero := Tag{}
 	one := Tag{Valid: true, TS: timestamp.TS{Seq: 1, Writer: 0}}
 	oneHigher := Tag{Valid: true, TS: timestamp.TS{Seq: 1, Writer: 5}}
@@ -199,7 +199,7 @@ func TestUnboundedOrder(t *testing.T) {
 		{two, two, 0},
 	}
 	for _, tt := range cases {
-		got, err := ord.compare(tt.a, tt.b)
+		got, err := tt.a.compare(tt.b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,28 +210,63 @@ func TestUnboundedOrder(t *testing.T) {
 }
 
 func TestBoundedOrder(t *testing.T) {
-	ord, err := newBoundedOrder(3) // domain 9
+	zero := Tag{}
+	l0 := Tag{Valid: true, Window: 3, Label: 0} // domain 9
+	l2 := Tag{Valid: true, Window: 3, Label: 2}
+
+	if got, err := zero.compare(l0); err != nil || got != -1 {
+		t.Fatalf("initial vs written: %d, %v", got, err)
+	}
+	if got, err := l2.compare(l0); err != nil || got != 1 {
+		t.Fatalf("newer label: %d, %v", got, err)
+	}
+	// Tags of different windows never order, an unbounded one included.
+	for _, other := range []Tag{
+		{Valid: true, TS: timestamp.TS{Seq: 1}},
+		{Valid: true, Window: 4, Label: 0},
+	} {
+		if _, err := other.compare(l0); !errors.Is(err, types.ErrBadMessage) {
+			t.Fatalf("window %d tag ordered against window 3: %v", other.Window, err)
+		}
+	}
+	// Out-of-window labels are detected.
+	l4 := Tag{Valid: true, Window: 3, Label: 4}
+	if _, err := l4.compare(l0); !errors.Is(err, timestamp.ErrOutOfWindow) {
+		t.Fatalf("want ErrOutOfWindow, got %v", err)
+	}
+}
+
+// TestEntryBytesPinned pins the shared (register, tag, value) encoding to
+// the bytes written before tags carried their window: an unbounded tag's
+// window is the single byte 0x00 that the bounded flag "false" was, so
+// unbounded messages, traced or not, and WAL records are unchanged. A
+// bounded tag of that format (flag byte 0x01) reads as window -1, which is
+// malformed.
+func TestEntryBytesPinned(t *testing.T) {
+	tag := Tag{Valid: true, TS: timestamp.TS{Seq: 5, Writer: 2}}
+	for _, tc := range []struct {
+		name, want string
+		got        []byte
+	}{
+		{"write", "03070178010a040000010176d33d9956",
+			message{Kind: KindWrite, Op: 7, Reg: "x", Tag: tag, Val: []byte("v")}.encode()},
+		{"traced reply", "82080178010a0400000101760000000000000009000000000000000a848864dd",
+			message{Kind: KindReadReply, Op: 8, Reg: "x", Tag: tag, Val: []byte("v"), Trace: 9, Span: 10}.encode()},
+		{"query", "01010178000000000000081e89d9",
+			message{Kind: KindReadQuery, Op: 1, Reg: "x"}.encode()},
+		{"wal record", "0000000a15c7f03c0178010a040000010176",
+			encodeRecord(nil, record{reg: "x", tag: tag, val: []byte("v")})},
+	} {
+		if got := hex.EncodeToString(tc.got); got != tc.want {
+			t.Errorf("%s: encoded %s, want %s", tc.name, got, tc.want)
+		}
+	}
+
+	old, err := hex.DecodeString("03070178010000010801017614088551") // bounded, label 4
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero := Tag{}
-	l0 := Tag{Valid: true, Bounded: true, Label: 0}
-	l2 := Tag{Valid: true, Bounded: true, Label: 2}
-
-	if got, err := ord.compare(zero, l0); err != nil || got != -1 {
-		t.Fatalf("initial vs written: %d, %v", got, err)
-	}
-	if got, err := ord.compare(l2, l0); err != nil || got != 1 {
-		t.Fatalf("newer label: %d, %v", got, err)
-	}
-	// Mixing modes is a protocol error.
-	unb := Tag{Valid: true, TS: timestamp.TS{Seq: 1}}
-	if _, err := ord.compare(unb, l0); err == nil {
-		t.Fatal("unbounded tag accepted in bounded mode")
-	}
-	// Out-of-window labels are detected.
-	l4 := Tag{Valid: true, Bounded: true, Label: 4}
-	if _, err := ord.compare(l4, l0); !errors.Is(err, timestamp.ErrOutOfWindow) {
-		t.Fatalf("want ErrOutOfWindow, got %v", err)
+	if _, err := decodeMessage(old); !errors.Is(err, types.ErrBadMessage) {
+		t.Fatalf("bounded message of the old format: %v, want ErrBadMessage", err)
 	}
 }

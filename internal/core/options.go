@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/quorum"
+	"repro/internal/timestamp"
 )
 
 // ClientOption configures a Client.
@@ -144,9 +145,11 @@ func WithTracer(t obs.Tracer) ClientOption {
 }
 
 // WithBoundedLabels switches the client to the bounded cyclic label mode
-// with liveness window l, implying single-writer mode (the paper's bounded
-// construction is for the SWMR register). Every replica in the group must
-// be configured with the same window via WithReplicaBoundedWindow.
+// with liveness window l >= 1 (NewClient rejects a smaller one), implying
+// single-writer mode (the paper's bounded construction is for the SWMR
+// register). Every tag the client issues carries l (Tag.Window), so
+// replicas need no setting: they order tags of one window and refuse,
+// unacknowledged, an update whose window differs from the stored tag's.
 //
 // The mode is sound under the bounded-staleness assumption discussed in
 // DESIGN.md: no live label lags more than l issues behind the newest.
@@ -154,13 +157,6 @@ func WithTracer(t obs.Tracer) ClientOption {
 // order violations rather than mis-ordered.
 func WithBoundedLabels(l int64) ClientOption {
 	return func(c *Client) {
-		ord, err := newBoundedOrder(l)
-		if err != nil {
-			return
-		}
-		c.bounded = true
-		c.singleWriter = true
-		c.boundedDom = ord.dom
-		c.ord = ord
+		c.bounded, c.singleWriter, c.boundedDom = true, true, timestamp.Cyclic{L: l}
 	}
 }

@@ -105,22 +105,11 @@ type record struct {
 	val types.Value
 }
 
-// encodeRecordBody appends a record's payload (the checksummed part) to b.
-func encodeRecordBody(b []byte, r record) []byte {
-	b = wire.AppendString(b, r.reg)
-	b = wire.AppendBool(b, r.tag.Valid)
-	b = wire.AppendInt(b, r.tag.TS.Seq)
-	b = wire.AppendInt(b, int64(r.tag.TS.Writer))
-	b = wire.AppendBool(b, r.tag.Bounded)
-	b = wire.AppendInt(b, r.tag.Label)
-	return wire.AppendBytes(b, r.val)
-}
-
 // encodeRecord appends a record framed for the v2 log — length, CRC32,
-// body — to b, encoding the body in place.
+// body — to b, encoding the body (appendEntry, as in a message) in place.
 func encodeRecord(b []byte, r record) []byte {
 	start := len(b)
-	b = encodeRecordBody(append(b, 0, 0, 0, 0, 0, 0, 0, 0), r)
+	b = appendEntry(append(b, 0, 0, 0, 0, 0, 0, 0, 0), r.reg, r.tag, r.val)
 	body := b[start+8:]
 	binary.BigEndian.PutUint32(b[start:], uint32(len(body)))
 	binary.BigEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(body))
@@ -131,14 +120,7 @@ func encodeRecord(b []byte, r record) []byte {
 // many bytes it took.
 func decodeRecord(b []byte) (rec record, n int, err error) {
 	r := wire.NewReader(b)
-	rec.reg = r.String()
-	rec.tag.Valid = r.Bool()
-	rec.tag.TS.Seq = r.Int()
-	rec.tag.TS.Writer = types.NodeID(r.Int())
-	rec.tag.Bounded = r.Bool()
-	rec.tag.Label = r.Int()
-	rec.val = r.Bytes()
-	if err := r.Err(); err != nil {
+	if rec.reg, rec.tag, rec.val, err = readEntry(r); err != nil {
 		return record{}, 0, err
 	}
 	return rec, len(b) - r.Len(), nil
@@ -449,9 +431,9 @@ func NewPersistentReplica(id types.NodeID, ep transport.Endpoint, path string, o
 	// (possible after interleaved compactions) resolve to the newest.
 	for _, rec := range recs {
 		cur := r.regs[rec.reg]
-		cmp, err := r.ord.compare(rec.tag, cur.tag)
+		cmp, err := rec.tag.compare(cur.tag)
 		if err != nil {
-			continue // out-of-window bounded comparison in the log: skip
+			continue // an unorderable pair of tags in the log: skip
 		}
 		if cmp > 0 {
 			r.regs[rec.reg] = regEntry{tag: rec.tag, val: rec.val}

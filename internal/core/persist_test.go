@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -175,7 +176,7 @@ func TestPersistRejectsLogWithoutMagic(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		rec := record{reg: "x", tag: Tag{Valid: true}, val: []byte(fmt.Sprintf("v%d", i))}
 		rec.tag.TS.Seq = int64(i)
-		body := encodeRecordBody(nil, rec)
+		body := appendEntry(nil, rec.reg, rec.tag, rec.val)
 		var hdr [4]byte
 		binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 		raw = append(raw, hdr[:]...)
@@ -202,6 +203,30 @@ func TestPersistRejectsLogWithoutMagic(t *testing.T) {
 	}
 	if _, err := os.Stat(logPath + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("rejected open left a temporary file: %v", err)
+	}
+}
+
+// TestPersistRejectsPreWindowBoundedRecord: a record a bounded replica
+// logged before tags carried their window has the bounded flag byte 0x01
+// where the window now is, which reads as window -1. The record passes its
+// CRC but does not decode, so the log is ErrLogCorrupt; there is no upgrade
+// path. The hex is such a record: register "x", label 4, value "v".
+func TestPersistRejectsPreWindowBoundedRecord(t *testing.T) {
+	frame, err := hex.DecodeString("0000000ad2f2ec3b01780100000108010176")
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(t.TempDir(), "bounded.wal")
+	if err := os.WriteFile(logPath, append([]byte(persistMagic), frame...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	net := netsim.New(netsim.Config{Seed: 77})
+	defer net.Close()
+	if r, err := NewPersistentReplica(0, net.Node(0), logPath); !errors.Is(err, ErrLogCorrupt) {
+		if r != nil {
+			r.Stop()
+		}
+		t.Fatalf("open of a pre-window bounded record: err = %v, want ErrLogCorrupt", err)
 	}
 }
 
@@ -417,7 +442,7 @@ func TestCompactionDoesNotBlockQueries(t *testing.T) {
 func TestPersistRecordRoundTrip(t *testing.T) {
 	rec := record{
 		reg: "registers/42",
-		tag: Tag{Valid: true, Bounded: true, Label: 17},
+		tag: Tag{Valid: true, Window: 8, Label: 17},
 		val: []byte{0xDE, 0xAD},
 	}
 	rec.tag.TS.Seq = 9

@@ -22,7 +22,11 @@ type regEntry struct {
 // timestamped copy of every register and answers queries and update
 // requests. Its behaviour is exactly the paper's: reply to a query with the
 // stored pair; on an update, adopt the incoming pair if its timestamp is
-// newer, and acknowledge either way.
+// newer, and acknowledge either way. The replica holds no mode: the tags
+// carry their label window (Tag.Window), and an update whose tag cannot be
+// ordered against the stored one — another window, or bounded labels out of
+// window — is counted as an order violation and not acknowledged, since an
+// ack would claim a write quorum for a pair the replica did not keep.
 //
 // Internally the replica is a two-stage pipeline: dispatch decodes an
 // inbound request and answers a read query immediately (it only takes the
@@ -34,9 +38,8 @@ type regEntry struct {
 // batch. A slow fsync therefore stalls writers, never readers, and under
 // write load the fsync cost amortizes across the batch.
 type Replica struct {
-	id  types.NodeID
-	ep  transport.Endpoint
-	ord order
+	id types.NodeID
+	ep transport.Endpoint
 
 	mu   sync.Mutex
 	regs map[string]regEntry
@@ -63,7 +66,7 @@ type Replica struct {
 	updates      atomic.Int64 // KindWrite handled
 	adoptions    atomic.Int64 // updates that replaced the stored pair
 	staleRejects atomic.Int64 // updates carrying a tag at or below the stored one
-	violations   atomic.Int64 // order-comparison failures (bounded mode)
+	violations   atomic.Int64 // updates whose tag could not be ordered (Tag.compare)
 	badMsgs      atomic.Int64 // undecodable payloads
 	batches      atomic.Int64 // group commits executed
 
@@ -82,19 +85,6 @@ const batchMax = 64
 
 // ReplicaOption configures a replica.
 type ReplicaOption func(*Replica)
-
-// WithReplicaBoundedWindow switches the replica to the bounded cyclic label
-// order with liveness window l. Every replica and client of the group must
-// use the same window. A window < 1 is ignored (unbounded mode stays).
-func WithReplicaBoundedWindow(l int64) ReplicaOption {
-	return func(r *Replica) {
-		dom, err := newBoundedOrder(l)
-		if err != nil {
-			return
-		}
-		r.ord = dom
-	}
-}
 
 // WithReplicaTracer attaches a tracer: every traced request (one carrying a
 // propagated trace context) emits a "handle" span for the handler interval,
@@ -126,7 +116,6 @@ func NewReplica(id types.NodeID, ep transport.Endpoint, opts ...ReplicaOption) *
 	r := &Replica{
 		id:   id,
 		ep:   ep,
-		ord:  unboundedOrder{},
 		regs: make(map[string]regEntry),
 		done: make(chan struct{}),
 	}
@@ -340,6 +329,7 @@ func (r *Replica) commitBatch(batch []inboundWrite) {
 	starts := make([]time.Time, len(batch))
 	handleIDs := make([]uint64, len(batch))
 	adopted := make([]bool, len(batch))
+	var refused []error // per write, why its tag was unorderable (nil: none was)
 	var recs []record
 
 	r.commitMu.Lock()
@@ -353,13 +343,18 @@ func (r *Replica) commitBatch(batch []inboundWrite) {
 		if !ok {
 			cur = r.regs[m.Reg]
 		}
-		cmp, err := r.ord.compare(m.Tag, cur.tag)
+		cmp, err := m.Tag.compare(cur.tag)
 		switch {
 		case err != nil:
-			// Out-of-window comparison (bounded mode): refuse to adopt,
-			// since either ordering could be wrong, and surface via the
-			// counter. See DESIGN.md on the bounded-staleness assumption.
+			// Another label window, or bounded labels out of window:
+			// either ordering could be wrong, so neither adopt nor ack,
+			// and surface via the counter. See DESIGN.md §2 on the
+			// bounded-staleness assumption.
 			r.violations.Add(1)
+			if refused == nil {
+				refused = make([]error, len(batch))
+			}
+			refused[i] = err
 		case cmp > 0:
 			staged[m.Reg] = regEntry{tag: m.Tag, val: m.Val}
 			r.adoptions.Add(1)
@@ -417,8 +412,12 @@ func (r *Replica) commitBatch(batch []inboundWrite) {
 
 	for i, w := range batch {
 		m := w.m
-		if perr != nil {
-			r.endHandle(m, "update", starts[i], handleIDs[i], perr)
+		err := perr
+		if err == nil && refused != nil {
+			err = refused[i]
+		}
+		if err != nil {
+			r.endHandle(m, "update", starts[i], handleIDs[i], err)
 			continue
 		}
 		ack := message{Kind: KindWriteAck, Op: m.Op, Reg: m.Reg,
@@ -455,7 +454,7 @@ func (r *Replica) TagWatermarks(limit int) health.ReplicaTags {
 			continue
 		}
 		ht := health.Tag{Seq: e.tag.TS.Seq, Writer: int64(e.tag.TS.Writer)}
-		if e.tag.Bounded {
+		if e.tag.Window != 0 {
 			ht = health.Tag{Seq: e.tag.Label, Writer: int64(e.tag.TS.Writer)}
 		}
 		all = append(all, regTag{reg: reg, tag: ht})
@@ -490,8 +489,10 @@ type ReplicaMetrics struct {
 	// (write-back echoes, retransmissions, losing concurrent writers).
 	// Adoptions + StaleRejects + OrderViolations == Updates.
 	Adoptions, StaleRejects int64
-	// OrderViolations counts bounded-mode comparisons outside the sound
-	// window; BadMsgs counts undecodable payloads.
+	// OrderViolations counts updates whose tag could not be ordered against
+	// the stored one (another label window, or bounded labels outside the
+	// sound window), which the replica did not acknowledge; BadMsgs counts
+	// undecodable payloads.
 	OrderViolations, BadMsgs int64
 	// Batches counts group commits; Updates/Batches is the mean writes per
 	// commit. Fsyncs counts log flushes actually issued (persistent replicas

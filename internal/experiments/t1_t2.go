@@ -21,11 +21,11 @@ type simCluster struct {
 	nextCli  types.NodeID
 }
 
-func newSimCluster(n int, cfg netsim.Config, ropts ...core.ReplicaOption) *simCluster {
+func newSimCluster(n int, cfg netsim.Config) *simCluster {
 	c := &simCluster{net: netsim.New(cfg), nextCli: 10000}
 	for i := 0; i < n; i++ {
 		id := types.NodeID(i)
-		r := core.NewReplica(id, c.net.Node(id), ropts...)
+		r := core.NewReplica(id, c.net.Node(id))
 		r.Start()
 		c.replicas = append(c.replicas, r)
 		c.ids = append(c.ids, id)

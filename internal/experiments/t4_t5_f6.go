@@ -62,8 +62,7 @@ func T4BoundedLabels(o Options) (*Table, error) {
 
 	// Bounded run.
 	{
-		c := newSimCluster(n, netsim.Config{Seed: o.seed()},
-			core.WithReplicaBoundedWindow(window))
+		c := newSimCluster(n, netsim.Config{Seed: o.seed()})
 		cli, err := c.client(core.WithBoundedLabels(window))
 		if err != nil {
 			c.close()

@@ -46,16 +46,6 @@ type ByzSample struct {
 	Suspicions int64
 }
 
-// AlertOffsets returns each alert's offset from the workload start, in
-// raise order — the coordinate fault windows are defined in.
-func (h HealthReport) AlertOffsets() []time.Duration {
-	out := make([]time.Duration, len(h.Alerts))
-	for i, a := range h.Alerts {
-		out[i] = a.At.Sub(h.Start)
-	}
-	return out
-}
-
 // healthSLO is the objective a nemesis run tracks unless Config.SLO
 // overrides it. The numbers are scaled to the harness's physics: healthy
 // loopback operations finish in single-digit milliseconds, while a loss

@@ -235,35 +235,20 @@ func (n *Net) send(from, to types.NodeID, payload []byte) error {
 	d := n.Plan(from, to, len(payload))
 	payload = d.Corrupt(payload)
 
-	// A payload may be a wire batch frame carrying several protocol
-	// envelopes (the TCP transport coalesces under load; the sim mirrors
-	// its delivery semantics). Members are accounted and delivered as
-	// individual messages but share one fate and one sampled delay: the
-	// batch travels as a unit, exactly like a TCP frame.
-	members := [][]byte{payload}
-	if wire.IsBatch(payload) {
-		if m, err := wire.SplitBatch(payload); err == nil {
-			members = m
-		}
-		// A structurally invalid batch stays a single opaque payload: the
-		// receiver rejects it, matching a corrupt frame on the real wire.
-	}
-	n.sent += int64(len(members))
-	for _, m := range members {
-		if len(m) > 0 {
-			// The high bit of the kind byte is the envelope's trace flag;
-			// mask it so the per-kind message counts (experiment T1) are
-			// identical whether or not tracing is on.
-			kind := m[0] &^ wire.TraceFlag
-			n.byKind[kind]++
-			n.bytesByKind[kind] += int64(len(m))
-		}
+	n.sent++
+	if len(payload) > 0 {
+		// The high bit of the kind byte is the envelope's trace flag; mask
+		// it so the per-kind message counts (experiment T1) are identical
+		// whether or not tracing is on.
+		kind := payload[0] &^ wire.TraceFlag
+		n.byKind[kind]++
+		n.bytesByKind[kind] += int64(len(payload))
 	}
 	copies := 1
 	switch {
 	case d.Drop:
 		copies = 0
-		n.dropped += int64(len(members))
+		n.dropped++
 	case d.Dup:
 		copies = 2
 		n.duplicated++
@@ -276,44 +261,34 @@ func (n *Net) send(from, to types.NodeID, payload []byte) error {
 	// ResetStats record into this (old) histogram and are not counted in
 	// the new epoch's counters.
 	epoch, delayHist := n.epoch, n.delay
-	n.inflight += copies * len(members)
+	n.inflight += copies
 	n.mu.Unlock()
 
 	sentAt := time.Now()
-	msgs := make([]transport.Message, len(members))
-	emits := make([]func(string), len(members))
-	for i, m := range members {
-		msgs[i] = transport.Message{From: from, To: to, Payload: m}
-		emits[i] = func(string) {}
-		if n.cfg.Tracer != nil {
-			if trace, parentSpan, ok := wire.PeekTrace(m); ok {
-				emits[i] = func(errStr string) {
-					n.cfg.Tracer.Emit(obs.Span{
-						Trace: trace, ID: obs.NextID(), Parent: parentSpan,
-						Kind: "net-send", Node: int64(from), Peer: int64(to),
-						Start: sentAt, Dur: time.Since(sentAt), Err: errStr,
-					})
-				}
+	msg := transport.Message{From: from, To: to, Payload: payload}
+	emit := func(string) {}
+	if n.cfg.Tracer != nil {
+		if trace, parentSpan, ok := wire.PeekTrace(payload); ok {
+			emit = func(errStr string) {
+				n.cfg.Tracer.Emit(obs.Span{
+					Trace: trace, ID: obs.NextID(), Parent: parentSpan,
+					Kind: "net-send", Node: int64(from), Peer: int64(to),
+					Start: sentAt, Dur: time.Since(sentAt), Err: errStr,
+				})
 			}
 		}
 	}
 	if d.Drop {
-		for _, emit := range emits {
-			emit("dropped")
-		}
+		emit("dropped")
 		return nil
 	}
-	deliverAll := func() {
-		for i := range msgs {
-			n.deliver(dst, to, msgs[i], epoch, delayHist, sentAt, emits[i])
-		}
-	}
+	deliver := func() { n.deliver(dst, to, msg, epoch, delayHist, sentAt, emit) }
 	for _, delay := range delays {
 		if delay <= 0 {
-			deliverAll()
+			deliver()
 			continue
 		}
-		time.AfterFunc(delay, deliverAll)
+		time.AfterFunc(delay, deliver)
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/types"
-	"repro/internal/wire"
 )
 
 func waitMsg(t *testing.T, n *Net, id types.NodeID, timeout time.Duration) (types.NodeID, []byte, bool) {
@@ -412,66 +411,5 @@ func TestResetStatsEpoch(t *testing.T) {
 	if st.Sent != 1 || st.Delivered != 1 || st.Delay.Count != 1 {
 		t.Fatalf("new epoch counters wrong: sent=%d delivered=%d delay.count=%d",
 			st.Sent, st.Delivered, st.Delay.Count)
-	}
-}
-
-// TestBatchFrameDeliversMembers: a wire batch frame is split at the send
-// boundary — each member envelope arrives as its own message, and the
-// per-kind counters see the members, not the container, so message
-// accounting is identical whether or not a transport coalesced.
-func TestBatchFrameDeliversMembers(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	a := n.Node(1)
-	n.Node(2)
-
-	m1 := wire.Seal([]byte{0x01, 'a'}, 0, 0)
-	m2 := wire.Seal([]byte{0x02, 'b'}, 0, 0)
-	frame := wire.AppendBatch(nil, [][]byte{m1, m2})
-	if err := a.Send(2, frame); err != nil {
-		t.Fatal(err)
-	}
-	var got []byte
-	for i := 0; i < 2; i++ {
-		_, payload, ok := waitMsg(t, n, 2, time.Second)
-		if !ok {
-			t.Fatalf("member %d not delivered", i)
-		}
-		body, _, _, err := wire.Open(payload)
-		if err != nil {
-			t.Fatalf("member %d failed Open: %v", i, err)
-		}
-		got = append(got, body[0])
-	}
-	st := n.Stats()
-	if st.Sent != 2 || st.Delivered != 2 {
-		t.Errorf("sent/delivered = %d/%d, want 2/2", st.Sent, st.Delivered)
-	}
-	if st.ByKind[0x01] != 1 || st.ByKind[0x02] != 1 {
-		t.Errorf("per-kind counts missed batch members: %v", st.ByKind)
-	}
-	if (got[0] != 0x01 || got[1] != 0x02) && (got[0] != 0x02 || got[1] != 0x01) {
-		t.Errorf("member kinds delivered: %x", got)
-	}
-}
-
-// TestBatchFrameSharesFate: a crash drops a whole batch, counted per member.
-func TestBatchFrameSharesFate(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	a := n.Node(1)
-	n.Node(2)
-	n.Crash(2)
-
-	frame := wire.AppendBatch(nil, [][]byte{
-		wire.Seal([]byte{0x01, 'a'}, 0, 0),
-		wire.Seal([]byte{0x02, 'b'}, 0, 0),
-		wire.Seal([]byte{0x03, 'c'}, 0, 0),
-	})
-	if err := a.Send(2, frame); err != nil {
-		t.Fatal(err)
-	}
-	if st := n.Stats(); st.Dropped != 3 || st.Sent != 3 {
-		t.Errorf("sent/dropped = %d/%d, want 3/3", st.Sent, st.Dropped)
 	}
 }

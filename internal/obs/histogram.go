@@ -155,14 +155,6 @@ func (s HistSnapshot) Quantile(p float64) time.Duration {
 	return time.Duration(s.Max)
 }
 
-// Mean returns the mean observation, or 0 if empty.
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.Sum / s.Count)
-}
-
 // MaxValue returns the largest observation.
 func (s HistSnapshot) MaxValue() time.Duration { return time.Duration(s.Max) }
 

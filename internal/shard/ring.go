@@ -35,9 +35,10 @@ func FNV1a(s string) uint64 {
 	return h.Sum64()
 }
 
-// DefaultVirtualNodes is how many ring points each group gets unless
-// WithVirtualNodes overrides it. 128 keeps the max/min load ratio across
-// groups within a few percent for realistic register counts.
+// DefaultVirtualNodes is how many ring points each group gets on every
+// Store's ring (and on NewRing's when vnodes < 1). 128 keeps the max/min
+// load ratio across groups within a few percent for realistic register
+// counts.
 const DefaultVirtualNodes = 128
 
 // mix64 is the splitmix64 finalizer, applied to every HashFunc output

@@ -78,7 +78,7 @@ func TestRingRejectsZeroGroups(t *testing.T) {
 
 // newTestStore builds a store over `groups` netsim replica groups of
 // `perGroup` replicas each, all on one simulated network.
-func newTestStore(t *testing.T, groups, perGroup int, opts ...Option) (*Store, *netsim.Net) {
+func newTestStore(t *testing.T, groups, perGroup int) (*Store, *netsim.Net) {
 	t.Helper()
 	net := netsim.New(netsim.Config{Seed: 1})
 	clients := make([]*core.Client, groups)
@@ -97,7 +97,7 @@ func newTestStore(t *testing.T, groups, perGroup int, opts ...Option) (*Store, *
 		}
 		clients[g] = cli
 	}
-	st, err := New(clients, opts...)
+	st, err := New(clients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,9 +261,6 @@ func TestStoreRejectsBadConfig(t *testing.T) {
 		t.Fatal("New(nil) succeeded")
 	}
 	st, net := newTestStore(t, 2, 1)
-	if _, err := New(st.Clients(), WithShards(3)); err == nil {
-		t.Fatal("WithShards mismatch not rejected")
-	}
 	// One store, one read rule: a group client in another read mode is
 	// rejected.
 	two, err := core.NewClient(20000, net.Node(20000), []types.NodeID{1}, core.WithReadMode(core.ReadTwoPhase))

@@ -12,52 +12,6 @@ import (
 	"repro/internal/types"
 )
 
-// Options configures a Store (and the cluster facades that build one).
-type Options struct {
-	// Shards is the expected group count; 0 means "as many as provided".
-	// New rejects a client slice of any other length, catching wiring bugs
-	// where a deployment's group list and its config disagree.
-	Shards int
-	// VirtualNodes is the ring points per group (DefaultVirtualNodes if 0).
-	VirtualNodes int
-	// Hash is the ring's hash function (FNV1a if nil).
-	Hash HashFunc
-}
-
-// Option mutates Options.
-type Option func(*Options)
-
-// WithShards pins the expected number of replica groups.
-func WithShards(n int) Option {
-	return func(o *Options) { o.Shards = n }
-}
-
-// WithVirtualNodes sets how many ring points each group gets. More points
-// flatten the load skew across groups at the cost of a larger (still tiny)
-// lookup table; the default suits register counts up to the thousands.
-func WithVirtualNodes(v int) Option {
-	return func(o *Options) { o.VirtualNodes = v }
-}
-
-// WithHashFunc replaces the ring's hash function. The function must be pure
-// and stable across processes: every Store of a deployment must agree on
-// the register→group map.
-func WithHashFunc(h HashFunc) Option {
-	return func(o *Options) { o.Hash = h }
-}
-
-// BuildOptions folds option functions into an Options value (used by the
-// root package's cluster constructors, which share these options).
-func BuildOptions(opts []Option) Options {
-	var o Options
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&o)
-		}
-	}
-	return o
-}
-
 // Store is the sharded multi-group register store: a consistent-hash router
 // that maps each register name to one replica group and forwards the
 // operation to that group's client. Each group is an unchanged ABD instance
@@ -84,13 +38,9 @@ type Store struct {
 
 // New builds a Store over one client per replica group, in group-index
 // order. The Store takes ownership of the clients: Close closes them.
-func New(groups []*core.Client, opts ...Option) (*Store, error) {
-	o := BuildOptions(opts)
+func New(groups []*core.Client) (*Store, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("shard: store needs >= 1 group client")
-	}
-	if o.Shards != 0 && o.Shards != len(groups) {
-		return nil, fmt.Errorf("shard: %d group clients but WithShards(%d)", len(groups), o.Shards)
 	}
 	for i, cli := range groups {
 		if cli == nil {
@@ -106,7 +56,7 @@ func New(groups []*core.Client, opts ...Option) (*Store, error) {
 			return nil, fmt.Errorf("shard: group %d read mode %d differs from group 0's %d", i+1, m, mode)
 		}
 	}
-	ring, err := NewRing(len(groups), o.VirtualNodes, o.Hash)
+	ring, err := NewRing(len(groups), DefaultVirtualNodes, FNV1a)
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,7 @@ func TestStoreShardedLinearizablePerRegister(t *testing.T) {
 		stores   = 4
 		opsEach  = 25
 	)
-	cluster, err := NewShardedCluster(groups, perGroup, WithSeed(11))
+	cluster, err := NewCluster(groups*perGroup, WithShards(groups), WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +120,8 @@ func TestStoreShardedLinearizablePerRegister(t *testing.T) {
 	}
 }
 
-// TestStoreOptionReexports pins the root re-exports of the shard options:
-// WithShards splits NewCluster's replicas, WithVirtualNodes and WithHashFunc
-// reconfigure the ring of every Store the cluster creates.
+// TestStoreOptionReexports pins the root's one shard option: WithShards
+// splits NewCluster's replicas into equal groups behind every Store.
 func TestStoreOptionReexports(t *testing.T) {
 	ctx := testCtx(t)
 
@@ -151,53 +150,6 @@ func TestStoreOptionReexports(t *testing.T) {
 		if _, err := NewCluster(5, WithShards(2)); err == nil {
 			t.Fatal("5 replicas split into 2 groups accepted")
 		}
-		if _, err := NewShardedCluster(2, 3, WithShards(3)); err == nil {
-			t.Fatal("conflicting WithShards accepted")
-		}
-	})
-
-	t.Run("WithVirtualNodes", func(t *testing.T) {
-		cluster, err := NewShardedCluster(3, 1, WithSeed(5), WithVirtualNodes(16))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cluster.Close()
-		// Two stores of the same cluster must agree on every register's
-		// owner (the ring is a pure function of its configuration), and a
-		// modest namespace must still cover all groups.
-		a, b := cluster.Store(), cluster.Store()
-		seen := make(map[int]bool)
-		for i := 0; i < 64; i++ {
-			reg := fmt.Sprintf("reg-%d", i)
-			if a.Shard(reg) != b.Shard(reg) {
-				t.Fatalf("stores disagree on %q: %d vs %d", reg, a.Shard(reg), b.Shard(reg))
-			}
-			seen[a.Shard(reg)] = true
-		}
-		if len(seen) != 3 {
-			t.Fatalf("64 registers landed on %d groups, want 3", len(seen))
-		}
-	})
-
-	t.Run("WithHashFunc", func(t *testing.T) {
-		// A constant hash collapses the ring: every register collides with
-		// every virtual node, and the deterministic tie-break hands the whole
-		// namespace to group 0 — observable proof the custom hash is in use.
-		cluster, err := NewShardedCluster(3, 1, WithSeed(7),
-			WithHashFunc(func(string) uint64 { return 7 }))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cluster.Close()
-		st := cluster.Store()
-		for i := 0; i < 16; i++ {
-			if g := st.Shard(fmt.Sprintf("reg-%d", i)); g != 0 {
-				t.Fatalf("constant hash routed reg-%d to group %d, want 0", i, g)
-			}
-		}
-		if err := st.Write(ctx, "k", []byte("v")); err != nil {
-			t.Fatal(err)
-		}
 	})
 }
 
@@ -212,12 +164,7 @@ func TestNewStoreValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	cli := cluster.Client()
-	if _, err := NewStore([]*Client{cli}, WithShards(2)); err == nil {
-		t.Fatal("1 client with WithShards(2) accepted")
-	}
-
-	st, err := NewStore([]*Client{cli})
+	st, err := NewStore([]*Client{cluster.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
