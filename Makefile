@@ -5,7 +5,7 @@ GO ?= go
 # Every command binary `make bin` produces under ./bin.
 CMDS = abd-sim abd-node abd-cli
 
-.PHONY: all build bin test race vet fmt bench-check check smoke e2e-smoke bench bench-pairs eval loc knobs clean
+.PHONY: all build bin test race vet fmt bench-check check smoke examples e2e-smoke bench bench-pairs eval loc knobs clean
 
 all: check
 
@@ -63,6 +63,12 @@ smoke:
 	$(GO) run ./cmd/abd-sim -in $(SMOKE_HISTORY)
 	$(GO) run ./cmd/abd-sim -nemesis -seed 7 -trace-out $(SMOKE_SPANS)
 	$(GO) run ./cmd/abd-cli trace -min-stitch 0.95 $(SMOKE_SPANS)
+
+# Runs every program under examples/ end to end and fails on the first
+# nonzero exit: `go test ./...` only builds the examples without tests.
+# ~5 s.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # Tier-2 end-to-end smoke: the repository benchmark's own unit tests, then
 # its smoke run — real abd-node processes with a WAL, driven over tcpnet at

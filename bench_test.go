@@ -277,7 +277,7 @@ func BenchmarkT4BoundedLabels(b *testing.B) {
 		}
 	})
 	b.Run("bounded", func(b *testing.B) {
-		cluster := benchCluster(b, 3, WithBoundedTimestamps(16))
+		cluster := benchCluster(b, 3, WithClientDefaults(core.WithBoundedLabels(16)))
 		w := cluster.Client()
 		ctx := benchCtx(b)
 		b.ResetTimer()

@@ -46,7 +46,6 @@ type clusterConfig struct {
 	minDelay      time.Duration
 	maxDelay      time.Duration
 	dropProb      float64
-	quorum        quorum.System
 	defaultClient []core.ClientOption
 	shards        int // WithShards; 1 if unset
 }
@@ -71,25 +70,10 @@ func WithDropProbability(p float64) Option {
 	return func(c *clusterConfig) { c.dropProb = p }
 }
 
-// WithQuorumSystem replaces the default majority quorums for all clients
-// created by the cluster. Quorum systems are sized for one group; sharded
-// clusters apply the system per group.
-func WithQuorumSystem(qs quorum.System) Option {
-	return func(c *clusterConfig) { c.quorum = qs }
-}
-
-// WithBoundedTimestamps switches every client the cluster creates to the
-// bounded cyclic label mode with liveness window l >= 1
-// (core.WithBoundedLabels; a smaller l makes client creation panic), which
-// implies single-writer clients. The replicas need no setting: the window
-// travels in every tag.
-func WithBoundedTimestamps(l int64) Option {
-	return WithClientDefaults(core.WithBoundedLabels(l))
-}
-
 // WithClientDefaults appends protocol options applied to every client the
-// cluster creates (e.g. abd.WithSingleWriter()), including a Store's
-// per-group clients.
+// cluster creates (e.g. abd.WithSingleWriter(), core.WithQuorum(qs) sized
+// for one group, or core.WithBoundedLabels(l)), including a Store's
+// per-group clients. NewCluster fails on a combination NewClient refuses.
 func WithClientDefaults(opts ...core.ClientOption) Option {
 	return func(c *clusterConfig) { c.defaultClient = append(c.defaultClient, opts...) }
 }
@@ -106,7 +90,9 @@ func WithShards(g int) Option {
 // group unless WithShards(g) partitions them into g groups of n/g — group
 // k owns node ids k*n/g .. (k+1)*n/g-1 — across which every Store the
 // cluster hands out partitions the registers; each group is an unchanged
-// ABD instance tolerating a minority of crashes.
+// ABD instance tolerating a minority of crashes. It fails if n does not
+// split into equal groups or if the WithClientDefaults options would make
+// every client fail to build.
 func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	cfg := clusterConfig{seed: 1, shards: 1}
 	for _, opt := range opts {
@@ -119,6 +105,9 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	perGroup := n / groups
 	if perGroup > quorum.MaxNodes {
 		return nil, fmt.Errorf("abd: group size %d exceeds max %d", perGroup, quorum.MaxNodes)
+	}
+	if err := checkClientDefaults(perGroup, cfg.defaultClient); err != nil {
+		return nil, err
 	}
 	cl := &Cluster{
 		net: netsim.New(netsim.Config{
@@ -140,6 +129,27 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 		cl.ids = append(cl.ids, id)
 	}
 	return cl, nil
+}
+
+// checkClientDefaults builds one client with the cluster's default options
+// on a network of its own, so that an option combination NewClient refuses
+// fails NewCluster instead of panicking in the first Client or Store. The
+// cluster's own network sees nothing of it: client ids and the message
+// schedule are the same as without the check.
+func checkClientDefaults(groupSize int, opts []core.ClientOption) error {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	ids := make([]types.NodeID, groupSize)
+	for i := range ids {
+		ids[i] = types.NodeID(i)
+	}
+	probe := types.NodeID(groupSize)
+	cli, err := core.NewClient(probe, net.Node(probe), ids, opts...)
+	if err != nil {
+		return fmt.Errorf("abd: client defaults: %w", err)
+	}
+	cli.Close()
+	return nil
 }
 
 // Size returns the total number of replicas across all groups.
@@ -166,16 +176,13 @@ func (c *Cluster) GroupReplicaIDs(g int) []NodeID {
 func (c *Cluster) newGroupClient(g int, opts []core.ClientOption) *Client {
 	id := c.nextCli
 	c.nextCli++
-	all := make([]core.ClientOption, 0, len(c.cfg.defaultClient)+len(opts)+1)
-	if c.cfg.quorum != nil {
-		all = append(all, core.WithQuorum(c.cfg.quorum))
-	}
+	all := make([]core.ClientOption, 0, len(c.cfg.defaultClient)+len(opts))
 	all = append(all, c.cfg.defaultClient...)
 	all = append(all, opts...)
 	cli, err := core.NewClient(id, c.net.Node(id), c.GroupReplicaIDs(g), all...)
 	if err != nil {
-		// The cluster controls every input that could fail validation; an
-		// error here is a misconfigured option combination, surfaced early.
+		// NewCluster checked the defaults, so only opts can fail here: a
+		// misconfigured option combination, surfaced early.
 		panic(fmt.Sprintf("abd: cluster client: %v", err))
 	}
 	return cli

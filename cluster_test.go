@@ -46,6 +46,31 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(100); err == nil {
 		t.Fatal("size 100 accepted")
 	}
+	// Client defaults every client would refuse fail here, not as a panic
+	// in the first Client.
+	for name, opt := range map[string]core.ClientOption{
+		"WithBoundedLabels(0)":    core.WithBoundedLabels(0),
+		"WithByzantine(1), n = 3": core.WithByzantine(1),
+		"grid sized for 6":        core.WithQuorum(quorum.NewGrid(2, 3)),
+	} {
+		if c, err := NewCluster(3, WithClientDefaults(opt)); err == nil {
+			c.Close()
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// The check leaves a valid cluster as it was: the first client is still
+	// id 10000, and nothing crossed the cluster's network.
+	c, err := NewCluster(3, WithClientDefaults(core.WithBoundedLabels(16)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if id := c.Client().ID(); id != 10000 {
+		t.Errorf("first client id %d, want 10000", id)
+	}
+	if st := c.NetStats(); st.Sent != 0 {
+		t.Errorf("%d messages sent before any operation", st.Sent)
+	}
 }
 
 func TestClusterSurvivesMinorityCrashes(t *testing.T) {
@@ -132,7 +157,7 @@ func TestClusterRegisterHandleImplementsInterface(t *testing.T) {
 }
 
 func TestClusterWithGridQuorum(t *testing.T) {
-	cluster, err := NewCluster(6, WithSeed(6), WithQuorumSystem(quorum.NewGrid(2, 3)))
+	cluster, err := NewCluster(6, WithSeed(6), WithClientDefaults(core.WithQuorum(quorum.NewGrid(2, 3))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +178,7 @@ func TestClusterWithGridQuorum(t *testing.T) {
 }
 
 func TestClusterBoundedTimestamps(t *testing.T) {
-	cluster, err := NewCluster(3, WithSeed(7), WithBoundedTimestamps(16))
+	cluster, err := NewCluster(3, WithSeed(7), WithClientDefaults(core.WithBoundedLabels(16)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	abd "repro"
+	"repro/internal/core"
 	"repro/internal/quorum"
 )
 
@@ -88,11 +89,12 @@ func ExampleWithSingleWriter() {
 	// Output: writes=3 phases=3
 }
 
-// Any quorum system from internal/quorum can replace majorities — here a
-// 2x3 grid, the published generalization of the paper's construction.
-func ExampleWithQuorumSystem() {
+// Any quorum system from internal/quorum can replace majorities, as a
+// client default — here a 2x3 grid, the published generalization of the
+// paper's construction.
+func ExampleWithClientDefaults_grid() {
 	cluster, err := abd.NewCluster(6, abd.WithSeed(1),
-		abd.WithQuorumSystem(quorum.NewGrid(2, 3)))
+		abd.WithClientDefaults(core.WithQuorum(quorum.NewGrid(2, 3))))
 	if err != nil {
 		log.Fatal(err)
 	}

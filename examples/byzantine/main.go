@@ -18,9 +18,8 @@ import (
 	"log"
 	"time"
 
+	abd "repro"
 	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/types"
 )
 
 func main() {
@@ -60,36 +59,25 @@ const readsPerRun = 20
 // sequence numbers restart per client, so reusing replicas across runs
 // would pit a fresh counter against the previous run's higher timestamps.
 func runReads(mode core.ByzMode, opts ...core.ClientOption) (int, error) {
-	net := netsim.New(netsim.Config{Seed: 33})
-	defer net.Close()
+	cluster, err := abd.NewCluster(5, abd.WithSeed(33))
+	if err != nil {
+		return 0, err
+	}
+	defer cluster.Close()
+	net := cluster.Net()
 
 	// Replica 2 is an honest replica whose outbound replies pass through a
 	// core.Liar: the lie is well-formed protocol, rewritten on the wire.
-	const n, liarID = 5, types.NodeID(2)
+	const liarID = abd.NodeID(2)
 	liar := core.NewLiar(liarID, 1)
 	liar.SetMode(mode)
 	net.SetInterceptor(liarID, liar.Intercept)
-	ids := make([]types.NodeID, n)
-	for i := range ids {
-		ids[i] = types.NodeID(i)
-		r := core.NewReplica(ids[i], net.Node(ids[i]))
-		r.Start()
-		defer r.Stop()
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	w, err := core.NewClient(100, net.Node(100), ids, append(opts, core.WithSingleWriter())...)
-	if err != nil {
-		return 0, err
-	}
-	defer w.Close()
-	r, err := core.NewClient(101, net.Node(101), ids, opts...)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
+	w := cluster.Client(append(opts, core.WithSingleWriter())...)
+	r := cluster.Client(opts...)
 	if r.ByzantineF() == 0 && mode != core.ByzSilent {
 		// Plain majorities are 3 of 5: cut the reader off from two honest
 		// replicas and the liar is in every read quorum it can assemble (a

@@ -12,45 +12,24 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/netsim"
+	abd "repro"
 	"repro/internal/reconfig"
-	"repro/internal/types"
 )
 
 func main() {
-	net := netsim.New(netsim.Config{Seed: 21, MinDelay: 50 * time.Microsecond, MaxDelay: 200 * time.Microsecond})
-	defer net.Close()
-
-	startGroup := func(ids []types.NodeID) []*core.Replica {
-		out := make([]*core.Replica, len(ids))
-		for i, id := range ids {
-			out[i] = core.NewReplica(id, net.Node(id))
-			out[i].Start()
-		}
-		return out
+	// The two replica groups are two clusters, each on its own simulated
+	// network; the reconfigurable client holds one client of each.
+	delays := abd.WithDelays(50*time.Microsecond, 200*time.Microsecond)
+	oldGroup, err := abd.NewCluster(3, abd.WithSeed(21), delays)
+	if err != nil {
+		log.Fatal(err)
 	}
-	oldIDs := []types.NodeID{0, 1, 2}
-	newIDs := []types.NodeID{10, 11, 12, 13, 14}
-	oldReplicas := startGroup(oldIDs)
-	defer func() {
-		for _, r := range oldReplicas {
-			r.Stop()
-		}
-	}()
-
-	mkCore := func(id types.NodeID, group []types.NodeID) *core.Client {
-		cli, err := core.NewClient(id, net.Node(id), group)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return cli
-	}
+	defer oldGroup.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	cli, err := reconfig.NewClient(500, reconfig.Member{Epoch: 1, Client: mkCore(500, oldIDs)})
+	cli, err := reconfig.NewClient(500, reconfig.Member{Epoch: 1, Client: oldGroup.Client()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,13 +69,12 @@ func main() {
 	}()
 
 	// Bring up the new group and migrate.
-	newReplicas := startGroup(newIDs)
-	defer func() {
-		for _, r := range newReplicas {
-			r.Stop()
-		}
-	}()
-	if err := cli.AddConfig(reconfig.Member{Epoch: 2, Client: mkCore(501, newIDs)}); err != nil {
+	newGroup, err := abd.NewCluster(5, abd.WithSeed(22), delays)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer newGroup.Close()
+	if err := cli.AddConfig(reconfig.Member{Epoch: 2, Client: newGroup.Client()}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("epoch 2 activated: operations now span both groups")
@@ -115,8 +93,8 @@ func main() {
 	fmt.Println("state transferred; epoch 1 retired")
 
 	// The old group is now irrelevant: crash it entirely.
-	for _, id := range oldIDs {
-		net.Crash(id)
+	for i := range oldGroup.Size() {
+		oldGroup.Crash(i)
 	}
 	fmt.Printf("background workload ran %d op pairs across the migration\n", opCount)
 

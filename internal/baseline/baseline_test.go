@@ -7,8 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/netsim"
+	abd "repro"
 	"repro/internal/types"
 )
 
@@ -19,35 +18,20 @@ func ctxT(t *testing.T) context.Context {
 	return ctx
 }
 
-// newCentral starts a central server as node 0 on a fresh net; client
-// builds a client of it, closed with the server at cleanup.
-func newCentral(t *testing.T, seed int64) (net *netsim.Net, client func(types.NodeID) *core.Client) {
+// newCluster starts n replicas on a fresh simulated network, closed at
+// cleanup.
+func newCluster(t *testing.T, n int, seed int64) *abd.Cluster {
 	t.Helper()
-	net = netsim.New(netsim.Config{Seed: seed})
-	srv := core.NewReplica(0, net.Node(0))
-	srv.Start()
-	var clients []*core.Client
-	t.Cleanup(func() {
-		for _, c := range clients {
-			c.Close()
-		}
-		srv.Stop()
-		net.Close()
-	})
-	return net, func(id types.NodeID) *core.Client {
-		t.Helper()
-		cli, err := NewCentral(id, net.Node(id), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients = append(clients, cli)
-		return cli
+	c, err := abd.NewCluster(n, abd.WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
+	return c
 }
 
 func TestCentralReadWrite(t *testing.T) {
-	_, client := newCentral(t, 1)
-	cli := client(100)
+	cli := newCluster(t, 1, 1).Client(Central()...)
 	ctx := ctxT(t)
 
 	if err := cli.Write(ctx, "x", []byte("v1")); err != nil {
@@ -71,8 +55,8 @@ func TestCentralReadWrite(t *testing.T) {
 }
 
 func TestCentralTwoClients(t *testing.T) {
-	_, client := newCentral(t, 2)
-	a, b := client(100), client(101)
+	c := newCluster(t, 1, 2)
+	a, b := c.Client(Central()...), c.Client(Central()...)
 	ctx := ctxT(t)
 
 	if err := a.Write(ctx, "x", []byte("from-a")); err != nil {
@@ -90,8 +74,8 @@ func TestCentralTwoClients(t *testing.T) {
 // TestCentralOpsUseTwoMessages: a central read and a central write each
 // cost one request and one reply, the unreplicated server's price.
 func TestCentralOpsUseTwoMessages(t *testing.T) {
-	net, client := newCentral(t, 6)
-	cli := client(100)
+	c := newCluster(t, 1, 6)
+	cli := c.Client(Central()...)
 	ctx := ctxT(t)
 
 	for _, op := range []struct {
@@ -101,12 +85,12 @@ func TestCentralOpsUseTwoMessages(t *testing.T) {
 		{"write", func() error { return cli.Write(ctx, "x", []byte("v")) }},
 		{"read", func() error { _, err := cli.Read(ctx, "x"); return err }},
 	} {
-		net.ResetStats()
+		c.ResetNetStats()
 		if err := op.run(); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(10 * time.Millisecond)
-		if st := net.Stats(); st.Sent != 2 {
+		if st := c.NetStats(); st.Sent != 2 {
 			t.Errorf("central %s sent %d messages, want 2", op.name, st.Sent)
 		}
 	}
@@ -114,13 +98,13 @@ func TestCentralOpsUseTwoMessages(t *testing.T) {
 
 func TestCentralSingleCrashKillsEverything(t *testing.T) {
 	// The baseline's defining weakness: no fault tolerance at all.
-	net, client := newCentral(t, 3)
-	cli := client(100)
+	c := newCluster(t, 1, 3)
+	cli := c.Client(Central()...)
 
 	if err := cli.Write(ctxT(t), "x", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	net.Crash(0)
+	c.Crash(0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
@@ -134,35 +118,8 @@ func TestCentralSingleCrashKillsEverything(t *testing.T) {
 	}
 }
 
-func newROWACluster(t *testing.T, n int) (*netsim.Net, []*core.Replica, []types.NodeID) {
-	t.Helper()
-	net := netsim.New(netsim.Config{Seed: 4})
-	var replicas []*core.Replica
-	var ids []types.NodeID
-	for i := 0; i < n; i++ {
-		id := types.NodeID(i)
-		r := core.NewReplica(id, net.Node(id))
-		r.Start()
-		replicas = append(replicas, r)
-		ids = append(ids, id)
-	}
-	t.Cleanup(func() {
-		for _, r := range replicas {
-			r.Stop()
-		}
-		net.Close()
-	})
-	return net, replicas, ids
-}
-
 func TestROWAReadWrite(t *testing.T) {
-	net, _, ids := newROWACluster(t, 3)
-	_ = net
-	cli, err := NewROWAClient(100, net.Node(100), ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := newCluster(t, 3, 4).Client(ROWA(3)...)
 	ctx := ctxT(t)
 
 	if err := cli.Write(ctx, "x", []byte("v1")); err != nil {
@@ -180,41 +137,33 @@ func TestROWAReadWrite(t *testing.T) {
 }
 
 func TestROWAReadUsesTwoMessages(t *testing.T) {
-	net, _, ids := newROWACluster(t, 5)
-	cli, err := NewROWAClient(100, net.Node(100), ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	c := newCluster(t, 5, 4)
+	cli := c.Client(ROWA(5)...)
 	ctx := ctxT(t)
 
 	if err := cli.Write(ctx, "x", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	net.ResetStats()
+	c.ResetNetStats()
 	if _, err := cli.Read(ctx, "x"); err != nil {
 		t.Fatal(err)
 	}
 	// Read-one: exactly 1 query + 1 reply, regardless of group size.
 	time.Sleep(10 * time.Millisecond)
-	st := net.Stats()
+	st := c.NetStats()
 	if st.Sent != 2 {
 		t.Fatalf("ROWA read sent %d messages, want 2", st.Sent)
 	}
 }
 
 func TestROWAWriteBlocksAfterOneCrash(t *testing.T) {
-	net, _, ids := newROWACluster(t, 5)
-	cli, err := NewROWAClient(100, net.Node(100), ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	c := newCluster(t, 5, 4)
+	cli := c.Client(ROWA(5)...)
 
 	if err := cli.Write(ctxT(t), "x", []byte("before")); err != nil {
 		t.Fatal(err)
 	}
-	net.Crash(3)
+	c.Crash(3)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
@@ -235,8 +184,7 @@ func TestROWAWriteBlocksAfterOneCrash(t *testing.T) {
 }
 
 func TestCentralManyRegisters(t *testing.T) {
-	_, client := newCentral(t, 5)
-	cli := client(100)
+	cli := newCluster(t, 1, 5).Client(Central()...)
 	ctx := ctxT(t)
 
 	for i := 0; i < 20; i++ {

@@ -69,21 +69,32 @@ func TestBoundedModeRequiresSingleWriter(t *testing.T) {
 	}
 }
 
-// TestMixedWindowWriteIsRefused: replicas read the label window from the
-// tag, so an update whose window differs from the stored tag's cannot be
-// ordered. Every replica counts an order violation and withholds its ack:
-// the write fails instead of being acknowledged and lost, and the register
-// keeps its value. Both directions: a bounded write onto an unbounded
-// register, and an unbounded write onto a bounded one.
+// TestMixedWindowWriteIsRefused: the label window travels in the tag, so a
+// write whose query finds the register under another window fails at once
+// with an order error, without sending an update, and the register keeps
+// its value. Both directions: a bounded write onto an unbounded register,
+// and a multi-writer unbounded write onto a bounded one. A single writer
+// sends no query, so its update reaches the replicas, and every replica
+// counts an order violation and withholds its ack: that write fails at its
+// deadline instead of being acknowledged and lost.
 func TestMixedWindowWriteIsRefused(t *testing.T) {
 	c := newTestCluster(t, 3, netsim.Config{Seed: 24})
 	ctx := shortCtx(t)
 	refused := func(w *Client, reg, val string) {
 		t.Helper()
-		short, cancel := context.WithTimeout(ctx, 300*time.Millisecond)
+		short, cancel := context.WithTimeout(ctx, time.Second)
 		defer cancel()
-		if err := w.Write(short, reg, []byte(val)); err == nil {
+		start := time.Now()
+		err := w.Write(short, reg, []byte(val))
+		if err == nil {
 			t.Fatalf("write %q=%q across label windows acknowledged", reg, val)
+		}
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Errorf("write %q=%q took %v to fail, want < 100ms", reg, val, took)
+		}
+		if m := w.Metrics(); !errors.Is(err, types.ErrBadMessage) || m.OrderViolations != 1 || m.Phases != 1 {
+			t.Errorf("write %q=%q: got %v after %d phases with %d order violations, want one order error after the query alone",
+				reg, val, err, m.Phases, m.OrderViolations)
 		}
 	}
 
@@ -95,10 +106,16 @@ func TestMixedWindowWriteIsRefused(t *testing.T) {
 
 	mustWrite(t, ctx, c.client(WithBoundedLabels(8)), "y", "c")
 	refused(c.client(), "y", "d")
+
+	// The replicas' own refusal, reached by a single writer's update.
+	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if err := c.client(WithSingleWriter()).Write(short, "y", []byte("e")); err == nil {
+		t.Fatal("single-writer write across label windows acknowledged")
+	}
 	if got := mustRead(t, ctx, c.client(WithBoundedLabels(8)), "y"); got != "c" {
 		t.Fatalf("read %q, want c", got)
 	}
-
 	for i, r := range c.replicas {
 		if m := r.ReplicaMetrics(); m.OrderViolations == 0 {
 			t.Errorf("replica %d counted no order violation: %+v", i, m)

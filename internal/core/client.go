@@ -829,7 +829,8 @@ func (c *Client) install(ctx context.Context, reg string, tag Tag, val types.Val
 // every completed write (quorum.VerifyWriteIntersection). The validated
 // query also keeps a fabricated max-tag out of the successor computation: a
 // liar must not get to exhaust the timestamp space or steer honest writers'
-// ordering.
+// ordering. A query that finds the register under bounded labels fails the
+// write (checkWindow).
 func (c *Client) nextTag(ctx context.Context, reg string, ot opTrace) (Tag, error) {
 	if c.bounded {
 		return c.nextBoundedTag(ctx, reg, ot)
@@ -840,9 +841,25 @@ func (c *Client) nextTag(ctx context.Context, reg string, ot opTrace) (Tag, erro
 		if err != nil {
 			return Tag{}, err
 		}
+		if err := c.checkWindow(best, 0); err != nil {
+			return Tag{}, err
+		}
 		floor = best
 	}
 	return c.NextTagAfter(reg, floor), nil
+}
+
+// checkWindow fails a write whose query found the register under a label
+// window other than the one the client writes: the replicas would refuse
+// its update as an order violation, so the write fails now, not at its
+// deadline.
+func (c *Client) checkWindow(found Tag, window int64) error {
+	if !found.Valid || found.Window == window {
+		return nil
+	}
+	c.metrics.orderViolations.Add(1)
+	_, err := found.compare(Tag{Valid: true, Window: window})
+	return fmt.Errorf("core: cannot order replica tags: %w", err)
 }
 
 // nextBoundedTag implements the bounded-label write: collect the labels
@@ -857,7 +874,10 @@ func (c *Client) nextBoundedTag(ctx context.Context, reg string, ot opTrace) (Ta
 	}
 	live := make([]int64, 0, len(replies)+1)
 	for _, m := range replies {
-		if m.Tag.Valid && m.Tag.Window == c.boundedDom.L {
+		if err := c.checkWindow(m.Tag, c.boundedDom.L); err != nil {
+			return Tag{}, err
+		}
+		if m.Tag.Valid {
 			live = append(live, m.Tag.Label)
 		}
 	}

@@ -100,6 +100,8 @@ func (s MetricsSnapshot) Merge(o MetricsSnapshot) MetricsSnapshot {
 		MaskRetries:       s.MaskRetries + o.MaskRetries,
 		ByzUnconfirmed:    s.ByzUnconfirmed + o.ByzUnconfirmed,
 		ByzSuspicions:     s.ByzSuspicions + o.ByzSuspicions,
+		CoalescedReads:    s.CoalescedReads + o.CoalescedReads,
+		AbsorbedWrites:    s.AbsorbedWrites + o.AbsorbedWrites,
 		FastPathReads:     s.FastPathReads + o.FastPathReads,
 		ReadRounds:        s.ReadRounds + o.ReadRounds,
 		ReadFails:         s.ReadFails + o.ReadFails,

@@ -503,6 +503,22 @@ type ReplicaMetrics struct {
 	Registers int
 }
 
+// Merge returns the field-wise sum of two replicas' counters (a group's or
+// a fleet's totals).
+func (m ReplicaMetrics) Merge(o ReplicaMetrics) ReplicaMetrics {
+	return ReplicaMetrics{
+		Queries:         m.Queries + o.Queries,
+		Updates:         m.Updates + o.Updates,
+		Adoptions:       m.Adoptions + o.Adoptions,
+		StaleRejects:    m.StaleRejects + o.StaleRejects,
+		OrderViolations: m.OrderViolations + o.OrderViolations,
+		BadMsgs:         m.BadMsgs + o.BadMsgs,
+		Batches:         m.Batches + o.Batches,
+		Fsyncs:          m.Fsyncs + o.Fsyncs,
+		Registers:       m.Registers + o.Registers,
+	}
+}
+
 // ReplicaMetrics returns a snapshot of the replica's counters and store
 // size.
 func (r *Replica) ReplicaMetrics() ReplicaMetrics {

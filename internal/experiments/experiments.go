@@ -16,6 +16,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	abd "repro"
 )
 
 // Options tunes an experiment run.
@@ -31,6 +33,18 @@ func (o Options) seed() int64 {
 		return 1
 	}
 	return o.Seed
+}
+
+// cluster starts n replicas on a fresh simulated network seeded with
+// o.Seed; later options (a WithSeed among them) win. Close it when done.
+func (o Options) cluster(n int, opts ...abd.Option) *abd.Cluster {
+	c, err := abd.NewCluster(n, append([]abd.Option{abd.WithSeed(o.seed())}, opts...)...)
+	if err != nil {
+		// n is a constant of the experiment and no experiment sets client
+		// defaults, so NewCluster has nothing to refuse.
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return c
 }
 
 // scale returns full unless Quick, then quick.

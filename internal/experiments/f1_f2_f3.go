@@ -7,78 +7,33 @@ import (
 	"sync/atomic"
 	"time"
 
+	abd "repro"
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
-// regClient is the read/write surface shared by ABD clients and baselines.
-type regClient interface {
-	Read(ctx context.Context, reg string) (types.Value, error)
-	Write(ctx context.Context, reg string, val types.Value) error
-}
-
-// system names one system under test and how to build it.
+// system is one system under test: the replicas it runs for a group of n
+// and the options its clients take. Every system runs on abd.Cluster.
 type system struct {
-	name  string
-	build func(o Options, n int) (regClient, func(int), func(), error)
-	// build returns (client, crash(i), close); crash fail-stops server i.
+	name     string
+	replicas int
+	opts     []core.ClientOption
 }
 
-func abdSystem(opts ...core.ClientOption) func(o Options, n int) (regClient, func(int), func(), error) {
-	return func(o Options, n int) (regClient, func(int), func(), error) {
-		c := newSimCluster(n, netsim.Config{Seed: o.seed(), MinDelay: 200 * time.Microsecond, MaxDelay: 400 * time.Microsecond})
-		cli, err := c.client(opts...)
-		if err != nil {
-			c.close()
-			return nil, nil, nil, err
-		}
-		return cli, func(i int) { c.net.Crash(types.NodeID(i)) }, c.close, nil
-	}
-}
-
-func rowaSystem() func(o Options, n int) (regClient, func(int), func(), error) {
-	return func(o Options, n int) (regClient, func(int), func(), error) {
-		c := newSimCluster(n, netsim.Config{Seed: o.seed(), MinDelay: 200 * time.Microsecond, MaxDelay: 400 * time.Microsecond})
-		cli, err := c.add(func(id types.NodeID, ep transport.Endpoint) (*core.Client, error) {
-			return baseline.NewROWAClient(id, ep, c.ids)
-		})
-		if err != nil {
-			c.close()
-			return nil, nil, nil, err
-		}
-		return cli, func(i int) { c.net.Crash(types.NodeID(i)) }, c.close, nil
-	}
-}
-
-// central builds a client of the central baseline, whose server is replica
-// 0 of a one-replica simCluster.
-func central(id types.NodeID, ep transport.Endpoint) (*core.Client, error) {
-	return baseline.NewCentral(id, ep, 0)
-}
-
-// centralSystem is the unreplicated server: a one-replica group whatever n
-// is, so crashing server 0 loses everything.
-func centralSystem() func(o Options, n int) (regClient, func(int), func(), error) {
-	return func(o Options, n int) (regClient, func(int), func(), error) {
-		c := newSimCluster(1, netsim.Config{Seed: o.seed(), MinDelay: 200 * time.Microsecond, MaxDelay: 400 * time.Microsecond})
-		cli, err := c.add(central)
-		if err != nil {
-			c.close()
-			return nil, nil, nil, err
-		}
-		return cli, func(i int) { c.net.Crash(types.NodeID(i)) }, c.close, nil
-	}
-}
-
-func allSystems() []system {
+// systems lists ABD and both baselines at group size n. Central is one
+// server whatever n is, so crashing server 0 loses everything.
+func systems(n int) []system {
 	return []system{
-		{"abd", abdSystem(core.WithSingleWriter())},
-		{"central", centralSystem()},
-		{"rowa", rowaSystem()},
+		{"abd", n, []core.ClientOption{core.WithSingleWriter()}},
+		{"central", 1, baseline.Central()},
+		{"rowa", n, baseline.ROWA(n)},
 	}
+}
+
+// cluster starts the system's replicas on F1's and F2's network.
+func (s system) cluster(o Options) *abd.Cluster {
+	return o.cluster(s.replicas, abd.WithDelays(200*time.Microsecond, 400*time.Microsecond))
 }
 
 // F1LatencyVsN sweeps the cluster size and measures read and write latency
@@ -100,22 +55,20 @@ func F1LatencyVsN(o Options) (*Table, error) {
 	}
 
 	for _, n := range sizes {
-		for _, sys := range allSystems() {
-			cli, _, closeSys, err := sys.build(o, n)
-			if err != nil {
-				return nil, fmt.Errorf("F1 %s n=%d: %w", sys.name, n, err)
-			}
+		for _, sys := range systems(n) {
+			c := sys.cluster(o)
+			cli := c.Client(sys.opts...)
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 
 			writes, err := latencies(ops, func() error { return cli.Write(ctx, "x", []byte("v")) })
 			if err != nil {
 				cancel()
-				closeSys()
+				c.Close()
 				return nil, fmt.Errorf("F1 %s n=%d write: %w", sys.name, n, err)
 			}
 			reads, err := latencies(ops, func() error { _, err := cli.Read(ctx, "x"); return err })
 			cancel()
-			closeSys()
+			c.Close()
 			if err != nil {
 				return nil, fmt.Errorf("F1 %s n=%d read: %w", sys.name, n, err)
 			}
@@ -143,21 +96,20 @@ func F2CrashTolerance(o Options) (*Table, error) {
 	n := 5
 
 	for _, f := range []int{0, 1, 2} {
-		for _, sys := range allSystems() {
-			cli, crash, closeSys, err := sys.build(o, n)
-			if err != nil {
-				return nil, fmt.Errorf("F2 %s: %w", sys.name, err)
-			}
+		for _, sys := range systems(n) {
+			c := sys.cluster(o)
+			cli := c.Client(sys.opts...)
 			runCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 
-			// Prime a value while healthy, then crash f servers.
+			// Prime a value while healthy, then crash f servers (central
+			// has only the one).
 			if err := cli.Write(runCtx, "x", []byte("v0")); err != nil {
 				cancel()
-				closeSys()
+				c.Close()
 				return nil, fmt.Errorf("F2 %s prime: %w", sys.name, err)
 			}
-			for i := 0; i < f; i++ {
-				crash(i)
+			for i := range min(f, c.Size()) {
+				c.Crash(i)
 			}
 
 			writeRes, writeLat := tryOps(ops, func(octx context.Context) error {
@@ -168,7 +120,7 @@ func F2CrashTolerance(o Options) (*Table, error) {
 				return err
 			})
 			cancel()
-			closeSys()
+			c.Close()
 
 			tbl.AddRow(fmt.Sprintf("%d", f), sys.name, writeRes, readRes,
 				meanUs(writeLat), meanUs(readLat), p50Us(readLat))
@@ -248,33 +200,13 @@ func F3Throughput(o Options) (*Table, error) {
 	}
 	n, clients := 5, 8
 
-	type tputSystem struct {
-		name  string
-		build func() (mkClient func() (regClient, error), closeAll func(), err error)
+	tputSystems := []system{
+		{"abd", n, nil},
+		{"central", 1, baseline.Central()},
 	}
-	systems := []tputSystem{
-		{"abd", func() (func() (regClient, error), func(), error) {
-			c := newSimCluster(n, netsim.Config{Seed: o.seed(), MinDelay: 100 * time.Microsecond, MaxDelay: 200 * time.Microsecond})
-			mk := func() (regClient, error) {
-				return c.client()
-			}
-			return mk, c.close, nil
-		}},
-		{"central", func() (func() (regClient, error), func(), error) {
-			c := newSimCluster(1, netsim.Config{Seed: o.seed(), MinDelay: 100 * time.Microsecond, MaxDelay: 200 * time.Microsecond})
-			mk := func() (regClient, error) {
-				return c.add(central)
-			}
-			return mk, c.close, nil
-		}},
-	}
-
 	for _, readPct := range []int{0, 50, 90, 100} {
-		for _, sys := range systems {
-			mk, closeAll, err := sys.build()
-			if err != nil {
-				return nil, fmt.Errorf("F3 %s: %w", sys.name, err)
-			}
+		for _, sys := range tputSystems {
+			c := o.cluster(sys.replicas, abd.WithDelays(100*time.Microsecond, 200*time.Microsecond))
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 
 			var total atomic.Int64
@@ -282,14 +214,8 @@ func F3Throughput(o Options) (*Table, error) {
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			for i := 0; i < clients; i++ {
-				cli, err := mk()
-				if err != nil {
-					cancel()
-					closeAll()
-					return nil, err
-				}
 				wg.Add(1)
-				go func(cli regClient, i int) {
+				go func(cli types.RW, i int) {
 					defer wg.Done()
 					// Deterministic per-client op mix.
 					j := 0
@@ -312,13 +238,13 @@ func F3Throughput(o Options) (*Table, error) {
 						total.Add(1)
 						j++
 					}
-				}(cli, i)
+				}(c.Client(sys.opts...), i)
 			}
 			time.Sleep(duration)
 			close(stop)
 			wg.Wait()
 			cancel()
-			closeAll()
+			c.Close()
 			if failed.Load() {
 				return nil, fmt.Errorf("F3 %s read%%=%d: ops failed", sys.name, readPct)
 			}

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/chaos"
+	abd "repro"
 	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/types"
 )
 
 // F7Ablations quantifies two design choices DESIGN.md calls out:
@@ -47,14 +45,8 @@ func F7Ablations(o Options) (*Table, error) {
 	}
 
 	for _, cfg := range configs {
-		healthy, msgsPerOp, retransmits, err := runAblation(o, cfg.opts, cfg.drop, ops, false)
-		if err != nil {
-			return nil, fmt.Errorf("F7 %s healthy: %w", cfg.name, err)
-		}
-		crashed, _, _, err := runAblation(o, cfg.opts, cfg.drop, ops, true)
-		if err != nil {
-			return nil, fmt.Errorf("F7 %s crashed: %w", cfg.name, err)
-		}
+		healthy, msgsPerOp, retransmits := runAblation(o, cfg.opts, cfg.drop, ops, false)
+		crashed, _, _ := runAblation(o, cfg.opts, cfg.drop, ops, true)
 		tbl.AddRow(cfg.name,
 			fmt.Sprintf("%.1f", msgsPerOp),
 			fmt.Sprintf("%d/%d", healthy, ops),
@@ -67,14 +59,10 @@ func F7Ablations(o Options) (*Table, error) {
 	return tbl, nil
 }
 
-func runAblation(o Options, opts []core.ClientOption, drop float64, ops int, crashOne bool) (ok int, msgsPerOp float64, retransmits int64, err error) {
-	c := newSimCluster(5, netsim.Config{Seed: o.seed()})
-	defer c.close()
-	c.net.SetDefaultFaults(chaos.Faults{Drop: drop})
-	cli, err := c.client(opts...)
-	if err != nil {
-		return 0, 0, 0, err
-	}
+func runAblation(o Options, opts []core.ClientOption, drop float64, ops int, crashOne bool) (ok int, msgsPerOp float64, retransmits int64) {
+	c := o.cluster(5, abd.WithDropProbability(drop))
+	defer c.Close()
+	cli := c.Client(opts...)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
@@ -86,19 +74,19 @@ func runAblation(o Options, opts []core.ClientOption, drop float64, ops int, cra
 	_ = cli.Write(pctx, "x", []byte("v0"))
 	pcancel()
 	if crashOne {
-		c.net.Crash(types.NodeID(0))
+		c.Crash(0)
 	}
 
 	for i := 0; i < ops; i++ {
 		octx, ocancel := context.WithTimeout(ctx, 250*time.Millisecond)
-		opErr := cli.Write(octx, "x", []byte("v"))
+		err := cli.Write(octx, "x", []byte("v"))
 		ocancel()
-		if opErr == nil {
+		if err == nil {
 			ok++
 		}
 	}
 	settle()
 	m := cli.Metrics()
-	st := c.net.Stats()
-	return ok, float64(st.Sent) / float64(ops+1), m.Retransmits, nil
+	st := c.NetStats()
+	return ok, float64(st.Sent) / float64(ops+1), m.Retransmits
 }

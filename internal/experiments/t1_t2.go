@@ -5,63 +5,9 @@ import (
 	"fmt"
 	"time"
 
+	abd "repro"
 	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/transport"
-	"repro/internal/types"
 )
-
-// simCluster is the experiments' minimal cluster: n replicas on a fresh
-// simulated network.
-type simCluster struct {
-	net      *netsim.Net
-	replicas []*core.Replica
-	ids      []types.NodeID
-	clients  []*core.Client
-	nextCli  types.NodeID
-}
-
-func newSimCluster(n int, cfg netsim.Config) *simCluster {
-	c := &simCluster{net: netsim.New(cfg), nextCli: 10000}
-	for i := 0; i < n; i++ {
-		id := types.NodeID(i)
-		r := core.NewReplica(id, c.net.Node(id))
-		r.Start()
-		c.replicas = append(c.replicas, r)
-		c.ids = append(c.ids, id)
-	}
-	return c
-}
-
-func (c *simCluster) client(opts ...core.ClientOption) (*core.Client, error) {
-	return c.add(func(id types.NodeID, ep transport.Endpoint) (*core.Client, error) {
-		return core.NewClient(id, ep, c.ids, opts...)
-	})
-}
-
-// add builds a client on the next client id's endpoint — with core.NewClient
-// or one of package baseline's constructors — and closes it with the
-// cluster.
-func (c *simCluster) add(build func(types.NodeID, transport.Endpoint) (*core.Client, error)) (*core.Client, error) {
-	id := c.nextCli
-	c.nextCli++
-	cli, err := build(id, c.net.Node(id))
-	if err != nil {
-		return nil, err
-	}
-	c.clients = append(c.clients, cli)
-	return cli, nil
-}
-
-func (c *simCluster) close() {
-	for _, cli := range c.clients {
-		cli.Close()
-	}
-	for _, r := range c.replicas {
-		r.Stop()
-	}
-	c.net.Close()
-}
 
 // settle lets in-flight acks and stragglers drain before reading counters.
 func settle() { time.Sleep(20 * time.Millisecond) }
@@ -113,42 +59,10 @@ func T1MessageComplexity(o Options) (*Table, error) {
 			{"read (fast path), one quorum", 2 * q, nil, read, true},
 		}
 		for _, v := range variants {
-			c := newSimCluster(n, netsim.Config{Seed: o.seed()})
-			cli, err := c.client(v.opts...)
+			perOp, err := countMessages(o, n, v.prime, ops, v.opts, v.run)
 			if err != nil {
-				c.close()
-				return nil, err
+				return nil, fmt.Errorf("T1 n=%d %s: %w", n, v.name, err)
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			if v.prime {
-				// Reads need a stable value everywhere first.
-				w, err := c.client(core.WithSingleWriter())
-				if err != nil {
-					cancel()
-					c.close()
-					return nil, err
-				}
-				if err := w.Write(ctx, "x", []byte("v")); err != nil {
-					cancel()
-					c.close()
-					return nil, err
-				}
-				settle()
-			}
-			c.net.ResetStats()
-			for i := 0; i < ops; i++ {
-				if err := v.run(ctx, cli); err != nil {
-					cancel()
-					c.close()
-					return nil, fmt.Errorf("T1 n=%d %s: %w", n, v.name, err)
-				}
-			}
-			settle()
-			st := c.net.Stats()
-			cancel()
-			c.close()
-
-			perOp := float64(st.Sent) / float64(ops)
 			ok := "yes"
 			if perOp != float64(v.expected) {
 				ok = "no"
@@ -161,6 +75,32 @@ func T1MessageComplexity(o Options) (*Table, error) {
 		"counts include replies/acks; delays are zero so every phase touches each replica it asks exactly once: all n for updates and for the paper's queries, one majority q for the default client's queries",
 		"the plain read disables the fast path (ReadTwoPhase) to expose the paper's two-phase cost; the repository benchmark measures the fast path under load (client.fast_hit_frac)")
 	return tbl, nil
+}
+
+// countMessages runs ops operations through one client (opts) of a fresh
+// n-replica instant-delivery cluster and returns the messages sent per
+// operation. prime first writes the register through a single writer, so
+// that reads find a stable value everywhere.
+func countMessages(o Options, n int, prime bool, ops int, opts []core.ClientOption, run func(context.Context, *core.Client) error) (float64, error) {
+	c := o.cluster(n)
+	defer c.Close()
+	cli := c.Client(opts...)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if prime {
+		if err := c.Client(core.WithSingleWriter()).Write(ctx, "x", []byte("v")); err != nil {
+			return 0, err
+		}
+		settle()
+	}
+	c.ResetNetStats()
+	for i := 0; i < ops; i++ {
+		if err := run(ctx, cli); err != nil {
+			return 0, err
+		}
+	}
+	settle()
+	return float64(c.NetStats().Sent) / float64(ops), nil
 }
 
 // T2Rounds measures operation latency on a fixed-delay network and infers
@@ -196,37 +136,22 @@ func T2Rounds(o Options) (*Table, error) {
 	}
 	var baseline time.Duration // measured SWMR write = 1 round trip
 	for _, v := range variants {
-		c := newSimCluster(n, netsim.Config{Seed: o.seed(), MinDelay: oneWay, MaxDelay: oneWay})
-		cli, err := c.client(v.opts...)
-		if err != nil {
-			c.close()
-			return nil, err
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-
-		if v.isRead {
-			w, err := c.client(core.WithSingleWriter())
-			if err != nil {
-				cancel()
-				c.close()
-				return nil, err
+		samples, err := func() ([]time.Duration, error) {
+			c := o.cluster(n, abd.WithDelays(oneWay, oneWay))
+			defer c.Close()
+			cli := c.Client(v.opts...)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			fn := func() error { return cli.Write(ctx, "x", []byte("v")) }
+			if v.isRead {
+				if err := c.Client(core.WithSingleWriter()).Write(ctx, "x", []byte("v")); err != nil {
+					return nil, err
+				}
+				settle()
+				fn = func() error { _, err := cli.Read(ctx, "x"); return err }
 			}
-			if err := w.Write(ctx, "x", []byte("v")); err != nil {
-				cancel()
-				c.close()
-				return nil, err
-			}
-			settle()
-		}
-		var fn func() error
-		if v.isRead {
-			fn = func() error { _, err := cli.Read(ctx, "x"); return err }
-		} else {
-			fn = func() error { return cli.Write(ctx, "x", []byte("v")) }
-		}
-		samples, err := latencies(ops, fn)
-		cancel()
-		c.close()
+			return latencies(ops, fn)
+		}()
 		if err != nil {
 			return nil, fmt.Errorf("T2 %s: %w", v.name, err)
 		}

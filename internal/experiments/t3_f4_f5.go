@@ -6,12 +6,11 @@ import (
 	"sync"
 	"time"
 
+	abd "repro"
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/lincheck"
-	"repro/internal/netsim"
 	"repro/internal/quorum"
-	"repro/internal/types"
 )
 
 // T3Linearizability records concurrent histories under adversarial random
@@ -88,8 +87,8 @@ func T3Linearizability(o Options) (*Table, error) {
 
 // recordedWorkload runs a concurrent mix and records the history.
 func recordedWorkload(o Options, seed int64, opts []core.ClientOption) ([]history.Op, error) {
-	c := newSimCluster(3, netsim.Config{Seed: seed, MinDelay: 0, MaxDelay: 3 * time.Millisecond})
-	defer c.close()
+	c := o.cluster(3, abd.WithSeed(seed), abd.WithDelays(0, 3*time.Millisecond))
+	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	rec := history.NewRecorder()
@@ -98,10 +97,6 @@ func recordedWorkload(o Options, seed int64, opts []core.ClientOption) ([]histor
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers+readers)
 	for i := 0; i < writers; i++ {
-		cli, err := c.client(opts...)
-		if err != nil {
-			return nil, err
-		}
 		wg.Add(1)
 		go func(id int, cli *core.Client) {
 			defer wg.Done()
@@ -115,13 +110,9 @@ func recordedWorkload(o Options, seed int64, opts []core.ClientOption) ([]histor
 				}
 				p.EndWrite()
 			}
-		}(i, cli)
+		}(i, c.Client(opts...))
 	}
 	for i := 0; i < readers; i++ {
-		cli, err := c.client(opts...)
-		if err != nil {
-			return nil, err
-		}
 		wg.Add(1)
 		go func(id int, cli *core.Client) {
 			defer wg.Done()
@@ -135,7 +126,7 @@ func recordedWorkload(o Options, seed int64, opts []core.ClientOption) ([]histor
 				}
 				p.EndRead(v)
 			}
-		}(writers+i, cli)
+		}(writers+i, c.Client(opts...))
 	}
 	wg.Wait()
 	close(errCh)
@@ -150,24 +141,15 @@ func recordedWorkload(o Options, seed int64, opts []core.ClientOption) ([]histor
 // reader B then reads {1,2}) and reports whether the resulting history is
 // NOT linearizable.
 func deterministicInversion(o Options, opts []core.ClientOption) (bool, error) {
-	c := newSimCluster(3, netsim.Config{Seed: o.seed()})
-	defer c.close()
+	c := o.cluster(3)
+	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	rec := history.NewRecorder()
 
-	w, err := c.client(core.WithSingleWriter())
-	if err != nil {
-		return false, err
-	}
-	ra, err := c.client(opts...)
-	if err != nil {
-		return false, err
-	}
-	rb, err := c.client(opts...)
-	if err != nil {
-		return false, err
-	}
+	w := c.Client(core.WithSingleWriter())
+	ra := c.Client(opts...)
+	rb := c.Client(opts...)
 
 	p := rec.BeginWrite(0, []byte("old"))
 	if err := w.Write(ctx, "x", []byte("old")); err != nil {
@@ -175,8 +157,8 @@ func deterministicInversion(o Options, opts []core.ClientOption) (bool, error) {
 	}
 	p.EndWrite()
 
-	c.net.BlockLink(w.ID(), 1)
-	c.net.BlockLink(w.ID(), 2)
+	c.Net().BlockLink(w.ID(), 1)
+	c.Net().BlockLink(w.ID(), 2)
 	pw := rec.BeginWrite(0, []byte("new"))
 	wctx, wcancel := context.WithTimeout(ctx, 300*time.Millisecond)
 	defer wcancel()
@@ -186,7 +168,7 @@ func deterministicInversion(o Options, opts []core.ClientOption) (bool, error) {
 	// Wait for replica 0 to adopt.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, val := c.replicas[0].State("x")
+		_, val := c.Replica(0).State("x")
 		if string(val) == "new" {
 			break
 		}
@@ -196,7 +178,7 @@ func deterministicInversion(o Options, opts []core.ClientOption) (bool, error) {
 		time.Sleep(time.Millisecond)
 	}
 
-	c.net.BlockLink(ra.ID(), 2)
+	c.Net().BlockLink(ra.ID(), 2)
 	pa := rec.BeginRead(1)
 	va, err := ra.Read(ctx, "x")
 	if err != nil {
@@ -204,7 +186,7 @@ func deterministicInversion(o Options, opts []core.ClientOption) (bool, error) {
 	}
 	pa.EndRead(va)
 
-	c.net.BlockLink(rb.ID(), 0)
+	c.Net().BlockLink(rb.ID(), 0)
 	pb := rec.BeginRead(2)
 	vb, err := rb.Read(ctx, "x")
 	if err != nil {
@@ -236,30 +218,18 @@ func F4PartitionBoundary(o Options) (*Table, error) {
 
 	for _, n := range []int{4, 5} {
 		for side := 0; side <= n; side++ {
-			c := newSimCluster(n, netsim.Config{Seed: o.seed()})
-			cli, err := c.client(core.WithSingleWriter())
-			if err != nil {
-				c.close()
-				return nil, err
-			}
+			c := o.cluster(n)
+			cli := c.Client(core.WithSingleWriter())
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			if err := cli.Write(ctx, "x", []byte("v0")); err != nil {
 				cancel()
-				c.close()
+				c.Close()
 				return nil, err
 			}
 
 			// Partition: client plus the first `side` replicas vs the rest.
-			groupA := []types.NodeID{cli.ID()}
-			var groupB []types.NodeID
-			for i := 0; i < n; i++ {
-				if i < side {
-					groupA = append(groupA, types.NodeID(i))
-				} else {
-					groupB = append(groupB, types.NodeID(i))
-				}
-			}
-			c.net.Partition(groupA, groupB)
+			ids := c.ReplicaIDs()
+			c.Partition(append([]abd.NodeID{cli.ID()}, ids[:side]...), ids[side:])
 
 			writeRes, _ := tryOps(ops, func(octx context.Context) error {
 				return cli.Write(octx, "x", []byte("v"))
@@ -269,7 +239,7 @@ func F4PartitionBoundary(o Options) (*Table, error) {
 				return err
 			})
 			cancel()
-			c.close()
+			c.Close()
 
 			majority := "no"
 			if side > n/2 {

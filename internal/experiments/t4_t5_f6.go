@@ -7,11 +7,11 @@ import (
 	"sync"
 	"time"
 
+	abd "repro"
 	"repro/internal/bakery"
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/lincheck"
-	"repro/internal/netsim"
 	"repro/internal/snapshot"
 )
 
@@ -34,25 +34,21 @@ func T4BoundedLabels(o Options) (*Table, error) {
 
 	// Unbounded run.
 	{
-		c := newSimCluster(n, netsim.Config{Seed: o.seed()})
-		cli, err := c.client(core.WithSingleWriter())
-		if err != nil {
-			c.close()
-			return nil, err
-		}
+		c := o.cluster(n)
+		cli := c.Client(core.WithSingleWriter())
 		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 		for i := 0; i < writes; i++ {
 			if err := cli.Write(ctx, "x", []byte("v")); err != nil {
 				cancel()
-				c.close()
+				c.Close()
 				return nil, fmt.Errorf("T4 unbounded write %d: %w", i, err)
 			}
 		}
 		settle()
-		tag, _ := c.replicas[0].State("x")
+		tag, _ := c.Replica(0).State("x")
 		m := cli.Metrics()
 		cancel()
-		c.close()
+		c.Close()
 
 		bits := int(math.Ceil(math.Log2(float64(tag.TS.Seq + 1))))
 		tbl.AddRow("unbounded", fmt.Sprintf("%d", writes),
@@ -62,40 +58,31 @@ func T4BoundedLabels(o Options) (*Table, error) {
 
 	// Bounded run.
 	{
-		c := newSimCluster(n, netsim.Config{Seed: o.seed()})
-		cli, err := c.client(core.WithBoundedLabels(window))
-		if err != nil {
-			c.close()
-			return nil, err
-		}
+		c := o.cluster(n)
+		cli := c.Client(core.WithBoundedLabels(window))
 		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-		maxLabel := int64(0)
 		for i := 0; i < writes; i++ {
 			if err := cli.Write(ctx, "x", []byte("v")); err != nil {
 				cancel()
-				c.close()
+				c.Close()
 				return nil, fmt.Errorf("T4 bounded write %d: %w", i, err)
 			}
 		}
 		settle()
-		tag, _ := c.replicas[0].State("x")
-		if tag.Label > maxLabel {
-			maxLabel = tag.Label
-		}
 		m := cli.Metrics()
-		var replicaViolations int64
-		for _, r := range c.replicas {
-			replicaViolations += r.ReplicaMetrics().OrderViolations
+		var rm core.ReplicaMetrics
+		for i := range c.Size() {
+			rm = rm.Merge(c.Replica(i).ReplicaMetrics())
 		}
 		cancel()
-		c.close()
+		c.Close()
 
 		domain := 3 * window
 		bits := int(math.Ceil(math.Log2(float64(domain))))
 		tbl.AddRow("bounded (cyclic)", fmt.Sprintf("%d", writes),
 			fmt.Sprintf("%d (constant)", bits), fmt.Sprintf("%d labels", domain),
 			ratio(float64(m.Phases)/float64(m.Writes)),
-			fmt.Sprintf("%d", m.OrderViolations+replicaViolations))
+			fmt.Sprintf("%d", m.OrderViolations+rm.OrderViolations))
 	}
 	tbl.Notes = append(tbl.Notes,
 		"bounded writes pay one extra query phase to collect the live labels, matching the paper's bounded protocol structure",
@@ -116,23 +103,16 @@ func T5MultiWriter(o Options) (*Table, error) {
 	opsPer := o.scale(20, 6)
 
 	for _, k := range []int{1, 2, 4, 8} {
-		c := newSimCluster(5, netsim.Config{Seed: o.seed(), MinDelay: 0, MaxDelay: 2 * time.Millisecond})
+		c := o.cluster(5, abd.WithDelays(0, 2*time.Millisecond))
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 
 		rec := history.NewRecorder()
 		var wg sync.WaitGroup
 		errCh := make(chan error, k+1)
-		var phaseTotal, writeTotal int64
 		var latMu sync.Mutex
 		var lats []time.Duration
 
 		for i := 0; i < k; i++ {
-			cli, err := c.client()
-			if err != nil {
-				cancel()
-				c.close()
-				return nil, err
-			}
 			wg.Add(1)
 			go func(id int, cli *core.Client) {
 				defer wg.Done()
@@ -151,15 +131,10 @@ func T5MultiWriter(o Options) (*Table, error) {
 					lats = append(lats, lat)
 					latMu.Unlock()
 				}
-			}(i, cli)
+			}(i, c.Client())
 		}
 		// One reader mixes in so the history is interesting.
-		reader, err := c.client()
-		if err != nil {
-			cancel()
-			c.close()
-			return nil, err
-		}
+		reader := c.Client()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -178,21 +153,18 @@ func T5MultiWriter(o Options) (*Table, error) {
 		close(errCh)
 		for err := range errCh {
 			cancel()
-			c.close()
+			c.Close()
 			return nil, fmt.Errorf("T5 k=%d: %w", k, err)
 		}
-		for _, cli := range c.clients {
-			m := cli.Metrics()
-			writeTotal += m.Writes
-			phaseTotal += m.Phases - m.Reads - m.WriteBacks // phases spent on writes
-		}
+		m := c.Metrics()
+		writePhases := m.Phases - m.Reads - m.WriteBacks // phases spent on writes
 		res := lincheck.CheckRegister(rec.Ops(), lincheck.Config{Timeout: 30 * time.Second})
 		cancel()
-		c.close()
+		c.Close()
 
 		verdict := res.Outcome.String()
 		tbl.AddRow(fmt.Sprintf("%d", k), fmt.Sprintf("%d", k*opsPer),
-			ratio(float64(phaseTotal)/float64(writeTotal)), us(mean(lats)), verdict)
+			ratio(float64(writePhases)/float64(m.Writes)), us(mean(lats)), verdict)
 	}
 	return tbl, nil
 }
@@ -209,37 +181,32 @@ func F6Applications(o Options) (*Table, error) {
 		Headers: []string{"workload", "parameter", "mean latency", "ops"},
 	}
 	iters := o.scale(20, 5)
+	f6Delays := abd.WithDelays(50*time.Microsecond, 150*time.Microsecond)
 
 	// Atomic snapshot: scan and update vs component count.
 	for _, comps := range []int{2, 4, 8} {
-		c := newSimCluster(3, netsim.Config{Seed: o.seed(), MinDelay: 50 * time.Microsecond, MaxDelay: 150 * time.Microsecond})
+		c := o.cluster(3, f6Delays)
 		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 
 		regs := make([]snapshot.Register, comps)
 		for i := 0; i < comps; i++ {
-			cli, err := c.client(core.WithSingleWriter())
-			if err != nil {
-				cancel()
-				c.close()
-				return nil, err
-			}
-			regs[i] = cli.Register(fmt.Sprintf("snap/%d", i))
+			regs[i] = c.Client(core.WithSingleWriter()).Register(fmt.Sprintf("snap/%d", i))
 		}
 		h, err := snapshot.New(regs, 0)
 		if err != nil {
 			cancel()
-			c.close()
+			c.Close()
 			return nil, err
 		}
 		updates, err := latencies(iters, func() error { return h.Update(ctx, []byte("v")) })
 		if err != nil {
 			cancel()
-			c.close()
+			c.Close()
 			return nil, fmt.Errorf("F6 snapshot update: %w", err)
 		}
 		scans, err := latencies(iters, func() error { _, err := h.Scan(ctx); return err })
 		cancel()
-		c.close()
+		c.Close()
 		if err != nil {
 			return nil, fmt.Errorf("F6 snapshot scan: %w", err)
 		}
@@ -249,18 +216,13 @@ func F6Applications(o Options) (*Table, error) {
 
 	// Bakery: lock+unlock under varying contention.
 	for _, procs := range []int{1, 2, 4} {
-		c := newSimCluster(3, netsim.Config{Seed: o.seed(), MinDelay: 50 * time.Microsecond, MaxDelay: 150 * time.Microsecond})
+		c := o.cluster(3, f6Delays)
 		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 
 		choosing := make([]bakery.Register, procs)
 		number := make([]bakery.Register, procs)
 		for i := 0; i < procs; i++ {
-			cli, err := c.client(core.WithSingleWriter())
-			if err != nil {
-				cancel()
-				c.close()
-				return nil, err
-			}
+			cli := c.Client(core.WithSingleWriter())
 			choosing[i] = cli.Register(fmt.Sprintf("choosing/%d", i))
 			number[i] = cli.Register(fmt.Sprintf("number/%d", i))
 		}
@@ -274,7 +236,7 @@ func F6Applications(o Options) (*Table, error) {
 			m, err := bakery.New(choosing, number, i, bakery.WithPollInterval(200*time.Microsecond))
 			if err != nil {
 				cancel()
-				c.close()
+				c.Close()
 				return nil, err
 			}
 			wg.Add(1)
@@ -301,11 +263,11 @@ func F6Applications(o Options) (*Table, error) {
 		close(errCh)
 		for err := range errCh {
 			cancel()
-			c.close()
+			c.Close()
 			return nil, fmt.Errorf("F6 bakery procs=%d: %w", procs, err)
 		}
 		cancel()
-		c.close()
+		c.Close()
 		tbl.AddRow("bakery lock", fmt.Sprintf("%d contenders", procs), us(mean(lats)), fmt.Sprintf("%d", len(lats)))
 	}
 	tbl.Notes = append(tbl.Notes,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/quorum"
 	"repro/internal/types"
 )
@@ -62,33 +61,32 @@ func T6Byzantine(o Options) (*Table, error) {
 	return tbl, nil
 }
 
-// runByzantineTrial runs interleaved writes and reads against a cluster
-// with one Byzantine replica and counts corrupted reads.
+// byzLiar is the replica T6 turns into a liar.
+const byzLiar types.NodeID = 2
+
+// runByzantineTrial runs interleaved writes and reads against a 5-replica
+// cluster whose replica byzLiar lies in the given mode, and counts corrupted
+// reads. The liar is an honest replica whose outbound replies pass through
+// a core.Liar installed as the network's interceptor, the adversary the
+// nemesis harness runs over TCP.
 func runByzantineTrial(o Options, mode core.ByzMode, opts []core.ClientOption, reads int) (int, error) {
-	net := netsim.New(netsim.Config{Seed: o.seed()})
-	defer net.Close()
-	ids, stop := startByzReplicas(net, 5, mode, o.seed())
-	defer stop()
+	c := o.cluster(5)
+	defer c.Close()
+	liar := core.NewLiar(byzLiar, o.seed())
+	liar.SetMode(mode)
+	c.Net().SetInterceptor(byzLiar, liar.Intercept)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	w, err := core.NewClient(1000, net.Node(1000), ids, append(opts, core.WithSingleWriter())...)
-	if err != nil {
-		return 0, err
-	}
-	defer w.Close()
-	r, err := core.NewClient(1001, net.Node(1001), ids, opts...)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
+	w := c.Client(append(opts, core.WithSingleWriter())...)
+	r := c.Client(opts...)
 	if r.ByzantineF() == 0 && mode != core.ByzSilent {
 		// Plain majorities are 3 of 5: a reader that reaches only the liar
 		// and two honest replicas has the liar in every quorum, so whether
 		// the attack lands does not depend on the liar winning a race.
-		net.BlockLink(r.ID(), 3)
-		net.BlockLink(r.ID(), 4)
+		c.Net().BlockLink(r.ID(), 3)
+		c.Net().BlockLink(r.ID(), 4)
 	}
 
 	corrupted := 0
@@ -106,31 +104,4 @@ func runByzantineTrial(o Options, mode core.ByzMode, opts []core.ClientOption, r
 		}
 	}
 	return corrupted, nil
-}
-
-// byzLiar is the replica T6 turns into a liar.
-const byzLiar types.NodeID = 2
-
-// startByzReplicas starts n honest replicas on net. With mode != 0 replica
-// byzLiar lies in that mode: its outbound replies pass through a core.Liar
-// installed as the network's interceptor, the adversary the nemesis harness
-// runs over TCP. It returns the replica ids and a function stopping them.
-func startByzReplicas(net *netsim.Net, n int, mode core.ByzMode, seed int64) ([]types.NodeID, func()) {
-	if mode != 0 {
-		liar := core.NewLiar(byzLiar, seed)
-		liar.SetMode(mode)
-		net.SetInterceptor(byzLiar, liar.Intercept)
-	}
-	ids := make([]types.NodeID, n)
-	reps := make([]*core.Replica, n)
-	for i := range ids {
-		ids[i] = types.NodeID(i)
-		reps[i] = core.NewReplica(ids[i], net.Node(ids[i]))
-		reps[i].Start()
-	}
-	return ids, func() {
-		for _, r := range reps {
-			r.Stop()
-		}
-	}
 }

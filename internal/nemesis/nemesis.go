@@ -449,7 +449,7 @@ func (c *Cluster) Crash(id types.NodeID) {
 	}
 	proc.rep.Stop()
 	c.mu.Lock()
-	c.stats = addStats(c.stats, proc.ep.Stats())
+	c.stats = c.stats.Merge(proc.ep.Stats())
 	c.mu.Unlock()
 }
 
@@ -564,16 +564,7 @@ func (c *Cluster) ReplicaMetrics() (core.ReplicaMetrics, obs.HistSnapshot) {
 	var total core.ReplicaMetrics
 	var sizes obs.HistSnapshot
 	for _, proc := range c.replicas {
-		m := proc.rep.ReplicaMetrics()
-		total.Queries += m.Queries
-		total.Updates += m.Updates
-		total.Adoptions += m.Adoptions
-		total.StaleRejects += m.StaleRejects
-		total.OrderViolations += m.OrderViolations
-		total.BadMsgs += m.BadMsgs
-		total.Batches += m.Batches
-		total.Fsyncs += m.Fsyncs
-		total.Registers += m.Registers
+		total = total.Merge(proc.rep.ReplicaMetrics())
 		sizes = sizes.Merge(proc.rep.BatchSizes())
 	}
 	return total, sizes
@@ -585,30 +576,13 @@ func (c *Cluster) TransportStats() tcpnet.Stats {
 	c.mu.Lock()
 	total := c.stats
 	for _, proc := range c.replicas {
-		total = addStats(total, proc.ep.Stats())
+		total = total.Merge(proc.ep.Stats())
 	}
 	c.mu.Unlock()
 	for _, ep := range c.clientEPs {
-		total = addStats(total, ep.Stats())
+		total = total.Merge(ep.Stats())
 	}
 	return total
-}
-
-func addStats(a, b tcpnet.Stats) tcpnet.Stats {
-	return tcpnet.Stats{
-		FramesSent:      a.FramesSent + b.FramesSent,
-		BytesSent:       a.BytesSent + b.BytesSent,
-		FramesRecv:      a.FramesRecv + b.FramesRecv,
-		BytesRecv:       a.BytesRecv + b.BytesRecv,
-		Dials:           a.Dials + b.Dials,
-		DialFailures:    a.DialFailures + b.DialFailures,
-		Accepts:         a.Accepts + b.Accepts,
-		WriteFailures:   a.WriteFailures + b.WriteFailures,
-		WriteTimeouts:   a.WriteTimeouts + b.WriteTimeouts,
-		SuppressedSends: a.SuppressedSends + b.SuppressedSends,
-		Resets:          a.Resets + b.Resets,
-		ConnsActive:     a.ConnsActive + b.ConnsActive,
-	}
 }
 
 // Close stops clients and replicas and removes the temp WAL directory if

@@ -2,6 +2,7 @@ package nemesis
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,8 +10,36 @@ import (
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/lincheck"
+	"repro/internal/tcpnet"
 	"repro/internal/types"
 )
+
+// TestCounterMergesSumEveryField: each counter set the cluster totals is
+// merged by its own Merge, which must sum every field — a field added to
+// the struct but not to Merge reads 0 in every total.
+func TestCounterMergesSumEveryField(t *testing.T) {
+	checkMerge(t, tcpnet.Stats.Merge)
+	checkMerge(t, core.ReplicaMetrics.Merge)
+	checkMerge(t, core.MetricsSnapshot.Merge)
+}
+
+// checkMerge sets field i of one value to i+1 and of another to 100(i+1)
+// by reflection, and checks that merge gives 101(i+1) in every field.
+func checkMerge[T any](t *testing.T, merge func(T, T) T) {
+	t.Helper()
+	var a, b T
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := range va.NumField() {
+		va.Field(i).SetInt(int64(i + 1))
+		vb.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	sum := reflect.ValueOf(merge(a, b))
+	for i := range sum.NumField() {
+		if got, want := sum.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("%T.Merge: %s = %d, want %d", a, sum.Type().Field(i).Name, got, want)
+		}
+	}
+}
 
 // TestGenerateScheduleDeterministic: for every genre set the schedule is a
 // pure function of its inputs — same seed, same script; different seed,
@@ -244,6 +273,9 @@ func TestNemesisLinearizable(t *testing.T) {
 			}
 			if res.Ops < 150 {
 				t.Errorf("only %d/200 ops completed — liveness under nemesis too weak", res.Ops)
+			}
+			if res.Transport.Flushes == 0 {
+				t.Errorf("transport totals count no flushes: %+v", res.Transport)
 			}
 			// Trace stitching must survive the nemesis: nearly every replica-
 			// and transport-side span collected during the run traces back to

@@ -7,51 +7,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/types"
+	abd "repro"
 )
 
-// rig wires two replica groups (old: nodes 0-2, new: nodes 10-14) on one
-// simulated network.
-type rig struct {
-	t        *testing.T
-	net      *netsim.Net
-	replicas []*core.Replica
-	nextCli  types.NodeID
-}
-
-func newRig(t *testing.T) *rig {
+// newGroup starts an n-replica group as a cluster of its own, closed at
+// cleanup. The tests migrate from a 3-replica group to a 5-replica one.
+func newGroup(t *testing.T, n int) *abd.Cluster {
 	t.Helper()
-	r := &rig{t: t, net: netsim.New(netsim.Config{Seed: 90}), nextCli: 1000}
-	t.Cleanup(func() {
-		for _, rep := range r.replicas {
-			rep.Stop()
-		}
-		r.net.Close()
-	})
-	return r
-}
-
-func (r *rig) group(ids ...types.NodeID) []types.NodeID {
-	r.t.Helper()
-	for _, id := range ids {
-		rep := core.NewReplica(id, r.net.Node(id))
-		rep.Start()
-		r.replicas = append(r.replicas, rep)
-	}
-	return ids
-}
-
-func (r *rig) coreClient(group []types.NodeID) *core.Client {
-	r.t.Helper()
-	id := r.nextCli
-	r.nextCli++
-	cli, err := core.NewClient(id, r.net.Node(id), group)
+	c, err := abd.NewCluster(n, abd.WithSeed(90))
 	if err != nil {
-		r.t.Fatal(err)
+		t.Fatal(err)
 	}
-	return cli
+	t.Cleanup(c.Close)
+	return c
 }
 
 func ctxT(t *testing.T) context.Context {
@@ -61,13 +29,9 @@ func ctxT(t *testing.T) context.Context {
 	return ctx
 }
 
-func oldGroup() []types.NodeID { return []types.NodeID{0, 1, 2} }
-func newGroup() []types.NodeID { return []types.NodeID{10, 11, 12, 13, 14} }
-
 func TestSingleConfigBehavesLikeCore(t *testing.T) {
-	r := newRig(t)
-	g := r.group(oldGroup()...)
-	cli, err := NewClient(500, Member{Epoch: 1, Client: r.coreClient(g)})
+	g := newGroup(t, 3)
+	cli, err := NewClient(500, Member{Epoch: 1, Client: g.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +59,9 @@ func TestSingleConfigBehavesLikeCore(t *testing.T) {
 }
 
 func TestFullMigration(t *testing.T) {
-	r := newRig(t)
-	gOld := r.group(oldGroup()...)
-	gNew := r.group(newGroup()...)
+	gOld, gNew := newGroup(t, 3), newGroup(t, 5)
 
-	cli, err := NewClient(500, Member{Epoch: 1, Client: r.coreClient(gOld)})
+	cli, err := NewClient(500, Member{Epoch: 1, Client: gOld.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +76,7 @@ func TestFullMigration(t *testing.T) {
 	}
 
 	// Begin migration: both configs active.
-	if err := cli.AddConfig(Member{Epoch: 2, Client: r.coreClient(gNew)}); err != nil {
+	if err := cli.AddConfig(Member{Epoch: 2, Client: gNew.Client()}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cli.Epochs(); len(got) != 2 {
@@ -134,8 +96,8 @@ func TestFullMigration(t *testing.T) {
 	}
 
 	// The old group is gone entirely — crash all of it.
-	for _, id := range gOld {
-		r.net.Crash(id)
+	for i := range gOld.Size() {
+		gOld.Crash(i)
 	}
 
 	want := map[string]string{"a": "during", "b": "pre-b", "c": "pre-c"}
@@ -155,9 +117,8 @@ func TestFullMigration(t *testing.T) {
 // issues must still be distinct and increasing, or one tag would name two
 // values.
 func TestNextTagAfterNeverReusesATag(t *testing.T) {
-	r := newRig(t)
-	g := r.group(oldGroup()...)
-	cli, err := NewClient(500, Member{Epoch: 1, Client: r.coreClient(g)})
+	g := newGroup(t, 3)
+	cli, err := NewClient(500, Member{Epoch: 1, Client: g.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,18 +144,17 @@ func TestNextTagAfterNeverReusesATag(t *testing.T) {
 }
 
 func TestEpochValidation(t *testing.T) {
-	r := newRig(t)
-	g := r.group(oldGroup()...)
-	cli, err := NewClient(500, Member{Epoch: 5, Client: r.coreClient(g)})
+	g := newGroup(t, 3)
+	cli, err := NewClient(500, Member{Epoch: 5, Client: g.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
 
-	if err := cli.AddConfig(Member{Epoch: 5, Client: r.coreClient(g)}); err == nil {
+	if err := cli.AddConfig(Member{Epoch: 5, Client: g.Client()}); err == nil {
 		t.Fatal("equal epoch accepted")
 	}
-	if err := cli.AddConfig(Member{Epoch: 4, Client: r.coreClient(g)}); err == nil {
+	if err := cli.AddConfig(Member{Epoch: 4, Client: g.Client()}); err == nil {
 		t.Fatal("older epoch accepted")
 	}
 	if err := cli.RemoveConfig(5); err == nil {
@@ -206,15 +166,13 @@ func TestEpochValidation(t *testing.T) {
 }
 
 func TestConcurrentOpsDuringMigration(t *testing.T) {
-	r := newRig(t)
-	gOld := r.group(oldGroup()...)
-	gNew := r.group(newGroup()...)
+	gOld, gNew := newGroup(t, 3), newGroup(t, 5)
 	ctx := ctxT(t)
 
 	// Two independent reconfigurable clients over the same configurations
 	// (e.g. two app servers), both migrating in the same order.
 	mk := func() *Client {
-		cli, err := NewClient(r.nextCli, Member{Epoch: 1, Client: r.coreClient(gOld)})
+		cli, err := NewClient(500, Member{Epoch: 1, Client: gOld.Client()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +187,7 @@ func TestConcurrentOpsDuringMigration(t *testing.T) {
 	}
 
 	for _, c := range []*Client{c1, c2} {
-		if err := c.AddConfig(Member{Epoch: 2, Client: r.coreClient(gNew)}); err != nil {
+		if err := c.AddConfig(Member{Epoch: 2, Client: gNew.Client()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,8 +233,8 @@ func TestConcurrentOpsDuringMigration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, id := range gOld {
-		r.net.Crash(id)
+	for i := range gOld.Size() {
+		gOld.Crash(i)
 	}
 	v, err := c2.Read(ctx, "x")
 	if err != nil {
@@ -288,9 +246,8 @@ func TestConcurrentOpsDuringMigration(t *testing.T) {
 }
 
 func TestRegisterHandle(t *testing.T) {
-	r := newRig(t)
-	g := r.group(oldGroup()...)
-	cli, err := NewClient(500, Member{Epoch: 1, Client: r.coreClient(g)})
+	g := newGroup(t, 3)
+	cli, err := NewClient(500, Member{Epoch: 1, Client: g.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}

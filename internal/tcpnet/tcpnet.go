@@ -306,6 +306,29 @@ type Stats struct {
 	ConnsActive int
 }
 
+// Merge returns the field-wise sum of two endpoints' counters (a
+// cluster's totals).
+func (s Stats) Merge(o Stats) Stats {
+	return Stats{
+		FramesSent:      s.FramesSent + o.FramesSent,
+		BytesSent:       s.BytesSent + o.BytesSent,
+		FramesRecv:      s.FramesRecv + o.FramesRecv,
+		BytesRecv:       s.BytesRecv + o.BytesRecv,
+		Flushes:         s.Flushes + o.Flushes,
+		QueueDrops:      s.QueueDrops + o.QueueDrops,
+		Dials:           s.Dials + o.Dials,
+		DialFailures:    s.DialFailures + o.DialFailures,
+		Accepts:         s.Accepts + o.Accepts,
+		WriteFailures:   s.WriteFailures + o.WriteFailures,
+		WriteTimeouts:   s.WriteTimeouts + o.WriteTimeouts,
+		SuppressedSends: s.SuppressedSends + o.SuppressedSends,
+		BreakerOpens:    s.BreakerOpens + o.BreakerOpens,
+		BreakersOpen:    s.BreakersOpen + o.BreakersOpen,
+		Resets:          s.Resets + o.Resets,
+		ConnsActive:     s.ConnsActive + o.ConnsActive,
+	}
+}
+
 // Stats returns a snapshot of the endpoint's counters.
 func (e *Endpoint) Stats() Stats {
 	e.mu.Lock()
