@@ -1,6 +1,7 @@
 package abd
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -244,6 +245,34 @@ func TestClusterNetStats(t *testing.T) {
 	}
 	if st.ByKind[byte(core.KindWrite)] != 3 || st.ByKind[byte(core.KindWriteAck)] != 3 {
 		t.Fatalf("per-kind counts: %v", st.ByKind)
+	}
+}
+
+// TestMultiWriterQueryShipsNoValues: a multi-writer write's query needs
+// the newest tag only, so overwriting a 4 KiB register with a 4 KiB value
+// moves fewer reply bytes in its query phase than one copy of the value:
+// replicas answer with tags, not with the stored value the writer would
+// throw away.
+func TestMultiWriterQueryShipsNoValues(t *testing.T) {
+	cluster, err := NewCluster(3, WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	ctx := testCtx(t)
+	w := cluster.Client()
+	val := bytes.Repeat([]byte{0xA5}, 4096)
+	if err := w.Write(ctx, "x", val); err != nil {
+		t.Fatal(err)
+	}
+
+	cluster.ResetNetStats()
+	if err := w.Write(ctx, "x", val); err != nil {
+		t.Fatal(err)
+	}
+	st := cluster.NetStats()
+	if got := st.BytesByKind[byte(core.KindReadReply)]; got >= 4096 {
+		t.Fatalf("the write's query replies carried %d bytes, want < 4096 (no stored value)", got)
 	}
 }
 

@@ -29,7 +29,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	cli, err := reconfig.NewClient(500, reconfig.Member{Epoch: 1, Client: oldGroup.Client()})
+	cli, err := reconfig.NewClient(reconfig.Member{Epoch: 1, Client: oldGroup.Client()})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -286,21 +286,26 @@ func TestWithByzantineNamesAValueSwapper(t *testing.T) {
 func TestAuditEvidence(t *testing.T) {
 	// The evidence rules, reply by reply, with no network timing involved.
 	// prior is what the replica reported before the query; the vouched pair
-	// is (tag 5, "v").
+	// is (tag 5, "v"), or (tag 5, nil) after a write's tag query, whose
+	// honest replies carry no value.
 	tag := func(seq int64) Tag { return Tag{Valid: true, TS: timestamp.TS{Seq: seq, Writer: 1000}} }
 	vouched := message{Tag: tag(5), Val: types.Value("v")}
 	for _, tc := range []struct {
-		name    string
-		prior   Tag
-		reply   message
-		suspect bool
+		name     string
+		prior    Tag
+		reply    message
+		tagQuery bool
+		suspect  bool
 	}{
-		{"echoes the vouched pair", tag(5), vouched, false},
-		{"ahead, unsupported (in-flight or lie)", tag(5), message{Tag: tag(9), Val: types.Value("w")}, false},
-		{"behind the vouched pair, never seen newer", tag(3), message{Tag: tag(3), Val: types.Value("u")}, false},
-		{"vouched tag, other value", Tag{}, message{Tag: tag(5), Val: types.Value("forged")}, true},
-		{"tag went back", tag(9), vouched, true},
-		{"back to the initial state", tag(5), message{}, true},
+		{"echoes the vouched pair", tag(5), vouched, false, false},
+		{"ahead, unsupported (in-flight or lie)", tag(5), message{Tag: tag(9), Val: types.Value("w")}, false, false},
+		{"behind the vouched pair, never seen newer", tag(3), message{Tag: tag(3), Val: types.Value("u")}, false, false},
+		{"vouched tag, other value", Tag{}, message{Tag: tag(5), Val: types.Value("forged")}, false, true},
+		{"tag went back", tag(9), vouched, false, true},
+		{"back to the initial state", tag(5), message{}, false, true},
+		{"tag query: echoes the vouched tag", tag(5), message{Tag: tag(5)}, true, false},
+		{"tag query: vouched tag with a value", tag(5), vouched, true, true},
+		{"tag query: tag went back", tag(9), message{Tag: tag(5)}, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newTestCluster(t, 5, netsim.Config{Seed: 62})
@@ -309,6 +314,10 @@ func TestAuditEvidence(t *testing.T) {
 			prior[2] = tc.prior
 			reply := tc.reply
 			reply.fromReplica = 2
+			vouched := vouched
+			if tc.tagQuery {
+				vouched.Val = nil
+			}
 			cli.audit("x", prior, []message{reply}, []message{vouched})
 			if got := cli.Suspects()[2] > 0; got != tc.suspect {
 				t.Fatalf("suspected = %v, want %v", got, tc.suspect)
@@ -403,6 +412,17 @@ func TestLiarIntercept(t *testing.T) {
 	if m.Tag.TS.Seq != 1<<40 || string(m.Val) != "byzantine-fabrication" {
 		t.Fatalf("fabricated pair = (%v, %q)", m.Tag, m.Val)
 	}
+	// A reply with a written tag and no value answers a write's tag query:
+	// the lie there is a tag, with no value either (equivocate likewise).
+	tagReply := message{Kind: KindReadReply, Op: 8, Reg: "x", Tag: reply.Tag}.encode()
+	for _, mode := range []ByzMode{ByzFabricate, ByzEquivocate} {
+		l.SetMode(mode)
+		out, ok := l.Intercept(9, tagReply)
+		if m, err = decodeMessage(out); !ok || err != nil || m.Tag.TS.Seq < 1<<40 || m.Val != nil {
+			t.Fatalf("mode %d: tag-query lie (%v, %q, %v), want a fabricated tag and no value", mode, m.Tag, m.Val, err)
+		}
+	}
+	l.SetMode(ByzFabricate)
 	// Requests and acks stay honest: the replica underneath stored the write.
 	if out, ok := l.Intercept(9, ack); !ok || !bytes.Equal(out, ack) {
 		t.Fatal("fabricate tampered with a write ack")
@@ -450,6 +470,39 @@ func TestLiarIntercept(t *testing.T) {
 	lies, muted := l.Stats()
 	if lies == 0 || muted != 2 {
 		t.Fatalf("Stats() = (%d lies, %d muted), want lies > 0 and muted == 2", lies, muted)
+	}
+}
+
+// TestTagQueryLiesReachOnlyPlainWriters: a write's query asks for tags
+// only, and the liar lies on those replies too. A plain multi-writer client
+// whose every quorum holds the liar adopts the fabricated tag as its floor;
+// a WithByzantine writer in the same position keeps its tags where the
+// honest replicas' are, and names the liar from the tags alone (an
+// equivocated tag below one it reported before).
+func TestTagQueryLiesReachOnlyPlainWriters(t *testing.T) {
+	c := newByzCluster(t, 5, 0, ByzEquivocate)
+	ctx := shortCtx(t)
+
+	masked := c.client(WithByzantine(1))
+	c.isolate(masked, 4)
+	const writes = 10
+	for i := 0; i < writes; i++ {
+		mustWrite(t, ctx, masked, "y", fmt.Sprintf("v%d", i))
+	}
+	for _, r := range c.replicas[1:4] {
+		if tag, _ := r.State("y"); tag.TS.Seq > writes {
+			t.Fatalf("replica %v holds y at %v: a fabricated tag steered a validated write", r.ID(), tag)
+		}
+	}
+	if got := masked.Suspects(); len(got) != 1 || got[0] == 0 {
+		t.Fatalf("Suspects() = %v, want the liar n0 alone", got)
+	}
+
+	plain := c.client()
+	c.isolate(plain, 3, 4)
+	mustWrite(t, ctx, plain, "x", "steered")
+	if tag, _ := c.replicas[1].State("x"); tag.TS.Seq < 1<<40 {
+		t.Fatalf("plain write took tag %v: the liar's tag-query reply never reached it", tag)
 	}
 }
 

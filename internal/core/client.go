@@ -426,9 +426,9 @@ func (c *Client) retransmitInterval(kind Kind) time.Duration {
 	if c.rtFloor <= 0 {
 		return 0
 	}
-	hist, cache := &c.lat.phaseUpdate, &c.rtUpdate
-	if kind == KindReadQuery {
-		hist, cache = &c.lat.phaseQuery, &c.rtQuery
+	hist, cache := &c.lat.phaseQuery, &c.rtQuery
+	if kind == KindWrite {
+		hist, cache = &c.lat.phaseUpdate, &c.rtUpdate
 	}
 	n := hist.Count()
 	if n < adaptiveMinSamples || c.rtCeil <= c.rtFloor {
@@ -445,12 +445,13 @@ func (c *Client) retransmitInterval(kind Kind) time.Duration {
 	return d
 }
 
-// recordPhase files a completed phase's latency under its kind's histogram.
+// recordPhase files a completed phase's latency under its kind's histogram:
+// updates under phaseUpdate, both query kinds under phaseQuery.
 func (c *Client) recordPhase(kind Kind, d time.Duration) {
-	if kind == KindReadQuery {
-		c.lat.phaseQuery.Record(d)
-	} else {
+	if kind == KindWrite {
 		c.lat.phaseUpdate.Record(d)
+	} else {
+		c.lat.phaseQuery.Record(d)
 	}
 }
 
@@ -624,7 +625,9 @@ func (c *Client) lastSeen(reg string) []Tag {
 //     after its WAL has synced it.
 //
 // A pair merely newer than the vouched max is not evidence: it may be an
-// honest write still in flight.
+// honest write still in flight. After a tag query the vouched pair's value is
+// nil, as every honest reply's is, so the first rule names a reply that
+// echoes the vouched tag with a value.
 func (c *Client) audit(reg string, prior []Tag, replies, accepted []message) {
 	if c.seen == nil {
 		return
@@ -662,6 +665,11 @@ func (c *Client) audit(reg string, prior []Tag, replies, accepted []message) {
 // evidence, see atWriteQuorum) and how many quorum rounds it paid (1 plus
 // any masking retries — the read path's ReadRounds accounting).
 //
+// kind is KindReadQuery when the caller adopts the value, KindTagQuery when
+// it needs the newest tag only (a write, which ignores the value). Honest
+// replies to a tag query all carry a nil value, so such a round vouches on
+// tags alone.
+//
 // Plain mode (f == 0) is the paper's rule: one phase, newest pair wins.
 // WithByzantine(f > 0) adopts the newest pair reported identically by
 // >= f+1 replicas (vouch), and re-queries only while write concurrency
@@ -672,10 +680,10 @@ func (c *Client) audit(reg string, prior []Tag, replies, accepted []message) {
 // counts the unconfirmed pair (byzUnconfirmed, a rate, not an accusation).
 // Fabricated tags never reach the write-back phase (DESIGN.md invariant
 // V2), and suspicion rests on evidence alone (audit).
-func (c *Client) queryValidated(ctx context.Context, reg string, table []quorum.Set, ot opTrace) (Tag, types.Value, []message, int, error) {
+func (c *Client) queryValidated(ctx context.Context, kind Kind, reg string, table []quorum.Set, ot opTrace) (Tag, types.Value, []message, int, error) {
 	for rounds := 1; ; rounds++ {
 		prior := c.lastSeen(reg)
-		replies, err := c.phase(ctx, message{Kind: KindReadQuery, Reg: reg}, c.qs.ContainsReadQuorum, table, ot, "query")
+		replies, err := c.phase(ctx, message{Kind: kind, Reg: reg}, c.qs.ContainsReadQuorum, table, ot, "query")
 		if err != nil {
 			return Tag{}, nil, nil, rounds, err
 		}
@@ -731,7 +739,7 @@ func (c *Client) read(ctx context.Context, reg string, ot opTrace) (types.Value,
 	if c.readMode == ReadAtomic {
 		table = c.fastTargets
 	}
-	best, val, replies, rounds, err := c.queryValidated(ctx, reg, table, ot)
+	best, val, replies, rounds, err := c.queryValidated(ctx, KindReadQuery, reg, table, ot)
 	if err != nil {
 		return nil, fmt.Errorf("read %q: %w", reg, err)
 	}
@@ -779,9 +787,10 @@ func (c *Client) atWriteQuorum(best Tag, val types.Value, replies []message) boo
 }
 
 // Write performs the atomic write. In multi-writer mode (the default) it
-// first queries a read quorum to find the newest timestamp and then
-// broadcasts a tag above it; in single-writer mode it needs no query phase.
-// Either way the tag comes from the client's per-register counter (nextTag).
+// first queries a read quorum for the newest timestamp (a tag query: the
+// replies carry no values) and then broadcasts a tag above it; in
+// single-writer mode it needs no query phase. Either way the tag comes from
+// the client's per-register counter (nextTag).
 func (c *Client) Write(ctx context.Context, reg string, val types.Value) error {
 	start := time.Now()
 	c.hot.Offer(reg)
@@ -825,8 +834,10 @@ func (c *Client) install(ctx context.Context, reg string, tag Tag, val types.Val
 // floor it must exceed. A single writer's floor is 0: its own counter is the
 // whole point of that mode, no query phase, one round trip per write. A
 // multi-writer client first learns the newest timestamp from a read quorum,
-// and exceeds it. Write quorums must pairwise intersect for this to observe
-// every completed write (quorum.VerifyWriteIntersection). The validated
+// and exceeds it; its query asks for tags only (KindTagQuery), as the
+// write's first phase does in the paper and in arXiv:1702.08176. Write
+// quorums must pairwise intersect for this to observe every completed write
+// (quorum.VerifyWriteIntersection). The validated
 // query also keeps a fabricated max-tag out of the successor computation: a
 // liar must not get to exhaust the timestamp space or steer honest writers'
 // ordering. A query that finds the register under bounded labels fails the
@@ -837,7 +848,7 @@ func (c *Client) nextTag(ctx context.Context, reg string, ot opTrace) (Tag, erro
 	}
 	var floor Tag
 	if !c.singleWriter {
-		best, _, _, _, err := c.queryValidated(ctx, reg, c.queryTargets, ot)
+		best, _, _, _, err := c.queryValidated(ctx, KindTagQuery, reg, c.queryTargets, ot)
 		if err != nil {
 			return Tag{}, err
 		}
@@ -868,7 +879,7 @@ func (c *Client) checkWindow(found Tag, window int64) error {
 // last label through storing the new one, so concurrent writes through one
 // client each dominate the label issued before them and never share one.
 func (c *Client) nextBoundedTag(ctx context.Context, reg string, ot opTrace) (Tag, error) {
-	replies, err := c.phase(ctx, message{Kind: KindReadQuery, Reg: reg}, c.qs.ContainsReadQuorum, c.queryTargets, ot, "query")
+	replies, err := c.phase(ctx, message{Kind: KindTagQuery, Reg: reg}, c.qs.ContainsReadQuorum, c.queryTargets, ot, "query")
 	if err != nil {
 		return Tag{}, err
 	}
@@ -903,7 +914,7 @@ func (c *Client) nextBoundedTag(ctx context.Context, reg string, ot opTrace) (Ta
 // building block internal/reconfig uses to read across configurations; a
 // bare QueryMax is only a regular read, not an atomic one.
 func (c *Client) QueryMax(ctx context.Context, reg string) (Tag, types.Value, error) {
-	tag, val, _, _, err := c.queryValidated(ctx, reg, c.queryTargets, opTrace{})
+	tag, val, _, _, err := c.queryValidated(ctx, KindReadQuery, reg, c.queryTargets, opTrace{})
 	if err != nil {
 		return Tag{}, nil, fmt.Errorf("query %q: %w", reg, err)
 	}

@@ -494,3 +494,30 @@ func TestClientReplicaPhaseReconciliation(t *testing.T) {
 		t.Errorf("replicas handled %d requests in total, client sent %d", sumHandled, cs.MsgsSent)
 	}
 }
+
+// TestReplicaAnswersTagQueryWithTagOnly: a tag query gets the stored tag
+// and a nil value, in a KindReadReply, and counts as a query like a read's.
+func TestReplicaAnswersTagQueryWithTagOnly(t *testing.T) {
+	c := newTestCluster(t, 1, netsim.Config{Seed: 93})
+	ctx := shortCtx(t)
+	mustWrite(t, ctx, c.client(), "x", "stored") // one tag query, one update
+	asker := c.net.Node(2000)
+	if err := asker.Send(0, message{Kind: KindTagQuery, Op: 5, Reg: "x"}.encode()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case raw := <-asker.Recv():
+		m, err := decodeMessage(raw.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Kind != KindReadReply || m.Op != 5 || !m.Tag.Valid || m.Tag.TS.Seq != 1 || m.Val != nil {
+			t.Fatalf("reply %+v, want a KindReadReply with tag seq 1 and no value", m)
+		}
+	case <-ctx.Done():
+		t.Fatal("no reply to the tag query")
+	}
+	if rm := c.replicas[0].ReplicaMetrics(); rm.Queries != 2 || rm.Updates != 1 {
+		t.Fatalf("replica counted %d queries and %d updates, want 2 and 1", rm.Queries, rm.Updates)
+	}
+}

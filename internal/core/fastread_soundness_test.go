@@ -234,9 +234,14 @@ func (cl *claimant) serve(ep transport.Endpoint) {
 			continue
 		}
 		reply := message{Kind: KindWriteAck, Op: m.Op, Reg: m.Reg}
-		if m.Kind == KindReadQuery {
+		switch m.Kind {
+		case KindReadQuery:
 			cl.mu.Lock()
 			reply = message{Kind: KindReadReply, Op: m.Op, Reg: m.Reg, Tag: cl.tag, Val: types.Value(cl.val)}
+			cl.mu.Unlock()
+		case KindTagQuery:
+			cl.mu.Lock()
+			reply = message{Kind: KindReadReply, Op: m.Op, Reg: m.Reg, Tag: cl.tag}
 			cl.mu.Unlock()
 		}
 		_ = ep.Send(raw.From, reply.encode())

@@ -30,6 +30,10 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x01, 0x02})
+	// A write's tag query, traced, and its valueless reply.
+	f.Add(message{Kind: KindTagQuery, Op: 8, Reg: "r", Trace: 2, Span: 3}.encode())
+	f.Add(message{Kind: KindReadReply, Op: 8, Reg: "r",
+		Tag: Tag{Valid: true, TS: timestamp.TS{Seq: 4, Writer: 1}}}.encode())
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := decodeMessage(payload)

@@ -94,20 +94,30 @@ func (l *Liar) Intercept(to types.NodeID, payload []byte) ([]byte, bool) {
 	}
 	switch m.Kind {
 	case KindReadReply:
+		// A written tag without a value answers a tag query (a write's
+		// query phase): the lie there is a tag, and it carries no value
+		// either. The liar cannot tell a tag query on a never-written
+		// register from a read of one; those replies get a value, which
+		// a querying writer ignores.
+		tagOnly := m.Tag.Valid && m.Val == nil
 		switch mode {
 		case ByzSilent:
 			l.muted.Add(1)
 			return nil, false
 		case ByzFabricate:
 			m.Tag = Tag{Valid: true, TS: timestamp.TS{Seq: 1 << 40, Writer: l.id}}
-			m.Val = []byte("byzantine-fabrication")
+			if !tagOnly {
+				m.Val = []byte("byzantine-fabrication")
+			}
 		case ByzEquivocate:
 			l.mu.Lock()
 			seq := (1 << 40) + l.rng.Int63n(1<<20)
 			a, b := byte(l.rng.Intn(256)), byte(l.rng.Intn(256))
 			l.mu.Unlock()
 			m.Tag = Tag{Valid: true, TS: timestamp.TS{Seq: seq, Writer: l.id}}
-			m.Val = []byte{a, b}
+			if !tagOnly {
+				m.Val = []byte{a, b}
+			}
 		case ByzStale:
 			// Pretend nothing was ever written.
 			m.Tag = Tag{}

@@ -35,16 +35,20 @@ type Kind byte
 // Protocol message kinds.
 const (
 	// KindReadQuery asks a replica for its current (timestamp, value) pair.
-	// Sent in a read's first phase and in a multi-writer write's query
-	// phase.
+	// Sent in a read's first phase and by QueryMax, which internal/reconfig
+	// queries with.
 	KindReadQuery Kind = 0x01
-	// KindReadReply answers a KindReadQuery.
+	// KindReadReply answers a KindReadQuery or a KindTagQuery.
 	KindReadReply Kind = 0x02
 	// KindWrite asks a replica to adopt a (timestamp, value) pair if it is
 	// newer than the replica's. Sent by writes and by read write-backs.
 	KindWrite Kind = 0x03
 	// KindWriteAck acknowledges a KindWrite.
 	KindWriteAck Kind = 0x04
+	// KindTagQuery asks a replica for its current timestamp only: the reply
+	// is a KindReadReply with a nil value. Sent in a write's query phase,
+	// which needs the newest timestamp and throws the value away.
+	KindTagQuery Kind = 0x05
 )
 
 // String names the kind for stats output.
@@ -58,6 +62,8 @@ func (k Kind) String() string {
 		return "Write"
 	case KindWriteAck:
 		return "WriteAck"
+	case KindTagQuery:
+		return "TagQuery"
 	default:
 		return fmt.Sprintf("Kind(%#02x)", byte(k))
 	}
@@ -97,8 +103,9 @@ func (t Tag) compare(u Tag) (int, error) {
 	return timestamp.Cyclic{L: t.Window}.Compare(t.Label, u.Label)
 }
 
-// message is the single on-wire shape shared by all four kinds; queries and
-// acks simply leave the tag and value fields empty.
+// message is the single on-wire shape shared by all five kinds; queries and
+// acks simply leave the tag and value fields empty, and so does a reply to a
+// tag query its value.
 type message struct {
 	Kind Kind
 	Op   uint64 // matches replies to the client's in-flight operation
@@ -142,7 +149,7 @@ func (m message) encode() []byte {
 }
 
 // decodeMessage parses a payload produced by encode, rejecting any whose
-// checksum does not match.
+// checksum does not match. The message's value is a view of payload.
 func decodeMessage(payload []byte) (message, error) {
 	body, trace, span, err := wire.Open(payload)
 	if err != nil {
@@ -160,7 +167,7 @@ func decodeMessage(payload []byte) (message, error) {
 		return message{}, err
 	}
 	switch m.Kind {
-	case KindReadQuery, KindReadReply, KindWrite, KindWriteAck:
+	case KindReadQuery, KindReadReply, KindWrite, KindWriteAck, KindTagQuery:
 	default:
 		return message{}, fmt.Errorf("%w: unknown kind %#02x", types.ErrBadMessage, byte(m.Kind))
 	}
@@ -181,7 +188,9 @@ func appendEntry(b []byte, reg string, tag Tag, val types.Value) []byte {
 }
 
 // readEntry reads what appendEntry wrote, and reports the reader's first
-// error. A negative window is malformed: no mode issues one.
+// error. A negative window is malformed: no mode issues one. The value is a
+// view of r's buffer, not a copy (DESIGN.md §6, "Who owns a payload"): a
+// caller that reuses the buffer must copy the value it keeps.
 func readEntry(r *wire.Reader) (reg string, tag Tag, val types.Value, err error) {
 	reg = r.String()
 	tag.Valid = r.Bool()
@@ -189,7 +198,7 @@ func readEntry(r *wire.Reader) (reg string, tag Tag, val types.Value, err error)
 	tag.TS.Writer = types.NodeID(r.Int())
 	tag.Window = r.Int()
 	tag.Label = r.Int()
-	val = r.Bytes()
+	val = r.View()
 	if err := r.Err(); err != nil {
 		return "", Tag{}, nil, err
 	}

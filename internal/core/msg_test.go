@@ -38,6 +38,12 @@ func TestMessageRoundTrip(t *testing.T) {
 			Tag: Tag{Valid: true, TS: timestamp.TS{Seq: -9, Writer: 2}}, Val: []byte("v9")},
 		{Kind: KindWrite, Op: 11, Reg: "y", Val: []byte("z"), Trace: 3, Span: 4,
 			Tag: Tag{Valid: true, Window: 2, Label: 5}},
+		// A write's tag query, untraced and traced, and its reply: a
+		// written tag with no value, which must stay nil, not empty.
+		{Kind: KindTagQuery, Op: 12, Reg: "r"},
+		{Kind: KindTagQuery, Op: 13, Reg: "r", Trace: 6, Span: 7},
+		{Kind: KindReadReply, Op: 12, Reg: "r",
+			Tag: Tag{Valid: true, TS: timestamp.TS{Seq: 10, Writer: 1}}},
 	}
 	for _, m := range tests {
 		t.Run(m.Kind.String(), func(t *testing.T) {
@@ -106,7 +112,7 @@ func TestDecodeRejectsRetiredConfBit(t *testing.T) {
 	c := newTestCluster(t, 1, netsim.Config{Seed: 92})
 	cl := c.client()
 	sender := c.net.Node(2000)
-	for i, kind := range []Kind{KindReadQuery, KindReadReply, KindWrite, KindWriteAck} {
+	for i, kind := range []Kind{KindReadQuery, KindReadReply, KindWrite, KindWriteAck, KindTagQuery} {
 		body := []byte{byte(kind) | 0x40}
 		body = wire.AppendUint(body, 42)           // op
 		body = wire.AppendString(body, "r")        // reg

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,7 +118,7 @@ func encodeRecord(b []byte, r record) []byte {
 }
 
 // decodeRecord decodes the record body at the front of b and reports how
-// many bytes it took.
+// many bytes it took. The record's value is a view of b.
 func decodeRecord(b []byte) (rec record, n int, err error) {
 	r := wire.NewReader(b)
 	if rec.reg, rec.tag, rec.val, err = readEntry(r); err != nil {
@@ -187,7 +188,7 @@ func loadLog(path string) (recs []record, cleanLen int64, err error) {
 	br.Discard(len(magic)) // just peeked: cannot fail
 
 	header := make([]byte, 8) // length + crc
-	var frame []byte          // one framed record, reused: decodeRecord copies out of it
+	var frame []byte          // one framed record, reused: what is kept is copied out
 	for {
 		if _, err := io.ReadFull(br, header); err != nil || allZero(header) {
 			break // EOF, a torn header or the zero tail
@@ -218,6 +219,7 @@ func loadLog(path string) (recs []record, cleanLen int64, err error) {
 			// record was written damaged. Same verdict as bit-rot.
 			return nil, cleanLen, ErrLogCorrupt
 		}
+		rec.val = rec.val.Clone() // a view of frame, which the next record overwrites
 		recs = append(recs, rec)
 		cleanLen += int64(len(frame))
 	}
@@ -336,16 +338,18 @@ func (p *persister) appendBatch(recs []record) error {
 	for _, rec := range recs {
 		buf = encodeRecord(buf, rec)
 	}
-	p.buf = buf
 	end := p.off + int64(len(buf))
 	zeroed, grow := p.zeroed, p.grow
 	if end > zeroed {
 		// The batch crosses the end of the zero tail: it carries the next
-		// stretch of zeros in the same write.
-		buf = make([]byte, len(buf)+int(grow))
-		copy(buf, p.buf)
+		// stretch of zeros in the same write, in the scratch's own spare
+		// capacity, which the scratch keeps for the next batch.
+		n := len(buf)
+		buf = slices.Grow(buf, int(grow))[:n+int(grow)]
+		clear(buf[n:])
 		zeroed, grow = end+grow, min(2*grow, persistGrowMax)
 	}
+	p.buf = buf
 	if _, err := p.f.WriteAt(buf, p.off); err != nil {
 		p.failed = fmt.Errorf("core: persistence batch append: %w", err)
 		return p.failed

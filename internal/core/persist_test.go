@@ -458,6 +458,75 @@ func TestPersistRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPersistReplayKeepsEveryValue: a record's value is decoded as a view
+// of the frame it was read into, and replay reads every frame into one
+// reused buffer. Every replayed value must still be its own: records of
+// distinct values, the later ones shorter, replay intact.
+func TestPersistReplayKeepsEveryValue(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "replay.wal")
+	p, _, err := openPersister(logPath, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []record
+	for i, v := range []string{"the first and longest value", "second value", "third", ""} {
+		want = append(want, record{reg: fmt.Sprintf("r%d", i), tag: Tag{Valid: true, TS: tsOf(int64(i + 1))}, val: []byte(v)})
+	}
+	if err := p.appendBatch(want[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.appendBatch(want[2:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := loadLog(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRecords(recs, want); err != nil {
+		t.Fatal(err)
+	}
+	if recs[3].val == nil {
+		t.Fatal("an empty value replayed as nil")
+	}
+}
+
+// TestPersistZeroTailReusesScratch: a batch that crosses the end of the
+// zero tail carries the next stretch of zeros in the batch scratch itself,
+// so once the scratch has grown, extending the tail allocates nothing — and
+// the zeros it writes are zeros even where a longer batch was encoded
+// before.
+func TestPersistZeroTailReusesScratch(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "scratch.wal")
+	p, _, err := openPersister(logPath, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.close()
+	long := []record{{reg: "x", tag: Tag{Valid: true, TS: tsOf(1)}, val: bytes.Repeat([]byte{0x5A}, 4<<10)}}
+	short := []record{{reg: "x", tag: Tag{Valid: true, TS: tsOf(2)}, val: []byte{0x5A}}}
+	extend := func(batch []record) {
+		p.zeroed = p.off // the batch crosses the end of the zero tail
+		if err := p.appendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.grow = persistGrowMax
+	extend(long) // sizes the scratch
+	if allocs := testing.AllocsPerRun(3, func() { extend(short) }); allocs != 0 {
+		t.Fatalf("extending the zero tail allocated %.1f times per append, want 0", allocs)
+	}
+	tail := make([]byte, p.zeroed-p.off)
+	if _, err := p.f.ReadAt(tail, p.off); err != nil {
+		t.Fatal(err)
+	}
+	if !allZero(tail) {
+		t.Fatal("the zero tail written from the reused scratch is not all zero")
+	}
+}
+
 func TestPersistCompaction(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "compact.wal")
@@ -847,7 +916,7 @@ func sameRecords(got, want []record) error {
 	}
 	for i := range want {
 		if got[i].reg != want[i].reg || got[i].tag != want[i].tag || !bytes.Equal(got[i].val, want[i].val) {
-			return fmt.Errorf("record %d is %q@%d, want %q@%d", i, got[i].reg, got[i].tag.TS.Seq, want[i].reg, want[i].tag.TS.Seq)
+			return fmt.Errorf("record %d is %q@%d = %q, want %q@%d = %q", i, got[i].reg, got[i].tag.TS.Seq, got[i].val, want[i].reg, want[i].tag.TS.Seq, want[i].val)
 		}
 	}
 	return nil

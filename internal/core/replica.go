@@ -12,7 +12,8 @@ import (
 	"repro/internal/types"
 )
 
-// regEntry is a replica's copy of one register.
+// regEntry is a replica's copy of one register. val is a view of the update
+// payload it arrived in, which the replica owns (DESIGN.md §6).
 type regEntry struct {
 	tag Tag
 	val types.Value
@@ -21,8 +22,8 @@ type regEntry struct {
 // Replica is one processor's server side of the emulation: it stores a
 // timestamped copy of every register and answers queries and update
 // requests. Its behaviour is exactly the paper's: reply to a query with the
-// stored pair; on an update, adopt the incoming pair if its timestamp is
-// newer, and acknowledge either way. The replica holds no mode: the tags
+// stored pair (to a tag query with the tag alone); on an update, adopt the
+// incoming pair if its timestamp is newer, and acknowledge either way. The replica holds no mode: the tags
 // carry their label window (Tag.Window), and an update whose tag cannot be
 // ordered against the stored one — another window, or bounded labels out of
 // window — is counted as an order violation and not acknowledged, since an
@@ -62,7 +63,7 @@ type Replica struct {
 
 	tracer obs.Tracer // nil = tracing disabled (the default)
 
-	queries      atomic.Int64 // KindReadQuery handled
+	queries      atomic.Int64 // KindReadQuery and KindTagQuery handled
 	updates      atomic.Int64 // KindWrite handled
 	adoptions    atomic.Int64 // updates that replaced the stored pair
 	staleRejects atomic.Int64 // updates carrying a tag at or below the stored one
@@ -231,7 +232,7 @@ func (r *Replica) dispatch(raw transport.Message) {
 		return
 	}
 	switch m.Kind {
-	case KindReadQuery:
+	case KindReadQuery, KindTagQuery:
 		r.handleQuery(raw.From, m)
 	case KindWrite:
 		r.writeCh <- inboundWrite{from: raw.From, m: m}
@@ -296,12 +297,17 @@ func (r *Replica) endHandle(m message, phase string, start time.Time, id uint64,
 	r.tracer.Emit(sp)
 }
 
+// handleQuery answers a query with the stored pair, or with the stored tag
+// and a nil value when the query asks for the tag only (KindTagQuery).
 func (r *Replica) handleQuery(from types.NodeID, m message) {
 	r.queries.Add(1)
 	start, handleID := r.beginHandle(m)
 	r.mu.Lock()
 	e := r.regs[m.Reg]
 	r.mu.Unlock()
+	if m.Kind == KindTagQuery {
+		e.val = nil
+	}
 
 	// The reply echoes the trace and names the handle span as its span, so
 	// the reply leg's transport spans parent to the handler rather than to
@@ -481,8 +487,9 @@ func (r *Replica) TagWatermarks(limit int) health.ReplicaTags {
 // Every client phase lands here as exactly one query or update per
 // contacted replica, so the two sides reconcile (see core_test.go).
 type ReplicaMetrics struct {
-	// Queries and Updates count handled requests by kind; their sum is the
-	// number of protocol requests this replica answered.
+	// Queries and Updates count handled requests by kind (Queries both
+	// query kinds, value and tag-only); their sum is the number of protocol
+	// requests this replica answered.
 	Queries, Updates int64
 	// Adoptions counts updates that replaced the stored pair ("applies");
 	// StaleRejects counts updates whose tag was at or below the stored one

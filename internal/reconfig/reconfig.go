@@ -45,18 +45,17 @@ type Member struct {
 
 // Client is a register client that spans all active configurations.
 type Client struct {
-	id types.NodeID
-
 	mu      sync.RWMutex
 	members []Member
 }
 
 // NewClient creates a reconfigurable client with one initial configuration.
-func NewClient(id types.NodeID, initial Member) (*Client, error) {
+// The tags its writes carry come from its member clients.
+func NewClient(initial Member) (*Client, error) {
 	if initial.Client == nil {
 		return nil, fmt.Errorf("reconfig: nil initial client")
 	}
-	return &Client{id: id, members: []Member{initial}}, nil
+	return &Client{members: []Member{initial}}, nil
 }
 
 // Epochs returns the epochs of the currently active configurations, oldest

@@ -31,7 +31,7 @@ func ctxT(t *testing.T) context.Context {
 
 func TestSingleConfigBehavesLikeCore(t *testing.T) {
 	g := newGroup(t, 3)
-	cli, err := NewClient(500, Member{Epoch: 1, Client: g.Client()})
+	cli, err := NewClient(Member{Epoch: 1, Client: g.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSingleConfigBehavesLikeCore(t *testing.T) {
 func TestFullMigration(t *testing.T) {
 	gOld, gNew := newGroup(t, 3), newGroup(t, 5)
 
-	cli, err := NewClient(500, Member{Epoch: 1, Client: gOld.Client()})
+	cli, err := NewClient(Member{Epoch: 1, Client: gOld.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFullMigration(t *testing.T) {
 // values.
 func TestNextTagAfterNeverReusesATag(t *testing.T) {
 	g := newGroup(t, 3)
-	cli, err := NewClient(500, Member{Epoch: 1, Client: g.Client()})
+	cli, err := NewClient(Member{Epoch: 1, Client: g.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestNextTagAfterNeverReusesATag(t *testing.T) {
 
 func TestEpochValidation(t *testing.T) {
 	g := newGroup(t, 3)
-	cli, err := NewClient(500, Member{Epoch: 5, Client: g.Client()})
+	cli, err := NewClient(Member{Epoch: 5, Client: g.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestConcurrentOpsDuringMigration(t *testing.T) {
 	// Two independent reconfigurable clients over the same configurations
 	// (e.g. two app servers), both migrating in the same order.
 	mk := func() *Client {
-		cli, err := NewClient(500, Member{Epoch: 1, Client: gOld.Client()})
+		cli, err := NewClient(Member{Epoch: 1, Client: gOld.Client()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestConcurrentOpsDuringMigration(t *testing.T) {
 
 func TestRegisterHandle(t *testing.T) {
 	g := newGroup(t, 3)
-	cli, err := NewClient(500, Member{Epoch: 1, Client: g.Client()})
+	cli, err := NewClient(Member{Epoch: 1, Client: g.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -409,3 +409,53 @@ func TestCloseClosesUnclaimedConnections(t *testing.T) {
 		t.Fatal("Close is waiting for the reader of a connection it never closed")
 	}
 }
+
+// TestBatchMembersOwnTheirBytes: the members of one batch frame reach the
+// handler in allocations of their own, so a receiver that keeps a view of
+// one (a replica storing a value in place) pins that member and no other,
+// and whatever it does within the member's capacity leaves the rest intact.
+func TestBatchMembersOwnTheirBytes(t *testing.T) {
+	server := listenT(t, Config{ID: 1, ListenAddr: "127.0.0.1:0"})
+	members := [][]byte{[]byte("first"), []byte("second"), []byte("third")}
+	handled := make(chan transport.Message, len(members))
+	server.Dispatch(func(m transport.Message) { handled <- m })
+
+	conn, err := net.Dial("tcp", server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := wire.AppendBatch(nil, members)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(4+len(body)))
+	frame = binary.BigEndian.AppendUint32(frame, 100) // sender id
+	if _, err := conn.Write(append(frame, body...)); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	for range members {
+		select {
+		case m := <-handled:
+			got = append(got, m.Payload)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("handler got %d of %d members", len(got), len(members))
+		}
+	}
+	for i, p := range got {
+		if string(p) != string(members[i]) {
+			t.Fatalf("member %d = %q, want %q", i, p, members[i])
+		}
+	}
+	// Fill each member's whole capacity in turn: a member that shared the
+	// frame's backing array would overwrite the members after it.
+	for i, p := range got {
+		full := p[:cap(p)]
+		for j := range full {
+			full[j] = 0xFF
+		}
+		for k := i + 1; k < len(got); k++ {
+			if string(got[k]) != string(members[k]) {
+				t.Fatalf("writing member %d's capacity changed member %d to %q", i, k, got[k])
+			}
+		}
+	}
+}

@@ -27,6 +27,10 @@
 // handler, payloads go to the mailbox behind Recv, as do any that arrived
 // before the handler was installed.
 //
+// Every delivered payload is its own allocation, which the receiver owns
+// and may keep views of (DESIGN.md §6): a batch frame's members are copied
+// out of it.
+//
 // Outbound: each peer has one writer role, held by whoever is writing to
 // its connection. Send takes it and writes its one payload itself when the
 // peer is idle: a live cached connection, nothing queued or in flight ahead
@@ -61,6 +65,7 @@ package tcpnet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -855,6 +860,15 @@ func (e *Endpoint) readLoop(conn net.Conn, peerHint types.NodeID) {
 		members, err := wire.SplitBatch(payload)
 		if err != nil {
 			return // structurally corrupt batch: treat like a torn stream
+		}
+		if wire.IsBatch(payload) {
+			// A receiver may keep views of what it is handed (a replica
+			// stores the value in place): each batch member gets its own
+			// allocation, so none pins the whole frame. A lone envelope
+			// already is one.
+			for i, m := range members {
+				members[i] = bytes.Clone(m)
+			}
 		}
 		e.framesRecv.Add(int64(len(members)))
 		e.bytesRecv.Add(int64(8 + len(payload)))

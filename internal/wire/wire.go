@@ -141,6 +141,18 @@ func (r *Reader) Byte() byte {
 // Bytes decodes a byte string appended with AppendBytes. The returned slice
 // is a copy, so it remains valid after the underlying buffer is reused.
 func (r *Reader) Bytes() []byte {
+	v := r.View()
+	if v == nil {
+		return nil
+	}
+	return append(make([]byte, 0, len(v)), v...)
+}
+
+// View decodes a byte string like Bytes, without the copy: the result
+// aliases the reader's buffer, so it is valid only while that buffer is
+// left unchanged. Its capacity ends where the string does, so appending to
+// it never writes into the bytes that follow.
+func (r *Reader) View() []byte {
 	if r.err != nil {
 		return nil
 	}
@@ -156,9 +168,9 @@ func (r *Reader) Bytes() []byte {
 		r.fail("bytes body")
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:r.off+int(n)])
-	r.off += int(n)
+	end := r.off + int(n)
+	out := r.buf[r.off:end:end]
+	r.off = end
 	return out
 }
 

@@ -68,6 +68,35 @@ func TestBytesReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestViewAliasesTheBuffer: View returns the bytes in place, keeps nil and
+// empty apart like Bytes, and caps the result so an append cannot write
+// over the field after it.
+func TestViewAliasesTheBuffer(t *testing.T) {
+	buf := AppendBool(AppendBytes(nil, []byte("original")), true)
+	r := NewReader(buf)
+	out := r.View()
+	if string(out) != "original" || cap(out) != len(out) {
+		t.Fatalf("View = %q (cap %d), want \"original\" capped at its length", out, cap(out))
+	}
+	_ = append(out, 'Z')
+	if !r.Bool() || r.Err() != nil {
+		t.Fatalf("an append to the view overwrote the next field: %v", r.Err())
+	}
+	buf[2] = 'O'
+	if string(out) != "Original" {
+		t.Fatalf("View copied the buffer: %q", out)
+	}
+	if got := NewReader(AppendBytes(nil, nil)).View(); got != nil {
+		t.Fatalf("nil slice: got %v, want nil", got)
+	}
+	if got := NewReader(AppendBytes(nil, []byte{})).View(); got == nil || len(got) != 0 {
+		t.Fatalf("empty slice: got %v, want empty non-nil", got)
+	}
+	if got := NewReader(AppendBytes(nil, []byte("abc"))[:3]).View(); got != nil {
+		t.Fatalf("truncated body: got %q, want nil", got)
+	}
+}
+
 func TestMixedSequence(t *testing.T) {
 	var buf []byte
 	buf = AppendUint(buf, 42)
