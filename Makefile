@@ -5,7 +5,7 @@ GO ?= go
 # Every command binary `make bin` produces under ./bin.
 CMDS = abd-sim abd-node abd-cli
 
-.PHONY: all build bin test race vet fmt bench-check check smoke examples e2e-smoke bench bench-pairs eval loc knobs clean
+.PHONY: all build bin test race vet fmt tcpnet-repeat bench-check check smoke examples e2e-smoke bench bench-pairs eval loc knobs clean
 
 all: check
 
@@ -24,9 +24,9 @@ test:
 race:
 	$(GO) test -race . ./examples/... ./internal/obs/... ./internal/core/... ./internal/netsim/... ./internal/tcpnet/... ./internal/chaos/... ./internal/nemesis/... ./internal/wire/... ./internal/shard/... ./internal/health/... ./internal/experiments/... ./internal/quorum/... ./internal/failure/... ./internal/prof/... ./internal/baseline/... ./internal/reconfig/...
 
-# Nothing here ever runs the non-Linux twins of the two build-tagged files
-# (core/datasync_other.go, tcpnet/trywrite_other.go); cross-building at
-# least compiles them.
+# Nothing here ever runs the non-Linux twins of the build-tagged files
+# (core/datasync_other.go, tcpnet/rawsys_unix.go, tcpnet/sockio_other.go);
+# cross-building at least compiles them.
 vet:
 	$(GO) vet ./...
 	GOOS=darwin $(GO) build ./...
@@ -45,7 +45,12 @@ fmt:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: build fmt vet test race bench-check
+# The transport suite twenty times over: tcpnet does its own socket I/O,
+# and a flake there at ~1.5% a run went unnoticed through single runs. ~20 s.
+tcpnet-repeat:
+	$(GO) test ./internal/tcpnet -count 20
+
+check: build fmt vet test race tcpnet-repeat bench-check
 
 # Tier-2 smoke: one checked run on the simulated network under a chaos
 # fault mix (drops, duplicates, corruption, a crash), which exits nonzero on

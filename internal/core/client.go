@@ -231,6 +231,11 @@ func (c *Client) dispatch(raw transport.Message) {
 	c.pendMu.Lock()
 	inbox, ok := c.pending[m.Op]
 	c.pendMu.Unlock()
+	if ok && m.Kind != inbox.reply {
+		// A reply of the other kind answers no request this phase sent.
+		c.metrics.badMsgs.Add(1)
+		return
+	}
 	if !ok || !inbox.offer(i, m) {
 		// A duplicate, or a straggler reply for a finished phase; the
 		// protocol discards these by design.
@@ -250,6 +255,7 @@ type adaptiveInterval struct {
 // goroutine once, with the reply that makes the repliers satisfy pred.
 // From then on (or from stop) it counts nothing more.
 type opInbox struct {
+	reply  Kind // the reply kind the phase's request asks for
 	pred   func(quorum.Set) bool
 	start  time.Time
 	notify chan struct{} // capacity 1: sent to once, on completion
@@ -336,7 +342,7 @@ func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) b
 	}
 	start := time.Now()
 	inbox := &opInbox{
-		pred: pred, start: start, notify: make(chan struct{}, 1),
+		reply: req.Kind.reply(), pred: pred, start: start, notify: make(chan struct{}, 1),
 		replies: make([]message, 0, len(c.replicas)),
 	}
 	if c.tracer != nil {
@@ -919,6 +925,17 @@ func (c *Client) QueryMax(ctx context.Context, reg string) (Tag, types.Value, er
 		return Tag{}, nil, fmt.Errorf("query %q: %w", reg, err)
 	}
 	return tag, val, nil
+}
+
+// QueryTag runs a single tag-only query phase (KindTagQuery): it returns
+// the newest tag found at a read quorum, and the replicas ship no values.
+// internal/reconfig orders its writes with it.
+func (c *Client) QueryTag(ctx context.Context, reg string) (Tag, error) {
+	tag, _, _, _, err := c.queryValidated(ctx, KindTagQuery, reg, c.queryTargets, opTrace{})
+	if err != nil {
+		return Tag{}, fmt.Errorf("query %q: %w", reg, err)
+	}
+	return tag, nil
 }
 
 // Propagate installs (tag, value) at a write quorum, exactly like a read's

@@ -376,6 +376,41 @@ func TestStragglersAreCounted(t *testing.T) {
 	}
 }
 
+// TestPhaseCountsOnlyItsReplyKind: replica 2 stores what it is sent but
+// answers every query with a write ack. An ack is no query reply: counted
+// as one, it reads as the initial register state, and a read whose quorum
+// holds nobody else who saw the write would return "" after the write of
+// "v" completed. Refused, it leaves the read short of a quorum.
+func TestPhaseCountsOnlyItsReplyKind(t *testing.T) {
+	c := newTestCluster(t, 3, netsim.Config{Seed: 20})
+	c.net.SetInterceptor(2, func(_ types.NodeID, payload []byte) ([]byte, bool) {
+		m, err := decodeMessage(payload)
+		if err != nil || m.Kind != KindReadReply {
+			return payload, true
+		}
+		return message{Kind: KindWriteAck, Op: m.Op, Reg: m.Reg}.encode(), true
+	})
+	w := c.client(WithSingleWriter())
+	ctx := shortCtx(t)
+	c.net.BlockLink(w.ID(), 1)
+	mustWrite(t, ctx, w, "x", "v") // acked by replicas 0 and 2
+
+	r := c.client()
+	c.net.BlockLink(0, r.ID()) // the read hears replicas 1 and 2 only
+	rctx, cancel := context.WithTimeout(ctx, 300*time.Millisecond)
+	defer cancel()
+	v, err := r.Read(rctx, "x")
+	switch {
+	case err == nil && string(v) != "v":
+		t.Fatalf("read %q after the write of v completed", v)
+	case err != nil && !errors.Is(err, types.ErrNoQuorum):
+		t.Fatalf("read: %v", err)
+	}
+	if m := r.Metrics(); m.BadMsgs == 0 {
+		t.Fatalf("the acks to the read's query were not counted as bad messages")
+	}
+}
+
 func TestClientCloseFailsInFlightOps(t *testing.T) {
 	c := newTestCluster(t, 3, netsim.Config{Seed: 19})
 	cli := c.client()

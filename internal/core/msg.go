@@ -35,8 +35,8 @@ type Kind byte
 // Protocol message kinds.
 const (
 	// KindReadQuery asks a replica for its current (timestamp, value) pair.
-	// Sent in a read's first phase and by QueryMax, which internal/reconfig
-	// queries with.
+	// Sent in a read's first phase and by QueryMax, which internal/reconfig's
+	// reads query with.
 	KindReadQuery Kind = 0x01
 	// KindReadReply answers a KindReadQuery or a KindTagQuery.
 	KindReadReply Kind = 0x02
@@ -47,7 +47,8 @@ const (
 	KindWriteAck Kind = 0x04
 	// KindTagQuery asks a replica for its current timestamp only: the reply
 	// is a KindReadReply with a nil value. Sent in a write's query phase,
-	// which needs the newest timestamp and throws the value away.
+	// which needs the newest timestamp and throws the value away, and by
+	// QueryTag, which internal/reconfig's writes query with.
 	KindTagQuery Kind = 0x05
 )
 
@@ -67,6 +68,15 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%#02x)", byte(k))
 	}
+}
+
+// reply is the kind of message that answers a request of kind k: a
+// KindWriteAck for a KindWrite, a KindReadReply for either query.
+func (k Kind) reply() Kind {
+	if k == KindWrite {
+		return KindWriteAck
+	}
+	return KindReadReply
 }
 
 // Tag orders the versions of a register value. Window is the label window

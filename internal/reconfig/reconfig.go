@@ -144,6 +144,22 @@ func queryAll(ctx context.Context, members []Member, reg string) (core.Tag, type
 	return best, bestVal, nil
 }
 
+// newestTag returns the newest tag across read quorums of all active
+// configurations, asking for tags only: a write throws the values away.
+func newestTag(ctx context.Context, members []Member, reg string) (core.Tag, error) {
+	var best core.Tag
+	for _, m := range members {
+		tag, err := m.Client.QueryTag(ctx, reg)
+		if err != nil {
+			return core.Tag{}, fmt.Errorf("reconfig epoch %d: %w", m.Epoch, err)
+		}
+		if tagLess(best, tag) {
+			best = tag
+		}
+	}
+	return best, nil
+}
+
 // tagLess orders unbounded tags (reconfig does not support bounded mode).
 func tagLess(a, b core.Tag) bool {
 	if !b.Valid {
@@ -192,7 +208,7 @@ func (c *Client) Write(ctx context.Context, reg string, val types.Value) error {
 	if err != nil {
 		return err
 	}
-	observed, _, err := queryAll(ctx, members, reg)
+	observed, err := newestTag(ctx, members, reg)
 	if err != nil {
 		return fmt.Errorf("write %q: %w", reg, err)
 	}

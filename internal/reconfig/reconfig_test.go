@@ -1,6 +1,7 @@
 package reconfig
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	abd "repro"
+	"repro/internal/core"
 )
 
 // newGroup starts an n-replica group as a cluster of its own, closed at
@@ -140,6 +142,31 @@ func TestNextTagAfterNeverReusesATag(t *testing.T) {
 	second := members[0].Client.NextTagAfter("x", observed)
 	if !tagLess(observed, first) || !tagLess(first, second) {
 		t.Fatalf("tags after %v: %v then %v, want strictly increasing", observed.TS, first.TS, second.TS)
+	}
+}
+
+// TestWriteQueriesTagsOnly: a reconfigurable write needs the newest tag
+// across its configurations, not their values, so overwriting a 4 KiB
+// register with a 4 KiB value moves fewer reply bytes than one copy of it.
+func TestWriteQueriesTagsOnly(t *testing.T) {
+	g := newGroup(t, 3)
+	cli, err := NewClient(Member{Epoch: 1, Client: g.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx := ctxT(t)
+	val := bytes.Repeat([]byte{0xA5}, 4096)
+	if err := cli.Write(ctx, "x", val); err != nil {
+		t.Fatal(err)
+	}
+
+	g.ResetNetStats()
+	if err := cli.Write(ctx, "x", val); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.NetStats().BytesByKind[byte(core.KindReadReply)]; got >= 4096 {
+		t.Fatalf("the write's query replies carried %d bytes, want < 4096 (no stored value)", got)
 	}
 }
 

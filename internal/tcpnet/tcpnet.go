@@ -50,6 +50,26 @@
 // backpressure: Send blocks up to the write timeout, then counts the
 // payload as loss (QueueDrops).
 //
+// Socket I/O: every read and write on a connection — the reader's buffer
+// fills, the inline write, the flusher's write — is a read(2) or write(2)
+// on the non-blocking descriptor inside a syscall.RawConn callback
+// (sockio_unix.go), and on Linux a raw syscall (rawsys_linux.go). The
+// callback returns false on EAGAIN, so a goroutine parks on the poller
+// exactly when net.Conn would park it, and only then; the flusher's write
+// waits under WriteTimeout. The reason is the runtime's sysmon thread:
+// net.Conn's calls enter the scheduler's syscall state, and a replica idles
+// between requests long enough for sysmon to fall into deep sleep, so each
+// such call woke it (a futex), after which it polled every 20 µs until it
+// slept again. Measured on read-heavy before the change, each node's sysmon
+// made ~19 000 context switches per 5 s and used ~22% of the node's CPU.
+// A raw syscall is sound here only because it cannot block. Frames are
+// parsed and handlers run outside the callback: a handler whose reply
+// write fails closes its own connection, and Close waits for the
+// descriptor's callbacks to return. Dial and accept keep ordinary syscalls
+// (they are rare), and so does the WAL (internal/core): pwrite and
+// fdatasync block on the disk, and entering the syscall state is what lets
+// sysmon hand their P to another thread meanwhile.
+//
 // Self-healing: every flusher write carries a deadline (WriteTimeout), so a
 // stalled peer with a full TCP buffer can never wedge the flusher; failed
 // peers are redialed with exponential backoff plus jitter instead of
@@ -485,7 +505,10 @@ func (e *Endpoint) noteSuccessLocked(ps *peerState) {
 // from a lost message. Send returns an error only for local conditions: a
 // closed endpoint or a destination that is neither connected nor in the
 // peer table. Send never waits for the socket; a full queue blocks it up to
-// the write timeout (backpressure) before reading as loss.
+// the write timeout (backpressure) before reading as loss. A payload is one
+// sealed envelope, so it never starts with wire.BatchMarker: a payload that
+// did would be taken for a batch frame by the receiver, which drops the
+// connection when it fails to split.
 func (e *Endpoint) Send(to types.NodeID, payload []byte) error {
 	if e.closed.Load() {
 		return types.ErrClosed
@@ -659,34 +682,30 @@ func (e *Endpoint) flushBatch(ps *peerState, batch []sendReq, inline net.Conn) {
 // writeFrame pushes (*bufp)[off:], the rest of the frame carrying batch, to
 // conn and settles the outcome: failure accounting and a dropped connection
 // on error, flush latencies and spans on success. The caller holds the
-// peer's writer role. The flusher writes under the WriteTimeout deadline,
-// and clears it afterwards so that an expired one never fails a later
-// inline write. An inline caller makes one write(2) that cannot wait; what
-// the socket did not take becomes the peer's carried frame, which the
+// peer's writer role. The two routes differ only in whether the write may
+// wait for the socket. The flusher's may, under the WriteTimeout deadline,
+// which it clears afterwards so that an expired one never fails a later
+// inline write. An inline caller's is one write(2) that cannot wait;
+// what the socket did not take becomes the peer's carried frame, which the
 // flusher finishes first.
 func (e *Endpoint) writeFrame(ps *peerState, conn net.Conn, bufp *[]byte, off int, batch []sendReq, inline bool) {
 	rest := (*bufp)[off:]
-	var werr error
-	if inline {
-		var n int
-		n, werr = tryWrite(conn, rest)
-		if werr == nil && n < len(rest) {
-			ps.carried = &carry{conn: conn, buf: bufp, off: off + n, req: batch[0]}
-			ps.pending.Add(1)
-			select {
-			case ps.kick <- struct{}{}:
-			default:
-			}
-			return
+	deadline := !inline && e.cfg.WriteTimeout > 0
+	if deadline {
+		_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
+	}
+	n, werr := writeSock(conn, rest, !inline)
+	if deadline && werr == nil {
+		_ = conn.SetWriteDeadline(time.Time{})
+	}
+	if inline && werr == nil && n < len(rest) {
+		ps.carried = &carry{conn: conn, buf: bufp, off: off + n, req: batch[0]}
+		ps.pending.Add(1)
+		select {
+		case ps.kick <- struct{}{}:
+		default:
 		}
-	} else {
-		if e.cfg.WriteTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-		}
-		_, werr = conn.Write(rest)
-		if werr == nil && e.cfg.WriteTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Time{})
-		}
+		return
 	}
 	*bufp = (*bufp)[:0]
 	framePool.Put(bufp)
@@ -842,7 +861,11 @@ func (e *Endpoint) readLoop(conn net.Conn, peerHint types.NodeID) {
 		e.mu.Unlock()
 	}()
 
-	br := bufio.NewReaderSize(conn, readBufSize)
+	// The reader's fills are the only socket calls here: frames are parsed
+	// and handlers run between them, never inside a RawConn callback, since
+	// a handler whose reply write fails closes this connection, and Close
+	// waits for the descriptor's callbacks to return.
+	br := bufio.NewReaderSize(newSockReader(conn), readBufSize)
 	var header [8]byte
 	for {
 		if _, err := io.ReadFull(br, header[:]); err != nil {

@@ -300,7 +300,9 @@ func TestSendCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_ = client.Send(1, []byte{byte(i), byte(i >> 8)})
+			// A leading 1 keeps a payload from starting with
+			// wire.BatchMarker (126 would be 0x7E 0x00).
+			_ = client.Send(1, []byte{1, byte(i), byte(i >> 8)})
 		}(i)
 	}
 	for deadline := time.Now().Add(5 * time.Second); len(ps.queue) < maxBatch; time.Sleep(time.Millisecond) {
@@ -317,10 +319,10 @@ func TestSendCoalescing(t *testing.T) {
 	for len(seen) < n {
 		select {
 		case m := <-server.Recv():
-			if len(m.Payload) != 2 {
+			if len(m.Payload) != 3 || m.Payload[0] != 1 {
 				t.Fatalf("payload %x", m.Payload)
 			}
-			seen[int(m.Payload[0])|int(m.Payload[1])<<8] = true
+			seen[int(m.Payload[1])|int(m.Payload[2])<<8] = true
 		case <-timeout:
 			t.Fatalf("received %d of %d payloads", len(seen), n)
 		}
