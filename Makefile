@@ -24,13 +24,18 @@ test:
 race:
 	$(GO) test -race . ./examples/... ./internal/obs/... ./internal/core/... ./internal/netsim/... ./internal/tcpnet/... ./internal/chaos/... ./internal/nemesis/... ./internal/wire/... ./internal/shard/... ./internal/health/... ./internal/experiments/... ./internal/quorum/... ./internal/failure/... ./internal/prof/... ./internal/baseline/... ./internal/reconfig/...
 
-# Nothing here ever runs the non-Linux twins of the build-tagged files
-# (core/datasync_other.go, tcpnet/rawsys_unix.go, tcpnet/sockio_other.go);
-# cross-building at least compiles them.
+# Nothing here ever runs the twins of the build-tagged files that the
+# 64-bit Linux build leaves out (core/datasync_linux32.go,
+# core/datasync_other.go, tcpnet/rawsys_unix.go, tcpnet/sockio_other.go);
+# cross-building at least compiles them, and the arm64 build compiles the
+# raw calls on a second 64-bit architecture.
 vet:
 	$(GO) vet ./...
 	GOOS=darwin $(GO) build ./...
 	GOOS=windows $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) build ./...
+	GOOS=linux GOARCH=arm $(GO) build ./...
 
 # Fails, naming them, if any file is not gofmt-clean (bench/ included: it is
 # a module of its own, but the same tree).

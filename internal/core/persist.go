@@ -38,10 +38,15 @@ import (
 // of zero bytes. The tail is there so that a commit changes no filesystem
 // metadata: the persister keeps its own append offset, writes each batch
 // with one positional write into bytes it has already zero-filled, and
-// makes it durable with a data-integrity sync (datasync), which unlike an
+// makes it durable with a data-integrity sync (dataSyncer), which unlike an
 // append's fsync does not have to commit the filesystem journal. The batch
 // that crosses the tail's end carries the next stretch of zeros in the same
-// write, so only that commit moves the file size.
+// write, so only that commit moves the file size. On 64-bit Linux that
+// write is a raw system call and the sync an asynchronous one that the
+// commit waits for on the runtime's poller, so a commit neither enters the
+// scheduler's syscall state nor holds its P while the disk works
+// (datasync_linux64.go); the rare calls — compaction's rewrite, the
+// directory sync, open and replay — are ordinary.
 //
 // Replay therefore ends at the first all-zero header (no record has an
 // empty body), and the checksum separates three outcomes: a record cut
@@ -87,7 +92,7 @@ type persister struct {
 	mu    sync.Mutex
 	f     *os.File
 	path  string
-	sync  bool
+	ds    *dataSyncer   // syncs each append; nil: appends are not synced
 	delay time.Duration // extra stall per fsync (WithFsyncDelay)
 	n     int           // records since last compaction
 	syncs atomic.Int64  // syncs issued, one per batch append
@@ -313,8 +318,11 @@ func openPersister(path string, syncEach bool) (*persister, []record, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	p := &persister{f: f, path: path, sync: syncEach, n: len(recs),
+	p := &persister{f: f, path: path, n: len(recs),
 		off: cleanLen, zeroed: cleanLen, grow: persistGrowMin}
+	if syncEach {
+		p.ds = newDataSyncer()
+	}
 	return p, recs, nil
 }
 
@@ -350,12 +358,12 @@ func (p *persister) appendBatch(recs []record) error {
 		zeroed, grow = end+grow, min(2*grow, persistGrowMax)
 	}
 	p.buf = buf
-	if _, err := p.f.WriteAt(buf, p.off); err != nil {
+	if err := pwrite(p.f, buf, p.off); err != nil {
 		p.failed = fmt.Errorf("core: persistence batch append: %w", err)
 		return p.failed
 	}
-	if p.sync {
-		if err := datasync(p.f); err != nil {
+	if p.ds != nil {
+		if err := p.ds.sync(p.f); err != nil {
 			p.failed = fmt.Errorf("core: persistence sync: %w", err)
 			return p.failed
 		}
@@ -410,6 +418,11 @@ func (p *persister) close() error {
 	err := p.f.Truncate(p.off)
 	if cerr := p.f.Close(); err == nil {
 		err = cerr
+	}
+	if p.ds != nil {
+		if cerr := p.ds.close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }

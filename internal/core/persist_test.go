@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/timestamp"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -526,6 +527,46 @@ func TestPersistZeroTailReusesScratch(t *testing.T) {
 		t.Fatal("the zero tail written from the reused scratch is not all zero")
 	}
 }
+
+// TestCommitBatchReusesScratch: a group commit of one update keeps its
+// batch scratch on the stack and reuses the log's encoding buffer, so the
+// one allocation left is the ack's encoding — with the log and without.
+func TestCommitBatchReusesScratch(t *testing.T) {
+	for _, persistent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("persistent=%v", persistent), func(t *testing.T) {
+			r := NewReplica(0, discardEndpoint{})
+			if persistent {
+				var err error
+				if r, err = NewPersistentReplica(0, discardEndpoint{}, filepath.Join(t.TempDir(), "commit.wal")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer r.Stop()
+			batch := []inboundWrite{{from: 100, m: message{Kind: KindWrite, Reg: "x", Val: bytes.Repeat([]byte{0x5A}, 128)}}}
+			var seq int64
+			commit := func() {
+				seq++
+				batch[0].m.Tag = Tag{Valid: true, TS: tsOf(seq)}
+				r.commitBatch(batch)
+			}
+			commit() // sizes the scratch and zero-fills the log's tail
+			if allocs := testing.AllocsPerRun(100, commit); allocs > 1 {
+				t.Fatalf("a group commit of one update allocated %.1f times, want at most 1 (the ack)", allocs)
+			}
+			if m := r.ReplicaMetrics(); m.Adoptions != seq {
+				t.Fatalf("%d of %d commits adopted", m.Adoptions, seq)
+			}
+		})
+	}
+}
+
+// discardEndpoint drops every message sent through it and delivers none.
+type discardEndpoint struct{}
+
+func (discardEndpoint) ID() types.NodeID                { return 0 }
+func (discardEndpoint) Send(types.NodeID, []byte) error { return nil }
+func (discardEndpoint) Recv() <-chan transport.Message  { return nil }
+func (discardEndpoint) Close() error                    { return nil }
 
 func TestPersistCompaction(t *testing.T) {
 	dir := t.TempDir()

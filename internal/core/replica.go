@@ -37,7 +37,11 @@ type regEntry struct {
 // loop that drains up to batchMax pending writes, appends all their WAL
 // records, fsyncs once, installs the adopted state, and acks the whole
 // batch. A slow fsync therefore stalls writers, never readers, and under
-// write load the fsync cost amortizes across the batch.
+// write load the fsync cost amortizes across the batch. The commit loop
+// holds no P while the disk works — on 64-bit Linux it parks on the
+// runtime's poller until an asynchronous sync completes, elsewhere it is in
+// an ordinary system call (datasync_*.go) — so neither a query, even with
+// GOMAXPROCS 1, nor a GC's stop-the-world waits for a sync.
 type Replica struct {
 	id types.NodeID
 	ep transport.Endpoint
@@ -318,9 +322,10 @@ func (r *Replica) handleQuery(from types.NodeID, m message) {
 	_ = r.ep.Send(from, reply.encode())
 }
 
-// commitBatch runs one group commit. Adoption decisions are made against a
-// staging view (current state plus earlier adoptions in the same batch), so
-// intra-batch ordering matches what serial handling would have produced.
+// commitBatch runs one group commit of at most batchMax writes. Adoption
+// decisions are made against a staging view (current state plus earlier
+// adoptions in the same batch), so intra-batch ordering matches what serial
+// handling would have produced.
 // All adopted records hit the WAL with one append and one fsync, and only
 // then is the staged state installed and the batch acked — a register's
 // visible state is always durable (a query can never leak a pair the next
@@ -332,24 +337,22 @@ func (r *Replica) commitBatch(batch []inboundWrite) {
 	r.batches.Add(1)
 	r.batchSizes.Record(time.Duration(len(batch)))
 
-	starts := make([]time.Time, len(batch))
-	handleIDs := make([]uint64, len(batch))
-	adopted := make([]bool, len(batch))
-	var refused []error // per write, why its tag was unorderable (nil: none was)
-	var recs []record
+	var (
+		starts    [batchMax]time.Time
+		handleIDs [batchMax]uint64
+		adopted   [batchMax]bool
+		staged    [batchMax]record
+		refused   []error // per write, why its tag was unorderable (nil: none was)
+	)
+	recs := staged[:0] // the batch's adoptions, in order
 
 	r.commitMu.Lock()
-	staged := make(map[string]regEntry, len(batch))
 	r.mu.Lock()
 	for i, w := range batch {
 		m := w.m
 		r.updates.Add(1)
 		starts[i], handleIDs[i] = r.beginHandle(m)
-		cur, ok := staged[m.Reg]
-		if !ok {
-			cur = r.regs[m.Reg]
-		}
-		cmp, err := m.Tag.compare(cur.tag)
+		cmp, err := m.Tag.compare(r.stagedTag(recs, m.Reg))
 		switch {
 		case err != nil:
 			// Another label window, or bounded labels out of window:
@@ -362,7 +365,6 @@ func (r *Replica) commitBatch(batch []inboundWrite) {
 			}
 			refused[i] = err
 		case cmp > 0:
-			staged[m.Reg] = regEntry{tag: m.Tag, val: m.Val}
 			r.adoptions.Add(1)
 			adopted[i] = true
 			recs = append(recs, record{reg: m.Reg, tag: m.Tag, val: m.Val})
@@ -404,8 +406,8 @@ func (r *Replica) commitBatch(batch []inboundWrite) {
 	}
 	if perr == nil {
 		r.mu.Lock()
-		for reg, e := range staged {
-			r.regs[reg] = e
+		for _, rec := range recs {
+			r.regs[rec.reg] = regEntry{tag: rec.tag, val: rec.val}
 		}
 		r.mu.Unlock()
 		if persist != nil && persist.recordCount() >= persistCompactThreshold {
@@ -431,6 +433,17 @@ func (r *Replica) commitBatch(batch []inboundWrite) {
 		r.endHandle(m, "update", starts[i], handleIDs[i], nil)
 		_ = r.ep.Send(w.from, ack.encode())
 	}
+}
+
+// stagedTag returns reg's tag as a batch sees it: from the batch's newest
+// adoption of reg so far, else from the store. Called under mu.
+func (r *Replica) stagedTag(recs []record, reg string) Tag {
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].reg == reg {
+			return recs[i].tag
+		}
+	}
+	return r.regs[reg].tag
 }
 
 // State returns the replica's stored pair for a register, for tests and

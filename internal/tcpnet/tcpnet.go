@@ -66,9 +66,9 @@
 // parsed and handlers run outside the callback: a handler whose reply
 // write fails closes its own connection, and Close waits for the
 // descriptor's callbacks to return. Dial and accept keep ordinary syscalls
-// (they are rare), and so does the WAL (internal/core): pwrite and
-// fdatasync block on the disk, and entering the syscall state is what lets
-// sysmon hand their P to another thread meanwhile.
+// (they are rare). The WAL's commits (internal/core) stay out of the
+// syscall state too on 64-bit Linux: a raw pwrite, and a sync submitted
+// asynchronously and waited for on the poller, as a socket read is.
 //
 // Self-healing: every flusher write carries a deadline (WriteTimeout), so a
 // stalled peer with a full TCP buffer can never wedge the flusher; failed
